@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import re
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -86,6 +87,12 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not self.t_grid:
             raise ConfigError("t_grid must be nonempty")
+        for key, values in (("t_grid", self.t_grid), ("h", () if self.h is None else (self.h,)),
+                            ("rho_margin_factor", (self.rho_margin_factor,)),
+                            ("lambda", (self.lam,)), ("lambda0", (self.lam0,)),
+                            ("windows", [x for w in self.windows for x in w])):
+            if not all(map(math.isfinite, values)):
+                raise ConfigError(f"{key} must be finite")
         if any(t < 0 for t in self.t_grid):
             raise ConfigError("t_grid entries must be nonnegative")
         if sum(1 for t in self.t_grid if t == 0.0) > 1:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -67,131 +67,122 @@ class VectorHandle:
         self.values.setflags(write=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumTable:
-    """Eigenvalue rows sorted by (t, lam, k, j), with optional eigenvectors."""
+    """Eigenvalues per pinching parameter t, with the stored eigenvectors.
 
-    rows: tuple[SpectrumRow, ...]
-    vectors: tuple[tuple[tuple[float, int, int], VectorHandle], ...] = ()
+    ``mu`` maps each t, kept in descending order, to a (k_max + 1, levels)
+    array whose row k holds the ascending eigenvalues of mode pair k;
+    ``vectors`` maps (t, k, j) to the eigenvector of level j (1-based).
+    """
+
+    mu: Mapping[float, np.ndarray]
+    vectors: Mapping[tuple[float, int, int], VectorHandle]
 
     def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.rows, key=lambda r: (-r.t, r.lam, r.k, r.j)))
-        object.__setattr__(self, "rows", ordered)
+        for m in self.mu.values():
+            m.setflags(write=False)
+        object.__setattr__(self, "mu", dict(sorted(self.mu.items(), key=lambda kv: -kv[0])))
+
+    @property
+    def rows(self) -> tuple[SpectrumRow, ...]:
+        """Every eigenvalue as a row, sorted by (-t, lam, k, j)."""
+        return tuple(r for t in self.mu for r in self.rows_at(t))
 
     def rows_at(self, t: float) -> list[SpectrumRow]:
-        return [r for r in self.rows if r.t == t]
-
-    def t_values(self) -> list[float]:
-        out: list[float] = []
-        for r in self.rows:
-            if r.t not in out:
-                out.append(r.t)
-        return out
+        """The rows at t sorted by (lam, k, j); KeyError if the table lacks t."""
+        rows = [SpectrumRow(t=t, k=k, j=j, mu=m, lam=math.sqrt(max(m, 0.0)))
+                for k, levels in enumerate(self.mu[t].tolist())
+                for j, m in enumerate(levels, start=1)]
+        return sorted(rows, key=lambda r: (r.lam, r.k, r.j))
 
     def eigen_count(self, a: float, b: float, t: float) -> int:
         """Eigenvalues with lam in (a, b) at parameter t, pair multiplicity 2."""
         return 2 * sum(1 for r in self.rows_at(t) if a < r.lam < b)
 
     def lowest(self, t: float) -> SpectrumRow:
-        rows = self.rows_at(t)
-        if not rows:
-            raise KeyError(f"no rows at t = {t}")
-        return rows[0]
+        return self.rows_at(t)[0]
 
     def vector(self, t: float, k: int, j: int) -> VectorHandle:
-        for key, handle in self.vectors:
-            if key == (t, k, j):
-                return handle
-        raise KeyError(f"no stored eigenvector for (t, k, j) = {(t, k, j)}")
+        return self.vectors[(t, k, j)]
 
     def merged(self, other: "SpectrumTable") -> "SpectrumTable":
-        return SpectrumTable(self.rows + other.rows, self.vectors + other.vectors)
+        if self.mu.keys() & other.mu.keys():
+            raise ValueError("the tables share a value of t")
+        return SpectrumTable({**self.mu, **other.mu}, {**self.vectors, **other.vectors})
 
 
-def _grid_for(geom: NeckGeometry, params: SpectrumParams) -> Grid:
-    return Grid.for_geometry(geom, n=params.n, h=params.h)
+def _solve_modes(geom: NeckGeometry, params: SpectrumParams, chis: tuple[Chirality, ...]):
+    """Solve each (k, chirality) once on the geometry's grid.
+
+    Returns the grid, the lowest ``levels`` eigenvalues of each mode over
+    ``chis`` as a (k_max + 1, levels) array, the kept eigenvectors keyed by
+    (k, j), and the largest eigenvalue any one solve returned.
+    """
+    grid = Grid.for_geometry(geom, n=params.n, h=params.h)
+    keep = params.keep_vectors > 0
+    mu = np.empty((params.k_max + 1, params.levels))
+    vectors, mu_max = {}, 0.0
+    for k in range(params.k_max + 1):
+        parts = [eigen_lowest(assemble_hamiltonian(geom, ModeSpec(k, chi), grid), params.levels,
+                              tol=params.tol, vectors=keep, h=grid.h) for chi in chis]
+        mu_k = np.concatenate([w for w, _ in parts] if keep else parts)
+        order = np.argsort(mu_k, kind="stable")[: params.levels]
+        mu[k], mu_max = mu_k[order], max(mu_max, float(mu_k.max()))
+        for j, i in enumerate(order[: params.keep_vectors], start=1):
+            # entry i of mu_k is column i % levels of solve number i // levels
+            vectors[(k, j)] = parts[i // params.levels][1][:, i % params.levels].copy()
+    return grid, mu, vectors, mu_max
 
 
-def _cusp_geometry(params: SpectrumParams) -> NeckGeometry:
+def _cusp_geometry(params: SpectrumParams):
     """Truncated cusp deep enough that V(rho_min) >= margin * sqrt(mu_max).
 
-    The requirement is checked against the computed spectrum for the most
-    permissive mode (k = 0, smallest V) and the domain is deepened until it
-    holds; deepening only lowers eigenvalues, so the loop terminates.
+    V is that of the most permissive mode (k = 0, smallest V) and mu_max is
+    the top of the ``levels`` solved for every mode and chirality; the
+    domain is deepened until the requirement holds, and deepening only
+    lowers eigenvalues, so the loop terminates.  Returns the geometry with
+    the grid, eigenvalues and eigenvectors of its last ``_solve_modes``.
     """
     margin = params.rho_margin_factor
     q_min = 0.5
     rho_min = -math.log(margin * math.sqrt(200.0) / q_min)
     for _ in range(8):
         geom = NeckGeometry.cusp(rho_min)
-        grid = _grid_for(geom, params)
-        mu_max = 0.0
-        for k in range(params.k_max + 1):
-            for chi in (Chirality.PLUS, Chirality.MINUS):
-                T = assemble_hamiltonian(geom, ModeSpec(k, chi), grid)
-                mu_max = max(mu_max, float(eigen_lowest(T, params.levels)[-1]))
+        grid, mu, vectors, mu_max = _solve_modes(geom, params, (Chirality.PLUS, Chirality.MINUS))
         needed = -math.log(margin * math.sqrt(mu_max) / q_min)
         if rho_min <= needed:
-            return geom
+            return geom, grid, mu, vectors
         rho_min = needed - 0.5
     raise RuntimeError("cusp truncation depth did not stabilize")
-
-
-def _mode_levels(geom: NeckGeometry, grid: Grid, k: int, params: SpectrumParams):
-    """Lowest eigenpairs of the mode pair (k, -k-1) at this geometry.
-
-    For t > 0 the plus operator suffices: the partner mode's operator is its
-    parity conjugate on the symmetric neck.  At t = 0 the neck has split into
-    two mirror cusps and the pair's spectrum on the split surface is the
-    union of the plus and minus spectra on one cusp branch, merged sorted.
-    """
-    want_vecs = params.keep_vectors > 0
-    chis = (Chirality.PLUS,) if geom.t > 0 else (Chirality.PLUS, Chirality.MINUS)
-    merged: list[tuple[float, np.ndarray | None]] = []
-    for chi in chis:
-        T = assemble_hamiltonian(geom, ModeSpec(k, chi), grid)
-        if want_vecs:
-            mu, vecs = eigen_lowest(T, params.levels, tol=params.tol,
-                                    vectors=True, h=grid.h)
-            merged.extend((float(m), vecs[:, i].copy()) for i, m in enumerate(mu))
-        else:
-            mu = eigen_lowest(T, params.levels, tol=params.tol)
-            merged.extend((float(m), None) for m in mu)
-    merged.sort(key=lambda pair: pair[0])
-    return merged[: params.levels]
 
 
 def dirac_spectrum(t: float, params: SpectrumParams) -> SpectrumTable:
     """Squared-Dirac eigenvalues at parameter t, one row per (mode pair, level).
 
     Modes k and -k-1 form a degenerate pair (parity on the symmetric neck for
-    t > 0; the mirror cusp at t = 0), so each row carries multiplicity 2
-    wherever counts or traces are formed.
+    t > 0, where the plus operator suffices; the mirror cusp at t = 0, where
+    the pair's spectrum is the union of the plus and minus spectra on one
+    cusp branch), so each row carries multiplicity 2 wherever counts or
+    traces are formed.
     """
-    geom = NeckGeometry.neck(t) if t > 0 else _cusp_geometry(params)
-    grid = _grid_for(geom, params)
-    rows: list[SpectrumRow] = []
-    vectors: list[tuple[tuple[float, int, int], VectorHandle]] = []
-    for k in range(params.k_max + 1):
-        for j, (m, vec) in enumerate(_mode_levels(geom, grid, k, params), start=1):
-            rows.append(SpectrumRow(t=t, k=k, j=j, mu=m,
-                                    lam=math.sqrt(max(m, 0.0))))
-            if vec is not None and params.keep_vectors >= j:
-                vectors.append(((t, k, j), VectorHandle(grid, vec)))
-    return SpectrumTable(tuple(rows), tuple(vectors))
+    if t > 0:
+        grid, mu, vectors, _ = _solve_modes(NeckGeometry.neck(t), params, (Chirality.PLUS,))
+    else:
+        _, grid, mu, vectors = _cusp_geometry(params)
+    return SpectrumTable({t: mu}, {(t, *kj): VectorHandle(grid, v) for kj, v in vectors.items()})
 
 
 def spectral_sweep(t_grid: Sequence[float], params: SpectrumParams) -> SpectrumTable:
     """Solve every t in a sweep grid (descending, ending at 0) into one table."""
     ts = list(t_grid)
-    if sorted(ts, reverse=True) != ts:
-        raise ValueError("t grid must be sorted descending")
+    if any(a <= b for a, b in zip(ts, ts[1:])):
+        raise ValueError("t grid must be strictly descending")
     if ts[-1] != 0.0:
         raise ValueError("t grid must end at 0 (the split-neck limit)")
-    table = SpectrumTable(())
-    for t in ts:
-        table = table.merged(dirac_spectrum(t, params))
-    return table
+    slabs = [dirac_spectrum(t, params) for t in ts]
+    return SpectrumTable({t: s.mu[t] for t, s in zip(ts, slabs)},
+                         {key: v for s in slabs for key, v in s.vectors.items()})
 
 
 def neck_mass(t: float, vector: "VectorHandle", w: float) -> float:
@@ -225,13 +216,33 @@ class TraceValue:
         return self.value
 
 
+def _inverse_square_tail(n: int, q: float) -> float:
+    """Sum of 1/(j^2 + q) over j >= n in closed form; no j^2 + q may be 0.
+
+    With a^2 = q the sum is (psi(n + ia) - psi(n - ia)) / (2ia) (DLMF 5.7).
+    The terms j < w are added directly (the recurrence 5.5.2), which puts
+    both digamma arguments at least 16 from the origin; the rest is the
+    asymptotic series 5.11.2, each term's difference quotient written as a
+    real function of q, so a^2 <= 0 needs no complex root and no division by a.
+    """
+    w = max(n, 16 + math.ceil(math.sqrt(max(-q, 0.0))))
+    x = math.sqrt(abs(q)) / w
+    log_term = math.atan(x) / x if q > 0 else math.atanh(x) / x if q < 0 else 1.0
+    r2 = w * w + q
+    total = float(np.sum(1.0 / (np.arange(n, w) ** 2 + q))) + log_term / w + 0.5 / r2
+    re, im = 1.0, 0.0  # (w + ia)^(2m) = re + ia * im
+    for m, c in enumerate((1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132), start=1):  # B_2m / 2m
+        re, im = re * (w * w - q) - 2 * w * q * im, 2 * w * re + (w * w - q) * im
+        total += c * im / r2 ** (2 * m)
+    return total
+
+
 def _mode_tail(mu: np.ndarray, lam: float, lam0: float) -> float:
-    """Estimate sum over levels beyond the computed ones for one mode.
+    """Sum over the levels j > J beyond the computed ones for one mode.
 
     The top of the computed spectrum fixes a Weyl-type model
-    mu_j ~ A j^2 + c through the largest two eigenvalues; the remaining sum
-    of 1/(mu - lam) - 1/(mu - lam0) over that model converges like j^-3 and
-    is accumulated until it is exhausted at double precision.
+    mu_j ~ A j^2 + c through the largest two eigenvalues; the tail is the
+    exact sum of 1/(mu_j - lam) - 1/(mu_j - lam0) over that model.
     """
     J = len(mu)
     if J < 2:
@@ -240,16 +251,8 @@ def _mode_tail(mu: np.ndarray, lam: float, lam0: float) -> float:
     if A <= 0:
         return 0.0
     c = mu[-1] - A * J**2
-    total = 0.0
-    j = J + 1
-    while True:
-        muj = A * j * j + c
-        term = 1.0 / (muj - lam) - 1.0 / (muj - lam0)
-        total += term
-        if abs(term) < 1e-17 * max(abs(total), 1.0) or j > 10**7:
-            break
-        j += 1
-    return total
+    return (_inverse_square_tail(J + 1, (c - lam) / A)
+            - _inverse_square_tail(J + 1, (c - lam0) / A)) / A
 
 
 def relative_resolvent_trace(
@@ -263,24 +266,20 @@ def relative_resolvent_trace(
     """Trace of the resolvent difference at spectral points lam, lam0.
 
     Sums 1/(mu - lam) - 1/(mu - lam0) over the table rows with the pair
-    multiplicity 2 and adds a per-mode tail estimate anchored at the largest
-    computed eigenvalues.
+    multiplicity 2 and adds the per-mode tail of the Weyl model anchored at
+    the largest computed eigenvalues.
     """
     if table is None:
         table = dirac_spectrum(t, params)
-    rows = table.rows_at(t)
-    if not rows:
+    if t not in table.mu:
         raise ValueError(f"table has no rows at t = {t}")
     if lam == lam0:
         return TraceValue(0.0, 0.0, 0.0)
-    for r in rows:
+    for r in table.rows_at(t):
         if min(abs(r.mu - lam), abs(r.mu - lam0)) < collision_tol:
             raise SpectralCollisionError(r.mu, lam if abs(r.mu - lam) < abs(r.mu - lam0) else lam0)
-    bare = 0.0
-    tail = 0.0
-    for k in sorted({r.k for r in rows}):
-        mu = np.array([r.mu for r in rows if r.k == k])
-        mu.sort()
+    bare = tail = 0.0
+    for mu in table.mu[t]:
         bare += 2.0 * float(np.sum(1.0 / (mu - lam) - 1.0 / (mu - lam0)))
         tail += 2.0 * _mode_tail(mu, lam, lam0)
     return TraceValue(bare + tail, bare, tail)

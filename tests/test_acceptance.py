@@ -292,7 +292,7 @@ def test_criterion_08_discretization_validity():
 
 def test_criterion_09_susy_pairing_at_t0():
     params = SpectrumParams(k_max=2, levels=10, n=12000)
-    geom = _cusp_geometry(params)
+    geom = _cusp_geometry(params)[0]
     grid = Grid.for_geometry(geom, n=12000)
     worst = 0.0
     for k in (0, 1, 2):
@@ -430,3 +430,25 @@ def test_criterion_13_determinism(tmp_path, capsys):
     mismatched = [n for n in sorted(first) if first[n] != second.get(n)]
     report(13, mismatched == [] and set(first) == set(second),
            f"two full CLI runs byte-identical on {sorted(first)}")
+
+
+GOLDEN_DIR = Path(__file__).parent / "data" / "criterion13"
+
+
+def test_criterion_13_outputs_match_golden_files(tmp_path, capsys):
+    # tests/data/criterion13 holds the criterion-13 outputs of the code that
+    # summed the spectral tail term by term: the spectrum files must stay
+    # byte-identical and the traces within 1e-11 (the tail is now exact).
+    # Regenerating these files would remove the check, not fix a failure.
+    outdir = _full_cli_suite(tmp_path)
+    capsys.readouterr()
+    changed = [name for name in ("spectrum.csv", "counts.csv", "mass.csv")
+               if (outdir / name).read_bytes() != (GOLDEN_DIR / name).read_bytes()]
+    got = [line.split(",") for line in (outdir / "trace.csv").read_text().splitlines()]
+    want = [line.split(",") for line in (GOLDEN_DIR / "trace.csv").read_text().splitlines()]
+    assert got[0] == want[0] == ["t", "g"] and [r[0] for r in got] == [r[0] for r in want]
+    worst = max(abs(float(g) - float(w)) / max(1.0, abs(float(w)))
+                for (_, g), (_, w) in zip(got[1:], want[1:]))
+    report(13, changed == [] and worst <= 1e-11,
+           f"spectrum files byte-identical to the golden files (changed: {changed}); "
+           f"traces within {worst:.1e} of them")

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cusplab.dirac_lab import spectra
 from cusplab.dirac_lab import (
     Chirality,
     CuspSide,
@@ -206,7 +207,7 @@ def test_susy_pairing_with_partner_wall_condition():
     params = SpectrumParams(k_max=2, levels=10, n=12000)
     geom_params = params
     from cusplab.dirac_lab.spectra import _cusp_geometry
-    geom = _cusp_geometry(geom_params)
+    geom = _cusp_geometry(geom_params)[0]
     grid = Grid.for_geometry(geom, n=12000)
     for k in (0, 1, 2):
         plus = assemble_hamiltonian(geom, ModeSpec(k), grid)
@@ -262,7 +263,7 @@ def test_spectral_sweep_counts_and_inputs():
     params = SpectrumParams(k_max=1, levels=4, n=600)
     grid_t = [0.4, 0.2, 0.1, 0.0]
     table = spectral_sweep(grid_t, params)
-    assert table.t_values() == grid_t
+    assert list(table.mu) == grid_t
     for t in grid_t:
         assert len(table.rows_at(t)) == 2 * 4
     counts = [table.eigen_count(0.0, 3.0, t) for t in grid_t]
@@ -274,6 +275,8 @@ def test_spectral_sweep_counts_and_inputs():
         spectral_sweep([0.1, 0.4, 0.0], params)
     with pytest.raises(ValueError):
         spectral_sweep([0.4, 0.1], params)
+    with pytest.raises(ValueError):  # a repeated t would double its counts
+        spectral_sweep([0.4, 0.4, 0.0], params)
 
 
 def test_relative_resolvent_trace_contract():
@@ -299,6 +302,98 @@ def test_eigenvalue_merge_is_order_independent():
     merged_ab = a.merged(b)
     merged_ba = b.merged(a)
     assert merged_ab.rows == merged_ba.rows
+    with pytest.raises(ValueError):
+        merged_ab.merged(dirac_spectrum(0.4, params))
+
+
+@pytest.mark.parametrize("keep_vectors", [0, 1])
+def test_t0_spectrum_reuses_the_cusp_depth_search(monkeypatch, keep_vectors):
+    # each (k, chirality) is solved once per search iteration and the t = 0
+    # table is the accepted iteration's solves, not a second solve
+    params = SpectrumParams(k_max=1, levels=12, n=800, keep_vectors=keep_vectors)
+    calls, depths, calls_at_search_exit = [], set(), []
+    eigen, assemble, search = (spectra.eigen_lowest, spectra.assemble_hamiltonian,
+                               spectra._cusp_geometry)
+
+    def counted_eigen(*args, **kwargs):
+        calls.append(kwargs.get("vectors", False))
+        return eigen(*args, **kwargs)
+
+    def recorded_assemble(geom, *args):
+        depths.add(geom.rho_min)
+        return assemble(geom, *args)
+
+    def recorded_search(p):
+        out = search(p)
+        calls_at_search_exit.append(len(calls))
+        return out
+
+    monkeypatch.setattr(spectra, "eigen_lowest", counted_eigen)
+    monkeypatch.setattr(spectra, "assemble_hamiltonian", recorded_assemble)
+    monkeypatch.setattr(spectra, "_cusp_geometry", recorded_search)
+    table = dirac_spectrum(0.0, params)
+    assert len(depths) >= 2  # the search deepened the cusp at least once
+    assert len(calls) == 2 * (params.k_max + 1) * len(depths)
+    assert calls_at_search_exit == [len(calls)]
+    assert all(v == (keep_vectors > 0) for v in calls)
+    monkeypatch.undo()
+
+    geom = spectra._cusp_geometry(params)[0]
+    grid = Grid.for_geometry(geom, n=params.n)
+    for k in range(params.k_max + 1):
+        both = np.concatenate([
+            eigen_lowest(assemble_hamiltonian(geom, ModeSpec(k, chi), grid), params.levels)
+            for chi in (Chirality.PLUS, Chirality.MINUS)])
+        want = np.sort(both)[: params.levels]
+        assert np.array_equal(table.mu[0.0][k], want)
+        assert [r.mu for r in table.rows_at(0.0) if r.k == k] == want.tolist()
+        assert ((0.0, k, 1) in table.vectors) == (keep_vectors > 0)
+
+
+def _mode_tail_loop(mu, lam, lam0):
+    """Reference for the closed-form tail: the Weyl-model sum term by term."""
+    J = len(mu)
+    if J < 2:
+        return 0.0
+    A = (mu[-1] - mu[-2]) / (2 * J - 1)
+    if A <= 0:
+        return 0.0
+    c = mu[-1] - A * J**2
+    total = 0.0
+    j = J + 1
+    while True:
+        muj = A * j * j + c
+        term = 1.0 / (muj - lam) - 1.0 / (muj - lam0)
+        total += term
+        if abs(term) < 1e-17 * max(abs(total), 1.0) or j > 10**7:
+            break
+        j += 1
+    return total
+
+
+def test_mode_tail_closed_form_matches_reference_loop():
+    rng = np.random.default_rng(2024)
+    cases = [(np.array([]), -1.0, -2.0), (np.array([1.5]), -1.0, -2.0),
+             (np.array([1.0, 3.0, 3.0]), -1.0, -2.0), (np.array([1.0, 4.0, 2.5]), -1.0, -2.0)]
+    signs = set()
+    for _ in range(16):
+        J = int(rng.integers(2, 13))
+        A, c = rng.uniform(0.5, 3.0), rng.uniform(-3.0, 3.0)
+        j = np.arange(1, J + 1)
+        mu = np.sort(A * j**2 + c + rng.uniform(-0.3, 0.3, J) * A)
+        A_fit = (mu[-1] - mu[-2]) / (2 * J - 1)
+        c_fit = mu[-1] - A_fit * J**2
+        below = min(mu[0], c_fit) - rng.uniform(0.5, 4.0)
+        between = rng.uniform(max(mu[0], c_fit), mu[-1])
+        for lam in (below, between, c_fit):  # a^2 = (c - lam) / A: > 0, < 0, = 0
+            cases.append((mu, lam, below - 1.0))
+            signs.add(np.sign(c_fit - lam))
+    assert signs == {-1.0, 0.0, 1.0}
+    assert any(len(mu) == 2 for mu, _, _ in cases)
+    for mu, lam, lam0 in cases:
+        bare = float(np.sum(1.0 / (mu - lam) - 1.0 / (mu - lam0)))
+        got, want = spectra._mode_tail(mu, lam, lam0), _mode_tail_loop(mu, lam, lam0)
+        assert abs(got - want) <= 1e-11 * max(1.0, abs(bare)), (mu, lam, lam0)
 
 
 def test_trace_reproducible_at_reference_parameters():
