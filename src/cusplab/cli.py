@@ -95,8 +95,8 @@ class RunConfig:
                 raise ConfigError(f"{key} must be finite")
         if any(t < 0 for t in self.t_grid):
             raise ConfigError("t_grid entries must be nonnegative")
-        if sum(1 for t in self.t_grid if t == 0.0) > 1:
-            raise ConfigError("t_grid may contain 0 at most once")
+        if len(set(self.t_grid)) != len(self.t_grid):
+            raise ConfigError("t_grid values must be distinct")
         if self.k_max < 0 or self.levels < 1:
             raise ConfigError("k_max must be >= 0 and levels >= 1")
         if self.h is not None and self.h <= 0:

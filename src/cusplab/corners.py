@@ -26,6 +26,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence, Union
 
 RationalLike = Union[int, str, Fraction]
@@ -93,14 +94,22 @@ class Space:
     def of(cls, *labels: str) -> "Space":
         return cls(tuple(Face(lbl) for lbl in labels))
 
+    @cached_property
+    def _by_label(self) -> dict[str, Face]:
+        return {f.label: f for f in self.faces}
+
     def face(self, label: str) -> Face:
-        for f in self.faces:
-            if f.label == label:
-                return f
-        raise KeyError(f"no face labelled {label!r}")
+        try:
+            return self._by_label[label]
+        except KeyError:
+            raise KeyError(f"no face labelled {label!r}") from None
+
+    @cached_property
+    def _face_set(self) -> frozenset[Face]:
+        return frozenset(self.faces)
 
     def __contains__(self, face: Face) -> bool:
-        return face in self.faces
+        return face in self._face_set
 
 
 # ---------------------------------------------------------------------------
@@ -140,12 +149,17 @@ class IndexSet:
     generators: tuple[IndexTerm, ...] = ()
 
     def __post_init__(self) -> None:
-        terms = sorted(set(self.generators))
-        kept = [
-            t
-            for i, t in enumerate(terms)
-            if not any(i != j and _dominates(u, t) for j, u in enumerate(terms))
-        ]
+        # Only terms in one class of z mod 1 can dominate each other.  Walking
+        # each class by z ascending (k descending on ties), a term survives
+        # iff its k beats every k seen before it in its class.  At most one
+        # term per z survives, so the kept terms are already in (z, k) order.
+        best: dict[tuple[int, int], int] = {}
+        kept = []
+        for t in sorted(set(self.generators), key=lambda t: (t.z, -t.k)):
+            cls = (t.z.numerator % t.z.denominator, t.z.denominator)
+            if t.k > best.get(cls, -1):
+                best[cls] = t.k
+                kept.append(t)
         object.__setattr__(self, "generators", tuple(kept))
 
     @classmethod
@@ -258,10 +272,14 @@ class IndexFamily:
     def on(cls, space: Space, sets: Mapping[str, IndexSet]) -> "IndexFamily":
         return cls(space, tuple((space.face(lbl), E) for lbl, E in sets.items()))
 
+    @cached_property
+    def _by_face(self) -> dict[Face, IndexSet]:
+        return dict(self.entries)
+
     def get(self, face: Face) -> IndexSet:
-        for f, E in self.entries:
-            if f == face:
-                return E
+        E = self._by_face.get(face)
+        if E is not None:
+            return E
         if face not in self.space:
             raise SpaceMismatchError(f"face {face.label!r} not in the family's space")
         return IndexSet.empty()
@@ -308,6 +326,8 @@ class BMap:
         for H in self.image_in:
             if H not in self.target:
                 raise SpaceMismatchError(f"image face {H.label!r} not in target")
+        if len({pair for pair, _ in self.e}) != len(self.e):
+            raise ValueError("an entry (G, H) is given more than once")
         canon = tuple(
             sorted((((G, H), v) for (G, H), v in self.e if v > 0))
         )
@@ -339,22 +359,35 @@ class BMap:
     def interior(self) -> bool:
         return not self.image_in
 
+    @cached_property
+    def _rows(self) -> dict[Face, dict[Face, int]]:
+        """G -> {H: e(G, H)} over the nonzero entries, in the order of ``e``."""
+        rows: dict[Face, dict[Face, int]] = {}
+        for (G, H), v in self.e:
+            rows.setdefault(G, {})[H] = v
+        return rows
+
+    @cached_property
+    def _columns(self) -> dict[Face, dict[Face, int]]:
+        """H -> {G: e(G, H)} over the nonzero entries, in the order of ``e``."""
+        cols: dict[Face, dict[Face, int]] = {}
+        for (G, H), v in self.e:
+            cols.setdefault(H, {})[G] = v
+        return cols
+
     def exponent(self, G: Face, H: Face) -> int:
-        for (g, h), v in self.e:
-            if g == G and h == H:
-                return v
-        return 0
+        return self._rows.get(G, {}).get(H, 0)
 
     def row(self, G: Face) -> dict[Face, int]:
-        return {h: v for (g, h), v in self.e if g == G}
+        return dict(self._rows.get(G, {}))
 
     def column(self, H: Face) -> dict[Face, int]:
-        return {g: v for (g, h), v in self.e if h == H}
+        return dict(self._columns.get(H, {}))
 
 
 def is_b_normal(f: BMap) -> bool:
     """Each source face meets at most one target defining function."""
-    return all(len(f.row(G)) <= 1 for G in f.source.faces)
+    return all(len(row) <= 1 for row in f._rows.values())
 
 
 def is_b_fibration(f: BMap) -> bool:
@@ -368,12 +401,12 @@ def compose_bmaps(f: BMap, g: BMap) -> BMap:
     if not (f.interior and g.interior):
         raise ValueError("composition implemented for interior b-maps only")
     entries = []
-    for G in f.source.faces:
-        frow = f.row(G)
-        for K in g.target.faces:
-            val = sum(v * g.exponent(H, K) for H, v in frow.items())
-            if val:
-                entries.append(((G, K), val))
+    for G, frow in f._rows.items():
+        acc: dict[Face, int] = {}
+        for H, v in frow.items():
+            for K, w in g._rows.get(H, {}).items():
+                acc[K] = acc.get(K, 0) + v * w
+        entries.extend(((G, K), val) for K, val in acc.items())
     return BMap(
         f.source,
         g.target,

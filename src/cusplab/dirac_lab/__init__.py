@@ -33,6 +33,7 @@ from cusplab.dirac_lab.solver import (
     tridiagonal_from_potential,
 )
 from cusplab.dirac_lab.spectra import (
+    ResolventAboveLevelsError,
     SpectralCollisionError,
     SpectrumParams,
     SpectrumRow,
@@ -51,7 +52,7 @@ __all__ = [
     "Grid", "NonConvergenceError", "Tridiagonal", "assemble_hamiltonian",
     "convergence_order", "eigen_lowest", "partner_minus_hamiltonian",
     "tridiagonal_from_potential",
-    "SpectralCollisionError", "SpectrumParams", "SpectrumRow", "SpectrumTable",
-    "TraceValue", "dirac_spectrum", "neck_mass", "relative_resolvent_trace",
+    "ResolventAboveLevelsError", "SpectralCollisionError", "SpectrumParams", "SpectrumRow",
+    "SpectrumTable", "TraceValue", "dirac_spectrum", "neck_mass", "relative_resolvent_trace",
     "spectral_sweep",
 ]

@@ -21,6 +21,22 @@ class SpectralCollisionError(ValueError):
         super().__init__(f"eigenvalue {mu!r} collides with resolvent point {lam!r}")
 
 
+class ResolventAboveLevelsError(ValueError):
+    """A resolvent point not below the highest computed level of a mode, or nan.
+
+    The tail model continues each mode's spectrum above its computed levels,
+    so a point up there lies among the model's poles and the trace would be
+    meaningless; more levels are needed.
+    """
+
+    def __init__(self, k: int, lam: float, top: float) -> None:
+        self.k = k
+        self.lam = lam
+        self.top = top
+        super().__init__(f"resolvent point {lam!r} is not below {top!r}, "
+                         f"the highest computed level of mode {k}")
+
+
 @dataclass(frozen=True)
 class SpectrumParams:
     """Parameters of a spectral computation.
@@ -166,6 +182,8 @@ def dirac_spectrum(t: float, params: SpectrumParams) -> SpectrumTable:
     cusp branch), so each row carries multiplicity 2 wherever counts or
     traces are formed.
     """
+    if not t >= 0:
+        raise ValueError(f"pinching parameter t must be >= 0, got {t!r}")
     if t > 0:
         grid, mu, vectors, _ = _solve_modes(NeckGeometry.neck(t), params, (Chirality.PLUS,))
     else:
@@ -267,12 +285,17 @@ def relative_resolvent_trace(
 
     Sums 1/(mu - lam) - 1/(mu - lam0) over the table rows with the pair
     multiplicity 2 and adds the per-mode tail of the Weyl model anchored at
-    the largest computed eigenvalues.
+    the largest computed eigenvalues.  Both points must lie below every
+    mode's highest computed level (``ResolventAboveLevelsError``).
     """
     if table is None:
         table = dirac_spectrum(t, params)
     if t not in table.mu:
         raise ValueError(f"table has no rows at t = {t}")
+    for k, mu in enumerate(table.mu[t]):
+        for point in (lam, lam0):
+            if not point < mu[-1]:  # nan fails this too
+                raise ResolventAboveLevelsError(k, point, float(mu[-1]))
     if lam == lam0:
         return TraceValue(0.0, 0.0, 0.0)
     for r in table.rows_at(t):

@@ -99,9 +99,9 @@ def test_config_round_trip(tmp_path):
     assert RunConfig.from_text(cfg.to_text()) == cfg
 
 
-NON_FINITE = (("t_grid", "inf,0.1,0.0"), ("t_grid", "0.4,nan,0.0"), ("h", "nan"), ("h", "inf"),
+BAD_VALUES = (("t_grid", "inf,0.1,0.0"), ("t_grid", "0.4,nan,0.0"), ("h", "nan"), ("h", "inf"),
               ("rho_margin_factor", "nan"), ("rho_margin_factor", "inf"), ("lambda", "nan"),
-              ("lambda0", "-inf"), ("windows", "0.0:inf"))
+              ("lambda0", "-inf"), ("windows", "0.0:inf"), ("t_grid", "0.4,0.4,0.0"))
 
 
 def test_config_validation():
@@ -115,7 +115,7 @@ def test_config_validation():
         RunConfig.from_text("t_grid = 0.5\nrho_margin_factor = 10\n")
     with pytest.raises(ConfigError):
         RunConfig.from_text("t_grid = 0.5\nwindows = 2.0:1.0\n")
-    for key, value in NON_FINITE:
+    for key, value in BAD_VALUES:
         text = "".join(f"{k} = {v}\n" for k, v in {"t_grid": "0.5", key: value}.items())
         with pytest.raises(ConfigError):
             RunConfig.from_text(text)
@@ -128,7 +128,7 @@ def test_bad_config_exit_code(capsys, tmp_path):
     assert code == EXIT_CONFIG
     code, _, _ = run(capsys, "spectrum", "sweep", str(tmp_path / "missing.cfg"))
     assert code == EXIT_CONFIG
-    for key, value in NON_FINITE:
+    for key, value in BAD_VALUES:
         cfg = write_config(tmp_path, **{key: value})
         for command in (("spectrum", "sweep"), ("trace", "compute")):
             assert run(capsys, *command, str(cfg))[0] == EXIT_CONFIG, (key, value)

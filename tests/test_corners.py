@@ -15,6 +15,7 @@ from cusplab.corners import (
     Face,
     IndexFamily,
     IndexSet,
+    IndexTerm,
     IntegrabilityViolatedError,
     NotBFibrationError,
     Space,
@@ -93,6 +94,37 @@ def random_index_set(rng, max_terms=4):
 def test_canonical_form_prunes_dominated_generators():
     E = IndexSet.from_terms([(0, 0), (1, 0), (0, 1), (Fraction(1, 2), 0)])
     assert gens_of(E) == [(Fraction(0), 1), (Fraction(1, 2), 0)]
+
+
+def pairwise_canonical(terms):
+    """Reference canonical form: drop every term another term dominates."""
+    def dominates(a, b):
+        d = b.z - a.z
+        return d.denominator == 1 and d >= 0 and b.k <= a.k
+
+    terms = sorted(set(terms))
+    return tuple(t for i, t in enumerate(terms)
+                 if not any(i != j and dominates(u, t) for j, u in enumerate(terms)))
+
+
+def test_canonical_form_matches_pairwise_reference():
+    rng = random.Random(4711)
+    seen = {"duplicate": 0, "equal z": 0, "negative z": 0, "integer apart": 0}
+    for _ in range(400):
+        # a few residues, each repeated at integer offsets of either sign
+        bases = [Fraction(rng.randint(-12, 12), rng.choice([1, 2, 3, 5, 6]))
+                 for _ in range(rng.randint(1, 4))]
+        terms = [IndexTerm(rng.choice(bases) + rng.randint(-3, 3), rng.randint(0, 4))
+                 for _ in range(rng.randint(1, 30))]
+        terms += rng.sample(terms, rng.randint(0, len(terms)))
+        zs = [t.z for t in terms]
+        seen["duplicate"] += len(set(terms)) < len(terms)
+        seen["equal z"] += len({(t.z, t.k) for t in terms}) > len(set(zs))
+        seen["negative z"] += min(zs) < 0
+        seen["integer apart"] += any((a - b).denominator == 1 and a != b for a in zs for b in zs)
+        rng.shuffle(terms)
+        assert IndexSet(tuple(terms)).generators == pairwise_canonical(terms), terms
+    assert all(n >= 100 for n in seen.values()), seen
 
 
 def test_structural_equality_is_semantic():
@@ -275,6 +307,40 @@ def test_compose_space_mismatch():
         compose_bmaps(f, f)
 
 
+def test_bmap_queries_match_linear_scan_and_dense_product():
+    # random maps with a quarter of their exponents nonzero
+    rng = random.Random(2718)
+
+    def random_bmap(src, tgt):
+        rows = {g.label: {h.label: rng.randint(1, 4) for h in tgt.faces if rng.random() < 0.25}
+                for g in src.faces}
+        return BMap.build(src, tgt, rows)
+
+    def scan(f, G, H):
+        return next((v for pair, v in f.e if pair == (G, H)), 0)
+
+    def dense(f):
+        return [[scan(f, G, H) for H in f.target.faces] for G in f.source.faces]
+
+    for _ in range(60):
+        nx, ny, nz = (rng.randint(1, 12) for _ in range(3))
+        X, Y, Z = (Space.of(*[f"{p}{i}" for i in range(n)])
+                   for p, n in (("x", nx), ("y", ny), ("z", nz)))
+        f, g = random_bmap(X, Y), random_bmap(Y, Z)
+        for G in X.faces:
+            assert list(f.row(G).items()) == [(h, v) for (gg, h), v in f.e if gg == G]
+            assert [f.exponent(G, H) for H in Y.faces] == [scan(f, G, H) for H in Y.faces]
+        for H in Y.faces:
+            assert list(f.column(H).items()) == [(gg, v) for (gg, h), v in f.e if h == H]
+        assert is_b_normal(f) == all(sum(v > 0 for v in row) <= 1 for row in dense(f))
+        F, Gm = dense(f), dense(g)
+        product = [[sum(F[i][j] * Gm[j][k] for j in range(ny)) for k in range(nz)]
+                   for i in range(nx)]
+        want = sorted(((G, K), v) for G, row in zip(X.faces, product)
+                      for K, v in zip(Z.faces, row) if v)
+        assert compose_bmaps(f, g).e == tuple(want)
+
+
 def random_b_normal_bmap(rng, src, tgt, density=0.8, max_entry=3):
     rows = {}
     for g in src.faces:
@@ -426,3 +492,6 @@ def test_space_validation():
         Space.of("a", "a")
     with pytest.raises(ValueError):
         BlowupStep(2, 3, Face("f"))
+    a, b = Face("a"), Face("b")
+    with pytest.raises(ValueError):  # one exponent per (G, H)
+        BMap(Space((a,)), Space((b,)), (((a, b), 1), ((a, b), 2)))

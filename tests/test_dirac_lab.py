@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cusplab.cli import EXIT_RUNTIME, main
 from cusplab.dirac_lab import spectra
 from cusplab.dirac_lab import (
     Chirality,
@@ -13,6 +14,7 @@ from cusplab.dirac_lab import (
     Grid,
     ModeSpec,
     NeckGeometry,
+    ResolventAboveLevelsError,
     SpectralCollisionError,
     SpectrumParams,
     SpinStructure,
@@ -277,6 +279,9 @@ def test_spectral_sweep_counts_and_inputs():
         spectral_sweep([0.4, 0.1], params)
     with pytest.raises(ValueError):  # a repeated t would double its counts
         spectral_sweep([0.4, 0.4, 0.0], params)
+    for bad in (-0.5, math.nan):  # neither may pass for the t = 0 spectrum
+        with pytest.raises(ValueError):
+            dirac_spectrum(bad, params)
 
 
 def test_relative_resolvent_trace_contract():
@@ -293,6 +298,30 @@ def test_relative_resolvent_trace_contract():
     mu0 = table.rows_at(0.5)[0].mu
     with pytest.raises(SpectralCollisionError):
         relative_resolvent_trace(0.5, mu0, -2.0, params, table=table)
+
+
+def test_trace_rejects_points_above_the_computed_levels(capsys, tmp_path):
+    # above the top computed level the Weyl-model tail sums across its own
+    # poles: here it gave a tail of about 497 against a bare sum of -1.45
+    params = SpectrumParams(k_max=0, levels=2, h=0.01)
+    table = dirac_spectrum(0.4, params)
+    top = float(table.mu[0.4][0][-1])
+    for lam, lam0 in ((12.0, -2.0), (-2.0, 12.0), (top, -2.0)):
+        with pytest.raises(ResolventAboveLevelsError) as err:
+            relative_resolvent_trace(0.4, lam, lam0, params, table=table)
+        assert (err.value.k, err.value.lam, err.value.top) == (0, max(lam, lam0), top)
+        assert "mode 0" in str(err.value)
+    with pytest.raises(ResolventAboveLevelsError):
+        relative_resolvent_trace(0.4, -1.0, math.nan, params, table=table)
+    assert math.isfinite(relative_resolvent_trace(0.4, 0.5 * top, -2.0, params, table=table).value)
+
+    out = tmp_path / "out"
+    cfg = tmp_path / "above.cfg"
+    cfg.write_text(f"t_grid = 0.4\nk_max = 0\nlevels = 2\nh = 0.01\nlambda = 12.0\n"
+                   f"lambda0 = -2.0\noutput_dir = {out}\n", encoding="utf-8")
+    assert main(["trace", "compute", str(cfg)]) == EXIT_RUNTIME
+    assert "mode 0" in capsys.readouterr().err
+    assert not (out / "trace.csv").exists()
 
 
 def test_eigenvalue_merge_is_order_independent():
