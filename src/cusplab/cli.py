@@ -24,6 +24,7 @@ from pathlib import Path
 from cusplab import __version__
 from cusplab.dirac_lab import (
     SpectrumParams,
+    check_grids,
     dirac_spectrum,
     neck_mass,
     relative_resolvent_trace,
@@ -42,6 +43,12 @@ EXIT_RUNTIME = 1
 EXIT_VERIFY = 2
 EXIT_USAGE = 64
 EXIT_CONFIG = 78
+
+# Largest accepted work estimate: over the t grid, the sum of
+# (k_max + 1) * levels * n, with n the interior grid points of the first
+# solve at t.  The criterion-12 dataset (25 t, 11 modes, 40 levels, n = 3999)
+# is 4.4e7, so this is about 23 times that; k_max = 100000 is 3.2e9 per t.
+MAX_WORK = 10**9
 
 
 class UsageError(Exception):
@@ -106,6 +113,14 @@ class RunConfig:
         for a, b in self.windows:
             if not a < b:
                 raise ConfigError(f"window ({a}, {b}) is empty")
+        try:
+            points = check_grids(self.t_grid, self.spectrum_params())
+        except (ValueError, ArithmeticError) as exc:  # a huge t or a tiny h overflows
+            raise ConfigError(f"grid: {exc}") from exc
+        work = (self.k_max + 1) * self.levels * sum(points)
+        if work > MAX_WORK:
+            raise ConfigError(f"work estimate {work} (the sum over t_grid of (k_max + 1) * "
+                              f"levels * grid points) exceeds {MAX_WORK}")
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
@@ -184,7 +199,7 @@ def _fmt(x: float) -> str:
 def _load_config(path: str) -> RunConfig:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return RunConfig.from_text(text)
 
@@ -413,7 +428,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except Exception as exc:  # runtime/solver failures
+    except (ValueError, RuntimeError, OSError) as exc:  # the library's and the files' failures
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import ctypes
 import math
+import re
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import cython_lapack
 
 from cusplab.dirac_lab.geometry import (
     Chirality,
@@ -23,6 +25,40 @@ DEFAULT_POINTS = 4000  # default resolution: h = length / DEFAULT_POINTS
 
 class NonConvergenceError(RuntimeError):
     """The tridiagonal eigensolver failed to converge."""
+
+
+# LAPACK's dstebz/dstein, called through scipy's Cython LAPACK table with
+# ctypes: a ctypes call releases the GIL, so solves on different threads run
+# at once (scipy's f2py wrappers hold it).  Every integer is a 32-bit C int;
+# a LAPACK built with 64-bit integers would misread them, so its prototypes
+# are refused at import.
+_CHAR, _INT, _DOUBLE = (ctypes.c_char_p, ctypes.POINTER(ctypes.c_int),
+                        ctypes.POINTER(ctypes.c_double))
+_C_TYPES = {_CHAR: "char *", _INT: "int *", _DOUBLE: "double *"}
+
+
+def _lapack_routine(name: str, *argtypes) -> Callable:
+    capsule = cython_lapack.__pyx_capi__[name]
+    capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))(capsule)
+    # Cython spells cython_lapack's ``ctypedef double d`` as a mangled name
+    signature = re.sub(r"__pyx_t_\w*cython_lapack_d\b", "double", capsule_name.decode())
+    expected = "void (" + ", ".join(_C_TYPES[a] for a in argtypes) + ")"
+    if signature != expected:
+        raise ImportError(f"scipy's LAPACK {name} has the prototype {signature!r}, "
+                          f"not {expected!r}")
+    address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))(capsule, capsule_name)
+    return ctypes.CFUNCTYPE(None, *argtypes)(address)
+
+
+# RANGE ORDER N VL VU IL IU ABSTOL D E M NSPLIT W IBLOCK ISPLIT WORK IWORK INFO
+_dstebz = _lapack_routine("dstebz", _CHAR, _CHAR, _INT, _DOUBLE, _DOUBLE, _INT, _INT,
+                          _DOUBLE, _DOUBLE, _DOUBLE, _INT, _INT, _DOUBLE, _INT, _INT,
+                          _DOUBLE, _INT, _INT)
+# N D E M W IBLOCK ISPLIT Z LDZ WORK IWORK IFAIL INFO
+_dstein = _lapack_routine("dstein", _INT, _DOUBLE, _DOUBLE, _INT, _DOUBLE, _INT, _INT,
+                          _DOUBLE, _INT, _DOUBLE, _INT, _INT, _INT)
 
 
 @dataclass(frozen=True)
@@ -46,15 +82,21 @@ class Grid:
     def n(self) -> int:
         return len(self.rho_values)
 
+    @staticmethod
+    def points_for(geom: NeckGeometry, n: int | None = None, h: float | None = None) -> int:
+        """The number of interior points ``for_geometry`` lays on the domain."""
+        if n is not None and h is not None:
+            raise ValueError("give n or h, not both")
+        if n is not None:
+            return n
+        target = h if h is not None else geom.length / DEFAULT_POINTS
+        return max(16, int(round(geom.length / target)) - 1)
+
     @classmethod
     def for_geometry(cls, geom: NeckGeometry, n: int | None = None,
                      h: float | None = None) -> "Grid":
         """Interior points of [rho_min, rho_max]; default spacing length/4000."""
-        if n is not None and h is not None:
-            raise ValueError("give n or h, not both")
-        if n is None:
-            target = h if h is not None else geom.length / DEFAULT_POINTS
-            n = max(16, int(round(geom.length / target)) - 1)
+        n = cls.points_for(geom, n, h)
         hh = geom.length / (n + 1)
         rho = geom.rho_min + hh * np.arange(1, n + 1)
         return cls(rho, hh)
@@ -161,6 +203,10 @@ def partner_minus_hamiltonian(geom: NeckGeometry, mode: ModeSpec, grid: Grid) ->
     return Tridiagonal(diag, off)
 
 
+def _ptr(a: np.ndarray):
+    return a.ctypes.data_as(_INT if a.dtype == np.intc else _DOUBLE)
+
+
 def eigen_lowest(
     T: Tridiagonal,
     count: int,
@@ -174,21 +220,36 @@ def eigen_lowest(
     L^2(d rho) norm when the spacing h is given, else in the plain l^2 norm.
     Returns an array of eigenvalues, or (values, columns) with vectors.
     """
-    if not 1 <= count <= T.dimension:
+    n = T.dimension
+    if not 1 <= count <= n:
         raise ValueError("count must lie between 1 and the dimension")
-    try:
-        if vectors:
-            w, vecs = eigh_tridiagonal(
-                T.diagonal, T.offdiagonal, select="i",
-                select_range=(0, count - 1), tol=tol)
-        else:
-            w = eigh_tridiagonal(
-                T.diagonal, T.offdiagonal, select="i",
-                select_range=(0, count - 1), tol=tol, eigvals_only=True)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NonConvergenceError(str(exc)) from exc
+    d = np.ascontiguousarray(T.diagonal, dtype=float)
+    e = np.ascontiguousarray(T.offdiagonal, dtype=float)
+    if d.shape != (n,) or e.shape != (n - 1,):
+        raise ValueError("diagonal and off-diagonal must be 1-d")
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    # the calls scipy's eigh_tridiagonal(select="i", tol=tol) makes: values in
+    # matrix order, or in block order for dstein and sorted afterwards
+    m, nsplit, info = ctypes.c_int(), ctypes.c_int(), ctypes.c_int()
+    w, iblock, isplit = np.empty(n), np.empty(n, np.intc), np.empty(n, np.intc)
+    work, iwork = np.empty(5 * n), np.empty(3 * n, np.intc)  # enough for both routines
+    _dstebz(b"I", b"B" if vectors else b"E", ctypes.c_int(n), ctypes.c_double(0.0),
+            ctypes.c_double(0.0), ctypes.c_int(1), ctypes.c_int(count), ctypes.c_double(tol),
+            _ptr(d), _ptr(e), m, nsplit, _ptr(w), _ptr(iblock), _ptr(isplit),
+            _ptr(work), _ptr(iwork), info)
+    if info.value != 0:
+        raise NonConvergenceError(f"LAPACK dstebz failed with info = {info.value}")
+    w = w[: m.value]
     if not vectors:
         return w
+    vecs, ifail = np.empty((n, m.value), order="F"), np.empty(m.value, np.intc)
+    _dstein(ctypes.c_int(n), _ptr(d), _ptr(e), m, _ptr(w), _ptr(iblock), _ptr(isplit),
+            _ptr(vecs), ctypes.c_int(n), _ptr(work), _ptr(iwork), _ptr(ifail), info)
+    if info.value != 0:
+        raise NonConvergenceError(f"LAPACK dstein failed with info = {info.value}")
+    order = np.argsort(w)
+    w, vecs = w[order], vecs[:, order]
     if h is not None:
         vecs = vecs / np.sqrt(h * np.sum(vecs**2, axis=0))
     return w, vecs

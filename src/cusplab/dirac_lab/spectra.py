@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -128,8 +130,16 @@ class SpectrumTable:
         return SpectrumTable({**self.mu, **other.mu}, {**self.vectors, **other.vectors})
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _solve_modes(geom: NeckGeometry, params: SpectrumParams, chis: tuple[Chirality, ...]):
-    """Solve each (k, chirality) once on the geometry's grid.
+    """Solve each (k, chirality) once on the geometry's grid, at most one thread per CPU.
 
     Returns the grid, the lowest ``levels`` eigenvalues of each mode over
     ``chis`` as a (k_max + 1, levels) array, the kept eigenvectors keyed by
@@ -137,18 +147,53 @@ def _solve_modes(geom: NeckGeometry, params: SpectrumParams, chis: tuple[Chirali
     """
     grid = Grid.for_geometry(geom, n=params.n, h=params.h)
     keep = params.keep_vectors > 0
+
+    def solve(mode: ModeSpec):
+        out = eigen_lowest(assemble_hamiltonian(geom, mode, grid), params.levels,
+                           tol=params.tol, vectors=keep, h=grid.h)
+        # a mode's j lowest levels over chis are among each solve's j lowest
+        return (out[0], [v.copy() for v in out[1][:, : params.keep_vectors].T]) if keep else out
+
+    jobs = [ModeSpec(k, chi) for k in range(params.k_max + 1) for chi in chis]
+    with ThreadPoolExecutor(max_workers=min(len(jobs), _cpu_count())) as pool:
+        solved = list(pool.map(solve, jobs))
     mu = np.empty((params.k_max + 1, params.levels))
     vectors, mu_max = {}, 0.0
     for k in range(params.k_max + 1):
-        parts = [eigen_lowest(assemble_hamiltonian(geom, ModeSpec(k, chi), grid), params.levels,
-                              tol=params.tol, vectors=keep, h=grid.h) for chi in chis]
+        parts = solved[k * len(chis): (k + 1) * len(chis)]
         mu_k = np.concatenate([w for w, _ in parts] if keep else parts)
         order = np.argsort(mu_k, kind="stable")[: params.levels]
         mu[k], mu_max = mu_k[order], max(mu_max, float(mu_k.max()))
         for j, i in enumerate(order[: params.keep_vectors], start=1):
-            # entry i of mu_k is column i % levels of solve number i // levels
-            vectors[(k, j)] = parts[i // params.levels][1][:, i % params.levels].copy()
+            # entry i of mu_k is level i % levels of solve number i // levels
+            vectors[(k, j)] = parts[i // params.levels][1][i % params.levels]
     return grid, mu, vectors, mu_max
+
+
+def _cusp_depth(params: SpectrumParams, mu_max: float) -> float:
+    """The rho_min at which V of mode k = 0 reaches margin * sqrt(mu_max)."""
+    return -math.log(params.rho_margin_factor * math.sqrt(mu_max) / 0.5)
+
+
+def _first_geometry(t: float, params: SpectrumParams) -> NeckGeometry:
+    """The neck at t > 0; at t = 0 the shallowest cusp the depth search tries."""
+    return NeckGeometry.neck(t) if t > 0 else NeckGeometry.cusp(_cusp_depth(params, 200.0))
+
+
+def check_grids(t_grid: Sequence[float], params: SpectrumParams) -> list[int]:
+    """Interior grid points of the first solve at each t, before any solve.
+
+    Raises ValueError where they are fewer than ``levels``.  The cusp-depth
+    search only deepens the cusp, which keeps ``n`` or, at a fixed ``h``,
+    adds points, so its first depth bounds every later one.
+    """
+    points = []
+    for t in t_grid:
+        n = Grid.points_for(_first_geometry(t, params), n=params.n, h=params.h)
+        if params.levels > n:
+            raise ValueError(f"levels = {params.levels} exceeds the {n} grid points at t = {t!r}")
+        points.append(n)
+    return points
 
 
 def _cusp_geometry(params: SpectrumParams):
@@ -160,16 +205,13 @@ def _cusp_geometry(params: SpectrumParams):
     lowers eigenvalues, so the loop terminates.  Returns the geometry with
     the grid, eigenvalues and eigenvectors of its last ``_solve_modes``.
     """
-    margin = params.rho_margin_factor
-    q_min = 0.5
-    rho_min = -math.log(margin * math.sqrt(200.0) / q_min)
+    geom = _first_geometry(0.0, params)
     for _ in range(8):
-        geom = NeckGeometry.cusp(rho_min)
         grid, mu, vectors, mu_max = _solve_modes(geom, params, (Chirality.PLUS, Chirality.MINUS))
-        needed = -math.log(margin * math.sqrt(mu_max) / q_min)
-        if rho_min <= needed:
+        needed = _cusp_depth(params, mu_max)
+        if geom.rho_min <= needed:
             return geom, grid, mu, vectors
-        rho_min = needed - 0.5
+        geom = NeckGeometry.cusp(needed - 0.5)
     raise RuntimeError("cusp truncation depth did not stabilize")
 
 
@@ -184,6 +226,7 @@ def dirac_spectrum(t: float, params: SpectrumParams) -> SpectrumTable:
     """
     if not t >= 0:
         raise ValueError(f"pinching parameter t must be >= 0, got {t!r}")
+    check_grids([t], params)
     if t > 0:
         grid, mu, vectors, _ = _solve_modes(NeckGeometry.neck(t), params, (Chirality.PLUS,))
     else:
@@ -198,6 +241,7 @@ def spectral_sweep(t_grid: Sequence[float], params: SpectrumParams) -> SpectrumT
         raise ValueError("t grid must be strictly descending")
     if ts[-1] != 0.0:
         raise ValueError("t grid must end at 0 (the split-neck limit)")
+    check_grids(ts, params)
     slabs = [dirac_spectrum(t, params) for t in ts]
     return SpectrumTable({t: s.mu[t] for t, s in zip(ts, slabs)},
                          {key: v for s in slabs for key, v in s.vectors.items()})

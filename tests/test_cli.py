@@ -6,14 +6,17 @@ from pathlib import Path
 
 import pytest
 
+from cusplab import cli
 from cusplab.cli import (
     EXIT_CONFIG,
     EXIT_OK,
+    EXIT_RUNTIME,
     EXIT_USAGE,
     ConfigError,
     RunConfig,
     main,
 )
+from cusplab.dirac_lab import NonConvergenceError, spectra
 
 
 def run(capsys, *argv):
@@ -210,3 +213,37 @@ def test_reruns_are_byte_identical(capsys, tmp_path):
         a = tmp_path / "a" / "out" / name
         b = tmp_path / "b" / "out" / name
         assert filecmp.cmp(a, b, shallow=False), name
+
+
+def test_work_bound_rejects_a_config_before_solving(monkeypatch, capsys, tmp_path):
+    # the bound leaves room for ten criterion-12 datasets (25 t, 11 modes, 40 levels)
+    assert cli.MAX_WORK >= 10 * 25 * 11 * 40 * 3999
+    RunConfig.from_text("t_grid = " + ",".join(str(0.02 * i) for i in range(25, 0, -1))
+                        + "\nk_max = 10\nlevels = 40\n")
+    monkeypatch.setattr(spectra, "eigen_lowest", lambda *a, **k: pytest.fail("solved"))
+    with pytest.raises(ConfigError, match="work estimate"):
+        RunConfig.from_text("t_grid = 0.5\nk_max = 100000\n")
+    cfg = write_config(tmp_path, k_max="100000", h="0.001")
+    for command in (("spectrum", "sweep"), ("trace", "compute")):
+        code, _, err = run(capsys, *command, str(cfg))
+        assert code == EXIT_CONFIG and "work estimate" in err
+    cfg = write_config(tmp_path, h="1e-320")  # length / h overflows to inf
+    assert run(capsys, "spectrum", "sweep", str(cfg))[0] == EXIT_CONFIG
+    cfg = write_config(tmp_path, t_grid="2000.0")  # the neck's sinh(t / 2) overflows
+    assert run(capsys, "spectrum", "sweep", str(cfg))[0] == EXIT_CONFIG
+
+
+def test_runtime_errors_exit_1_and_programming_errors_raise(monkeypatch, capsys, tmp_path):
+    cfg = write_config(tmp_path)
+    for exc in (NonConvergenceError("dstebz failed"), RuntimeError("no depth"),
+                ValueError("bad t"), OSError("disk full")):
+        def fail(*args, exc=exc):
+            raise exc
+        monkeypatch.setattr(cli, "dirac_spectrum", fail)
+        code, _, err = run(capsys, "spectrum", "sweep", str(cfg))
+        assert code == EXIT_RUNTIME and str(exc) in err
+    monkeypatch.setattr(cli, "dirac_spectrum", lambda *args: None)
+    with pytest.raises(AttributeError):  # a bug shows its traceback
+        main(["spectrum", "sweep", str(cfg)])
+    (tmp_path / "binary.cfg").write_bytes(b"\xff\xfe t_grid = 0.5\n")
+    assert run(capsys, "spectrum", "sweep", str(tmp_path / "binary.cfg"))[0] == EXIT_CONFIG

@@ -1,13 +1,16 @@
 """Tests for the neck geometry, mode reduction, and eigensolver."""
 
+import ctypes
 import math
+import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import cython_lapack, eigh_tridiagonal
 
-from cusplab.cli import EXIT_RUNTIME, main
-from cusplab.dirac_lab import spectra
+from cusplab.cli import EXIT_CONFIG, EXIT_RUNTIME, RunConfig, main
+from cusplab.dirac_lab import solver, spectra
 from cusplab.dirac_lab import (
     Chirality,
     CuspSide,
@@ -18,6 +21,7 @@ from cusplab.dirac_lab import (
     SpectralCollisionError,
     SpectrumParams,
     SpinStructure,
+    Tridiagonal,
     assemble_hamiltonian,
     circle_spectrum,
     convergence_order,
@@ -176,6 +180,56 @@ def test_discrete_laplacian_matches_closed_form():
     for m, mu in enumerate(w, start=1):
         exact_fd = (2.0 / h**2) * (1.0 - math.cos(math.pi * m * h / L))
         assert abs(mu - exact_fd) < 1e-10
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_eigen_lowest_is_bitwise_eigh_tridiagonal():
+    # the GIL-free binding makes the calls scipy's eigh_tridiagonal makes
+    rng = np.random.default_rng(5)
+    cases = []
+    for n in (1, 2, 3, 17, 600, *rng.integers(1, 601, 12)):
+        d, e = rng.normal(size=n), rng.normal(size=n - 1)
+        for count in {1, n, int(rng.integers(1, n + 1))}:
+            cases.append((Tridiagonal(d, e), count, 10.0 ** rng.uniform(-14, -6)))
+    neck = NeckGeometry.neck(0.05)
+    cusp = NeckGeometry.cusp(-7.0)
+    for geom in (neck, cusp):
+        grid = Grid.for_geometry(geom)
+        for mode in (ModeSpec(0), ModeSpec(3, Chirality.MINUS)):
+            cases.append((assemble_hamiltonian(geom, mode, grid), 40, 1e-10))
+    cusp_grid = Grid.for_geometry(cusp, n=3000)
+    cases.append((partner_minus_hamiltonian(cusp, ModeSpec(1), cusp_grid), 12, 1e-10))
+    # a zero off-diagonal splits dstebz's work into blocks, and the block
+    # holding the larger eigenvalues comes first: block order is not sorted
+    split = Tridiagonal(np.array([10.0, 11.0, 12.0, 0.0, 1.0, 2.0]),
+                        np.array([1.0, 1.0, 0.0, 1.0, 1.0]))
+    cases += [(split, 6, 1e-12), (split, 4, 1e-12)]
+    for T, count, tol in cases:
+        kwargs = dict(select="i", select_range=(0, count - 1), tol=tol)
+        want = eigh_tridiagonal(T.diagonal, T.offdiagonal, eigvals_only=True, **kwargs)
+        assert _same_bits(eigen_lowest(T, count, tol=tol), want), (T.dimension, count)
+        want_w, want_v = eigh_tridiagonal(T.diagonal, T.offdiagonal, **kwargs)
+        got_w, got_v = eigen_lowest(T, count, tol=tol, vectors=True)
+        assert _same_bits(got_w, want_w) and _same_bits(got_v, want_v), (T.dimension, count)
+    assert np.all(np.diff(eigen_lowest(split, 6, vectors=True)[0]) > 0)
+    with pytest.raises(ValueError):  # as eigh_tridiagonal's finiteness check
+        eigen_lowest(Tridiagonal(np.array([1.0, np.nan]), np.array([0.5])), 1)
+
+
+def test_lapack_binding_refuses_a_foreign_prototype(monkeypatch):
+    # a LAPACK with 64-bit integers would read int arguments wrongly
+    real = cython_lapack.__pyx_capi__["dstebz"]
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    name = get_name(real).replace(b"int *", b"long long *")
+    new_capsule = ctypes.PYFUNCTYPE(ctypes.py_object, ctypes.c_void_p, ctypes.c_char_p,
+                                    ctypes.c_void_p)(("PyCapsule_New", ctypes.pythonapi))
+    monkeypatch.setitem(cython_lapack.__pyx_capi__, "dstebz", new_capsule(1, name, None))
+    with pytest.raises(ImportError, match="prototype"):
+        solver._lapack_routine("dstebz", *solver._dstebz.argtypes)
 
 
 def test_convergence_order_flat_and_neck():
@@ -377,6 +431,77 @@ def test_t0_spectrum_reuses_the_cusp_depth_search(monkeypatch, keep_vectors):
         assert np.array_equal(table.mu[0.0][k], want)
         assert [r.mu for r in table.rows_at(0.0) if r.k == k] == want.tolist()
         assert ((0.0, k, 1) in table.vectors) == (keep_vectors > 0)
+
+
+def test_mode_solves_on_threads_match_one_worker(monkeypatch):
+    # the pool changes when each (k, chirality) is solved, never what comes out
+    cases = [(t, SpectrumParams(k_max=2, levels=6, n=900, keep_vectors=kv))
+             for t in (0.3, 0.0) for kv in (0, 1)]
+    cases.append((0.0, SpectrumParams(k_max=1, levels=5, n=700, keep_vectors=5)))
+    default = [dirac_spectrum(t, p) for t, p in cases]
+    for cpus in (1, 6):  # one worker, and one per job whatever this host has
+        monkeypatch.setattr(spectra, "_cpu_count", lambda: cpus)
+        for (t, params), want in zip(cases, default):
+            got = dirac_spectrum(t, params)
+            assert _same_bits(got.mu[t], want.mu[t])
+            assert got.vectors.keys() == want.vectors.keys()
+            assert len(got.vectors) == (params.k_max + 1) * params.keep_vectors
+            for key, handle in got.vectors.items():
+                assert _same_bits(handle.values, want.vectors[key].values), key
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 64])
+def test_mode_pool_is_bounded_by_jobs_and_cpus(monkeypatch, cpus):
+    asked, threads = [], set()
+    pool, eigen = spectra.ThreadPoolExecutor, spectra.eigen_lowest
+
+    def recorded_pool(max_workers):
+        asked.append(max_workers)
+        return pool(max_workers=max_workers)
+
+    def recorded_eigen(*args, **kwargs):
+        threads.add(threading.get_ident())
+        return eigen(*args, **kwargs)
+
+    monkeypatch.setattr(spectra, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(spectra, "ThreadPoolExecutor", recorded_pool)
+    monkeypatch.setattr(spectra, "eigen_lowest", recorded_eigen)
+    params = SpectrumParams(k_max=2, levels=4, n=300)
+    dirac_spectrum(0.3, params)  # 3 jobs: one chirality per mode
+    assert asked == [min(3, cpus)]
+    assert 1 <= len(threads) <= min(3, cpus)
+    asked.clear()
+    dirac_spectrum(0.0, params)  # 6 jobs per cusp-depth iteration
+    assert asked and set(asked) == {min(6, cpus)}
+
+
+def test_levels_above_the_grid_fail_before_any_solve(monkeypatch, capsys, tmp_path):
+    calls = []
+    monkeypatch.setattr(spectra, "eigen_lowest", lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match="grid points"):
+        dirac_spectrum(0.3, SpectrumParams(levels=101, n=100))
+    with pytest.raises(ValueError, match="grid points"):
+        dirac_spectrum(0.0, SpectrumParams(levels=101, n=100))
+    # h = 0.05: t = 0.01 has 239 interior points, the first cusp depth 158,
+    # so the sweep must refuse before it solves t = 0.01
+    assert spectra.check_grids([0.01, 0.0], SpectrumParams(levels=158, h=0.05)) == [239, 158]
+    with pytest.raises(ValueError, match="158 grid points at t = 0.0"):
+        spectral_sweep([0.01, 0.0], SpectrumParams(levels=159, h=0.05))
+    assert calls == []
+
+    def exit_code(**keys) -> int:
+        cfg = tmp_path / "levels.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in keys.items())
+                       + f"output_dir = {tmp_path / 'out'}\n", encoding="utf-8")
+        return main(["spectrum", "sweep", str(cfg)])
+
+    RunConfig.from_text("t_grid = 0.5,0.0\nlevels = 3999\n")
+    RunConfig.from_text("t_grid = 0.01,0.0\nlevels = 158\nh = 0.05\n")
+    assert exit_code(t_grid="0.5,0.0", levels=4000) == EXIT_CONFIG  # n = 3999 at every t
+    assert exit_code(t_grid="0.01", levels=240, h=0.05) == EXIT_CONFIG
+    assert exit_code(t_grid="0.01,0.0", levels=159, h=0.05) == EXIT_CONFIG
+    assert "158 grid points" in capsys.readouterr().err
+    assert calls == []
 
 
 def _mode_tail_loop(mu, lam, lam0):
