@@ -22,7 +22,6 @@ Conventions:
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -127,7 +126,8 @@ class IndexTerm:
     def __post_init__(self) -> None:
         if self.k < 0:
             raise ValueError("log power must be a natural number")
-        object.__setattr__(self, "z", _frac(self.z))
+        if not isinstance(self.z, Fraction):
+            object.__setattr__(self, "z", Fraction(self.z))
 
 
 def _dominates(a: IndexTerm, b: IndexTerm) -> bool:
@@ -283,9 +283,6 @@ class IndexFamily:
         if face not in self.space:
             raise SpaceMismatchError(f"face {face.label!r} not in the family's space")
         return IndexSet.empty()
-
-    def as_dict(self) -> dict[str, IndexSet]:
-        return {f.label: E for f, E in self.entries}
 
     def shifted(self, exponents: Mapping[str, int]) -> "IndexFamily":
         """Shift each face's nonempty set by the given density exponent."""
@@ -508,16 +505,3 @@ def chained_density_exponents(steps: Sequence[BlowupStep]) -> dict[Face, int]:
         acc[step.new_face] = density_lift_exponent(step) + extra
     return acc
 
-
-class BlowupRelation(enum.Enum):
-    """How two cleanly intersecting blow-up centres sit relative to each other."""
-
-    TRANSVERSAL = "transversal"
-    Y_INSIDE_Z = "y_inside_z"
-    Z_INSIDE_Y = "z_inside_y"
-    CLEAN_ONLY = "clean_only"
-
-
-def commute_blowups(relation: BlowupRelation) -> bool:
-    """Whether the two blow-ups may be performed in either order."""
-    return relation is not BlowupRelation.CLEAN_ONLY

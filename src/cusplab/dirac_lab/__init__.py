@@ -17,7 +17,6 @@ from cusplab.dirac_lab.geometry import (
     circle_spectrum,
     indicial_min,
     indicial_scan,
-    neck_halfwidth,
     phi,
     potential,
     potential_derivative,
@@ -49,7 +48,7 @@ from cusplab.dirac_lab.spectra import (
 __all__ = [
     "Chirality", "CuspSide", "IndicialScan", "ModeSpec", "NeckGeometry",
     "SpinStructure", "circle_spectrum", "indicial_min", "indicial_scan",
-    "neck_halfwidth", "phi", "potential", "potential_derivative",
+    "phi", "potential", "potential_derivative",
     "Grid", "NonConvergenceError", "Tridiagonal", "assemble_hamiltonian",
     "convergence_order", "eigen_lowest", "partner_minus_hamiltonian",
     "tridiagonal_from_potential",

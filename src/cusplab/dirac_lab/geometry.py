@@ -28,13 +28,6 @@ class SpinStructure(enum.Enum):
     NONTRIVIAL = "nontrivial"
 
 
-def neck_halfwidth(t: float) -> float:
-    """Half-width of the hyperbolic neck in the x coordinate, t / sinh(t/2)."""
-    if t <= 0:
-        raise ValueError("the half-width is defined for t > 0")
-    return t / math.sinh(t / 2)
-
-
 @dataclass(frozen=True)
 class NeckGeometry:
     """Arclength model of the neck at pinching parameter t.

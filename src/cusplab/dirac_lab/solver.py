@@ -21,6 +21,7 @@ from cusplab.dirac_lab.geometry import (
 )
 
 DEFAULT_POINTS = 4000  # default resolution: h = length / DEFAULT_POINTS
+MIN_POINTS = 16  # fewest interior points a Grid accepts
 
 
 class NonConvergenceError(RuntimeError):
@@ -71,8 +72,8 @@ class Grid:
     def __post_init__(self) -> None:
         if self.h <= 0:
             raise ValueError("grid spacing must be positive")
-        if self.n < 16:
-            raise ValueError("need at least 16 interior points")
+        if self.n < MIN_POINTS:
+            raise ValueError(f"need at least {MIN_POINTS} interior points")
         steps = np.diff(self.rho_values)
         if steps.size and not np.allclose(steps, self.h, rtol=1e-9, atol=0.0):
             raise ValueError("grid must be uniform")
@@ -90,7 +91,7 @@ class Grid:
         if n is not None:
             return n
         target = h if h is not None else geom.length / DEFAULT_POINTS
-        return max(16, int(round(geom.length / target)) - 1)
+        return max(MIN_POINTS, int(round(geom.length / target)) - 1)
 
     @classmethod
     def for_geometry(cls, geom: NeckGeometry, n: int | None = None,
@@ -125,12 +126,6 @@ class Tridiagonal:
     @property
     def dimension(self) -> int:
         return len(self.diagonal)
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        out = self.diagonal * v
-        out[:-1] += self.offdiagonal * v[1:]
-        out[1:] += self.offdiagonal * v[:-1]
-        return out
 
 
 def tridiagonal_from_potential(w: np.ndarray, h: float) -> Tridiagonal:

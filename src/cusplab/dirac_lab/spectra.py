@@ -11,7 +11,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from cusplab.dirac_lab.geometry import Chirality, ModeSpec, NeckGeometry
-from cusplab.dirac_lab.solver import Grid, assemble_hamiltonian, eigen_lowest
+from cusplab.dirac_lab.solver import MIN_POINTS, Grid, assemble_hamiltonian, eigen_lowest
+
+COLLISION_TOL = 1e-9  # an eigenvalue this close to a resolvent point is a collision
 
 
 class SpectralCollisionError(ValueError):
@@ -48,6 +50,7 @@ class SpectrumParams:
     count per mode, ``h``/``n`` fix the grid (default spacing length/4000),
     ``rho_margin_factor`` controls the t = 0 cusp truncation depth, and
     ``keep_vectors`` stores eigenvectors for levels j <= keep_vectors.
+    Callers rely on the checks here and repeat none of them.
     """
 
     k_max: int = 2
@@ -55,14 +58,20 @@ class SpectrumParams:
     h: float | None = None
     n: int | None = None
     rho_margin_factor: float = 50.0
-    tol: float = 1e-10
     keep_vectors: int = 0
 
     def __post_init__(self) -> None:
         if self.k_max < 0 or self.levels < 1:
             raise ValueError("need k_max >= 0 and levels >= 1")
-        if self.rho_margin_factor < 50.0:
-            raise ValueError("rho_margin_factor must be at least 50")
+        if self.h is not None and not 0.0 < self.h < math.inf:  # nan fails too
+            raise ValueError(f"h must be finite and positive, got {self.h!r}")
+        if self.n is not None and self.n < MIN_POINTS:
+            raise ValueError(f"n must be at least {MIN_POINTS}, got {self.n!r}")
+        if self.n is not None and self.h is not None:
+            raise ValueError("give n or h, not both")
+        if not 50.0 <= self.rho_margin_factor < math.inf:
+            raise ValueError(f"rho_margin_factor must be finite and at least 50, "
+                             f"got {self.rho_margin_factor!r}")
 
 
 @dataclass(frozen=True)
@@ -124,11 +133,6 @@ class SpectrumTable:
     def vector(self, t: float, k: int, j: int) -> VectorHandle:
         return self.vectors[(t, k, j)]
 
-    def merged(self, other: "SpectrumTable") -> "SpectrumTable":
-        if self.mu.keys() & other.mu.keys():
-            raise ValueError("the tables share a value of t")
-        return SpectrumTable({**self.mu, **other.mu}, {**self.vectors, **other.vectors})
-
 
 def _cpu_count() -> int:
     """CPUs this process may run on: its affinity mask where the OS has one."""
@@ -150,7 +154,7 @@ def _solve_modes(geom: NeckGeometry, params: SpectrumParams, chis: tuple[Chirali
 
     def solve(mode: ModeSpec):
         out = eigen_lowest(assemble_hamiltonian(geom, mode, grid), params.levels,
-                           tol=params.tol, vectors=keep, h=grid.h)
+                           vectors=keep, h=grid.h)
         # a mode's j lowest levels over chis are among each solve's j lowest
         return (out[0], [v.copy() for v in out[1][:, : params.keep_vectors].T]) if keep else out
 
@@ -304,11 +308,10 @@ def _mode_tail(mu: np.ndarray, lam: float, lam0: float) -> float:
 
     The top of the computed spectrum fixes a Weyl-type model
     mu_j ~ A j^2 + c through the largest two eigenvalues; the tail is the
-    exact sum of 1/(mu_j - lam) - 1/(mu_j - lam0) over that model.
+    exact sum of 1/(mu_j - lam) - 1/(mu_j - lam0) over that model.  ``mu``
+    holds at least two levels.
     """
     J = len(mu)
-    if J < 2:
-        return 0.0
     A = (mu[-1] - mu[-2]) / (2 * J - 1)
     if A <= 0:
         return 0.0
@@ -322,16 +325,19 @@ def relative_resolvent_trace(
     lam: float,
     lam0: float,
     params: SpectrumParams,
-    collision_tol: float = 1e-9,
     table: SpectrumTable | None = None,
 ) -> TraceValue:
     """Trace of the resolvent difference at spectral points lam, lam0.
 
     Sums 1/(mu - lam) - 1/(mu - lam0) over the table rows with the pair
     multiplicity 2 and adds the per-mode tail of the Weyl model anchored at
-    the largest computed eigenvalues.  Both points must lie below every
-    mode's highest computed level (``ResolventAboveLevelsError``).
+    the largest computed eigenvalues, so it needs ``levels >= 2``; a given
+    ``table`` holds the spectrum at t computed with ``params``.  Both points
+    must lie below every mode's highest computed level
+    (``ResolventAboveLevelsError``).
     """
+    if params.levels < 2:
+        raise ValueError(f"the trace's tail model needs levels >= 2, got {params.levels}")
     if table is None:
         table = dirac_spectrum(t, params)
     if t not in table.mu:
@@ -343,7 +349,7 @@ def relative_resolvent_trace(
     if lam == lam0:
         return TraceValue(0.0, 0.0, 0.0)
     for r in table.rows_at(t):
-        if min(abs(r.mu - lam), abs(r.mu - lam0)) < collision_tol:
+        if min(abs(r.mu - lam), abs(r.mu - lam0)) < COLLISION_TOL:
             raise SpectralCollisionError(r.mu, lam if abs(r.mu - lam) < abs(r.mu - lam0) else lam0)
     bare = tail = 0.0
     for mu in table.mu[t]:

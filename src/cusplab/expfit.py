@@ -45,6 +45,11 @@ class BasisSpec:
     def has_log(self) -> bool:
         return any(k > 0 for _, k in self.monomials)
 
+    @property
+    def min_samples(self) -> int:
+        """Fewest samples ``fit_basis`` accepts: two more than the monomials."""
+        return len(self.monomials) + 2
+
     def design_matrix(self, ts: np.ndarray) -> np.ndarray:
         cols = []
         positive = ts > 0
@@ -82,8 +87,8 @@ def fit_basis(ts, ys, basis: BasisSpec) -> FitReport:
     y = np.asarray(ys, dtype=float)
     if t.shape != y.shape or t.ndim != 1:
         raise ValueError("ts and ys must be 1-d arrays of equal length")
-    if len(t) < len(basis.monomials) + 2:
-        raise ValueError("need at least len(basis) + 2 samples")
+    if len(t) < basis.min_samples:
+        raise ValueError(f"need at least {basis.min_samples} samples")
     if np.any(t < 0):
         raise ValueError("samples must have t >= 0")
     if np.any(t == 0) and (basis.has_log() or not basis.finite_at_zero()):

@@ -3,8 +3,8 @@
 The fixture below records the boundary hypersurfaces of the three blown-up
 spaces and the exponent matrices of the projections between them.  On top of
 it sit the symbolic pipelines: kernel index families, the mapping-property
-computation, the triple-space composition, trace expansions, and parametrix
-orders.  Everything is exact rational arithmetic.
+computation, the triple-space composition, and trace expansions.  Everything
+is exact rational arithmetic.
 
 Face conventions (matching the double-space picture): ``ff_b`` is the full
 corner front face, ``ff_c`` the cusp front face, ``Br1``/``Br2`` the side
@@ -57,9 +57,6 @@ class OpOrders:
         object.__setattr__(self, "m", _frac(self.m))
         object.__setattr__(self, "alpha", _frac(self.alpha))
         object.__setattr__(self, "beta", _frac(self.beta))
-
-    def as_tuple(self) -> tuple[Fraction, Fraction, Fraction]:
-        return (self.m, self.alpha, self.beta)
 
 
 @dataclass(frozen=True)
@@ -287,11 +284,6 @@ def composition_orders(
 ) -> OpOrders:
     """Orders of the composed operator; conormal orders add at symbol level."""
     return composition_stages(o1, o2, fixture).result
-
-
-def parametrix_orders(o: OpOrders) -> OpOrders:
-    """Orders of the parametrix of a fully elliptic operator."""
-    return OpOrders(-o.m, -o.alpha, -o.beta)
 
 
 @lru_cache(maxsize=1)

@@ -233,6 +233,32 @@ def test_work_bound_rejects_a_config_before_solving(monkeypatch, capsys, tmp_pat
     assert run(capsys, "spectrum", "sweep", str(cfg))[0] == EXIT_CONFIG
 
 
+def test_commands_reject_unrunnable_configs_before_solving(monkeypatch, capsys, tmp_path):
+    calls = []
+
+    def solve(*args, **kwargs):
+        calls.append(args)
+        raise RuntimeError("solved")
+
+    monkeypatch.setattr(spectra, "eigen_lowest", solve)
+    ts = "0.5,0.3,0.2,0.1,0.05,0.02"  # the fewest t a fit of log_even_basis() takes
+    rejected = [(("trace", "fit"), dict(t_grid=ts.rsplit(",", 1)[0])),
+                (("spectrum", "mass"), dict(windows="0.0:3.0,-1.0:0.0")),
+                (("spectrum", "mass"), dict(windows="-2.0:-1.0")),
+                (("trace", "compute"), dict(levels=1)),
+                (("trace", "fit"), dict(t_grid=ts, levels=1))]
+    for command, keys in rejected:
+        code, _, err = run(capsys, *command, str(write_config(tmp_path, **keys)))
+        assert (code, calls) == (EXIT_CONFIG, []), (command, keys, err)
+    accepted = [(("trace", "fit"), dict(t_grid=ts)),
+                (("spectrum", "mass"), dict(windows="-1.0:0.001")),
+                (("trace", "compute"), dict(levels=2))]
+    for command, keys in accepted:
+        code, _, err = run(capsys, *command, str(write_config(tmp_path, **keys)))
+        assert code == EXIT_RUNTIME and "solved" in err and calls, (command, keys)
+        calls.clear()
+
+
 def test_runtime_errors_exit_1_and_programming_errors_raise(monkeypatch, capsys, tmp_path):
     cfg = write_config(tmp_path)
     for exc in (NonConvergenceError("dstebz failed"), RuntimeError("no depth"),

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cusplab.corners import (
-    BlowupRelation,
     BlowupStep,
     BMap,
     DanglingInheritanceError,
@@ -21,7 +20,6 @@ from cusplab.corners import (
     Space,
     SpaceMismatchError,
     chained_density_exponents,
-    commute_blowups,
     compose_bmaps,
     density_lift_exponent,
     extended_union,
@@ -476,13 +474,6 @@ def test_chained_density_dangling_reference():
         chained_density_exponents([
             BlowupStep(2, 1, Face("new"), frozenset({Face("ghost")})),
         ])
-
-
-def test_commute_blowups():
-    assert commute_blowups(BlowupRelation.Y_INSIDE_Z)
-    assert commute_blowups(BlowupRelation.Z_INSIDE_Y)
-    assert commute_blowups(BlowupRelation.TRANSVERSAL)
-    assert not commute_blowups(BlowupRelation.CLEAN_ONLY)
 
 
 def test_space_validation():

@@ -29,7 +29,6 @@ from cusplab.dirac_lab import (
     eigen_lowest,
     indicial_min,
     indicial_scan,
-    neck_halfwidth,
     neck_mass,
     partner_minus_hamiltonian,
     phi,
@@ -44,19 +43,10 @@ from cusplab.dirac_lab import (
 # -- geometry -----------------------------------------------------------------
 
 
-def test_neck_halfwidth():
-    assert abs(neck_halfwidth(1e-6) - 2.0) < 1e-9
-    assert neck_halfwidth(2.0) == pytest.approx(2.0 / math.sinh(1.0), rel=1e-15)
-    widths = [neck_halfwidth(t) for t in np.linspace(0.05, 3.0, 40)]
-    assert all(a > b for a, b in zip(widths, widths[1:]))
-    with pytest.raises(ValueError):
-        neck_halfwidth(0.0)
-
-
 def test_phi_values_and_domain():
     g = NeckGeometry.neck(0.1)
     assert phi(g, 0.0) == pytest.approx(0.1, abs=1e-15)
-    a = neck_halfwidth(0.1)
+    a = 0.1 / math.sinh(0.05)  # the half-width t / sinh(t/2) in x
     assert phi(g, g.rho_max) == pytest.approx(math.sqrt(a * a + 0.01), rel=1e-12)
     with pytest.raises(ValueError):
         phi(g, g.rho_max + 1.0)
@@ -163,7 +153,10 @@ def test_eigen_lowest_small_matrix_and_residual():
     T = assemble_hamiltonian(g, ModeSpec(0), grid)
     w, v = eigen_lowest(T, 3, vectors=True, h=grid.h)
     for i in range(3):
-        res = np.linalg.norm(T.matvec(v[:, i]) - w[i] * v[:, i]) / np.linalg.norm(v[:, i])
+        Tv = T.diagonal * v[:, i]
+        Tv[:-1] += T.offdiagonal * v[1:, i]
+        Tv[1:] += T.offdiagonal * v[:-1, i]
+        res = np.linalg.norm(Tv - w[i] * v[:, i]) / np.linalg.norm(v[:, i])
         assert res < 1e-8
         assert grid.h * np.sum(v[:, i] ** 2) == pytest.approx(1.0, rel=1e-12)
     with pytest.raises(ValueError):
@@ -338,6 +331,16 @@ def test_spectral_sweep_counts_and_inputs():
             dirac_spectrum(bad, params)
 
 
+@pytest.mark.parametrize("bad", [
+    dict(k_max=-1), dict(levels=0), dict(h=0.0), dict(h=-0.5), dict(h=math.nan),
+    dict(h=math.inf), dict(n=15), dict(n=600, h=0.01), dict(rho_margin_factor=49.0),
+    dict(rho_margin_factor=math.nan), dict(rho_margin_factor=math.inf)],
+    ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()))
+def test_spectrum_params_rejects_bad_values(bad):
+    with pytest.raises(ValueError):
+        SpectrumParams(**bad)
+
+
 def test_relative_resolvent_trace_contract():
     params = SpectrumParams(k_max=1, levels=6, n=700)
     zero = relative_resolvent_trace(0.5, -1.0, -1.0, params)
@@ -376,17 +379,6 @@ def test_trace_rejects_points_above_the_computed_levels(capsys, tmp_path):
     assert main(["trace", "compute", str(cfg)]) == EXIT_RUNTIME
     assert "mode 0" in capsys.readouterr().err
     assert not (out / "trace.csv").exists()
-
-
-def test_eigenvalue_merge_is_order_independent():
-    params = SpectrumParams(k_max=1, levels=3, n=600)
-    a = dirac_spectrum(0.4, params)
-    b = dirac_spectrum(0.2, params)
-    merged_ab = a.merged(b)
-    merged_ba = b.merged(a)
-    assert merged_ab.rows == merged_ba.rows
-    with pytest.raises(ValueError):
-        merged_ab.merged(dirac_spectrum(0.4, params))
 
 
 @pytest.mark.parametrize("keep_vectors", [0, 1])
@@ -487,6 +479,8 @@ def test_levels_above_the_grid_fail_before_any_solve(monkeypatch, capsys, tmp_pa
     assert spectra.check_grids([0.01, 0.0], SpectrumParams(levels=158, h=0.05)) == [239, 158]
     with pytest.raises(ValueError, match="158 grid points at t = 0.0"):
         spectral_sweep([0.01, 0.0], SpectrumParams(levels=159, h=0.05))
+    with pytest.raises(ValueError, match="levels >= 2"):  # the tail model needs two
+        relative_resolvent_trace(0.3, -1.0, -2.0, SpectrumParams(levels=1))
     assert calls == []
 
     def exit_code(**keys) -> int:
@@ -507,8 +501,6 @@ def test_levels_above_the_grid_fail_before_any_solve(monkeypatch, capsys, tmp_pa
 def _mode_tail_loop(mu, lam, lam0):
     """Reference for the closed-form tail: the Weyl-model sum term by term."""
     J = len(mu)
-    if J < 2:
-        return 0.0
     A = (mu[-1] - mu[-2]) / (2 * J - 1)
     if A <= 0:
         return 0.0
@@ -527,8 +519,7 @@ def _mode_tail_loop(mu, lam, lam0):
 
 def test_mode_tail_closed_form_matches_reference_loop():
     rng = np.random.default_rng(2024)
-    cases = [(np.array([]), -1.0, -2.0), (np.array([1.5]), -1.0, -2.0),
-             (np.array([1.0, 3.0, 3.0]), -1.0, -2.0), (np.array([1.0, 4.0, 2.5]), -1.0, -2.0)]
+    cases = [(np.array([1.0, 3.0, 3.0]), -1.0, -2.0), (np.array([1.0, 4.0, 2.5]), -1.0, -2.0)]
     signs = set()
     for _ in range(16):
         J = int(rng.integers(2, 13))

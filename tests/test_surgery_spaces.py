@@ -22,7 +22,6 @@ from cusplab.surgery_spaces import (
     kernel_index_family,
     mapping_orders,
     mapping_stages,
-    parametrix_orders,
     trace_expansion_terms,
     trace_index_set,
     verify_fixture,
@@ -172,6 +171,8 @@ def test_composition_orders_examples(fx):
     assert composition_orders(o, OpOrders(0, 0, 0), fx) == o
     assert composition_orders(OpOrders(1, 1, 0), OpOrders(-1, -1, 0), fx) == \
         OpOrders(0, 0, 0)
+    assert composition_orders(OpOrders(Fraction(3, 2), -2, 5),
+                              OpOrders(Fraction(-3, 2), 2, -5), fx) == OpOrders(0, 0, 0)
 
 
 def test_composition_matches_sum_randomized(fx):
@@ -215,13 +216,6 @@ def test_composition_temporal_face_single_source(fx):
     ]
     nonempty = [lbl for lbl, E in tb_sources if not E.is_empty]
     assert nonempty == ["ttb"]
-
-
-def test_parametrix_orders(fx):
-    assert parametrix_orders(OpOrders(1, 1, 0)) == OpOrders(-1, -1, 0)
-    assert parametrix_orders(OpOrders(0, 0, 0)) == OpOrders(0, 0, 0)
-    o = OpOrders(Fraction(3, 2), -2, 5)
-    assert composition_orders(o, parametrix_orders(o), fx) == OpOrders(0, 0, 0)
 
 
 # -- traces -------------------------------------------------------------------
