@@ -25,6 +25,7 @@ from cusplab import __version__
 from cusplab.dirac_lab import (
     SpectrumParams,
     check_grids,
+    check_windows,
     dirac_spectrum,
     neck_mass,
     relative_resolvent_trace,
@@ -45,9 +46,11 @@ EXIT_USAGE = 64
 EXIT_CONFIG = 78
 
 # Largest accepted work estimate: over the t grid, the sum of
-# (k_max + 1) * levels * n, with n the interior grid points of the first
-# solve at t.  The criterion-12 dataset (25 t, 11 modes, 40 levels, n = 3999)
-# is 4.4e7, so this is about 23 times that; k_max = 100000 is 3.2e9 per t.
+# solves * levels * n, with n the interior grid points of the first solve at
+# t and solves = k_max + 1 at t > 0, 2 * (k_max + 1) at t = 0, where each
+# step of the cusp-depth search solves both chiralities.  The criterion-12
+# dataset (25 t, 11 modes, 40 levels, n = 3999) is 4.4e7, so this is about
+# 23 times that; k_max = 100000 is 3.2e9 per t.
 MAX_WORK = 10**9
 
 
@@ -114,10 +117,12 @@ class RunConfig:
             points = check_grids(self.t_grid, self.spectrum_params())
         except (ValueError, ArithmeticError) as exc:  # a huge t or a tiny h overflows
             raise ConfigError(str(exc)) from exc
-        work = (self.k_max + 1) * self.levels * sum(points)
+        solves = [(self.k_max + 1) * (2 if t == 0 else 1) for t in self.t_grid]
+        work = self.levels * sum(s * n for s, n in zip(solves, points))
         if work > MAX_WORK:
-            raise ConfigError(f"work estimate {work} (the sum over t_grid of (k_max + 1) * "
-                              f"levels * grid points) exceeds {MAX_WORK}")
+            raise ConfigError(f"work estimate {work} (the sum over t_grid of solves * levels * "
+                              f"grid points, with k_max + 1 solves at t > 0 and twice that "
+                              f"at t = 0) exceeds {MAX_WORK}")
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
@@ -269,8 +274,13 @@ def _sorted_descending(config: RunConfig) -> list[float]:
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    if args.spectrum_cmd == "mass" and any(b <= 0 for _, b in config.windows):
-        raise ConfigError("spectrum mass needs every window's upper end b > 0")
+    if args.spectrum_cmd == "mass":
+        if any(b <= 0 for _, b in config.windows):
+            raise ConfigError("spectrum mass needs every window's upper end b > 0")
+        try:
+            check_windows(config.t_grid, config.spectrum_params(), [b for _, b in config.windows])
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     outdir = Path(config.output_dir)
     ts = _sorted_descending(config)
     outputs: list[str] = []

@@ -39,6 +39,7 @@ from cusplab.dirac_lab.spectra import (
     SpectrumTable,
     TraceValue,
     check_grids,
+    check_windows,
     dirac_spectrum,
     neck_mass,
     relative_resolvent_trace,
@@ -53,6 +54,6 @@ __all__ = [
     "convergence_order", "eigen_lowest", "partner_minus_hamiltonian",
     "tridiagonal_from_potential",
     "ResolventAboveLevelsError", "SpectralCollisionError", "SpectrumParams", "SpectrumRow",
-    "SpectrumTable", "TraceValue", "check_grids", "dirac_spectrum", "neck_mass",
-    "relative_resolvent_trace", "spectral_sweep",
+    "SpectrumTable", "TraceValue", "check_grids", "check_windows", "dirac_spectrum",
+    "neck_mass", "relative_resolvent_trace", "spectral_sweep",
 ]

@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import ctypes
+import importlib.machinery
+import importlib.util
 import math
+import os
 import re
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cython_lapack
+import scipy
 
 from cusplab.dirac_lab.geometry import (
     Chirality,
@@ -28,11 +32,31 @@ class NonConvergenceError(RuntimeError):
     """The tridiagonal eigensolver failed to converge."""
 
 
+def _load_cython_lapack():
+    """scipy's ``cython_lapack`` extension, without running ``scipy.linalg``'s ``__init__``."""
+    directory = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    spec = importlib.machinery.PathFinder.find_spec("scipy.linalg.cython_lapack", [directory])
+    if spec is None:
+        raise ImportError(f"scipy's cython_lapack extension is not in {directory}")
+    loaded = spec.name in sys.modules
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    if not loaded:
+        # Cython's module init files the module in sys.modules; left there
+        # without its package, a later ``import scipy.linalg.cython_lapack``
+        # would find it and never bind it to ``scipy.linalg``
+        sys.modules.pop(spec.name, None)
+    return module
+
+
 # LAPACK's dstebz/dstein, called through scipy's Cython LAPACK table with
 # ctypes: a ctypes call releases the GIL, so solves on different threads run
-# at once (scipy's f2py wrappers hold it).  Every integer is a 32-bit C int;
-# a LAPACK built with 64-bit integers would misread them, so its prototypes
-# are refused at import.
+# at once (scipy's f2py wrappers hold it).  Only the cython_lapack extension
+# is loaded: importing it through ``scipy.linalg`` would first run that
+# package's __init__, some 290 modules (f2py wrappers, array-api-compat) the
+# solver never calls, which roughly doubled the command line's start-up.
+# Every integer is a 32-bit C int; a LAPACK built with 64-bit integers would
+# misread them, so its prototypes are refused at import.
 _CHAR, _INT, _DOUBLE = (ctypes.c_char_p, ctypes.POINTER(ctypes.c_int),
                         ctypes.POINTER(ctypes.c_double))
 _C_TYPES = {_CHAR: "char *", _INT: "int *", _DOUBLE: "double *"}
@@ -52,6 +76,8 @@ def _lapack_routine(name: str, *argtypes) -> Callable:
         ("PyCapsule_GetPointer", ctypes.pythonapi))(capsule, capsule_name)
     return ctypes.CFUNCTYPE(None, *argtypes)(address)
 
+
+cython_lapack = _load_cython_lapack()
 
 # RANGE ORDER N VL VU IL IU ABSTOL D E M NSPLIT W IBLOCK ISPLIT WORK IWORK INFO
 _dstebz = _lapack_routine("dstebz", _CHAR, _CHAR, _INT, _DOUBLE, _DOUBLE, _INT, _INT,

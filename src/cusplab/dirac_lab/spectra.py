@@ -200,6 +200,33 @@ def check_grids(t_grid: Sequence[float], params: SpectrumParams) -> list[int]:
     return points
 
 
+def _window(t: float, rho: np.ndarray, w: float) -> np.ndarray:
+    """The grid points inside |x| <= w.
+
+    For t > 0 the window maps to |rho| <= asinh(w / t); at t = 0 the profile
+    itself is |x|, so the window is phi(rho) <= w.
+    """
+    if t > 0:
+        return np.abs(rho) <= math.asinh(w / t)
+    return np.exp(rho) <= w  # right-cusp branch: |x| = e^rho
+
+
+def check_windows(t_grid: Sequence[float], params: SpectrumParams,
+                  widths: Sequence[float]) -> None:
+    """Raise ValueError where a window |x| <= w holds no point of a t > 0 grid.
+
+    The grids are those of ``check_grids``, built before any solve.  At t = 0
+    the cusp search fixes the grid's depth by solving, so ``neck_mass``
+    checks there.
+    """
+    for t in t_grid:
+        if t > 0:
+            grid = Grid.for_geometry(_first_geometry(t, params), n=params.n, h=params.h)
+            for w in widths:
+                if not np.any(_window(t, grid.rho_values, w)):
+                    raise ValueError(f"window |x| <= {w!r} contains no grid points at t = {t!r}")
+
+
 def _cusp_geometry(params: SpectrumParams):
     """Truncated cusp deep enough that V(rho_min) >= margin * sqrt(mu_max).
 
@@ -252,18 +279,10 @@ def spectral_sweep(t_grid: Sequence[float], params: SpectrumParams) -> SpectrumT
 
 
 def neck_mass(t: float, vector: "VectorHandle", w: float) -> float:
-    """Fraction of discrete L^2 mass of an eigenvector inside |x| <= w.
-
-    For t > 0 the window maps to |rho| <= asinh(w / t); at t = 0 the profile
-    itself is |x|, so the window is phi(rho) <= w.
-    """
+    """Fraction of discrete L^2 mass of an eigenvector inside |x| <= w."""
     if w <= 0:
         raise ValueError("window width must be positive")
-    rho = vector.grid.rho_values
-    if t > 0:
-        inside = np.abs(rho) <= math.asinh(w / t)
-    else:
-        inside = np.exp(rho) <= w  # right-cusp branch: |x| = e^rho
+    inside = _window(t, vector.grid.rho_values, w)
     if not np.any(inside):
         raise ValueError("window contains no grid points")
     dens = vector.values**2

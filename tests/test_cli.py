@@ -2,10 +2,14 @@
 
 import filecmp
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import cusplab
 from cusplab import cli
 from cusplab.cli import (
     EXIT_CONFIG,
@@ -227,6 +231,14 @@ def test_work_bound_rejects_a_config_before_solving(monkeypatch, capsys, tmp_pat
     for command in (("spectrum", "sweep"), ("trace", "compute")):
         code, _, err = run(capsys, *command, str(cfg))
         assert code == EXIT_CONFIG and "work estimate" in err
+    # the t = 0 cusp search solves both chiralities: twice the solves of t > 0
+    # on the same n = 3999, so 8.0e8 passes at t = 0.5 and is 1.6e9 at t = 0
+    RunConfig.from_text("t_grid = 0.5\nk_max = 1999\nlevels = 100\n")
+    with pytest.raises(ConfigError, match="work estimate 1599600000 "):
+        RunConfig.from_text("t_grid = 0.0\nk_max = 1999\nlevels = 100\n")
+    (tmp_path / "t0.cfg").write_text("t_grid = 0.0\nk_max = 1999\nlevels = 100\n")
+    code, _, err = run(capsys, "spectrum", "sweep", str(tmp_path / "t0.cfg"))
+    assert code == EXIT_CONFIG and "work estimate" in err
     cfg = write_config(tmp_path, h="1e-320")  # length / h overflows to inf
     assert run(capsys, "spectrum", "sweep", str(cfg))[0] == EXIT_CONFIG
     cfg = write_config(tmp_path, t_grid="2000.0")  # the neck's sinh(t / 2) overflows
@@ -245,13 +257,16 @@ def test_commands_reject_unrunnable_configs_before_solving(monkeypatch, capsys, 
     rejected = [(("trace", "fit"), dict(t_grid=ts.rsplit(",", 1)[0])),
                 (("spectrum", "mass"), dict(windows="0.0:3.0,-1.0:0.0")),
                 (("spectrum", "mass"), dict(windows="-2.0:-1.0")),
+                # b > 0 below the spacing at the pinch: no point of t = 0.4's grid
+                (("spectrum", "mass"), dict(t_grid="0.4,0.0", k_max=0, levels=2,
+                                            windows="0.0:1e-9")),
                 (("trace", "compute"), dict(levels=1)),
                 (("trace", "fit"), dict(t_grid=ts, levels=1))]
     for command, keys in rejected:
         code, _, err = run(capsys, *command, str(write_config(tmp_path, **keys)))
         assert (code, calls) == (EXIT_CONFIG, []), (command, keys, err)
     accepted = [(("trace", "fit"), dict(t_grid=ts)),
-                (("spectrum", "mass"), dict(windows="-1.0:0.001")),
+                (("spectrum", "mass"), dict(windows="-1.0:0.01")),
                 (("trace", "compute"), dict(levels=2))]
     for command, keys in accepted:
         code, _, err = run(capsys, *command, str(write_config(tmp_path, **keys)))
@@ -273,3 +288,27 @@ def test_runtime_errors_exit_1_and_programming_errors_raise(monkeypatch, capsys,
         main(["spectrum", "sweep", str(cfg)])
     (tmp_path / "binary.cfg").write_bytes(b"\xff\xfe t_grid = 0.5\n")
     assert run(capsys, "spectrum", "sweep", str(tmp_path / "binary.cfg"))[0] == EXIT_CONFIG
+
+
+def test_cold_start_and_the_process_entry_point(capsys, tmp_path):
+    # the solver loads scipy's cython_lapack extension alone: importing the
+    # CLI must not import the scipy.linalg package (about 290 modules)
+    env = {**os.environ, "PYTHONPATH": str(Path(cusplab.__file__).parents[1])}  # src/
+
+    def python(*args):
+        return subprocess.run([sys.executable, *args], env=env, cwd=tmp_path,
+                              capture_output=True, text=True)
+
+    done = python("-c", "import sys, cusplab.cli; "
+                        "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))")
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+    done = python("-m", "cusplab.cli", "symbols", "trace-expansion", "--alpha", "-2", "--beta", "0")
+    assert done.returncode == EXIT_OK and json.loads(done.stdout) == {"terms": [[0, 0], [2, 1]]}
+    keys = dict(t_grid="0.4,0.0", k_max=0, levels=2, h=0.05, windows="0.0:3.0")
+    done = python("-m", "cusplab.cli", "spectrum", "count", str(write_config(tmp_path, **keys)))
+    assert done.returncode == EXIT_OK, done.stderr
+    counts = (tmp_path / "out" / "counts.csv").read_text()
+    assert counts.splitlines()[0] == "t,a,b,count" and len(counts.splitlines()) == 3
+    cfg = write_config(tmp_path, "in_process.cfg", **keys, output_dir=tmp_path / "in_process")
+    assert run(capsys, "spectrum", "count", str(cfg))[0] == EXIT_OK
+    assert (tmp_path / "in_process" / "counts.csv").read_text() == counts

@@ -2,12 +2,18 @@
 
 import ctypes
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import threading
+import types
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import cython_lapack, eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal
 
 from cusplab.cli import EXIT_CONFIG, EXIT_RUNTIME, RunConfig, main
 from cusplab.dirac_lab import solver, spectra
@@ -212,15 +218,46 @@ def test_eigen_lowest_is_bitwise_eigh_tridiagonal():
         eigen_lowest(Tridiagonal(np.array([1.0, np.nan]), np.array([0.5])), 1)
 
 
+def test_lapack_binding_is_scipy_linalg_cython_lapack():
+    # the solver loads the extension on its own; importing it through
+    # scipy.linalg afterwards must bind it there and give the same routines,
+    # so the bitwise test against eigh_tridiagonal compares one code
+    script = textwrap.dedent("""\
+        import ctypes, sys
+        from cusplab.dirac_lab import solver
+        assert "scipy.linalg" not in sys.modules
+        import scipy.linalg.cython_lapack
+        cython_lapack = scipy.linalg.cython_lapack
+        name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+            ("PyCapsule_GetName", ctypes.pythonapi))
+        pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+            ("PyCapsule_GetPointer", ctypes.pythonapi))
+        for routine in ("dstebz", "dstein"):
+            capsule = cython_lapack.__pyx_capi__[routine]
+            bound = ctypes.cast(getattr(solver, "_" + routine), ctypes.c_void_p).value
+            assert bound is not None and pointer(capsule, name(capsule)) == bound, routine
+        """)
+    env = {**os.environ, "PYTHONPATH": str(Path(solver.__file__).parents[2])}  # src/
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+def test_missing_cython_lapack_names_the_searched_directory(monkeypatch, tmp_path):
+    monkeypatch.setattr(solver, "scipy", types.SimpleNamespace(__file__=str(tmp_path / "x.py")))
+    with pytest.raises(ImportError, match=f"not in {tmp_path / 'linalg'}$"):
+        solver._load_cython_lapack()
+
+
 def test_lapack_binding_refuses_a_foreign_prototype(monkeypatch):
     # a LAPACK with 64-bit integers would read int arguments wrongly
-    real = cython_lapack.__pyx_capi__["dstebz"]
+    real = solver.cython_lapack.__pyx_capi__["dstebz"]
     get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
         ("PyCapsule_GetName", ctypes.pythonapi))
     name = get_name(real).replace(b"int *", b"long long *")
     new_capsule = ctypes.PYFUNCTYPE(ctypes.py_object, ctypes.c_void_p, ctypes.c_char_p,
                                     ctypes.c_void_p)(("PyCapsule_New", ctypes.pythonapi))
-    monkeypatch.setitem(cython_lapack.__pyx_capi__, "dstebz", new_capsule(1, name, None))
+    monkeypatch.setattr(solver, "cython_lapack",
+                        types.SimpleNamespace(__pyx_capi__={"dstebz": new_capsule(1, name, None)}))
     with pytest.raises(ImportError, match="prototype"):
         solver._lapack_routine("dstebz", *solver._dstebz.argtypes)
 
