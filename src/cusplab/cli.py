@@ -24,6 +24,7 @@ from pathlib import Path
 from cusplab import __version__
 from cusplab.dirac_lab import (
     SpectrumParams,
+    SpectrumTable,
     check_grids,
     check_windows,
     dirac_spectrum,
@@ -272,6 +273,15 @@ def _sorted_descending(config: RunConfig) -> list[float]:
     return sorted(config.t_grid, reverse=True)
 
 
+def _solve(ts: list[float], params: SpectrumParams) -> SpectrumTable:
+    """The spectra at every t of ``ts`` from one ``dirac_spectrum`` call, which pools the solves."""
+    modes = params.k_max + 1
+    more = f", plus {2 * modes} per further cusp-depth step" if 0.0 in ts else ""
+    print(f"solving {len(ts)} values of t: {modes * (len(ts) + (0.0 in ts))} mode solves{more}",
+          file=sys.stderr)
+    return dirac_spectrum(ts, params)
+
+
 def cmd_spectrum(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     if args.spectrum_cmd == "mass":
@@ -281,44 +291,35 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
             check_windows(config.t_grid, config.spectrum_params(), [b for _, b in config.windows])
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+    if args.spectrum_cmd not in ("sweep", "count", "mass"):
+        raise UsageError("unknown spectrum subcommand")
     outdir = Path(config.output_dir)
     ts = _sorted_descending(config)
+    keep = 1 if args.spectrum_cmd == "mass" else 0  # mass reads the lowest level's vector
+    table = _solve(ts, config.spectrum_params(keep_vectors=keep))
     outputs: list[str] = []
     if args.spectrum_cmd == "sweep":
-        params = config.spectrum_params()
         rows_text = ["t,k,j,mu,lambda"]
-        for t in ts:
-            print(f"solving t = {t}", file=sys.stderr)
-            slab = dirac_spectrum(t, params)
-            for r in slab.rows:
-                rows_text.append(
-                    f"{_fmt(r.t)},{r.k},{r.j},{_fmt(r.mu)},{_fmt(r.lam)}")
+        for r in table.rows:
+            rows_text.append(f"{_fmt(r.t)},{r.k},{r.j},{_fmt(r.mu)},{_fmt(r.lam)}")
         _write(outdir / "spectrum.csv", "\n".join(rows_text) + "\n")
         outputs.append("spectrum.csv")
     elif args.spectrum_cmd == "count":
-        params = config.spectrum_params()
         lines = ["t,a,b,count"]
         for t in ts:
-            print(f"counting t = {t}", file=sys.stderr)
-            table = dirac_spectrum(t, params)
             for a, b in config.windows:
                 lines.append(f"{_fmt(t)},{_fmt(a)},{_fmt(b)},{table.eigen_count(a, b, t)}")
         _write(outdir / "counts.csv", "\n".join(lines) + "\n")
         outputs.append("counts.csv")
-    elif args.spectrum_cmd == "mass":
-        params = config.spectrum_params(keep_vectors=1)
+    else:
         lines = ["t,j,window,fraction"]
         for t in ts:
-            print(f"mass at t = {t}", file=sys.stderr)
-            table = dirac_spectrum(t, params)
             low = table.lowest(t)
             handle = table.vector(t, low.k, low.j)
             for _, b in config.windows:
                 lines.append(f"{_fmt(t)},{low.j},{_fmt(b)},{_fmt(neck_mass(t, handle, b))}")
         _write(outdir / "mass.csv", "\n".join(lines) + "\n")
         outputs.append("mass.csv")
-    else:
-        raise UsageError("unknown spectrum subcommand")
     _write_manifest(outdir, config, outputs)
     return EXIT_OK
 
@@ -330,12 +331,9 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 def _trace_values(config: RunConfig, ts: list[float]) -> list[tuple[float, float]]:
     params = config.spectrum_params()
-    out = []
-    for t in ts:
-        print(f"trace at t = {t}", file=sys.stderr)
-        g = relative_resolvent_trace(t, config.lam, config.lam0, params)
-        out.append((t, g.value))
-    return out
+    table = _solve(ts, params)
+    return [(t, relative_resolvent_trace(t, config.lam, config.lam0, params, table=table).value)
+            for t in ts]
 
 
 def cmd_trace(args: argparse.Namespace) -> int:

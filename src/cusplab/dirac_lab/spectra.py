@@ -14,6 +14,7 @@ from cusplab.dirac_lab.geometry import Chirality, ModeSpec, NeckGeometry
 from cusplab.dirac_lab.solver import MIN_POINTS, Grid, assemble_hamiltonian, eigen_lowest
 
 COLLISION_TOL = 1e-9  # an eigenvalue this close to a resolvent point is a collision
+_BOTH = (Chirality.PLUS, Chirality.MINUS)  # the t = 0 pair's spectrum is their union
 
 
 class SpectralCollisionError(ValueError):
@@ -142,13 +143,9 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _solve_modes(geom: NeckGeometry, params: SpectrumParams, chis: tuple[Chirality, ...]):
-    """Solve each (k, chirality) once on the geometry's grid, at most one thread per CPU.
-
-    Returns the grid, the lowest ``levels`` eigenvalues of each mode over
-    ``chis`` as a (k_max + 1, levels) array, the kept eigenvectors keyed by
-    (k, j), and the largest eigenvalue any one solve returned.
-    """
+def _queue_modes(pool: ThreadPoolExecutor, geom: NeckGeometry, params: SpectrumParams,
+                 chis: tuple[Chirality, ...]):
+    """Queue one solve per (k, chirality) on the geometry's grid; ``_collect_modes`` reads them."""
     grid = Grid.for_geometry(geom, n=params.n, h=params.h)
     keep = params.keep_vectors > 0
 
@@ -158,13 +155,24 @@ def _solve_modes(geom: NeckGeometry, params: SpectrumParams, chis: tuple[Chirali
         # a mode's j lowest levels over chis are among each solve's j lowest
         return (out[0], [v.copy() for v in out[1][:, : params.keep_vectors].T]) if keep else out
 
-    jobs = [ModeSpec(k, chi) for k in range(params.k_max + 1) for chi in chis]
-    with ThreadPoolExecutor(max_workers=min(len(jobs), _cpu_count())) as pool:
-        solved = list(pool.map(solve, jobs))
+    jobs = [pool.submit(solve, ModeSpec(k, chi)) for k in range(params.k_max + 1) for chi in chis]
+    return grid, len(chis), jobs
+
+
+def _collect_modes(params: SpectrumParams, queued):
+    """Wait for a geometry's queued solves and merge each mode's chiralities.
+
+    Returns the grid, the lowest ``levels`` eigenvalues of each mode as a
+    (k_max + 1, levels) array, the kept eigenvectors keyed by (k, j), and the
+    largest eigenvalue any one solve returned.
+    """
+    grid, per_mode, jobs = queued
+    solved = [job.result() for job in jobs]
+    keep = params.keep_vectors > 0
     mu = np.empty((params.k_max + 1, params.levels))
     vectors, mu_max = {}, 0.0
     for k in range(params.k_max + 1):
-        parts = solved[k * len(chis): (k + 1) * len(chis)]
+        parts = solved[k * per_mode: (k + 1) * per_mode]
         mu_k = np.concatenate([w for w, _ in parts] if keep else parts)
         order = np.argsort(mu_k, kind="stable")[: params.levels]
         mu[k], mu_max = mu_k[order], max(mu_max, float(mu_k.max()))
@@ -227,42 +235,71 @@ def check_windows(t_grid: Sequence[float], params: SpectrumParams,
                     raise ValueError(f"window |x| <= {w!r} contains no grid points at t = {t!r}")
 
 
-def _cusp_geometry(params: SpectrumParams):
+def _cusp_geometry(params: SpectrumParams, pool: ThreadPoolExecutor, first=None):
     """Truncated cusp deep enough that V(rho_min) >= margin * sqrt(mu_max).
 
     V is that of the most permissive mode (k = 0, smallest V) and mu_max is
     the top of the ``levels`` solved for every mode and chirality; the
     domain is deepened until the requirement holds, and deepening only
-    lowers eigenvalues, so the loop terminates.  Returns the geometry with
-    the grid, eigenvalues and eigenvectors of its last ``_solve_modes``.
+    lowers eigenvalues, so the loop terminates.  Each depth's solves go to
+    ``pool``, the first depth's already queued as ``first`` where given; the
+    loop itself runs on the calling thread, so no worker waits on another.
+    Returns the geometry with the grid, eigenvalues and eigenvectors of its
+    last depth.
     """
     geom = _first_geometry(0.0, params)
+    queued = first if first is not None else _queue_modes(pool, geom, params, _BOTH)
     for _ in range(8):
-        grid, mu, vectors, mu_max = _solve_modes(geom, params, (Chirality.PLUS, Chirality.MINUS))
+        grid, mu, vectors, mu_max = _collect_modes(params, queued)
         needed = _cusp_depth(params, mu_max)
         if geom.rho_min <= needed:
             return geom, grid, mu, vectors
         geom = NeckGeometry.cusp(needed - 0.5)
+        queued = _queue_modes(pool, geom, params, _BOTH)
     raise RuntimeError("cusp truncation depth did not stabilize")
 
 
-def dirac_spectrum(t: float, params: SpectrumParams) -> SpectrumTable:
-    """Squared-Dirac eigenvalues at parameter t, one row per (mode pair, level).
+def dirac_spectrum(t: float | Sequence[float], params: SpectrumParams) -> SpectrumTable:
+    """Squared-Dirac eigenvalues at one t or at each of distinct t >= 0.
 
-    Modes k and -k-1 form a degenerate pair (parity on the symmetric neck for
-    t > 0, where the plus operator suffices; the mirror cusp at t = 0, where
-    the pair's spectrum is the union of the plus and minus spectra on one
-    cusp branch), so each row carries multiplicity 2 wherever counts or
-    traces are formed.
+    One row per (t, mode pair, level).  Modes k and -k-1 form a degenerate
+    pair (parity on the symmetric neck for t > 0, where the plus operator
+    suffices; the mirror cusp at t = 0, where the pair's spectrum is the
+    union of the plus and minus spectra on one cusp branch), so each row
+    carries multiplicity 2 wherever counts or traces are formed.  Every
+    solve of every t runs on one pool of at most one thread per CPU; the
+    t = 0 search's first depth is queued ahead of the t > 0 solves, so that
+    its next depth overlaps them.
     """
-    if not t >= 0:
-        raise ValueError(f"pinching parameter t must be >= 0, got {t!r}")
-    check_grids([t], params)
-    if t > 0:
-        grid, mu, vectors, _ = _solve_modes(NeckGeometry.neck(t), params, (Chirality.PLUS,))
-    else:
-        _, grid, mu, vectors = _cusp_geometry(params)
-    return SpectrumTable({t: mu}, {(t, *kj): VectorHandle(grid, v) for kj, v in vectors.items()})
+    ts = [t] if np.ndim(t) == 0 else list(t)
+    if not ts:
+        raise ValueError("need at least one pinching parameter t")
+    for s in ts:
+        if not s >= 0:  # nan fails this too
+            raise ValueError(f"pinching parameter t must be >= 0, got {s!r}")
+    if len(set(ts)) != len(ts):
+        raise ValueError(f"pinching parameters must be distinct, got {ts!r}")
+    check_grids(ts, params)
+    necks = [s for s in ts if s > 0]
+    cusp = [s for s in ts if s == 0]  # at most one, as the t are distinct
+    jobs = (params.k_max + 1) * (len(necks) + 2 * len(cusp))
+    slabs = {}
+    with ThreadPoolExecutor(max_workers=min(jobs, _cpu_count())) as pool:
+        try:
+            first = [_queue_modes(pool, _first_geometry(0.0, params), params, _BOTH)
+                     for _ in cusp]
+            queued = [_queue_modes(pool, NeckGeometry.neck(s), params, (Chirality.PLUS,))
+                      for s in necks]
+            for s, q in zip(cusp, first):
+                slabs[s] = _cusp_geometry(params, pool, q)[1:]
+            for s, q in zip(necks, queued):
+                slabs[s] = _collect_modes(params, q)[:3]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)  # fail now, not after the rest of the grid
+            raise
+    return SpectrumTable({s: mu for s, (_, mu, _) in slabs.items()},
+                         {(s, *kj): VectorHandle(grid, v)
+                          for s, (grid, _, vectors) in slabs.items() for kj, v in vectors.items()})
 
 
 def spectral_sweep(t_grid: Sequence[float], params: SpectrumParams) -> SpectrumTable:
@@ -272,10 +309,7 @@ def spectral_sweep(t_grid: Sequence[float], params: SpectrumParams) -> SpectrumT
         raise ValueError("t grid must be strictly descending")
     if ts[-1] != 0.0:
         raise ValueError("t grid must end at 0 (the split-neck limit)")
-    check_grids(ts, params)
-    slabs = [dirac_spectrum(t, params) for t in ts]
-    return SpectrumTable({t: s.mu[t] for t, s in zip(ts, slabs)},
-                         {key: v for s in slabs for key, v in s.vectors.items()})
+    return dirac_spectrum(ts, params)
 
 
 def neck_mass(t: float, vector: "VectorHandle", w: float) -> float:

@@ -89,6 +89,8 @@ def fit_basis(ts, ys, basis: BasisSpec) -> FitReport:
         raise ValueError("ts and ys must be 1-d arrays of equal length")
     if len(t) < basis.min_samples:
         raise ValueError(f"need at least {basis.min_samples} samples")
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
+        raise ValueError("samples must be finite")
     if np.any(t < 0):
         raise ValueError("samples must have t >= 0")
     if np.any(t == 0) and (basis.has_log() or not basis.finite_at_zero()):

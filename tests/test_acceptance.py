@@ -12,6 +12,7 @@ control passes.
 import math
 import random
 import time
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -294,7 +295,8 @@ def test_criterion_08_discretization_validity():
 
 def test_criterion_09_susy_pairing_at_t0():
     params = SpectrumParams(k_max=2, levels=10, n=12000)
-    geom = _cusp_geometry(params)[0]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        geom = _cusp_geometry(params, pool)[0]
     grid = Grid.for_geometry(geom, n=12000)
     worst = 0.0
     for k in (0, 1, 2):

@@ -201,6 +201,28 @@ def test_trace_fit_rejects_zero_in_grid(capsys, tmp_path):
     assert run(capsys, "trace", "fit", str(cfg))[0] == EXIT_CONFIG
 
 
+def test_each_command_solves_its_grid_in_one_call(monkeypatch, capsys, tmp_path):
+    # every t of a command shares one pool, so the command asks for one table
+    calls, spectrum = [], cli.dirac_spectrum
+
+    def counted(ts, params):
+        calls.append(list(ts))
+        return spectrum(ts, params)
+
+    monkeypatch.setattr(cli, "dirac_spectrum", counted)
+    grids = {"spectrum": "0.4,0.2,0.0", "trace": "0.5,0.3,0.2,0.1,0.05,0.02"}
+    for command in (("spectrum", "sweep"), ("spectrum", "count"), ("spectrum", "mass"),
+                    ("trace", "compute"), ("trace", "fit")):
+        cfg = write_config(tmp_path, t_grid=grids[command[0]])
+        code, _, err = run(capsys, *command, str(cfg))
+        want = sorted(map(float, grids[command[0]].split(",")), reverse=True)
+        assert (code, calls) == (EXIT_OK, [want]), (command, err)
+        modes = 2 * (len(want) + (0.0 in want))  # k_max = 1; t = 0 solves both chiralities
+        assert err.startswith(f"solving {len(want)} values of t: {modes} mode solves"), err
+        assert err.count("\n") == 1, err
+        calls.clear()
+
+
 def test_reruns_are_byte_identical(capsys, tmp_path):
     (tmp_path / "a").mkdir()
     (tmp_path / "b").mkdir()

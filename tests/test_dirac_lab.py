@@ -7,7 +7,9 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
 import types
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,6 +25,7 @@ from cusplab.dirac_lab import (
     Grid,
     ModeSpec,
     NeckGeometry,
+    NonConvergenceError,
     ResolventAboveLevelsError,
     SpectralCollisionError,
     SpectrumParams,
@@ -293,7 +296,8 @@ def test_susy_pairing_with_partner_wall_condition():
     params = SpectrumParams(k_max=2, levels=10, n=12000)
     geom_params = params
     from cusplab.dirac_lab.spectra import _cusp_geometry
-    geom = _cusp_geometry(geom_params)[0]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        geom = _cusp_geometry(geom_params, pool)[0]
     grid = Grid.for_geometry(geom, n=12000)
     for k in (0, 1, 2):
         plus = assemble_hamiltonian(geom, ModeSpec(k), grid)
@@ -435,8 +439,8 @@ def test_t0_spectrum_reuses_the_cusp_depth_search(monkeypatch, keep_vectors):
         depths.add(geom.rho_min)
         return assemble(geom, *args)
 
-    def recorded_search(p):
-        out = search(p)
+    def recorded_search(*args):
+        out = search(*args)
         calls_at_search_exit.append(len(calls))
         return out
 
@@ -450,7 +454,8 @@ def test_t0_spectrum_reuses_the_cusp_depth_search(monkeypatch, keep_vectors):
     assert all(v == (keep_vectors > 0) for v in calls)
     monkeypatch.undo()
 
-    geom = spectra._cusp_geometry(params)[0]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        geom = spectra._cusp_geometry(params, pool)[0]
     grid = Grid.for_geometry(geom, n=params.n)
     for k in range(params.k_max + 1):
         both = np.concatenate([
@@ -481,6 +486,8 @@ def test_mode_solves_on_threads_match_one_worker(monkeypatch):
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 64])
 def test_mode_pool_is_bounded_by_jobs_and_cpus(monkeypatch, cpus):
+    # one pool per call, sized by the jobs queued at its start; a later
+    # cusp-depth step reuses it
     asked, threads = [], set()
     pool, eigen = spectra.ThreadPoolExecutor, spectra.eigen_lowest
 
@@ -496,12 +503,103 @@ def test_mode_pool_is_bounded_by_jobs_and_cpus(monkeypatch, cpus):
     monkeypatch.setattr(spectra, "ThreadPoolExecutor", recorded_pool)
     monkeypatch.setattr(spectra, "eigen_lowest", recorded_eigen)
     params = SpectrumParams(k_max=2, levels=4, n=300)
-    dirac_spectrum(0.3, params)  # 3 jobs: one chirality per mode
-    assert asked == [min(3, cpus)]
-    assert 1 <= len(threads) <= min(3, cpus)
-    asked.clear()
-    dirac_spectrum(0.0, params)  # 6 jobs per cusp-depth iteration
-    assert asked and set(asked) == {min(6, cpus)}
+    for ts, jobs in ((0.3, 3), (0.0, 6), ([0.3, 0.2, 0.0], 3 + 3 + 6)):
+        # one chirality per mode at t > 0, both for the cusp search's first step
+        asked.clear()
+        threads.clear()
+        dirac_spectrum(ts, params)
+        assert asked == [min(jobs, cpus)], ts
+        assert 1 <= len(threads) <= min(jobs, cpus), ts
+
+
+# k_max = 1, levels = 12, n = 800: the cusp search deepens at least once
+POOL_GRID = [0.4, 0.2, 0.0]
+
+
+def _pool_params(keep_vectors: int) -> SpectrumParams:
+    return SpectrumParams(k_max=1, levels=12, n=800, keep_vectors=keep_vectors)
+
+
+@pytest.mark.parametrize("keep_vectors", [0, 1])
+def test_pooled_grid_matches_one_t_per_call(monkeypatch, keep_vectors):
+    # pooling the t values changes when each solve runs, never what comes out
+    params = _pool_params(keep_vectors)
+    per_t = {t: dirac_spectrum(t, params) for t in POOL_GRID}
+    depths, assemble = set(), spectra.assemble_hamiltonian
+
+    def recorded_assemble(geom, *args):
+        depths.add((geom.t, geom.rho_min))
+        return assemble(geom, *args)
+
+    monkeypatch.setattr(spectra, "assemble_hamiltonian", recorded_assemble)
+    for cpus in (1, 2, 6):
+        monkeypatch.setattr(spectra, "_cpu_count", lambda: cpus)
+        got = dirac_spectrum(POOL_GRID, params)
+        assert list(got.mu) == POOL_GRID
+        assert got.vectors.keys() == {key for t in POOL_GRID for key in per_t[t].vectors}
+        assert len(got.vectors) == len(POOL_GRID) * (params.k_max + 1) * keep_vectors
+        for t in POOL_GRID:
+            assert _same_bits(got.mu[t], per_t[t].mu[t]), (cpus, t)
+            for key, handle in per_t[t].vectors.items():
+                assert _same_bits(got.vectors[key].values, handle.values), (cpus, key)
+                assert _same_bits(got.vectors[key].grid.rho_values, handle.grid.rho_values)
+    assert len({rho for t, rho in depths if t == 0}) >= 2  # two cusp-depth steps or more
+
+
+def test_cusp_search_is_queued_ahead_of_the_necks_and_one_cpu_finishes(monkeypatch):
+    # one worker runs the jobs in the order they were queued: the search's
+    # first step, then each t > 0, then the next step, which the search
+    # queues from the calling thread, so no worker waits on another
+    params = _pool_params(0)
+    order, assemble = [], spectra.assemble_hamiltonian
+
+    def recorded_assemble(geom, *args):
+        order.append(geom.t)
+        return assemble(geom, *args)
+
+    monkeypatch.setattr(spectra, "_cpu_count", lambda: 1)
+    monkeypatch.setattr(spectra, "assemble_hamiltonian", recorded_assemble)
+    done = []
+    worker = threading.Thread(target=lambda: done.append(dirac_spectrum(POOL_GRID, params)),
+                              daemon=True)
+    worker.start()
+    worker.join(timeout=120)
+    assert done, "one CPU did not finish the pooled grid"
+    modes = params.k_max + 1
+    assert order[: 2 * modes] == [0.0] * 2 * modes
+    assert order[2 * modes: 4 * modes] == [0.4] * modes + [0.2] * modes
+    assert order[4 * modes:] == [0.0] * (len(order) - 4 * modes) and len(order) > 4 * modes
+
+
+def test_a_failed_solve_cancels_the_queued_ones(monkeypatch):
+    # the grid's 27 solves are queued at once: the first failure must not
+    # wait for the rest to run before it reaches the caller
+    calls = []
+
+    def failing_first(*args, **kwargs):
+        calls.append(args)
+        if len(calls) > 1:
+            time.sleep(0.05)
+        raise NonConvergenceError("dstebz failed")
+
+    monkeypatch.setattr(spectra, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(spectra, "eigen_lowest", failing_first)
+    params = SpectrumParams(k_max=2, levels=4, n=300)
+    with pytest.raises(NonConvergenceError):
+        dirac_spectrum([0.5, 0.3, 0.2, 0.1, 0.05, 0.02, 0.01, 0.0], params)
+    assert 1 <= len(calls) < 27 // 2, len(calls)
+
+
+@pytest.mark.parametrize("ts", [[0.4, 0.4, 0.0], [0.4, 0.0, 0.0], [0.4, -0.1], [0.4, math.nan],
+                                [], -0.5, math.nan],
+                         ids=["repeated", "repeated-0", "negative", "nan", "empty",
+                              "negative-scalar", "nan-scalar"])
+def test_bad_t_values_fail_before_any_solve(monkeypatch, ts):
+    calls = []
+    monkeypatch.setattr(spectra, "eigen_lowest", lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError):
+        dirac_spectrum(ts, SpectrumParams(k_max=0, levels=2, n=100))
+    assert calls == []
 
 
 def test_levels_above_the_grid_fail_before_any_solve(monkeypatch, capsys, tmp_path):

@@ -57,6 +57,24 @@ def test_preconditions():
     fit_basis(ts, np.ones_like(ts), basis)  # smooth basis accepts t = 0
 
 
+@pytest.mark.parametrize("where,bad", [("t", np.nan), ("y", np.nan), ("t", np.inf)])
+def test_non_finite_samples_fail_before_the_svd(monkeypatch, capfd, where, bad):
+    # a nan t once passed as t = 0, a nan y gave nan coefficients, and an
+    # inf t reached LAPACK, which printed an illegal-value warning
+    ts = np.linspace(0.05, 0.5, 10)
+    ys = 1.0 + ts**2
+    (ts if where == "t" else ys)[3] = bad
+    svd_calls = []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svd_calls.append(a))
+    for basis in (smooth_even_basis(), log_even_basis()):
+        with pytest.raises(ValueError, match="finite"):
+            fit_basis(ts, ys, basis)
+    with pytest.raises(ValueError, match="finite"):
+        compare_models(ts, ys, smooth_even_basis(), log_even_basis())
+    assert svd_calls == []
+    assert capfd.readouterr().err == ""
+
+
 def test_permutation_invariance():
     rng = np.random.default_rng(3)
     ts = np.geomspace(0.01, 0.5, 16)
