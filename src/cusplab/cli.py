@@ -13,6 +13,7 @@ Exit codes: 0 ok, 1 runtime error, 2 verification failure, 64 usage error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import re
 import json
 import math
@@ -46,14 +47,6 @@ EXIT_VERIFY = 2
 EXIT_USAGE = 64
 EXIT_CONFIG = 78
 
-# Largest accepted work estimate: over the t grid, the sum of
-# solves * levels * n, with n the interior grid points of the first solve at
-# t and solves = k_max + 1 at t > 0, 2 * (k_max + 1) at t = 0, where each
-# step of the cusp-depth search solves both chiralities.  The criterion-12
-# dataset (25 t, 11 modes, 40 levels, n = 3999) is 4.4e7, so this is about
-# 23 times that; k_max = 100000 is 3.2e9 per t.
-MAX_WORK = 10**9
-
 
 class UsageError(Exception):
     pass
@@ -77,53 +70,61 @@ class _Parser(argparse.ArgumentParser):
 # Config file handling
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = ("t_grid", "k_max", "levels", "h", "rho_margin_factor",
-                "lambda", "lambda0", "windows", "output_dir")
+def _fmt(x: float) -> str:
+    """Shortest decimal that round-trips the double."""
+    return repr(float(x))
+
+
+def _parse_windows(text: str) -> tuple[tuple[float, float], ...]:
+    return tuple((float(a), float(b)) for a, _, b in (w.partition(":") for w in text.split(",")))
+
+
+# Each config key in to_text's order: the field it sets, whether that field
+# is RunConfig.params's, and the key's parser and formatter.
+_KEYS = {
+    "t_grid": ("t_grid", False, lambda v: tuple(float(x) for x in v.split(",")),
+               lambda ts: ",".join(map(_fmt, ts))),
+    "k_max": ("k_max", True, int, str),
+    "levels": ("levels", True, int, str),
+    "h": ("h", True, float, _fmt),
+    "rho_margin_factor": ("rho_margin_factor", True, float, _fmt),
+    "lambda": ("lam", False, float, _fmt),
+    "lambda0": ("lam0", False, float, _fmt),
+    "windows": ("windows", False, _parse_windows,
+                lambda ws: ",".join(f"{_fmt(a)}:{_fmt(b)}" for a, b in ws)),
+    "output_dir": ("output_dir", False, str, str),
+}
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Flat run configuration; lists are comma-separated, windows are a:b pairs.
 
-    ``SpectrumParams`` checks the spectral values (k_max, levels, h,
-    rho_margin_factor); this class checks the rest and the work bound.
+    ``SpectrumParams`` checks the spectral values and ``check_grids`` the t
+    grid and the work bound; this class checks the rest.
     """
 
     t_grid: tuple[float, ...]
-    k_max: int = 2
-    levels: int = 8
-    h: float | None = None
-    rho_margin_factor: float = 50.0
+    params: SpectrumParams = SpectrumParams()
     lam: float = -1.0
     lam0: float = -2.0
     windows: tuple[tuple[float, float], ...] = ((0.0, 2.0),)
     output_dir: str = "out"
 
     def __post_init__(self) -> None:
-        if not self.t_grid:
-            raise ConfigError("t_grid must be nonempty")
-        for key, values in (("t_grid", self.t_grid),
-                            ("lambda", (self.lam,)), ("lambda0", (self.lam0,)),
+        for key, values in (("lambda", (self.lam,)), ("lambda0", (self.lam0,)),
                             ("windows", [x for w in self.windows for x in w])):
             if not all(map(math.isfinite, values)):
                 raise ConfigError(f"{key} must be finite")
-        if any(t < 0 for t in self.t_grid):
-            raise ConfigError("t_grid entries must be nonnegative")
-        if len(set(self.t_grid)) != len(self.t_grid):
-            raise ConfigError("t_grid values must be distinct")
         for a, b in self.windows:
             if not a < b:
                 raise ConfigError(f"window ({a}, {b}) is empty")
+        if not self.output_dir:
+            raise ConfigError("output_dir must be nonempty")
         try:
-            points = check_grids(self.t_grid, self.spectrum_params())
-        except (ValueError, ArithmeticError) as exc:  # a huge t or a tiny h overflows
+            check_grids(self.t_grid, self.params)
+        except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        solves = [(self.k_max + 1) * (2 if t == 0 else 1) for t in self.t_grid]
-        work = self.levels * sum(s * n for s, n in zip(solves, points))
-        if work > MAX_WORK:
-            raise ConfigError(f"work estimate {work} (the sum over t_grid of solves * levels * "
-                              f"grid points, with k_max + 1 solves at t > 0 and twice that "
-                              f"at t = 0) exceeds {MAX_WORK}")
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
@@ -136,67 +137,30 @@ class RunConfig:
                 raise ConfigError(f"line {lineno}: expected key = value")
             key, _, value = body.partition("=")
             key, value = key.strip(), value.strip()
-            if key not in _CONFIG_KEYS:
+            if key not in _KEYS:
                 raise ConfigError(f"line {lineno}: unknown key {key!r}")
             if key in raw:
                 raise ConfigError(f"line {lineno}: duplicate key {key!r}")
             raw[key] = value
+        if "t_grid" not in raw:
+            raise ConfigError("missing required key t_grid")
+        spectral, kwargs = {}, {}
         try:
-            kwargs: dict = {}
-            if "t_grid" in raw:
-                kwargs["t_grid"] = tuple(float(x) for x in raw["t_grid"].split(","))
-            else:
-                raise ConfigError("missing required key t_grid")
-            if "k_max" in raw:
-                kwargs["k_max"] = int(raw["k_max"])
-            if "levels" in raw:
-                kwargs["levels"] = int(raw["levels"])
-            if "h" in raw:
-                kwargs["h"] = float(raw["h"])
-            if "rho_margin_factor" in raw:
-                kwargs["rho_margin_factor"] = float(raw["rho_margin_factor"])
-            if "lambda" in raw:
-                kwargs["lam"] = float(raw["lambda"])
-            if "lambda0" in raw:
-                kwargs["lam0"] = float(raw["lambda0"])
-            if "windows" in raw:
-                pairs = []
-                for item in raw["windows"].split(","):
-                    a, _, b = item.partition(":")
-                    pairs.append((float(a), float(b)))
-                kwargs["windows"] = tuple(pairs)
-            if "output_dir" in raw:
-                kwargs["output_dir"] = raw["output_dir"]
+            for key, value in raw.items():
+                field, in_params, parse, _ = _KEYS[key]
+                (spectral if in_params else kwargs)[field] = parse(value)
+            params = SpectrumParams(**spectral)
         except ValueError as exc:
             raise ConfigError(f"bad value: {exc}") from exc
-        return cls(**kwargs)
+        return cls(params=params, **kwargs)
 
     def to_text(self) -> str:
-        lines = [
-            "t_grid = " + ",".join(_fmt(t) for t in self.t_grid),
-            f"k_max = {self.k_max}",
-            f"levels = {self.levels}",
-        ]
-        if self.h is not None:
-            lines.append(f"h = {_fmt(self.h)}")
-        lines += [
-            f"rho_margin_factor = {_fmt(self.rho_margin_factor)}",
-            f"lambda = {_fmt(self.lam)}",
-            f"lambda0 = {_fmt(self.lam0)}",
-            "windows = " + ",".join(f"{_fmt(a)}:{_fmt(b)}" for a, b in self.windows),
-            f"output_dir = {self.output_dir}",
-        ]
+        lines = []
+        for key, (field, in_params, _, fmt) in _KEYS.items():
+            value = getattr(self.params if in_params else self, field)
+            if value is not None:  # h is None at the default spacing
+                lines.append(f"{key} = {fmt(value)}")
         return "\n".join(lines) + "\n"
-
-    def spectrum_params(self, keep_vectors: int = 0) -> SpectrumParams:
-        return SpectrumParams(k_max=self.k_max, levels=self.levels, h=self.h,
-                              rho_margin_factor=self.rho_margin_factor,
-                              keep_vectors=keep_vectors)
-
-
-def _fmt(x: float) -> str:
-    """Shortest decimal that round-trips the double."""
-    return repr(float(x))
 
 
 def _load_config(path: str) -> RunConfig:
@@ -227,11 +191,19 @@ def _write_manifest(outdir: Path, config: RunConfig, outputs: list[str]) -> None
 # ---------------------------------------------------------------------------
 
 
-def _parse_orders(text: str) -> OpOrders:
+def _rationals(text: str, names: str) -> list[Fraction]:
+    """The comma-separated rationals of an option value, one per name in ``names``."""
     parts = text.split(",")
-    if len(parts) != 3:
-        raise UsageError(f"expected m,alpha,beta, got {text!r}")
-    return OpOrders(*(Fraction(p.strip()) for p in parts))
+    try:
+        if len(parts) == len(names.split(",")):
+            return [Fraction(p.strip()) for p in parts]
+    except (ValueError, ZeroDivisionError):  # not a rational, or a zero denominator
+        pass
+    raise UsageError(f"expected {names} as rationals, got {text!r}")
+
+
+def _parse_orders(text: str) -> OpOrders:
+    return OpOrders(*_rationals(text, "m,alpha,beta"))
 
 
 def _num(x: Fraction):
@@ -248,20 +220,19 @@ def cmd_symbols(args: argparse.Namespace) -> int:
         print(json.dumps(payload, indent=2, sort_keys=True))
         return EXIT_OK if payload["all_passed"] else EXIT_VERIFY
     if args.symbols_cmd == "mapping-orders":
-        o = _parse_orders(args.orders)
-        ap, bp = (Fraction(p.strip()) for p in args.section.split(","))
-        lead = mapping_orders(o, (ap, bp))
+        lead = mapping_orders(_parse_orders(args.orders),
+                              tuple(_rationals(args.section, "alpha',beta'")))
         print(json.dumps({"orders": [_num(lead[0]), _num(lead[1])]}))
         return EXIT_OK
     if args.symbols_cmd == "compose-orders":
         out = composition_orders(_parse_orders(args.a), _parse_orders(args.b))
         print(json.dumps({"orders": [_num(out.m), _num(out.alpha), _num(out.beta)]}))
         return EXIT_OK
-    if args.symbols_cmd == "trace-expansion":
-        terms = trace_expansion_terms(Fraction(args.alpha), Fraction(args.beta))
-        print(json.dumps({"terms": [[_num(z), k] for z, k in terms]}))
-        return EXIT_OK
-    raise UsageError("unknown symbols subcommand")
+    # trace-expansion, the one name left: argparse refuses any other
+    (alpha,), (beta,) = _rationals(args.alpha, "alpha"), _rationals(args.beta, "beta")
+    terms = trace_expansion_terms(alpha, beta)
+    print(json.dumps({"terms": [[_num(z), k] for z, k in terms]}))
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +246,9 @@ def _sorted_descending(config: RunConfig) -> list[float]:
 
 def _solve(ts: list[float], params: SpectrumParams) -> SpectrumTable:
     """The spectra at every t of ``ts`` from one ``dirac_spectrum`` call, which pools the solves."""
-    modes = params.k_max + 1
-    more = f", plus {2 * modes} per further cusp-depth step" if 0.0 in ts else ""
-    print(f"solving {len(ts)} values of t: {modes * (len(ts) + (0.0 in ts))} mode solves{more}",
+    solves = {t: s for t, (s, _) in zip(ts, check_grids(ts, params))}
+    more = f", plus {solves[0.0]} per further cusp-depth step" if 0.0 in solves else ""
+    print(f"solving {len(ts)} values of t: {sum(solves.values())} mode solves{more}",
           file=sys.stderr)
     return dirac_spectrum(ts, params)
 
@@ -288,15 +259,13 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         if any(b <= 0 for _, b in config.windows):
             raise ConfigError("spectrum mass needs every window's upper end b > 0")
         try:
-            check_windows(config.t_grid, config.spectrum_params(), [b for _, b in config.windows])
+            check_windows(config.t_grid, config.params, [b for _, b in config.windows])
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-    if args.spectrum_cmd not in ("sweep", "count", "mass"):
-        raise UsageError("unknown spectrum subcommand")
     outdir = Path(config.output_dir)
     ts = _sorted_descending(config)
     keep = 1 if args.spectrum_cmd == "mass" else 0  # mass reads the lowest level's vector
-    table = _solve(ts, config.spectrum_params(keep_vectors=keep))
+    table = _solve(ts, dataclasses.replace(config.params, keep_vectors=keep))
     outputs: list[str] = []
     if args.spectrum_cmd == "sweep":
         rows_text = ["t,k,j,mu,lambda"]
@@ -330,15 +299,15 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def _trace_values(config: RunConfig, ts: list[float]) -> list[tuple[float, float]]:
-    params = config.spectrum_params()
-    table = _solve(ts, params)
-    return [(t, relative_resolvent_trace(t, config.lam, config.lam0, params, table=table).value)
+    table = _solve(ts, config.params)
+    return [(t, relative_resolvent_trace(t, config.lam, config.lam0, config.params,
+                                         table=table).value)
             for t in ts]
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    if config.levels < 2:
+    if config.params.levels < 2:
         raise ConfigError("trace needs levels >= 2 for its tail model")
     smooth, logb = smooth_even_basis(), log_even_basis()
     if args.trace_cmd == "fit":
@@ -351,13 +320,12 @@ def cmd_trace(args: argparse.Namespace) -> int:
     outdir = Path(config.output_dir)
     ts = _sorted_descending(config)
     outputs: list[str] = []
+    values = _trace_values(config, ts)
     if args.trace_cmd == "compute":
-        values = _trace_values(config, ts)
         lines = ["t,g"] + [f"{_fmt(t)},{_fmt(g)}" for t, g in values]
         _write(outdir / "trace.csv", "\n".join(lines) + "\n")
         outputs.append("trace.csv")
-    elif args.trace_cmd == "fit":
-        values = _trace_values(config, ts)
+    else:
         tvals = [t for t, _ in values]
         gvals = [g for _, g in values]
         comparison = compare_models(tvals, gvals, smooth, logb)
@@ -378,8 +346,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
         }
         _write(outdir / "fit.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
         outputs.append("fit.json")
-    else:
-        raise UsageError("unknown trace subcommand")
     _write_manifest(outdir, config, outputs)
     return EXIT_OK
 
@@ -427,13 +393,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "symbols":
-            return cmd_symbols(args)
-        if args.command == "spectrum":
-            return cmd_spectrum(args)
-        if args.command == "trace":
-            return cmd_trace(args)
-        raise UsageError("unknown command")
+        commands = {"symbols": cmd_symbols, "spectrum": cmd_spectrum, "trace": cmd_trace}
+        return commands[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -65,14 +65,9 @@ class DanglingInheritanceError(ValueError):
 
 @dataclass(frozen=True, order=True)
 class Face:
-    """A boundary hypersurface, identified by an opaque id."""
+    """A boundary hypersurface, identified by its label."""
 
-    id: str
-    label: str = ""
-
-    def __post_init__(self) -> None:
-        if not self.label:
-            object.__setattr__(self, "label", self.id)
+    label: str
 
 
 @dataclass(frozen=True)
@@ -84,10 +79,9 @@ class Space:
     def __post_init__(self) -> None:
         if not self.faces:
             raise ValueError("a space needs at least one face")
-        ids = [f.id for f in self.faces]
         labels = [f.label for f in self.faces]
-        if len(set(ids)) != len(ids) or len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate face ids/labels in {labels}")
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"duplicate face labels in {labels}")
 
     @classmethod
     def of(cls, *labels: str) -> "Space":

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -14,7 +15,12 @@ from cusplab.dirac_lab.geometry import Chirality, ModeSpec, NeckGeometry
 from cusplab.dirac_lab.solver import MIN_POINTS, Grid, assemble_hamiltonian, eigen_lowest
 
 COLLISION_TOL = 1e-9  # an eigenvalue this close to a resolvent point is a collision
-_BOTH = (Chirality.PLUS, Chirality.MINUS)  # the t = 0 pair's spectrum is their union
+
+# Largest work estimate ``check_grids`` accepts: over the t grid, the sum of
+# solves * levels * n for the first step at each t.  The criterion-12
+# dataset (25 t, 11 modes, 40 levels, n = 3999) is 4.4e7, so this is about
+# 23 times that; k_max = 100000 is 3.2e9 per t.
+MAX_WORK = 10**9
 
 
 class SpectralCollisionError(ValueError):
@@ -143,11 +149,20 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _queue_modes(pool: ThreadPoolExecutor, geom: NeckGeometry, params: SpectrumParams,
-                 chis: tuple[Chirality, ...]):
+def _chiralities(t: float) -> tuple[Chirality, ...]:
+    """The chiralities solved per mode: plus at t > 0, both at t = 0.
+
+    At t = 0 the pair's spectrum is their union on one cusp branch, so each
+    step of the cusp-depth search costs twice the solves of a neck.
+    """
+    return (Chirality.PLUS, Chirality.MINUS) if t == 0 else (Chirality.PLUS,)
+
+
+def _queue_modes(pool: ThreadPoolExecutor, geom: NeckGeometry, params: SpectrumParams):
     """Queue one solve per (k, chirality) on the geometry's grid; ``_collect_modes`` reads them."""
     grid = Grid.for_geometry(geom, n=params.n, h=params.h)
     keep = params.keep_vectors > 0
+    chis = _chiralities(geom.t)
 
     def solve(mode: ModeSpec):
         out = eigen_lowest(assemble_hamiltonian(geom, mode, grid), params.levels,
@@ -192,20 +207,43 @@ def _first_geometry(t: float, params: SpectrumParams) -> NeckGeometry:
     return NeckGeometry.neck(t) if t > 0 else NeckGeometry.cusp(_cusp_depth(params, 200.0))
 
 
-def check_grids(t_grid: Sequence[float], params: SpectrumParams) -> list[int]:
-    """Interior grid points of the first solve at each t, before any solve.
+def check_grids(t_grid: Sequence[float], params: SpectrumParams) -> list[tuple[int, int]]:
+    """The solves and interior grid points of the first step at each t, before any solve.
 
-    Raises ValueError where they are fewer than ``levels``.  The cusp-depth
-    search only deepens the cusp, which keeps ``n`` or, at a fixed ``h``,
-    adds points, so its first depth bounds every later one.
+    Raises ValueError unless the t are nonempty, finite, >= 0 and distinct,
+    where a t or ``h`` gives a grid too large to count or so fine that the
+    Hamiltonian's 2 / h^2 overflows (t above about 694), where ``levels``
+    exceeds a grid's points, and where the work estimate exceeds
+    ``MAX_WORK``.  The cusp-depth search only deepens the cusp, which keeps
+    ``n`` or, at a fixed ``h``, adds points, so its first depth bounds every
+    later one.
     """
-    points = []
-    for t in t_grid:
-        n = Grid.points_for(_first_geometry(t, params), n=params.n, h=params.h)
+    ts = list(t_grid)
+    if not ts:
+        raise ValueError("need at least one pinching parameter t")
+    plan = []
+    for t in ts:
+        if not 0.0 <= t < math.inf:  # nan fails this too
+            raise ValueError(f"pinching parameter t must be finite and >= 0, got {t!r}")
+        try:
+            geom = _first_geometry(t, params)
+            n = Grid.points_for(geom, n=params.n, h=params.h)
+            spacing = geom.length / (n + 1)
+            if not spacing * spacing > 2.0 / sys.float_info.max:
+                raise OverflowError(f"its spacing {spacing!r} overflows 2 / h^2")
+        except (ArithmeticError, ValueError) as exc:  # sinh(t / 2) or length / h overflows too
+            raise ValueError(f"no grid can be counted at t = {t!r}: {exc}") from exc
         if params.levels > n:
             raise ValueError(f"levels = {params.levels} exceeds the {n} grid points at t = {t!r}")
-        points.append(n)
-    return points
+        plan.append(((params.k_max + 1) * len(_chiralities(t)), n))
+    if len(set(ts)) != len(ts):
+        raise ValueError(f"pinching parameters must be distinct, got {ts!r}")
+    work = params.levels * sum(solves * n for solves, n in plan)
+    if work > MAX_WORK:
+        raise ValueError(f"work estimate {work} (the sum over t_grid of solves * levels * "
+                         f"grid points, with k_max + 1 solves at t > 0 and twice that "
+                         f"at t = 0) exceeds {MAX_WORK}")
+    return plan
 
 
 def _window(t: float, rho: np.ndarray, w: float) -> np.ndarray:
@@ -235,27 +273,24 @@ def check_windows(t_grid: Sequence[float], params: SpectrumParams,
                     raise ValueError(f"window |x| <= {w!r} contains no grid points at t = {t!r}")
 
 
-def _cusp_geometry(params: SpectrumParams, pool: ThreadPoolExecutor, first=None):
+def _cusp_geometry(params: SpectrumParams, pool: ThreadPoolExecutor):
     """Truncated cusp deep enough that V(rho_min) >= margin * sqrt(mu_max).
 
     V is that of the most permissive mode (k = 0, smallest V) and mu_max is
     the top of the ``levels`` solved for every mode and chirality; the
     domain is deepened until the requirement holds, and deepening only
     lowers eigenvalues, so the loop terminates.  Each depth's solves go to
-    ``pool``, the first depth's already queued as ``first`` where given; the
-    loop itself runs on the calling thread, so no worker waits on another.
-    Returns the geometry with the grid, eigenvalues and eigenvectors of its
-    last depth.
+    ``pool``; the loop itself runs on the calling thread, so no worker waits
+    on another.  Returns the geometry with the grid, eigenvalues and
+    eigenvectors of its last depth.
     """
     geom = _first_geometry(0.0, params)
-    queued = first if first is not None else _queue_modes(pool, geom, params, _BOTH)
     for _ in range(8):
-        grid, mu, vectors, mu_max = _collect_modes(params, queued)
+        grid, mu, vectors, mu_max = _collect_modes(params, _queue_modes(pool, geom, params))
         needed = _cusp_depth(params, mu_max)
         if geom.rho_min <= needed:
             return geom, grid, mu, vectors
         geom = NeckGeometry.cusp(needed - 0.5)
-        queued = _queue_modes(pool, geom, params, _BOTH)
     raise RuntimeError("cusp truncation depth did not stabilize")
 
 
@@ -267,33 +302,19 @@ def dirac_spectrum(t: float | Sequence[float], params: SpectrumParams) -> Spectr
     suffices; the mirror cusp at t = 0, where the pair's spectrum is the
     union of the plus and minus spectra on one cusp branch), so each row
     carries multiplicity 2 wherever counts or traces are formed.  Every
-    solve of every t runs on one pool of at most one thread per CPU; the
-    t = 0 search's first depth is queued ahead of the t > 0 solves, so that
-    its next depth overlaps them.
+    solve of every t runs on one pool of at most one thread per CPU;
+    ``check_grids`` refuses the t and parameters before any solve.
     """
     ts = [t] if np.ndim(t) == 0 else list(t)
-    if not ts:
-        raise ValueError("need at least one pinching parameter t")
-    for s in ts:
-        if not s >= 0:  # nan fails this too
-            raise ValueError(f"pinching parameter t must be >= 0, got {s!r}")
-    if len(set(ts)) != len(ts):
-        raise ValueError(f"pinching parameters must be distinct, got {ts!r}")
-    check_grids(ts, params)
-    necks = [s for s in ts if s > 0]
-    cusp = [s for s in ts if s == 0]  # at most one, as the t are distinct
-    jobs = (params.k_max + 1) * (len(necks) + 2 * len(cusp))
-    slabs = {}
+    jobs = sum(solves for solves, _ in check_grids(ts, params))
     with ThreadPoolExecutor(max_workers=min(jobs, _cpu_count())) as pool:
         try:
-            first = [_queue_modes(pool, _first_geometry(0.0, params), params, _BOTH)
-                     for _ in cusp]
-            queued = [_queue_modes(pool, NeckGeometry.neck(s), params, (Chirality.PLUS,))
-                      for s in necks]
-            for s, q in zip(cusp, first):
-                slabs[s] = _cusp_geometry(params, pool, q)[1:]
-            for s, q in zip(necks, queued):
-                slabs[s] = _collect_modes(params, q)[:3]
+            queued = {s: _queue_modes(pool, NeckGeometry.neck(s), params) for s in ts if s > 0}
+            # the necks are collected first, in the order they were queued,
+            # so a failed solve reaches the caller before the rest have run
+            slabs = {s: _collect_modes(params, q)[:3] for s, q in queued.items()}
+            if 0.0 in ts:
+                slabs[0.0] = _cusp_geometry(params, pool)[1:]
         except BaseException:
             pool.shutdown(cancel_futures=True)  # fail now, not after the rest of the grid
             raise

@@ -71,6 +71,24 @@ def test_usage_errors(capsys):
     assert code == EXIT_USAGE
     code, _, err = run(capsys, "nonsense")
     assert code == EXIT_USAGE
+    for command in ("spectrum", "trace", "symbols"):  # argparse refuses unknown subcommands
+        assert run(capsys, command, "bogus")[0] == EXIT_USAGE, command
+
+
+@pytest.mark.parametrize("argv", [
+    ("mapping-orders", "--orders", "x,1,0", "--section", "0,0"),
+    ("mapping-orders", "--orders", "1,1,0", "--section", "0,0,0"),
+    ("mapping-orders", "--orders", "1,1,0", "--section", "0,1/0"),
+    ("compose-orders", "--a", "1,1/0,0", "--b", "1,1,0"),
+    ("trace-expansion", "--alpha", "nan", "--beta", "0"),
+    ("trace-expansion", "--alpha", "1/0", "--beta", "0"),
+    ("trace-expansion", "--alpha", "-2", "--beta", "1,2")],
+    ids=["orders-not-rational", "section-three-parts", "section-zero-denominator",
+         "orders-zero-denominator", "alpha-nan", "alpha-zero-denominator", "beta-two-parts"])
+def test_symbols_reject_bad_rationals_as_usage_errors(capsys, argv):
+    code, out, err = run(capsys, "symbols", *argv)
+    assert (code, out) == (EXIT_USAGE, ""), err
+    assert err.startswith("usage error: expected ")
 
 
 # -- config -------------------------------------------------------------------
@@ -139,6 +157,20 @@ def test_bad_config_exit_code(capsys, tmp_path):
         cfg = write_config(tmp_path, **{key: value})
         for command in (("spectrum", "sweep"), ("trace", "compute")):
             assert run(capsys, *command, str(cfg))[0] == EXIT_CONFIG, (key, value)
+
+
+def test_empty_output_dir_is_a_config_error(monkeypatch, capsys, tmp_path):
+    # an empty output_dir would write the outputs into the working directory
+    monkeypatch.setattr(spectra, "eigen_lowest", lambda *a, **k: pytest.fail("solved"))
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ConfigError, match="output_dir"):
+        RunConfig.from_text("t_grid = 0.5\noutput_dir =\n")
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text("t_grid = 0.4,0.0\nk_max = 0\nlevels = 2\noutput_dir = \n", encoding="utf-8")
+    for command in (("spectrum", "sweep"), ("spectrum", "mass"), ("trace", "compute")):
+        code, _, err = run(capsys, *command, str(cfg))
+        assert code == EXIT_CONFIG and "output_dir" in err, (command, err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.cfg"]
 
 
 # -- spectrum / trace runs ------------------------------------------------------
@@ -243,7 +275,7 @@ def test_reruns_are_byte_identical(capsys, tmp_path):
 
 def test_work_bound_rejects_a_config_before_solving(monkeypatch, capsys, tmp_path):
     # the bound leaves room for ten criterion-12 datasets (25 t, 11 modes, 40 levels)
-    assert cli.MAX_WORK >= 10 * 25 * 11 * 40 * 3999
+    assert spectra.MAX_WORK >= 10 * 25 * 11 * 40 * 3999
     RunConfig.from_text("t_grid = " + ",".join(str(0.02 * i) for i in range(25, 0, -1))
                         + "\nk_max = 10\nlevels = 40\n")
     monkeypatch.setattr(spectra, "eigen_lowest", lambda *a, **k: pytest.fail("solved"))

@@ -3,6 +3,7 @@
 import ctypes
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from cusplab.cli import EXIT_CONFIG, EXIT_RUNTIME, RunConfig, main
+from cusplab.cli import EXIT_CONFIG, EXIT_RUNTIME, ConfigError, RunConfig, main
 from cusplab.dirac_lab import solver, spectra
 from cusplab.dirac_lab import (
     Chirality,
@@ -546,10 +547,10 @@ def test_pooled_grid_matches_one_t_per_call(monkeypatch, keep_vectors):
     assert len({rho for t, rho in depths if t == 0}) >= 2  # two cusp-depth steps or more
 
 
-def test_cusp_search_is_queued_ahead_of_the_necks_and_one_cpu_finishes(monkeypatch):
-    # one worker runs the jobs in the order they were queued: the search's
-    # first step, then each t > 0, then the next step, which the search
-    # queues from the calling thread, so no worker waits on another
+def test_necks_are_queued_ahead_of_the_cusp_search_and_one_cpu_finishes(monkeypatch):
+    # one worker runs the jobs in the order they were queued: each t > 0,
+    # then the search's steps, which it queues from the calling thread, so
+    # no worker waits on another
     params = _pool_params(0)
     order, assemble = [], spectra.assemble_hamiltonian
 
@@ -566,9 +567,8 @@ def test_cusp_search_is_queued_ahead_of_the_necks_and_one_cpu_finishes(monkeypat
     worker.join(timeout=120)
     assert done, "one CPU did not finish the pooled grid"
     modes = params.k_max + 1
-    assert order[: 2 * modes] == [0.0] * 2 * modes
-    assert order[2 * modes: 4 * modes] == [0.4] * modes + [0.2] * modes
-    assert order[4 * modes:] == [0.0] * (len(order) - 4 * modes) and len(order) > 4 * modes
+    assert order[: 2 * modes] == [0.4] * modes + [0.2] * modes
+    assert order[2 * modes:] == [0.0] * (len(order) - 2 * modes) and len(order) > 4 * modes
 
 
 def test_a_failed_solve_cancels_the_queued_ones(monkeypatch):
@@ -602,6 +602,27 @@ def test_bad_t_values_fail_before_any_solve(monkeypatch, ts):
     assert calls == []
 
 
+@pytest.mark.parametrize("grid, keys, named", [
+    ("-0.5", {}, "-0.5"), ("0.4,nan", {}, "nan"), ("inf", {}, "inf"), ("2000.0", {}, "2000.0"),
+    ("0.4,0.4,0.0", {}, "0.4"),
+    # a neck of length 4e-217: the Hamiltonian's 2 / h^2 overflows
+    ("0.5,1000.0", {}, "1000.0"),
+    # 2 * 2000 solves * 100 levels * 3999 points at t = 0; 8.0e8 at t = 0.5 passes
+    ("0.0", dict(k_max=1999, levels=100), "work estimate 1599600000 ")],
+    ids=["negative", "nan", "inf", "2000", "repeated", "1000", "over-max-work"])
+def test_config_and_library_refuse_the_same_runs_before_solving(monkeypatch, grid, keys, named):
+    # check_grids is the one owner of the t rules and the work bound: the
+    # config and the library refuse the same runs, before any solve
+    calls = []
+    monkeypatch.setattr(spectra, "eigen_lowest", lambda *a, **k: calls.append(a))
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        RunConfig.from_text(f"t_grid = {grid}\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()))
+    ts = [float(x) for x in grid.split(",")]
+    with pytest.raises(ValueError, match=re.escape(named)):
+        dirac_spectrum(ts[0] if len(ts) == 1 else ts, SpectrumParams(**keys))
+    assert calls == []
+
+
 def test_levels_above_the_grid_fail_before_any_solve(monkeypatch, capsys, tmp_path):
     calls = []
     monkeypatch.setattr(spectra, "eigen_lowest", lambda *a, **k: calls.append(a))
@@ -611,7 +632,9 @@ def test_levels_above_the_grid_fail_before_any_solve(monkeypatch, capsys, tmp_pa
         dirac_spectrum(0.0, SpectrumParams(levels=101, n=100))
     # h = 0.05: t = 0.01 has 239 interior points, the first cusp depth 158,
     # so the sweep must refuse before it solves t = 0.01
-    assert spectra.check_grids([0.01, 0.0], SpectrumParams(levels=158, h=0.05)) == [239, 158]
+    # (k_max = 2: three solves at t > 0, six for a cusp-depth step)
+    assert spectra.check_grids([0.01, 0.0], SpectrumParams(levels=158, h=0.05)) == [(3, 239),
+                                                                                   (6, 158)]
     with pytest.raises(ValueError, match="158 grid points at t = 0.0"):
         spectral_sweep([0.01, 0.0], SpectrumParams(levels=159, h=0.05))
     with pytest.raises(ValueError, match="levels >= 2"):  # the tail model needs two
