@@ -176,16 +176,6 @@ def _write(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8", newline="\n")
 
 
-def _write_manifest(outdir: Path, config: RunConfig, outputs: list[str]) -> None:
-    manifest = {
-        "tool": "cusplab",
-        "version": __version__,
-        "config": config.to_text(),
-        "outputs": sorted(outputs),
-    }
-    _write(outdir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # symbols subcommands
 # ---------------------------------------------------------------------------
@@ -236,16 +226,17 @@ def cmd_symbols(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# spectrum subcommands
+# spectrum and trace subcommands: checks, one solve, one data file
 # ---------------------------------------------------------------------------
 
 
-def _sorted_descending(config: RunConfig) -> list[float]:
-    return sorted(config.t_grid, reverse=True)
+def _solve(config: RunConfig, keep_vectors: int = 0) -> SpectrumTable:
+    """The spectra at every t of ``config`` from one ``dirac_spectrum`` call, which pools them.
 
-
-def _solve(ts: list[float], params: SpectrumParams) -> SpectrumTable:
-    """The spectra at every t of ``ts`` from one ``dirac_spectrum`` call, which pools the solves."""
+    The progress line, with the solve counts of ``check_grids``, goes first.
+    """
+    ts = sorted(config.t_grid, reverse=True)
+    params = dataclasses.replace(config.params, keep_vectors=keep_vectors)
     solves = {t: s for t, (s, _) in zip(ts, check_grids(ts, params))}
     more = f", plus {solves[0.0]} per further cusp-depth step" if 0.0 in solves else ""
     print(f"solving {len(ts)} values of t: {sum(solves.values())} mode solves{more}",
@@ -253,56 +244,46 @@ def _solve(ts: list[float], params: SpectrumParams) -> SpectrumTable:
     return dirac_spectrum(ts, params)
 
 
-def cmd_spectrum(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    if args.spectrum_cmd == "mass":
-        if any(b <= 0 for _, b in config.windows):
-            raise ConfigError("spectrum mass needs every window's upper end b > 0")
-        try:
-            check_windows(config.t_grid, config.params, [b for _, b in config.windows])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+def _csv(header: str, rows) -> str:
+    return "\n".join([header, *rows]) + "\n"
+
+
+def _write_outputs(config: RunConfig, name: str, text: str) -> int:
+    """Write the data file ``name``, then the manifest that names it."""
     outdir = Path(config.output_dir)
-    ts = _sorted_descending(config)
-    keep = 1 if args.spectrum_cmd == "mass" else 0  # mass reads the lowest level's vector
-    table = _solve(ts, dataclasses.replace(config.params, keep_vectors=keep))
-    outputs: list[str] = []
-    if args.spectrum_cmd == "sweep":
-        rows_text = ["t,k,j,mu,lambda"]
-        for r in table.rows:
-            rows_text.append(f"{_fmt(r.t)},{r.k},{r.j},{_fmt(r.mu)},{_fmt(r.lam)}")
-        _write(outdir / "spectrum.csv", "\n".join(rows_text) + "\n")
-        outputs.append("spectrum.csv")
-    elif args.spectrum_cmd == "count":
-        lines = ["t,a,b,count"]
-        for t in ts:
-            for a, b in config.windows:
-                lines.append(f"{_fmt(t)},{_fmt(a)},{_fmt(b)},{table.eigen_count(a, b, t)}")
-        _write(outdir / "counts.csv", "\n".join(lines) + "\n")
-        outputs.append("counts.csv")
-    else:
-        lines = ["t,j,window,fraction"]
-        for t in ts:
-            low = table.lowest(t)
-            handle = table.vector(t, low.k, low.j)
-            for _, b in config.windows:
-                lines.append(f"{_fmt(t)},{low.j},{_fmt(b)},{_fmt(neck_mass(t, handle, b))}")
-        _write(outdir / "mass.csv", "\n".join(lines) + "\n")
-        outputs.append("mass.csv")
-    _write_manifest(outdir, config, outputs)
+    _write(outdir / name, text)
+    manifest = {"tool": "cusplab", "version": __version__, "config": config.to_text(),
+                "outputs": [name]}
+    _write(outdir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# trace subcommands
-# ---------------------------------------------------------------------------
-
-
-def _trace_values(config: RunConfig, ts: list[float]) -> list[tuple[float, float]]:
-    table = _solve(ts, config.params)
-    return [(t, relative_resolvent_trace(t, config.lam, config.lam0, config.params,
-                                         table=table).value)
-            for t in ts]
+def cmd_spectrum(args: argparse.Namespace) -> int:
+    config = _load_config(args.config)
+    if args.spectrum_cmd == "sweep":
+        table = _solve(config)
+        return _write_outputs(config, "spectrum.csv", _csv("t,k,j,mu,lambda", (
+            f"{_fmt(r.t)},{r.k},{r.j},{_fmt(r.mu)},{_fmt(r.lam)}" for r in table.rows)))
+    if args.spectrum_cmd == "count":
+        table = _solve(config)
+        return _write_outputs(config, "counts.csv", _csv("t,a,b,count", (
+            f"{_fmt(t)},{_fmt(a)},{_fmt(b)},{table.eigen_count(a, b, t)}"
+            for t in table.mu for a, b in config.windows)))
+    # mass, the one name left: argparse refuses any other
+    if any(b <= 0 for _, b in config.windows):
+        raise ConfigError("spectrum mass needs every window's upper end b > 0")
+    try:
+        check_windows(config.t_grid, config.params, [b for _, b in config.windows])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    table = _solve(config, keep_vectors=1)  # mass reads the lowest level's vector
+    rows = []
+    for t in table.mu:
+        low = table.lowest(t)
+        handle = table.vector(t, low.k, low.j)
+        rows += [f"{_fmt(t)},{low.j},{_fmt(b)},{_fmt(neck_mass(t, handle, b))}"
+                 for _, b in config.windows]
+    return _write_outputs(config, "mass.csv", _csv("t,j,window,fraction", rows))
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
@@ -317,37 +298,22 @@ def cmd_trace(args: argparse.Namespace) -> int:
             raise ConfigError("trace fit requires a t_grid without 0")
         if len(config.t_grid) < logb.min_samples:
             raise ConfigError(f"trace fit needs at least {logb.min_samples} values of t")
-    outdir = Path(config.output_dir)
-    ts = _sorted_descending(config)
-    outputs: list[str] = []
-    values = _trace_values(config, ts)
+    table = _solve(config)
+    ts = list(table.mu)
+    gs = [relative_resolvent_trace(t, config.lam, config.lam0, config.params, table=table).value
+          for t in ts]
     if args.trace_cmd == "compute":
-        lines = ["t,g"] + [f"{_fmt(t)},{_fmt(g)}" for t, g in values]
-        _write(outdir / "trace.csv", "\n".join(lines) + "\n")
-        outputs.append("trace.csv")
-    else:
-        tvals = [t for t, _ in values]
-        gvals = [g for _, g in values]
-        comparison = compare_models(tvals, gvals, smooth, logb)
-        payload = {
-            "smooth": {
-                "monomials": [[_num(z), k] for z, k in smooth.monomials],
-                "coefficients": list(comparison.smooth.coefficients),
-                "rms_residual": comparison.smooth.rms_residual,
-                "condition_estimate": comparison.smooth.condition_estimate,
-            },
-            "log": {
-                "monomials": [[_num(z), k] for z, k in logb.monomials],
-                "coefficients": list(comparison.log.coefficients),
-                "rms_residual": comparison.log.rms_residual,
-                "condition_estimate": comparison.log.condition_estimate,
-            },
-            "ratio": comparison.ratio,
-        }
-        _write(outdir / "fit.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        outputs.append("fit.json")
-    _write_manifest(outdir, config, outputs)
-    return EXIT_OK
+        return _write_outputs(config, "trace.csv",
+                              _csv("t,g", (f"{_fmt(t)},{_fmt(g)}" for t, g in zip(ts, gs))))
+    comparison = compare_models(ts, gs, smooth, logb)
+    payload = {key: {"monomials": [[_num(z), k] for z, k in basis.monomials],
+                     "coefficients": list(fit.coefficients),
+                     "rms_residual": fit.rms_residual,
+                     "condition_estimate": fit.condition_estimate}
+               for key, basis, fit in (("smooth", smooth, comparison.smooth),
+                                       ("log", logb, comparison.log))}
+    payload["ratio"] = comparison.ratio
+    return _write_outputs(config, "fit.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------

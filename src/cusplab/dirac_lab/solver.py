@@ -281,10 +281,9 @@ def convergence_order(
     mode: ModeSpec,
     grid: Grid,
     grid_half: Grid,
-    level: int = 0,
     potential_override: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> float:
-    """Observed discretization order of one eigenvalue from nested grids.
+    """Observed discretization order of the lowest eigenvalue from nested grids.
 
     Richardson-style estimate log2(|mu_h - mu_ref| / |mu_h/2 - mu_ref|)
     against a reference at spacing h/8.
@@ -296,7 +295,7 @@ def convergence_order(
 
     def mu(g: Grid) -> float:
         T = assemble_hamiltonian(geom, mode, g, potential_override)
-        return float(eigen_lowest(T, level + 1)[level])
+        return float(eigen_lowest(T, 1)[0])
 
     reference = grid.halved().halved().halved()
     mu_ref = mu(reference)

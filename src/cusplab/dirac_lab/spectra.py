@@ -22,6 +22,13 @@ COLLISION_TOL = 1e-9  # an eigenvalue this close to a resolvent point is a colli
 # 23 times that; k_max = 100000 is 3.2e9 per t.
 MAX_WORK = 10**9
 
+# Finest grid spacing the solver resolves.  LAPACK's dstebz multiplies
+# neighbouring diagonal entries, about 2 / h^2 each; below this h the product
+# overflows, dstebz splits the matrix into 1 x 1 blocks and returns its
+# diagonal as the eigenvalues.  Squaring the off-diagonal -1 / h^2 overflows
+# at a spacing sqrt(2) finer, where dstebz fails outright.
+MIN_SPACING = (4.0 / sys.float_info.max) ** 0.25
+
 
 class SpectralCollisionError(ValueError):
     """A resolvent point fell on (or numerically too close to) an eigenvalue."""
@@ -159,19 +166,18 @@ def _chiralities(t: float) -> tuple[Chirality, ...]:
 
 
 def _queue_modes(pool: ThreadPoolExecutor, geom: NeckGeometry, params: SpectrumParams):
-    """Queue one solve per (k, chirality) on the geometry's grid; ``_collect_modes`` reads them."""
+    """Queue the geometry's solves on its grid: one list of futures per k, one per chirality."""
     grid = Grid.for_geometry(geom, n=params.n, h=params.h)
-    keep = params.keep_vectors > 0
-    chis = _chiralities(geom.t)
+    keep = params.keep_vectors
 
     def solve(mode: ModeSpec):
         out = eigen_lowest(assemble_hamiltonian(geom, mode, grid), params.levels,
-                           vectors=keep, h=grid.h)
+                           vectors=keep > 0, h=grid.h)
         # a mode's j lowest levels over chis are among each solve's j lowest
-        return (out[0], [v.copy() for v in out[1][:, : params.keep_vectors].T]) if keep else out
+        return (out[0], [v.copy() for v in out[1][:, :keep].T]) if keep else (out, [])
 
-    jobs = [pool.submit(solve, ModeSpec(k, chi)) for k in range(params.k_max + 1) for chi in chis]
-    return grid, len(chis), jobs
+    return grid, [[pool.submit(solve, ModeSpec(k, chi)) for chi in _chiralities(geom.t)]
+                  for k in range(params.k_max + 1)]
 
 
 def _collect_modes(params: SpectrumParams, queued):
@@ -181,14 +187,12 @@ def _collect_modes(params: SpectrumParams, queued):
     (k_max + 1, levels) array, the kept eigenvectors keyed by (k, j), and the
     largest eigenvalue any one solve returned.
     """
-    grid, per_mode, jobs = queued
-    solved = [job.result() for job in jobs]
-    keep = params.keep_vectors > 0
+    grid, modes = queued
     mu = np.empty((params.k_max + 1, params.levels))
     vectors, mu_max = {}, 0.0
-    for k in range(params.k_max + 1):
-        parts = solved[k * per_mode: (k + 1) * per_mode]
-        mu_k = np.concatenate([w for w, _ in parts] if keep else parts)
+    for k, jobs in enumerate(modes):
+        parts = [job.result() for job in jobs]
+        mu_k = np.concatenate([w for w, _ in parts])
         order = np.argsort(mu_k, kind="stable")[: params.levels]
         mu[k], mu_max = mu_k[order], max(mu_max, float(mu_k.max()))
         for j, i in enumerate(order[: params.keep_vectors], start=1):
@@ -211,9 +215,9 @@ def check_grids(t_grid: Sequence[float], params: SpectrumParams) -> list[tuple[i
     """The solves and interior grid points of the first step at each t, before any solve.
 
     Raises ValueError unless the t are nonempty, finite, >= 0 and distinct,
-    where a t or ``h`` gives a grid too large to count or so fine that the
-    Hamiltonian's 2 / h^2 overflows (t above about 694), where ``levels``
-    exceeds a grid's points, and where the work estimate exceeds
+    where a t or ``h`` gives a grid too large to count or a spacing below
+    ``MIN_SPACING`` (t above 340.3827 at the default spacing), where
+    ``levels`` exceeds a grid's points, and where the work estimate exceeds
     ``MAX_WORK``.  The cusp-depth search only deepens the cusp, which keeps
     ``n`` or, at a fixed ``h``, adds points, so its first depth bounds every
     later one.
@@ -228,11 +232,12 @@ def check_grids(t_grid: Sequence[float], params: SpectrumParams) -> list[tuple[i
         try:
             geom = _first_geometry(t, params)
             n = Grid.points_for(geom, n=params.n, h=params.h)
-            spacing = geom.length / (n + 1)
-            if not spacing * spacing > 2.0 / sys.float_info.max:
-                raise OverflowError(f"its spacing {spacing!r} overflows 2 / h^2")
-        except (ArithmeticError, ValueError) as exc:  # sinh(t / 2) or length / h overflows too
+        except (ArithmeticError, ValueError) as exc:  # sinh(t / 2) or length / h overflows
             raise ValueError(f"no grid can be counted at t = {t!r}: {exc}") from exc
+        spacing = geom.length / (n + 1)
+        if not spacing >= MIN_SPACING:
+            raise ValueError(f"the grid spacing {spacing!r} at t = {t!r} is below "
+                             f"{MIN_SPACING!r}, where the solver's (2 / h^2)^2 overflows")
         if params.levels > n:
             raise ValueError(f"levels = {params.levels} exceeds the {n} grid points at t = {t!r}")
         plan.append(((params.k_max + 1) * len(_chiralities(t)), n))

@@ -163,14 +163,14 @@ def build_fixture() -> SurgeryFixture:
     )
 
 
-def kernel_index_family(o: OpOrders, fixture: SurgeryFixture | None = None) -> IndexFamily:
+def kernel_index_family(o: OpOrders) -> IndexFamily:
     """Index family of the kernel of an operator with orders o on the double space.
 
     The kernel carries ``-(alpha + 2) + N`` at the cusp front face (the -2 is
     the density convention), ``-beta + N`` at the temporal boundary, and the
     empty set at every other face.
     """
-    fx = fixture or build_fixture()
+    fx = build_fixture()
     return IndexFamily.on(fx.X2, {
         "ff_c": IndexSet.shifted(-o.alpha - 2),
         "tb": IndexSet.shifted(-o.beta),
@@ -189,11 +189,7 @@ class MappingStages:
     result: tuple[Fraction, Fraction]
 
 
-def mapping_stages(
-    o: OpOrders,
-    section: tuple[RationalLike, RationalLike],
-    fixture: SurgeryFixture | None = None,
-) -> MappingStages:
+def mapping_stages(o: OpOrders, section: tuple[RationalLike, RationalLike]) -> MappingStages:
     """Run the full polyhomogeneous pipeline for applying an operator.
 
     Pull the section's index family back through the second projection,
@@ -201,14 +197,14 @@ def mapping_stages(
     push forward through the first projection, and strip the reference
     density's front-face factor.
     """
-    fx = fixture or build_fixture()
+    fx = build_fixture()
     a_p, b_p = _frac(section[0]), _frac(section[1])
     fam_section = IndexFamily.on(fx.X1, {
         "ff": IndexSet.shifted(a_p),
         "tf": IndexSet.shifted(b_p),
     })
     pulled = pullback_family(fx.pi2_2, fam_section)
-    kernel = kernel_index_family(o, fx)
+    kernel = kernel_index_family(o)
     product = IndexFamily.on(fx.X2, {
         f.label: sum_sets(pulled.get(f), kernel.get(f)) for f in fx.X2.faces
     })
@@ -220,13 +216,10 @@ def mapping_stages(
                          (lead_ff, lead_tf))
 
 
-def mapping_orders(
-    o: OpOrders,
-    section: tuple[RationalLike, RationalLike],
-    fixture: SurgeryFixture | None = None,
-) -> tuple[Fraction, Fraction]:
+def mapping_orders(o: OpOrders,
+                   section: tuple[RationalLike, RationalLike]) -> tuple[Fraction, Fraction]:
     """Leading (front-face, temporal) orders of the operator applied to a section."""
-    return mapping_stages(o, section, fixture).result
+    return mapping_stages(o, section).result
 
 
 @dataclass(frozen=True)
@@ -243,20 +236,16 @@ class CompositionStages:
     result: OpOrders
 
 
-def composition_stages(
-    o1: OpOrders,
-    o2: OpOrders,
-    fixture: SurgeryFixture | None = None,
-) -> CompositionStages:
+def composition_stages(o1: OpOrders, o2: OpOrders) -> CompositionStages:
     """Run the triple-space pipeline for composing two operators.
 
     Both kernel families are pulled back to the triple space, multiplied,
     augmented by the lifted b-density exponents, pushed forward through the
     outer projection, and renormalized by the double-space density.
     """
-    fx = fixture or build_fixture()
-    pulled_12 = pullback_family(fx.pi3_12, kernel_index_family(o1, fx))
-    pulled_23 = pullback_family(fx.pi3_23, kernel_index_family(o2, fx))
+    fx = build_fixture()
+    pulled_12 = pullback_family(fx.pi3_12, kernel_index_family(o1))
+    pulled_23 = pullback_family(fx.pi3_23, kernel_index_family(o2))
     product = IndexFamily.on(fx.X3, {
         f.label: sum_sets(pulled_12.get(f), pulled_23.get(f)) for f in fx.X3.faces
     })
@@ -277,13 +266,9 @@ def composition_stages(
                              contributors, pushed, normalized, result)
 
 
-def composition_orders(
-    o1: OpOrders,
-    o2: OpOrders,
-    fixture: SurgeryFixture | None = None,
-) -> OpOrders:
+def composition_orders(o1: OpOrders, o2: OpOrders) -> OpOrders:
     """Orders of the composed operator; conormal orders add at symbol level."""
-    return composition_stages(o1, o2, fixture).result
+    return composition_stages(o1, o2).result
 
 
 @lru_cache(maxsize=1)
@@ -330,9 +315,9 @@ def trace_expansion_terms(
     return sorted([(-a, 0), (-b, 0)])
 
 
-def verify_fixture(fixture: SurgeryFixture | None = None) -> list[tuple[str, bool]]:
+def verify_fixture() -> list[tuple[str, bool]]:
     """Run the fixture's structural invariants; returns (name, passed) pairs."""
-    fx = fixture or build_fixture()
+    fx = build_fixture()
     checks: list[tuple[str, bool]] = []
 
     pinned_pi2_1 = {
@@ -394,11 +379,11 @@ def verify_fixture(fixture: SurgeryFixture | None = None) -> list[tuple[str, boo
                    fx.omega_ff_exponent == 1))
     checks.append((
         "mapping pipeline reproduces the closed formula on a sample",
-        mapping_orders(OpOrders(1, 1, 0), (0, 0), fx) == (Fraction(-1), Fraction(0)),
+        mapping_orders(OpOrders(1, 1, 0), (0, 0)) == (Fraction(-1), Fraction(0)),
     ))
     checks.append((
         "composition pipeline reproduces order addition on a sample",
-        composition_orders(OpOrders(-1, -1, 0), OpOrders(-1, -1, 0), fx)
+        composition_orders(OpOrders(-1, -1, 0), OpOrders(-1, -1, 0))
         == OpOrders(-2, -2, 0),
     ))
     return checks

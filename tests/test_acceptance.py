@@ -188,7 +188,6 @@ def test_criterion_02_trace_dichotomy():
 
 
 def test_criterion_03_mapping_property():
-    fx = build_fixture()
     rng = random.Random(303)
     for _ in range(100):
         o = OpOrders(Fraction(rng.randint(-12, 12), rng.choice([1, 2, 3, 4])),
@@ -196,7 +195,7 @@ def test_criterion_03_mapping_property():
                      Fraction(rng.randint(-12, 12), rng.choice([1, 2, 3, 4])))
         ap = Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3]))
         bp = Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3]))
-        assert mapping_orders(o, (ap, bp), fx) == (-o.alpha + ap, -o.beta + bp)
+        assert mapping_orders(o, (ap, bp)) == (-o.alpha + ap, -o.beta + bp)
     report(3, True, "pipeline equals (-alpha+alpha', -beta+beta') on 100 random tuples")
 
 
@@ -207,9 +206,9 @@ def test_criterion_04_composition_orders():
         def q():
             return Fraction(rng.randint(-12, 12), rng.choice([1, 2, 3, 4]))
         o1, o2 = OpOrders(q(), q(), q()), OpOrders(q(), q(), q())
-        got = composition_orders(o1, o2, fx)
+        got = composition_orders(o1, o2)
         assert got == OpOrders(o1.m + o2.m, o1.alpha + o2.alpha, o1.beta + o2.beta)
-    stages = composition_stages(OpOrders(0, 0, 0), OpOrders(0, 0, 0), fx)
+    stages = composition_stages(OpOrders(0, 0, 0), OpOrders(0, 0, 0))
     labels_empty = sorted(G.label for G, E in stages.ffc_contributors if E.is_empty)
     labels_full = [G.label for G, E in stages.ffc_contributors if not E.is_empty]
     assert labels_full == ["fff_c"] and labels_empty == ["C2", "T2"]
@@ -250,7 +249,7 @@ def test_criterion_06_b_normality_examples_and_fixtures():
     for bm in (fx.pi2_1, fx.pi3_12, fx.pi3_23, fx.pi3_13):
         assert is_b_fibration(bm)
         assert all(v in (0, 1) for _, v in bm.e)
-    failures = [name for name, ok in verify_fixture(fx) if not ok]
+    failures = [name for name, ok in verify_fixture() if not ok]
     report(6, failures == [], "reference b-normality examples classify correctly; "
                               "all fixture projections are {0,1} b-fibrations")
 

@@ -21,6 +21,7 @@ from cusplab.cli import (
     main,
 )
 from cusplab.dirac_lab import NonConvergenceError, spectra
+from test_acceptance import GOLDEN_DIR, TRACE_CONFIG_TEMPLATE
 
 
 def run(capsys, *argv):
@@ -217,6 +218,43 @@ def test_trace_compute_and_fit(capsys, tmp_path):
     assert set(fit) == {"smooth", "log", "ratio"}
     assert len(fit["smooth"]["coefficients"]) == 3
     assert len(fit["log"]["coefficients"]) == 4
+
+
+def test_trace_fit_matches_the_golden_fit(capsys, tmp_path):
+    # the golden fit.json is the criterion-13 trace config's fit before the
+    # commands shared one writer.  The traces it fits are held to 1e-11 of the
+    # golden trace.csv and neither condition estimate exceeds 1.9e3, so a
+    # fitted float that moves by 1e-6 is a changed fit, not rounding.
+    cfg = tmp_path / "trace.cfg"
+    cfg.write_text(TRACE_CONFIG_TEMPLATE.format(outdir=tmp_path / "out"), encoding="utf-8")
+    assert run(capsys, "trace", "fit", str(cfg))[0] == EXIT_OK
+    got = json.loads((tmp_path / "out" / "fit.json").read_text())
+    want = json.loads((GOLDEN_DIR / "fit.json").read_text())
+    assert sorted(got) == sorted(want) == ["log", "ratio", "smooth"]
+    pairs = [(got["ratio"], want["ratio"])]
+    for key in ("smooth", "log"):
+        assert sorted(got[key]) == sorted(want[key])
+        assert got[key]["monomials"] == want[key]["monomials"]
+        assert got[key]["condition_estimate"] <= 1.9e3
+        pairs += [(got[key][name], want[key][name])
+                  for name in ("rms_residual", "condition_estimate")]
+        pairs += zip(got[key]["coefficients"], want[key]["coefficients"], strict=True)
+    for g, w in pairs:
+        assert abs(g - w) <= 1e-6 * max(1.0, abs(w)), (g, w)
+
+
+@pytest.mark.parametrize("command, name", [
+    (("spectrum", "sweep"), "spectrum.csv"), (("spectrum", "count"), "counts.csv"),
+    (("spectrum", "mass"), "mass.csv"), (("trace", "compute"), "trace.csv"),
+    (("trace", "fit"), "fit.json")], ids=["sweep", "count", "mass", "compute", "fit"])
+def test_each_command_writes_its_file_and_a_manifest_naming_it(capsys, tmp_path, command, name):
+    cfg = write_config(tmp_path, t_grid="0.5,0.3,0.2,0.1,0.05,0.02")
+    assert run(capsys, *command, str(cfg))[0] == EXIT_OK
+    out = tmp_path / "out"
+    assert sorted(p.name for p in out.iterdir()) == sorted([name, "manifest.json"])
+    assert json.loads((out / "manifest.json").read_text()) == {
+        "tool": "cusplab", "version": cusplab.__version__,
+        "config": RunConfig.from_text(cfg.read_text()).to_text(), "outputs": [name]}
 
 
 def test_trace_identical_lambdas_gives_zero_column(capsys, tmp_path):

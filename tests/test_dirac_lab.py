@@ -605,11 +605,13 @@ def test_bad_t_values_fail_before_any_solve(monkeypatch, ts):
 @pytest.mark.parametrize("grid, keys, named", [
     ("-0.5", {}, "-0.5"), ("0.4,nan", {}, "nan"), ("inf", {}, "inf"), ("2000.0", {}, "2000.0"),
     ("0.4,0.4,0.0", {}, "0.4"),
-    # a neck of length 4e-217: the Hamiltonian's 2 / h^2 overflows
+    # a neck of length 4e-217: its spacing is far below MIN_SPACING
     ("0.5,1000.0", {}, "1000.0"),
+    # spacing 8.5e-78, below MIN_SPACING: dstebz fails on the overflow of (1 / h^2)^2
+    ("0.5,341.1", {}, "341.1"),
     # 2 * 2000 solves * 100 levels * 3999 points at t = 0; 8.0e8 at t = 0.5 passes
     ("0.0", dict(k_max=1999, levels=100), "work estimate 1599600000 ")],
-    ids=["negative", "nan", "inf", "2000", "repeated", "1000", "over-max-work"])
+    ids=["negative", "nan", "inf", "2000", "repeated", "1000", "341.1", "over-max-work"])
 def test_config_and_library_refuse_the_same_runs_before_solving(monkeypatch, grid, keys, named):
     # check_grids is the one owner of the t rules and the work bound: the
     # config and the library refuse the same runs, before any solve
@@ -621,6 +623,33 @@ def test_config_and_library_refuse_the_same_runs_before_solving(monkeypatch, gri
     with pytest.raises(ValueError, match=re.escape(named)):
         dirac_spectrum(ts[0] if len(ts) == 1 else ts, SpectrumParams(**keys))
     assert calls == []
+
+
+def test_the_spacing_rule_admits_what_the_solver_resolves(capsys, tmp_path):
+    # at the default spacing dstebz resolves t = 340.0 (h = 1.3e-77), returns
+    # the diagonal 2 / h^2 at t = 341.0 (h = 9.0e-78) and fails at t = 341.1
+    # (h = 8.5e-78); with n = 100, t = 341.1 solves: the rule is on h, not t
+    assert spectra.MIN_SPACING == pytest.approx(1.2213e-77, rel=1e-4)
+
+    def lowest_two(t):
+        geom = NeckGeometry.neck(t)
+        return eigen_lowest(assemble_hamiltonian(geom, ModeSpec(0), Grid.for_geometry(geom)), 2)
+
+    for t, params in ((340.0, SpectrumParams(k_max=0, levels=2)),
+                      (341.1, SpectrumParams(k_max=0, levels=2, n=100))):
+        pi_over_length = math.pi / NeckGeometry.neck(t).length
+        assert dirac_spectrum(t, params).mu[t][0, 0] == pytest.approx(pi_over_length**2, rel=1e-3)
+    h = NeckGeometry.neck(341.0).length / 4000
+    assert lowest_two(341.0) == pytest.approx([2 / h**2] * 2, rel=1e-6)  # 3.2e6 (pi / L)^2
+    with pytest.raises(NonConvergenceError):
+        lowest_two(341.1)
+    cfg = tmp_path / "run.cfg"
+    for t in ("341.0", "341.1"):
+        with pytest.raises(ValueError, match=re.escape(f"t = {t}")):
+            dirac_spectrum(float(t), SpectrumParams(k_max=0, levels=2))
+        cfg.write_text(f"t_grid = {t}\nk_max = 0\nlevels = 2\noutput_dir = {tmp_path}\n")
+        assert main(["spectrum", "sweep", str(cfg)]) == EXIT_CONFIG
+        assert f"t = {t}" in capsys.readouterr().err
 
 
 def test_levels_above_the_grid_fail_before_any_solve(monkeypatch, capsys, tmp_path):

@@ -42,8 +42,8 @@ def rand_orders(rng) -> OpOrders:
 # -- fixture invariants -------------------------------------------------------
 
 
-def test_fixture_passes_all_invariants(fx):
-    failures = [name for name, ok in verify_fixture(fx) if not ok]
+def test_fixture_passes_all_invariants():
+    failures = [name for name, ok in verify_fixture() if not ok]
     assert failures == []
 
 
@@ -109,13 +109,13 @@ def test_triple_projection_rows_follow_the_forgotten_factor(fx):
 
 
 def test_kernel_index_family_examples(fx):
-    dirac = kernel_index_family(OpOrders(1, 1, 0), fx)
+    dirac = kernel_index_family(OpOrders(1, 1, 0))
     assert dirac.get(fx.X2.face("ff_c")) == IndexSet.shifted(-3)
     assert dirac.get(fx.X2.face("tb")) == IndexSet.naturals()
-    resolvent = kernel_index_family(OpOrders(-1, -1, 0), fx)
+    resolvent = kernel_index_family(OpOrders(-1, -1, 0))
     assert resolvent.get(fx.X2.face("ff_c")) == IndexSet.shifted(-1)
     assert resolvent.get(fx.X2.face("tb")) == IndexSet.naturals()
-    cancel = kernel_index_family(OpOrders(0, -2, 0), fx)
+    cancel = kernel_index_family(OpOrders(0, -2, 0))
     assert cancel.get(fx.X2.face("ff_c")) == IndexSet.naturals()
     for label in ("ff_b", "Br1", "Br2"):
         assert dirac.get(fx.X2.face(label)).is_empty
@@ -124,24 +124,24 @@ def test_kernel_index_family_examples(fx):
 # -- mapping property ---------------------------------------------------------
 
 
-def test_mapping_orders_examples(fx):
-    assert mapping_orders(OpOrders(1, 1, 0), (0, 0), fx) == (-1, 0)
-    assert mapping_orders(OpOrders(0, 0, 0), (Fraction(7, 3), -2), fx) == \
+def test_mapping_orders_examples():
+    assert mapping_orders(OpOrders(1, 1, 0), (0, 0)) == (-1, 0)
+    assert mapping_orders(OpOrders(0, 0, 0), (Fraction(7, 3), -2)) == \
         (Fraction(7, 3), -2)
-    assert mapping_orders(OpOrders(-1, -1, 0), (2, 1), fx) == (3, 1)
+    assert mapping_orders(OpOrders(-1, -1, 0), (2, 1)) == (3, 1)
 
 
-def test_mapping_pipeline_matches_closed_formula_randomized(fx):
+def test_mapping_pipeline_matches_closed_formula_randomized():
     rng = random.Random(2024)
     for _ in range(100):
         o = rand_orders(rng)
         ap = Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3]))
         bp = Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3]))
-        assert mapping_orders(o, (ap, bp), fx) == (-o.alpha + ap, -o.beta + bp)
+        assert mapping_orders(o, (ap, bp)) == (-o.alpha + ap, -o.beta + bp)
 
 
 def test_mapping_product_family_vanishes_off_kernel_faces(fx):
-    stages = mapping_stages(OpOrders(1, 1, 0), (Fraction(1, 2), 3), fx)
+    stages = mapping_stages(OpOrders(1, 1, 0), (Fraction(1, 2), 3))
     for label in ("ff_b", "Br1", "Br2"):
         assert stages.product.get(fx.X2.face(label)).is_empty
     assert not stages.product.get(fx.X2.face("ff_c")).is_empty
@@ -150,7 +150,7 @@ def test_mapping_product_family_vanishes_off_kernel_faces(fx):
 
 def test_pulled_section_family(fx):
     # the section family pulled through pi2_2 spreads as in the proof
-    stages = mapping_stages(OpOrders(0, 0, 0), (Fraction(1, 2), Fraction(1, 3)), fx)
+    stages = mapping_stages(OpOrders(0, 0, 0), (Fraction(1, 2), Fraction(1, 3)))
     pulled = stages.pulled
     half, third = IndexSet.shifted(Fraction(1, 2)), IndexSet.shifted(Fraction(1, 3))
     assert pulled.get(fx.X2.face("ff_c")) == half
@@ -163,38 +163,38 @@ def test_pulled_section_family(fx):
 # -- composition --------------------------------------------------------------
 
 
-def test_composition_orders_examples(fx):
-    assert composition_orders(OpOrders(-1, -1, 0), OpOrders(-1, -1, 0), fx) == \
+def test_composition_orders_examples():
+    assert composition_orders(OpOrders(-1, -1, 0), OpOrders(-1, -1, 0)) == \
         OpOrders(-2, -2, 0)
     o = OpOrders(Fraction(5, 2), -3, Fraction(1, 2))
-    assert composition_orders(OpOrders(0, 0, 0), o, fx) == o
-    assert composition_orders(o, OpOrders(0, 0, 0), fx) == o
-    assert composition_orders(OpOrders(1, 1, 0), OpOrders(-1, -1, 0), fx) == \
+    assert composition_orders(OpOrders(0, 0, 0), o) == o
+    assert composition_orders(o, OpOrders(0, 0, 0)) == o
+    assert composition_orders(OpOrders(1, 1, 0), OpOrders(-1, -1, 0)) == \
         OpOrders(0, 0, 0)
     assert composition_orders(OpOrders(Fraction(3, 2), -2, 5),
-                              OpOrders(Fraction(-3, 2), 2, -5), fx) == OpOrders(0, 0, 0)
+                              OpOrders(Fraction(-3, 2), 2, -5)) == OpOrders(0, 0, 0)
 
 
-def test_composition_matches_sum_randomized(fx):
+def test_composition_matches_sum_randomized():
     rng = random.Random(515)
     for _ in range(100):
         o1, o2 = rand_orders(rng), rand_orders(rng)
-        got = composition_orders(o1, o2, fx)
+        got = composition_orders(o1, o2)
         assert got == OpOrders(o1.m + o2.m, o1.alpha + o2.alpha, o1.beta + o2.beta)
 
 
-def test_composition_associative_randomized(fx):
+def test_composition_associative_randomized():
     rng = random.Random(99)
     for _ in range(25):
         o1, o2, o3 = rand_orders(rng), rand_orders(rng), rand_orders(rng)
-        left = composition_orders(composition_orders(o1, o2, fx), o3, fx)
-        right = composition_orders(o1, composition_orders(o2, o3, fx), fx)
+        left = composition_orders(composition_orders(o1, o2), o3)
+        right = composition_orders(o1, composition_orders(o2, o3))
         assert left == right
 
 
 def test_composition_cusp_face_contributor_pattern(fx):
     # one nonempty contributor (through the triple cusp face), two empty ones
-    stages = composition_stages(OpOrders(0, 0, 0), OpOrders(0, 0, 0), fx)
+    stages = composition_stages(OpOrders(0, 0, 0), OpOrders(0, 0, 0))
     nonempty = [(G.label, E) for G, E in stages.ffc_contributors if not E.is_empty]
     empty = [G.label for G, E in stages.ffc_contributors if E.is_empty]
     assert [lbl for lbl, _ in nonempty] == ["fff_c"]
@@ -209,7 +209,7 @@ def test_composition_cusp_face_contributor_pattern(fx):
 
 
 def test_composition_temporal_face_single_source(fx):
-    stages = composition_stages(OpOrders(1, 1, 0), OpOrders(-1, -1, 0), fx)
+    stages = composition_stages(OpOrders(1, 1, 0), OpOrders(-1, -1, 0))
     tb_sources = [
         (G.label, stages.with_density.get(G))
         for G in fx.pi3_13.column(fx.X2.face("tb"))
