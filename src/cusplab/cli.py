@@ -26,11 +26,13 @@ from cusplab import __version__
 from cusplab.dirac_lab import (
     SpectrumParams,
     SpectrumTable,
+    check_counts,
     check_grids,
     check_windows,
     dirac_spectrum,
     neck_mass,
     relative_resolvent_trace,
+    window_counts,
 )
 from cusplab.expfit import compare_models, log_even_basis, smooth_even_basis
 from cusplab.surgery_spaces import (
@@ -226,7 +228,7 @@ def cmd_symbols(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# spectrum and trace subcommands: checks, one solve, one data file
+# spectrum and trace subcommands: checks, one solve (or count), one data file
 # ---------------------------------------------------------------------------
 
 
@@ -265,10 +267,16 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         return _write_outputs(config, "spectrum.csv", _csv("t,k,j,mu,lambda", (
             f"{_fmt(r.t)},{r.k},{r.j},{_fmt(r.mu)},{_fmt(r.lam)}" for r in table.rows)))
     if args.spectrum_cmd == "count":
-        table = _solve(config)
+        try:
+            check_counts(config.t_grid, config.params, config.windows)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        result = window_counts(config.t_grid, config.params, config.windows)
+        print(f"counted {len(result.counts)} values of t: {sum(result.modes.values())} modes, "
+              f"{result.factorisations} mode factorisations", file=sys.stderr)
         return _write_outputs(config, "counts.csv", _csv("t,a,b,count", (
-            f"{_fmt(t)},{_fmt(a)},{_fmt(b)},{table.eigen_count(a, b, t)}"
-            for t in table.mu for a, b in config.windows)))
+            f"{_fmt(t)},{_fmt(a)},{_fmt(b)},{c}" for t, counts in result.counts.items()
+            for (a, b), c in zip(config.windows, counts))))
     # mass, the one name left: argparse refuses any other
     if any(b <= 0 for _, b in config.windows):
         raise ConfigError("spectrum mass needs every window's upper end b > 0")

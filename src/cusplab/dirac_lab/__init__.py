@@ -29,6 +29,7 @@ from cusplab.dirac_lab.solver import (
     convergence_order,
     eigen_lowest,
     partner_minus_hamiltonian,
+    sturm_counts,
     tridiagonal_from_potential,
 )
 from cusplab.dirac_lab.spectra import (
@@ -38,12 +39,15 @@ from cusplab.dirac_lab.spectra import (
     SpectrumRow,
     SpectrumTable,
     TraceValue,
+    WindowCounts,
+    check_counts,
     check_grids,
     check_windows,
     dirac_spectrum,
     neck_mass,
     relative_resolvent_trace,
     spectral_sweep,
+    window_counts,
 )
 
 __all__ = [
@@ -51,9 +55,10 @@ __all__ = [
     "SpinStructure", "circle_spectrum", "indicial_min", "indicial_scan",
     "phi", "potential", "potential_derivative",
     "Grid", "NonConvergenceError", "Tridiagonal", "assemble_hamiltonian",
-    "convergence_order", "eigen_lowest", "partner_minus_hamiltonian",
+    "convergence_order", "eigen_lowest", "partner_minus_hamiltonian", "sturm_counts",
     "tridiagonal_from_potential",
     "ResolventAboveLevelsError", "SpectralCollisionError", "SpectrumParams", "SpectrumRow",
-    "SpectrumTable", "TraceValue", "check_grids", "check_windows", "dirac_spectrum",
-    "neck_mass", "relative_resolvent_trace", "spectral_sweep",
+    "SpectrumTable", "TraceValue", "WindowCounts", "check_counts", "check_grids",
+    "check_windows", "dirac_spectrum", "neck_mass", "relative_resolvent_trace",
+    "spectral_sweep", "window_counts",
 ]

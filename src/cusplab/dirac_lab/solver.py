@@ -1,4 +1,4 @@
-"""Finite-difference assembly and the symmetric tridiagonal eigensolver."""
+"""Finite-difference assembly, the symmetric tridiagonal eigensolver and Sturm counts."""
 
 from __future__ import annotations
 
@@ -49,7 +49,7 @@ def _load_cython_lapack():
     return module
 
 
-# LAPACK's dstebz/dstein, called through scipy's Cython LAPACK table with
+# LAPACK's dstebz/dstein/dlarrc, called through scipy's Cython LAPACK table with
 # ctypes: a ctypes call releases the GIL, so solves on different threads run
 # at once (scipy's f2py wrappers hold it).  Only the cython_lapack extension
 # is loaded: importing it through ``scipy.linalg`` would first run that
@@ -86,6 +86,9 @@ _dstebz = _lapack_routine("dstebz", _CHAR, _CHAR, _INT, _DOUBLE, _DOUBLE, _INT, 
 # N D E M W IBLOCK ISPLIT Z LDZ WORK IWORK IFAIL INFO
 _dstein = _lapack_routine("dstein", _INT, _DOUBLE, _DOUBLE, _INT, _DOUBLE, _INT, _INT,
                           _DOUBLE, _INT, _DOUBLE, _INT, _INT, _INT)
+# JOBT N VL VU D E PIVMIN EIGCNT LCNT RCNT INFO
+_dlarrc = _lapack_routine("dlarrc", _CHAR, _INT, _DOUBLE, _DOUBLE, _DOUBLE, _DOUBLE, _DOUBLE,
+                          _INT, _INT, _INT, _INT)
 
 
 @dataclass(frozen=True)
@@ -274,6 +277,36 @@ def eigen_lowest(
     if h is not None:
         vecs = vecs / np.sqrt(h * np.sum(vecs**2, axis=0))
     return w, vecs
+
+
+def sturm_counts(T: Tridiagonal, shifts) -> list[int]:
+    """The number of eigenvalues of T at or below each shift, without an eigensolve.
+
+    Each count is the number of nonpositive pivots of the LDL^T factorisation
+    of T - shift (Sylvester's law of inertia), which LAPACK's dlarrc forms in
+    O(n) for two shifts per call.  dlarrc does not guard a pivot that is
+    exactly zero, which takes an exact cancellation: it counts that pivot and
+    the -inf after it, one too many (2 for [[1, 1], [1, 1]] at the shift 1).
+    """
+    d = np.ascontiguousarray(T.diagonal, dtype=float)
+    e = np.ascontiguousarray(T.offdiagonal, dtype=float)
+    n = len(d)
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    shifts = [float(s) for s in shifts]
+    if not all(map(math.isfinite, shifts)):
+        raise ValueError(f"shifts must be finite, got {shifts!r}")
+    eigcnt, lcnt, rcnt, info = ctypes.c_int(), ctypes.c_int(), ctypes.c_int(), ctypes.c_int()
+    counts = []
+    for i in range(0, len(shifts), 2):
+        low, high = shifts[i], shifts[min(i + 1, len(shifts) - 1)]
+        # PIVMIN is read only when dlarrc is given an LDL^T rather than T
+        _dlarrc(b"T", ctypes.c_int(n), ctypes.c_double(low), ctypes.c_double(high), _ptr(d),
+                _ptr(e), ctypes.c_double(sys.float_info.min), eigcnt, lcnt, rcnt, info)
+        if info.value != 0:
+            raise NonConvergenceError(f"LAPACK dlarrc failed with info = {info.value}")
+        counts += [lcnt.value, rcnt.value]
+    return counts[: len(shifts)]
 
 
 def convergence_order(

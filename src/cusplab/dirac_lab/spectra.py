@@ -1,4 +1,4 @@
-"""Spectral sweeps over the pinching parameter, masses, and resolvent traces."""
+"""Spectral sweeps over the pinching parameter, window counts, masses, and resolvent traces."""
 
 from __future__ import annotations
 
@@ -11,8 +11,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from cusplab.dirac_lab.geometry import Chirality, ModeSpec, NeckGeometry
-from cusplab.dirac_lab.solver import MIN_POINTS, Grid, assemble_hamiltonian, eigen_lowest
+from cusplab.dirac_lab.geometry import Chirality, ModeSpec, NeckGeometry, phi
+from cusplab.dirac_lab.solver import (
+    MIN_POINTS,
+    Grid,
+    assemble_hamiltonian,
+    eigen_lowest,
+    sturm_counts,
+)
 
 COLLISION_TOL = 1e-9  # an eigenvalue this close to a resolvent point is a collision
 
@@ -138,7 +144,12 @@ class SpectrumTable:
         return sorted(rows, key=lambda r: (r.lam, r.k, r.j))
 
     def eigen_count(self, a: float, b: float, t: float) -> int:
-        """Eigenvalues with lam in (a, b) at parameter t, pair multiplicity 2."""
+        """The table's rows with lam in (a, b) at parameter t, pair multiplicity 2.
+
+        Only the computed rows count (k <= k_max, j <= levels), so a window
+        reaching above a mode's top computed level or into an omitted mode
+        is undercounted; ``window_counts`` counts every mode exactly.
+        """
         return 2 * sum(1 for r in self.rows_at(t) if a < r.lam < b)
 
     def lowest(self, t: float) -> SpectrumRow:
@@ -211,26 +222,21 @@ def _first_geometry(t: float, params: SpectrumParams) -> NeckGeometry:
     return NeckGeometry.neck(t) if t > 0 else NeckGeometry.cusp(_cusp_depth(params, 200.0))
 
 
-def check_grids(t_grid: Sequence[float], params: SpectrumParams) -> list[tuple[int, int]]:
-    """The solves and interior grid points of the first step at each t, before any solve.
+def _grids(ts: list[float], params: SpectrumParams, geometry) -> list[tuple[NeckGeometry, int]]:
+    """The geometry ``geometry(t)`` and its interior grid points at each t, before any solve.
 
     Raises ValueError unless the t are nonempty, finite, >= 0 and distinct,
-    where a t or ``h`` gives a grid too large to count or a spacing below
-    ``MIN_SPACING`` (t above 340.3827 at the default spacing), where
-    ``levels`` exceeds a grid's points, and where the work estimate exceeds
-    ``MAX_WORK``.  The cusp-depth search only deepens the cusp, which keeps
-    ``n`` or, at a fixed ``h``, adds points, so its first depth bounds every
-    later one.
+    and where a t or ``h`` gives a grid too large to count or a spacing below
+    ``MIN_SPACING``.
     """
-    ts = list(t_grid)
     if not ts:
         raise ValueError("need at least one pinching parameter t")
-    plan = []
+    grids = []
     for t in ts:
         if not 0.0 <= t < math.inf:  # nan fails this too
             raise ValueError(f"pinching parameter t must be finite and >= 0, got {t!r}")
         try:
-            geom = _first_geometry(t, params)
+            geom = geometry(t)
             n = Grid.points_for(geom, n=params.n, h=params.h)
         except (ArithmeticError, ValueError) as exc:  # sinh(t / 2) or length / h overflows
             raise ValueError(f"no grid can be counted at t = {t!r}: {exc}") from exc
@@ -238,11 +244,28 @@ def check_grids(t_grid: Sequence[float], params: SpectrumParams) -> list[tuple[i
         if not spacing >= MIN_SPACING:
             raise ValueError(f"the grid spacing {spacing!r} at t = {t!r} is below "
                              f"{MIN_SPACING!r}, where the solver's (2 / h^2)^2 overflows")
+        grids.append((geom, n))
+    if len(set(ts)) != len(ts):
+        raise ValueError(f"pinching parameters must be distinct, got {ts!r}")
+    return grids
+
+
+def check_grids(t_grid: Sequence[float], params: SpectrumParams) -> list[tuple[int, int]]:
+    """The solves and interior grid points of the first step at each t, before any solve.
+
+    Raises ValueError where ``_grids`` refuses the t (a spacing below
+    ``MIN_SPACING`` is every t above 340.3827 at the default spacing), where
+    ``levels`` exceeds a grid's points, and where the work estimate exceeds
+    ``MAX_WORK``.  The cusp-depth search only deepens the cusp, which keeps
+    ``n`` or, at a fixed ``h``, adds points, so its first depth bounds every
+    later one.
+    """
+    ts = list(t_grid)
+    plan = []
+    for t, (_, n) in zip(ts, _grids(ts, params, lambda t: _first_geometry(t, params))):
         if params.levels > n:
             raise ValueError(f"levels = {params.levels} exceeds the {n} grid points at t = {t!r}")
         plan.append(((params.k_max + 1) * len(_chiralities(t)), n))
-    if len(set(ts)) != len(ts):
-        raise ValueError(f"pinching parameters must be distinct, got {ts!r}")
     work = params.levels * sum(solves * n for solves, n in plan)
     if work > MAX_WORK:
         raise ValueError(f"work estimate {work} (the sum over t_grid of solves * levels * "
@@ -336,6 +359,128 @@ def spectral_sweep(t_grid: Sequence[float], params: SpectrumParams) -> SpectrumT
     if ts[-1] != 0.0:
         raise ValueError("t grid must end at 0 (the split-neck limit)")
     return dirac_spectrum(ts, params)
+
+
+def _window_shifts(windows) -> list[tuple[float | None, float | None]]:
+    """Each lam-window (a, b) as the mu-shifts (low, high) of its count.
+
+    The window holds the eigenvalues mu with lam = sqrt(max(mu, 0)) in (a, b),
+    as ``SpectrumTable.eigen_count`` counts them: those with low < mu <= high,
+    where low is a^2 for a >= 0 (so a = 0 counts mu > 0) and absent for
+    a < 0 (every mu, negative ones included, has lam > a), and high is b^2,
+    absent for b <= 0 (an empty window).  The top end is closed because a
+    Sturm count at a shift counts the eigenvalues at or below it; it differs
+    from lam < b only for an eigenvalue equal to b^2 in floating point.
+    """
+    shifts = []
+    for a, b in windows:
+        if not (math.isfinite(a) and math.isfinite(b) and a < b):
+            raise ValueError(f"window ({a!r}, {b!r}) must be finite with a < b")
+        if not math.isfinite(b * b):
+            raise ValueError(f"window ({a!r}, {b!r}): b^2 overflows")
+        shifts.append((a * a if a >= 0 else None, b * b if b > 0 else None))
+    return shifts
+
+
+def _count_geometry(t: float, params: SpectrumParams, top: float) -> NeckGeometry:
+    """The neck at t > 0; at t = 0 the cusp the depth search would accept for mu_max = top.
+
+    That is ``_cusp_depth`` with the window top in place of the largest solved
+    eigenvalue, and no shallower than the search's first depth.
+    """
+    if t > 0:
+        return NeckGeometry.neck(t)
+    return NeckGeometry.cusp(_cusp_depth(params, max(200.0, top)))
+
+
+def _mode_bound(geom: NeckGeometry, top: float) -> int:
+    """The first mode k from which no eigenvalue of H_k lies at or below ``top``.
+
+    With q = k + 1/2, w = V^2 +- V' = (q^2 -+ q phi') / phi^2 >= (q^2 - 2q) / phi_wall^2
+    for q >= 2, since |phi'| <= 2 and phi <= phi_wall on these geometries; that
+    bound reaches ``top`` once q >= 1 + sqrt(1 + top * phi_wall^2), and every
+    eigenvalue exceeds min w (Gershgorin, strictly for an irreducible matrix).
+    """
+    phi_wall = phi(geom, geom.rho_max)
+    return math.ceil(0.5 + math.hypot(1.0, math.sqrt(top) * phi_wall))  # no overflow in top
+
+
+def check_counts(t_grid: Sequence[float], params: SpectrumParams,
+                 windows: Sequence[tuple[float, float]]) -> list[tuple[NeckGeometry, int, int]]:
+    """The geometry, grid points and mode bound of each t's window count, before any count.
+
+    Raises ValueError where ``_grids`` refuses the t, where a window is not
+    finite with a < b, and where the work estimate, the sum over t of
+    mode bound * chiralities * grid points * distinct window ends, exceeds
+    ``MAX_WORK``.  ``k_max`` and ``levels`` play no part in a count.
+    """
+    ts = list(t_grid)
+    shifts = {s for pair in _window_shifts(windows) for s in pair if s is not None}
+    top = max(shifts, default=0.0)
+    plan = [(geom, n, _mode_bound(geom, top) if shifts else 0)
+            for geom, n in _grids(ts, params, lambda t: _count_geometry(t, params, top))]
+    work = len(shifts) * sum(modes * len(_chiralities(t)) * n
+                             for t, (_, n, modes) in zip(ts, plan))
+    if work > MAX_WORK:
+        raise ValueError(f"work estimate {work} (the sum over t_grid of modes * chiralities * "
+                         f"grid points * distinct window ends, with the modes that can reach "
+                         f"the window top {math.sqrt(top)!r}) exceeds {MAX_WORK}")
+    return plan
+
+
+@dataclass(frozen=True)
+class WindowCounts:
+    """Exact window counts per t, and the work they took.
+
+    ``counts`` maps each t, in descending order, to one count per window,
+    with pair multiplicity 2 as in ``SpectrumTable.eigen_count``; ``modes``
+    maps it to the number of modes k whose Hamiltonians were factorised, and
+    ``factorisations`` is the number of LDL^T factorisations over all t.
+    """
+
+    counts: Mapping[float, tuple[int, ...]]
+    modes: Mapping[float, int]
+    factorisations: int
+
+
+def window_counts(t_grid: Sequence[float], params: SpectrumParams,
+                  windows: Sequence[tuple[float, float]]) -> WindowCounts:
+    """Exact counts of the eigenvalues with lam in each window (a, b) at each t, with no solve.
+
+    Each count is the Sturm inertia of H_k - mu for the window's mu-ends (see
+    ``_window_shifts``), summed over the modes k and, at t = 0, both
+    chiralities on one cusp of the depth ``_count_geometry`` gives.  The
+    potential w = V^2 +- V' grows pointwise in k (w_{k+1} - w_k =
+    (2k + 2 -+ phi') / phi^2 and |phi'| <= 2), so H_k <= H_{k+1} and every
+    eigenvalue grows with k: the modes are visited from k = 0 until one has
+    no eigenvalue at or below the top window end b^2, which ends the count,
+    and ``check_counts`` bounds them in closed form before any
+    factorisation.  So the counts depend on neither ``k_max`` nor ``levels``.
+    """
+    ts = sorted(t_grid, reverse=True)
+    plan = check_counts(ts, params, windows)
+    pairs = _window_shifts(windows)
+    shifts = sorted({s for pair in pairs for s in pair if s is not None})
+    counts, modes, factorisations = {}, {}, 0
+    for t, (geom, _, bound) in zip(ts, plan):
+        grid = Grid.for_geometry(geom, n=params.n, h=params.h)
+        below = dict.fromkeys(shifts, 0)  # eigenvalues at or below each shift, over modes
+        visited = 0
+        for k in range(bound):
+            hams = [assemble_hamiltonian(geom, ModeSpec(k, chi), grid) for chi in _chiralities(t)]
+            before = below[shifts[-1]]
+            for H in hams:
+                for s, c in zip(shifts, sturm_counts(H, shifts)):
+                    below[s] += c
+            visited += 1
+            factorisations += len(hams) * len(shifts)
+            if below[shifts[-1]] == before:
+                break  # no eigenvalue of mode k reaches the top, so none of a later mode does
+        key = t if t > 0 else 0.0  # -0.0 is the split neck too, keyed 0.0 as in dirac_spectrum
+        counts[key] = tuple(2 * (below[high] - (below[low] if low is not None else 0))
+                            if high is not None else 0 for low, high in pairs)
+        modes[key] = visited
+    return WindowCounts(counts, modes, factorisations)
 
 
 def neck_mass(t: float, vector: "VectorHandle", w: float) -> float:

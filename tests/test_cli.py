@@ -20,8 +20,8 @@ from cusplab.cli import (
     RunConfig,
     main,
 )
-from cusplab.dirac_lab import NonConvergenceError, spectra
-from test_acceptance import GOLDEN_DIR, TRACE_CONFIG_TEMPLATE
+from cusplab.dirac_lab import NonConvergenceError, solver, spectra
+from test_acceptance import CONFIG_TEMPLATE, GOLDEN_DIR, TRACE_CONFIG_TEMPLATE
 
 
 def run(capsys, *argv):
@@ -272,7 +272,8 @@ def test_trace_fit_rejects_zero_in_grid(capsys, tmp_path):
 
 
 def test_each_command_solves_its_grid_in_one_call(monkeypatch, capsys, tmp_path):
-    # every t of a command shares one pool, so the command asks for one table
+    # every t of a command shares one pool, so the command asks for one table;
+    # count asks for none, and its line reports the modes it factorised
     calls, spectrum = [], cli.dirac_spectrum
 
     def counted(ts, params):
@@ -281,7 +282,14 @@ def test_each_command_solves_its_grid_in_one_call(monkeypatch, capsys, tmp_path)
 
     monkeypatch.setattr(cli, "dirac_spectrum", counted)
     grids = {"spectrum": "0.4,0.2,0.0", "trace": "0.5,0.3,0.2,0.1,0.05,0.02"}
-    for command in (("spectrum", "sweep"), ("spectrum", "count"), ("spectrum", "mass"),
+    cfg = write_config(tmp_path, t_grid=grids["spectrum"])
+    code, _, err = run(capsys, "spectrum", "count", str(cfg))
+    # windows 0:3 and 0:0.1 have the mu-ends 0, 0.01 and 9; modes k <= 3 are
+    # factorised at each t (k = 3 has no level at or below 9), with both
+    # chiralities at t = 0: 16 matrices at 3 ends
+    assert (code, calls) == (EXIT_OK, []), err
+    assert err == "counted 3 values of t: 12 modes, 48 mode factorisations\n", err
+    for command in (("spectrum", "sweep"), ("spectrum", "mass"),
                     ("trace", "compute"), ("trace", "fit")):
         cfg = write_config(tmp_path, t_grid=grids[command[0]])
         code, _, err = run(capsys, *command, str(cfg))
@@ -291,6 +299,34 @@ def test_each_command_solves_its_grid_in_one_call(monkeypatch, capsys, tmp_path)
         assert err.startswith(f"solving {len(want)} values of t: {modes} mode solves"), err
         assert err.count("\n") == 1, err
         calls.clear()
+
+
+def test_count_makes_no_eigensolve_and_matches_the_golden_counts(monkeypatch, capsys, tmp_path):
+    # count factorises: it calls neither the eigensolver nor LAPACK's dstebz/dstein
+    def solved(*args, **kwargs):
+        raise AssertionError("solved")
+
+    for module, name in ((solver, "eigen_lowest"), (spectra, "eigen_lowest"),
+                         (solver, "_dstebz"), (solver, "_dstein"), (cli, "dirac_spectrum")):
+        monkeypatch.setattr(module, name, solved)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG_TEMPLATE.format(outdir=tmp_path / "out"), encoding="utf-8")
+    code, _, err = run(capsys, "spectrum", "count", str(cfg))
+    assert code == EXIT_OK, err
+    golden = (GOLDEN_DIR / "counts.csv").read_bytes()
+    assert (tmp_path / "out" / "counts.csv").read_bytes() == golden
+
+
+def test_count_work_is_bounded_before_any_factorisation(monkeypatch, capsys, tmp_path):
+    # window 0:1e6 reaches mu = 1e12: some 2e6 modes of 3999 points at each t
+    calls = []
+    monkeypatch.setattr(spectra, "sturm_counts", lambda *a: calls.append(a))
+    monkeypatch.setattr(spectra, "assemble_hamiltonian", lambda *a: calls.append(a))
+    for windows, named in (("0.0:1e6", "work estimate"), ("0.0:1e200", "b^2 overflows")):
+        cfg = write_config(tmp_path, windows=windows)
+        code, _, err = run(capsys, "spectrum", "count", str(cfg))
+        assert (code, calls) == (EXIT_CONFIG, []) and named in err, err
+    assert not (tmp_path / "out").exists()
 
 
 def test_reruns_are_byte_identical(capsys, tmp_path):

@@ -236,7 +236,7 @@ def test_lapack_binding_is_scipy_linalg_cython_lapack():
             ("PyCapsule_GetName", ctypes.pythonapi))
         pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
             ("PyCapsule_GetPointer", ctypes.pythonapi))
-        for routine in ("dstebz", "dstein"):
+        for routine in ("dstebz", "dstein", "dlarrc"):
             capsule = cython_lapack.__pyx_capi__[routine]
             bound = ctypes.cast(getattr(solver, "_" + routine), ctypes.c_void_p).value
             assert bound is not None and pointer(capsule, name(capsule)) == bound, routine
@@ -371,6 +371,94 @@ def test_spectral_sweep_counts_and_inputs():
     for bad in (-0.5, math.nan):  # neither may pass for the t = 0 spectrum
         with pytest.raises(ValueError):
             dirac_spectrum(bad, params)
+
+
+# -- window counts by Sturm inertia --------------------------------------------
+
+
+# the roadmap's windows, one from lam = 0.5 and one from below 0
+COUNT_WINDOWS = ((0.0, 4.0), (0.0, 5.0), (0.5, 2.0), (-1.0, 3.0))
+COUNT_TS = [0.5, 0.01, 0.0]
+
+
+@pytest.fixture(scope="module")
+def count_slow_path():
+    """A table with many modes and levels at COUNT_TS, and the window counts there."""
+    table = dirac_spectrum(COUNT_TS, SpectrumParams(k_max=12, levels=30))
+    return table, spectra.window_counts(COUNT_TS, SpectrumParams(), COUNT_WINDOWS)
+
+
+def test_window_counts_are_exact_over_every_mode(count_slow_path):
+    table, got = count_slow_path
+    top = max(b for _, b in COUNT_WINDOWS) ** 2
+    for t in COUNT_TS:
+        # the slow path holds every level of the visited modes up to the window top
+        assert got.modes[t] <= 13 and table.mu[t][:, -1].min() > top
+        assert got.counts[t] == tuple(table.eigen_count(a, b, t) for a, b in COUNT_WINDOWS), t
+    assert got.counts[0.5][:2] == (24, 42)
+    # a table counts only its rows: k_max 2 with 2 levels undercounts both windows
+    small = dirac_spectrum(0.5, SpectrumParams(k_max=2, levels=2))
+    assert [small.eigen_count(0.0, b, 0.5) for b in (4.0, 5.0)] == [12, 12]
+    # neither k_max nor levels enters a count
+    assert spectra.window_counts(COUNT_TS, SpectrumParams(k_max=0, levels=1),
+                                 COUNT_WINDOWS) == got
+
+
+def test_the_count_stops_below_every_mode_it_skips(count_slow_path):
+    # the first mode not counted, and the last one counted, have every level
+    # above the window top, as has every mode from the closed-form bound on
+    _, got = count_slow_path
+    top = max(b for _, b in COUNT_WINDOWS) ** 2
+    plan = spectra.check_counts(COUNT_TS, SpectrumParams(), COUNT_WINDOWS)
+    for t, (geom, n, bound) in zip(COUNT_TS, plan):
+        grid = Grid.for_geometry(geom)
+        chis = (Chirality.PLUS, Chirality.MINUS) if t == 0 else (Chirality.PLUS,)
+        assert grid.n == n and got.modes[t] <= bound
+        for k in (got.modes[t] - 1, got.modes[t]):
+            for chi in chis:
+                assert eigen_lowest(assemble_hamiltonian(geom, ModeSpec(k, chi), grid), 1)[0] > top
+        for chi in chis:  # the Gershgorin floor min w of the bound's mode
+            H = assemble_hamiltonian(geom, ModeSpec(bound, chi), grid)
+            assert H.diagonal.min() - 2 / grid.h**2 >= top, (t, chi)
+
+
+def test_window_ends_are_open_in_lam_and_counted_in_mu(count_slow_path):
+    # a lam-window (a, b) holds mu in (a^2, b^2); a < 0 counts every mu, and
+    # a = 0 counts mu > 0, as eigen_count reads lam = sqrt(max(mu, 0))
+    assert spectra._window_shifts([(-1.0, 2.0), (0.0, 2.0), (0.5, 2.0), (-2.0, -1.0),
+                                   (-1.0, 0.0)]) == [(None, 4.0), (0.0, 4.0), (0.25, 4.0),
+                                                     (None, None), (None, None)]
+    # a Sturm count at a shift counts the eigenvalues at or below it
+    T = Tridiagonal(np.array([2.0, 2.0, 2.0]), np.array([-1.0, -1.0]))  # 2 - sqrt 2, 2, 2 + sqrt 2
+    assert solver.sturm_counts(T, [0.0, 2.0 - 1e-12, 2.0 + 1e-12, 4.0, 3.5]) == [0, 1, 2, 3, 3]
+    # the lowest level of the neck at t = 0.5 sits inside (a, b) only when a < lam1 < b
+    table, _ = count_slow_path
+    lam1 = table.lowest(0.5).lam  # 1.07; the next level is lam = 2.06
+    windows = [(0.0, lam1 * (1 - 1e-8)), (0.0, lam1 * (1 + 1e-8)), (lam1 * (1 - 1e-8), 1.5),
+               (lam1 * (1 + 1e-8), 1.5), (-1.0, 1.5), (-2.0, -1.0), (-1.0, 0.0)]
+    got = spectra.window_counts([0.5], SpectrumParams(), windows).counts[0.5]
+    assert got == (0, 2, 2, 0, 2, 0, 0)
+    assert got == tuple(table.eigen_count(a, b, 0.5) for a, b in windows)
+
+
+def test_window_counts_refuse_unbounded_work_before_any_factorisation(monkeypatch):
+    calls = []
+    monkeypatch.setattr(spectra, "sturm_counts", lambda *a: calls.append(a))
+    monkeypatch.setattr(spectra, "assemble_hamiltonian", lambda *a: calls.append(a))
+    # about 2e6 modes of 3999 points reach mu = 1e12
+    with pytest.raises(ValueError, match="work estimate"):
+        spectra.window_counts([0.5], SpectrumParams(), [(0.0, 1e6)])
+    for ts, windows, named in (([0.5], [(2.0, 1.0)], "a < b"), ([0.5], [(0.0, math.nan)], "finite"),
+                               ([0.5], [(0.0, 1e200)], "overflows"),
+                               ([0.4, 0.4], [(0.0, 1.0)], "distinct"),
+                               ([-0.5], [(0.0, 1.0)], "-0.5"), ([], [(0.0, 1.0)], "at least one")):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            spectra.window_counts(ts, SpectrumParams(), windows)
+    assert calls == []
+    # the closed-form bound: the first k with k + 1/2 >= 1 + sqrt(1 + 9 phi_wall^2),
+    # phi_wall = 2.04 at t = 0.5 and 2 on the cusp
+    plan = spectra.check_counts([0.5, 0.0], SpectrumParams(), [(0.0, 3.0)])
+    assert [(n, bound) for _, n, bound in plan] == [(3999, 7), (3999, 7)]
 
 
 @pytest.mark.parametrize("bad", [
