@@ -7,7 +7,8 @@ round-trip decimals, LF newlines, no timestamps in data files; run metadata
 goes to a separate manifest.json).
 
 Exit codes: 0 ok, 1 runtime error, 2 verification failure, 64 usage error,
-78 config error.
+78 config error: a config file that does not parse, or a run the library
+refuses before any work (``RunRefusedError``).
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from pathlib import Path
 
 from cusplab import __version__
 from cusplab.dirac_lab import (
+    RunRefusedError,
     SpectrumParams,
     SpectrumTable,
-    check_counts,
     check_grids,
     check_windows,
     dirac_spectrum,
@@ -54,8 +55,8 @@ class UsageError(Exception):
     pass
 
 
-class ConfigError(Exception):
-    pass
+class ConfigError(RunRefusedError):
+    """A config file that cannot be read or parsed, or a value its own rules refuse."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -102,8 +103,9 @@ _KEYS = {
 class RunConfig:
     """Flat run configuration; lists are comma-separated, windows are a:b pairs.
 
-    ``SpectrumParams`` checks the spectral values and ``check_grids`` the t
-    grid and the work bound; this class checks the rest.
+    It only parses: it checks that lambda, lambda0 and the windows are finite
+    with a < b and ``output_dir`` nonempty, and ``SpectrumParams`` the spectral
+    values.  The library refuses a t grid or work it cannot run.
     """
 
     t_grid: tuple[float, ...]
@@ -123,10 +125,6 @@ class RunConfig:
                 raise ConfigError(f"window ({a}, {b}) is empty")
         if not self.output_dir:
             raise ConfigError("output_dir must be nonempty")
-        try:
-            check_grids(self.t_grid, self.params)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
@@ -267,10 +265,6 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         return _write_outputs(config, "spectrum.csv", _csv("t,k,j,mu,lambda", (
             f"{_fmt(r.t)},{r.k},{r.j},{_fmt(r.mu)},{_fmt(r.lam)}" for r in table.rows)))
     if args.spectrum_cmd == "count":
-        try:
-            check_counts(config.t_grid, config.params, config.windows)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
         result = window_counts(config.t_grid, config.params, config.windows)
         print(f"counted {len(result.counts)} values of t: {sum(result.modes.values())} modes, "
               f"{result.factorisations} mode factorisations", file=sys.stderr)
@@ -278,12 +272,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
             f"{_fmt(t)},{_fmt(a)},{_fmt(b)},{c}" for t, counts in result.counts.items()
             for (a, b), c in zip(config.windows, counts))))
     # mass, the one name left: argparse refuses any other
-    if any(b <= 0 for _, b in config.windows):
-        raise ConfigError("spectrum mass needs every window's upper end b > 0")
-    try:
-        check_windows(config.t_grid, config.params, [b for _, b in config.windows])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    check_windows(config.t_grid, config.params, [b for _, b in config.windows])
     table = _solve(config, keep_vectors=1)  # mass reads the lowest level's vector
     rows = []
     for t in table.mu:
@@ -372,7 +361,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ConfigError as exc:
+    except RunRefusedError as exc:  # before any work: a config error of the file or the run
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ValueError, RuntimeError, OSError) as exc:  # the library's and the files' failures

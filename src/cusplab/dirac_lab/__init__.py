@@ -34,13 +34,13 @@ from cusplab.dirac_lab.solver import (
 )
 from cusplab.dirac_lab.spectra import (
     ResolventAboveLevelsError,
+    RunRefusedError,
     SpectralCollisionError,
     SpectrumParams,
     SpectrumRow,
     SpectrumTable,
     TraceValue,
     WindowCounts,
-    check_counts,
     check_grids,
     check_windows,
     dirac_spectrum,
@@ -57,8 +57,7 @@ __all__ = [
     "Grid", "NonConvergenceError", "Tridiagonal", "assemble_hamiltonian",
     "convergence_order", "eigen_lowest", "partner_minus_hamiltonian", "sturm_counts",
     "tridiagonal_from_potential",
-    "ResolventAboveLevelsError", "SpectralCollisionError", "SpectrumParams", "SpectrumRow",
-    "SpectrumTable", "TraceValue", "WindowCounts", "check_counts", "check_grids",
-    "check_windows", "dirac_spectrum", "neck_mass", "relative_resolvent_trace",
-    "spectral_sweep", "window_counts",
+    "ResolventAboveLevelsError", "RunRefusedError", "SpectralCollisionError", "SpectrumParams",
+    "SpectrumRow", "SpectrumTable", "TraceValue", "WindowCounts", "check_grids", "check_windows",
+    "dirac_spectrum", "neck_mass", "relative_resolvent_trace", "spectral_sweep", "window_counts",
 ]

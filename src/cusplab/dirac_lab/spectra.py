@@ -36,6 +36,10 @@ MAX_WORK = 10**9
 MIN_SPACING = (4.0 / sys.float_info.max) ** 0.25
 
 
+class RunRefusedError(ValueError):
+    """A run refused before any work: a t, window or parameter breaks a rule checked up front."""
+
+
 class SpectralCollisionError(ValueError):
     """A resolvent point fell on (or numerically too close to) an eigenvalue."""
 
@@ -217,43 +221,48 @@ def _cusp_depth(params: SpectrumParams, mu_max: float) -> float:
     return -math.log(params.rho_margin_factor * math.sqrt(mu_max) / 0.5)
 
 
-def _first_geometry(t: float, params: SpectrumParams) -> NeckGeometry:
-    """The neck at t > 0; at t = 0 the shallowest cusp the depth search tries."""
-    return NeckGeometry.neck(t) if t > 0 else NeckGeometry.cusp(_cusp_depth(params, 200.0))
+def _first_geometry(t: float, params: SpectrumParams, top: float = 0.0) -> NeckGeometry:
+    """The neck at t > 0; at t = 0 the cusp the depth search accepts for mu_max = max(200, top).
+
+    With top <= 200 that is the shallowest cusp the search tries.
+    """
+    if t > 0:
+        return NeckGeometry.neck(t)
+    return NeckGeometry.cusp(_cusp_depth(params, max(200.0, top)))
 
 
 def _grids(ts: list[float], params: SpectrumParams, geometry) -> list[tuple[NeckGeometry, int]]:
     """The geometry ``geometry(t)`` and its interior grid points at each t, before any solve.
 
-    Raises ValueError unless the t are nonempty, finite, >= 0 and distinct,
-    and where a t or ``h`` gives a grid too large to count or a spacing below
-    ``MIN_SPACING``.
+    Raises RunRefusedError unless the t are nonempty, finite, >= 0 and
+    distinct, and where a t or ``h`` gives a grid too large to count or a
+    spacing below ``MIN_SPACING``.
     """
     if not ts:
-        raise ValueError("need at least one pinching parameter t")
+        raise RunRefusedError("need at least one pinching parameter t")
     grids = []
     for t in ts:
         if not 0.0 <= t < math.inf:  # nan fails this too
-            raise ValueError(f"pinching parameter t must be finite and >= 0, got {t!r}")
+            raise RunRefusedError(f"pinching parameter t must be finite and >= 0, got {t!r}")
         try:
             geom = geometry(t)
             n = Grid.points_for(geom, n=params.n, h=params.h)
         except (ArithmeticError, ValueError) as exc:  # sinh(t / 2) or length / h overflows
-            raise ValueError(f"no grid can be counted at t = {t!r}: {exc}") from exc
+            raise RunRefusedError(f"no grid can be counted at t = {t!r}: {exc}") from exc
         spacing = geom.length / (n + 1)
         if not spacing >= MIN_SPACING:
-            raise ValueError(f"the grid spacing {spacing!r} at t = {t!r} is below "
-                             f"{MIN_SPACING!r}, where the solver's (2 / h^2)^2 overflows")
+            raise RunRefusedError(f"the grid spacing {spacing!r} at t = {t!r} is below "
+                                  f"{MIN_SPACING!r}, where the solver's (2 / h^2)^2 overflows")
         grids.append((geom, n))
     if len(set(ts)) != len(ts):
-        raise ValueError(f"pinching parameters must be distinct, got {ts!r}")
+        raise RunRefusedError(f"pinching parameters must be distinct, got {ts!r}")
     return grids
 
 
 def check_grids(t_grid: Sequence[float], params: SpectrumParams) -> list[tuple[int, int]]:
     """The solves and interior grid points of the first step at each t, before any solve.
 
-    Raises ValueError where ``_grids`` refuses the t (a spacing below
+    Raises RunRefusedError where ``_grids`` refuses the t (a spacing below
     ``MIN_SPACING`` is every t above 340.3827 at the default spacing), where
     ``levels`` exceeds a grid's points, and where the work estimate exceeds
     ``MAX_WORK``.  The cusp-depth search only deepens the cusp, which keeps
@@ -264,13 +273,14 @@ def check_grids(t_grid: Sequence[float], params: SpectrumParams) -> list[tuple[i
     plan = []
     for t, (_, n) in zip(ts, _grids(ts, params, lambda t: _first_geometry(t, params))):
         if params.levels > n:
-            raise ValueError(f"levels = {params.levels} exceeds the {n} grid points at t = {t!r}")
+            raise RunRefusedError(f"levels = {params.levels} exceeds the {n} grid points "
+                                  f"at t = {t!r}")
         plan.append(((params.k_max + 1) * len(_chiralities(t)), n))
     work = params.levels * sum(solves * n for solves, n in plan)
     if work > MAX_WORK:
-        raise ValueError(f"work estimate {work} (the sum over t_grid of solves * levels * "
-                         f"grid points, with k_max + 1 solves at t > 0 and twice that "
-                         f"at t = 0) exceeds {MAX_WORK}")
+        raise RunRefusedError(f"work estimate {work} (the sum over t_grid of solves * levels * "
+                              f"grid points, with k_max + 1 solves at t > 0 and twice that "
+                              f"at t = 0) exceeds {MAX_WORK}")
     return plan
 
 
@@ -287,18 +297,25 @@ def _window(t: float, rho: np.ndarray, w: float) -> np.ndarray:
 
 def check_windows(t_grid: Sequence[float], params: SpectrumParams,
                   widths: Sequence[float]) -> None:
-    """Raise ValueError where a window |x| <= w holds no point of a t > 0 grid.
+    """Raise RunRefusedError where ``check_grids`` refuses the run, where a width w
+    is not positive, or where a window |x| <= w holds no point of a t > 0 grid.
 
-    The grids are those of ``check_grids``, built before any solve.  At t = 0
-    the cusp search fixes the grid's depth by solving, so ``neck_mass``
-    checks there.
+    ``check_grids`` goes first, so its work bound caps the grids built here.
+    At t = 0 the cusp search fixes the grid's depth by solving, so
+    ``neck_mass`` checks there.
     """
-    for t in t_grid:
+    ts = list(t_grid)
+    check_grids(ts, params)
+    for w in widths:
+        if not w > 0:
+            raise RunRefusedError(f"window |x| <= {w!r} needs a width w > 0")
+    for t in ts:
         if t > 0:
             grid = Grid.for_geometry(_first_geometry(t, params), n=params.n, h=params.h)
             for w in widths:
                 if not np.any(_window(t, grid.rho_values, w)):
-                    raise ValueError(f"window |x| <= {w!r} contains no grid points at t = {t!r}")
+                    raise RunRefusedError(f"window |x| <= {w!r} contains no grid points "
+                                          f"at t = {t!r}")
 
 
 def _cusp_geometry(params: SpectrumParams, pool: ThreadPoolExecutor):
@@ -355,9 +372,9 @@ def spectral_sweep(t_grid: Sequence[float], params: SpectrumParams) -> SpectrumT
     """Solve every t in a sweep grid (descending, ending at 0) into one table."""
     ts = list(t_grid)
     if any(a <= b for a, b in zip(ts, ts[1:])):
-        raise ValueError("t grid must be strictly descending")
+        raise RunRefusedError("t grid must be strictly descending")
     if ts[-1] != 0.0:
-        raise ValueError("t grid must end at 0 (the split-neck limit)")
+        raise RunRefusedError("t grid must end at 0 (the split-neck limit)")
     return dirac_spectrum(ts, params)
 
 
@@ -375,22 +392,11 @@ def _window_shifts(windows) -> list[tuple[float | None, float | None]]:
     shifts = []
     for a, b in windows:
         if not (math.isfinite(a) and math.isfinite(b) and a < b):
-            raise ValueError(f"window ({a!r}, {b!r}) must be finite with a < b")
+            raise RunRefusedError(f"window ({a!r}, {b!r}) must be finite with a < b")
         if not math.isfinite(b * b):
-            raise ValueError(f"window ({a!r}, {b!r}): b^2 overflows")
+            raise RunRefusedError(f"window ({a!r}, {b!r}): b^2 overflows")
         shifts.append((a * a if a >= 0 else None, b * b if b > 0 else None))
     return shifts
-
-
-def _count_geometry(t: float, params: SpectrumParams, top: float) -> NeckGeometry:
-    """The neck at t > 0; at t = 0 the cusp the depth search would accept for mu_max = top.
-
-    That is ``_cusp_depth`` with the window top in place of the largest solved
-    eigenvalue, and no shallower than the search's first depth.
-    """
-    if t > 0:
-        return NeckGeometry.neck(t)
-    return NeckGeometry.cusp(_cusp_depth(params, max(200.0, top)))
 
 
 def _mode_bound(geom: NeckGeometry, top: float) -> int:
@@ -409,8 +415,8 @@ def check_counts(t_grid: Sequence[float], params: SpectrumParams,
                  windows: Sequence[tuple[float, float]]) -> list[tuple[NeckGeometry, int, int]]:
     """The geometry, grid points and mode bound of each t's window count, before any count.
 
-    Raises ValueError where ``_grids`` refuses the t, where a window is not
-    finite with a < b, and where the work estimate, the sum over t of
+    Raises RunRefusedError where ``_grids`` refuses the t, where a window is
+    not finite with a < b, and where the work estimate, the sum over t of
     mode bound * chiralities * grid points * distinct window ends, exceeds
     ``MAX_WORK``.  ``k_max`` and ``levels`` play no part in a count.
     """
@@ -418,13 +424,14 @@ def check_counts(t_grid: Sequence[float], params: SpectrumParams,
     shifts = {s for pair in _window_shifts(windows) for s in pair if s is not None}
     top = max(shifts, default=0.0)
     plan = [(geom, n, _mode_bound(geom, top) if shifts else 0)
-            for geom, n in _grids(ts, params, lambda t: _count_geometry(t, params, top))]
+            for geom, n in _grids(ts, params, lambda t: _first_geometry(t, params, top))]
     work = len(shifts) * sum(modes * len(_chiralities(t)) * n
                              for t, (_, n, modes) in zip(ts, plan))
     if work > MAX_WORK:
-        raise ValueError(f"work estimate {work} (the sum over t_grid of modes * chiralities * "
-                         f"grid points * distinct window ends, with the modes that can reach "
-                         f"the window top {math.sqrt(top)!r}) exceeds {MAX_WORK}")
+        raise RunRefusedError(f"work estimate {work} (the sum over t_grid of modes * "
+                              f"chiralities * grid points * distinct window ends, with the modes "
+                              f"that can reach the window top {math.sqrt(top)!r}) exceeds "
+                              f"{MAX_WORK}")
     return plan
 
 
@@ -449,7 +456,7 @@ def window_counts(t_grid: Sequence[float], params: SpectrumParams,
 
     Each count is the Sturm inertia of H_k - mu for the window's mu-ends (see
     ``_window_shifts``), summed over the modes k and, at t = 0, both
-    chiralities on one cusp of the depth ``_count_geometry`` gives.  The
+    chiralities on one cusp of the depth ``_first_geometry`` gives.  The
     potential w = V^2 +- V' grows pointwise in k (w_{k+1} - w_k =
     (2k + 2 -+ phi') / phi^2 and |phi'| <= 2), so H_k <= H_{k+1} and every
     eigenvalue grows with k: the modes are visited from k = 0 until one has
@@ -561,7 +568,7 @@ def relative_resolvent_trace(
     (``ResolventAboveLevelsError``).
     """
     if params.levels < 2:
-        raise ValueError(f"the trace's tail model needs levels >= 2, got {params.levels}")
+        raise RunRefusedError(f"the trace's tail model needs levels >= 2, got {params.levels}")
     if table is None:
         table = dirac_spectrum(t, params)
     if t not in table.mu:

@@ -2,6 +2,7 @@
 
 import filecmp
 import json
+import math
 import os
 import subprocess
 import sys
@@ -20,7 +21,15 @@ from cusplab.cli import (
     RunConfig,
     main,
 )
-from cusplab.dirac_lab import NonConvergenceError, solver, spectra
+from cusplab.dirac_lab import (
+    NonConvergenceError,
+    RunRefusedError,
+    SpectrumParams,
+    check_grids,
+    check_windows,
+    solver,
+    spectra,
+)
 from test_acceptance import CONFIG_TEMPLATE, GOLDEN_DIR, TRACE_CONFIG_TEMPLATE
 
 
@@ -28,6 +37,23 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+NUMERICAL_COMMANDS = (("spectrum", "sweep"), ("spectrum", "count"), ("spectrum", "mass"),
+                      ("trace", "compute"), ("trace", "fit"))
+
+
+def refuse_work(monkeypatch) -> list:
+    """Make every eigensolve and Sturm count of ``spectra`` fail; returns the calls made."""
+    calls = []
+
+    def work(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("worked")
+
+    for name in ("eigen_lowest", "sturm_counts"):
+        monkeypatch.setattr(spectra, name, work)
+    return calls
 
 
 # -- symbols ------------------------------------------------------------------
@@ -130,34 +156,47 @@ BAD_VALUES = (("t_grid", "inf,0.1,0.0"), ("t_grid", "0.4,nan,0.0"), ("h", "nan")
               ("lambda0", "-inf"), ("windows", "0.0:inf"), ("t_grid", "0.4,0.4,0.0"))
 
 
-def test_config_validation():
-    with pytest.raises(ConfigError):
-        RunConfig.from_text("t_grid = 0.0,0.1,0.0\n")
-    with pytest.raises(ConfigError):
-        RunConfig.from_text("t_grid = -0.5\n")
+def test_config_validation(monkeypatch, capsys, tmp_path):
+    # RunConfig only parses: keys, values, finite lambdas and windows, a < b
     with pytest.raises(ConfigError):
         RunConfig.from_text("t_grid = 0.5\nbogus_key = 1\n")
     with pytest.raises(ConfigError):
         RunConfig.from_text("t_grid = 0.5\nrho_margin_factor = 10\n")
     with pytest.raises(ConfigError):
         RunConfig.from_text("t_grid = 0.5\nwindows = 2.0:1.0\n")
+    grids = ["0.0,0.1,0.0", "-0.5"]
     for key, value in BAD_VALUES:
+        if key == "t_grid":
+            grids.append(value)
+            continue
         text = "".join(f"{k} = {v}\n" for k, v in {"t_grid": "0.5", key: value}.items())
         with pytest.raises(ConfigError):
             RunConfig.from_text(text)
+    # the t rules are the library's: the config parses, and every command
+    # refuses the run before any work
+    calls = refuse_work(monkeypatch)
+    for grid in grids:
+        RunConfig.from_text(f"t_grid = {grid}\n")
+        cfg = write_config(tmp_path, t_grid=grid)
+        for command in NUMERICAL_COMMANDS:
+            code, _, err = run(capsys, *command, str(cfg))
+            assert code == EXIT_CONFIG and err.startswith("config error: "), (grid, command, err)
+    assert calls == [] and not (tmp_path / "out").exists()
 
 
-def test_bad_config_exit_code(capsys, tmp_path):
+def test_bad_config_exit_code(monkeypatch, capsys, tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("nonsense without equals\n", encoding="utf-8")
     code, _, err = run(capsys, "spectrum", "sweep", str(path))
     assert code == EXIT_CONFIG
     code, _, _ = run(capsys, "spectrum", "sweep", str(tmp_path / "missing.cfg"))
     assert code == EXIT_CONFIG
+    calls = refuse_work(monkeypatch)
     for key, value in BAD_VALUES:
         cfg = write_config(tmp_path, **{key: value})
-        for command in (("spectrum", "sweep"), ("trace", "compute")):
-            assert run(capsys, *command, str(cfg))[0] == EXIT_CONFIG, (key, value)
+        for command in NUMERICAL_COMMANDS:
+            assert run(capsys, *command, str(cfg))[0] == EXIT_CONFIG, (key, value, command)
+    assert calls == [] and not (tmp_path / "out").exists()
 
 
 def test_empty_output_dir_is_a_config_error(monkeypatch, capsys, tmp_path):
@@ -350,27 +389,47 @@ def test_reruns_are_byte_identical(capsys, tmp_path):
 def test_work_bound_rejects_a_config_before_solving(monkeypatch, capsys, tmp_path):
     # the bound leaves room for ten criterion-12 datasets (25 t, 11 modes, 40 levels)
     assert spectra.MAX_WORK >= 10 * 25 * 11 * 40 * 3999
-    RunConfig.from_text("t_grid = " + ",".join(str(0.02 * i) for i in range(25, 0, -1))
-                        + "\nk_max = 10\nlevels = 40\n")
-    monkeypatch.setattr(spectra, "eigen_lowest", lambda *a, **k: pytest.fail("solved"))
-    with pytest.raises(ConfigError, match="work estimate"):
-        RunConfig.from_text("t_grid = 0.5\nk_max = 100000\n")
-    cfg = write_config(tmp_path, k_max="100000", h="0.001")
-    for command in (("spectrum", "sweep"), ("trace", "compute")):
-        code, _, err = run(capsys, *command, str(cfg))
-        assert code == EXIT_CONFIG and "work estimate" in err
+    check_grids([0.02 * i for i in range(25, 0, -1)], SpectrumParams(k_max=10, levels=40))
     # the t = 0 cusp search solves both chiralities: twice the solves of t > 0
     # on the same n = 3999, so 8.0e8 passes at t = 0.5 and is 1.6e9 at t = 0
-    RunConfig.from_text("t_grid = 0.5\nk_max = 1999\nlevels = 100\n")
-    with pytest.raises(ConfigError, match="work estimate 1599600000 "):
-        RunConfig.from_text("t_grid = 0.0\nk_max = 1999\nlevels = 100\n")
-    (tmp_path / "t0.cfg").write_text("t_grid = 0.0\nk_max = 1999\nlevels = 100\n")
-    code, _, err = run(capsys, "spectrum", "sweep", str(tmp_path / "t0.cfg"))
-    assert code == EXIT_CONFIG and "work estimate" in err
+    check_grids([0.5], SpectrumParams(k_max=1999, levels=100))
+    calls = refuse_work(monkeypatch)
+    k_cfg, t0_cfg = tmp_path / "k.cfg", tmp_path / "t0.cfg"  # at the default spacing
+    out = f"output_dir = {tmp_path / 'out'}\n"
+    k_cfg.write_text(f"t_grid = 0.5\nk_max = 100000\n{out}")
+    t0_cfg.write_text(f"t_grid = 0.0\nk_max = 1999\nlevels = 100\n{out}")
+    for cfg, named in ((k_cfg, "work estimate"), (t0_cfg, "work estimate 1599600000 "),
+                       (write_config(tmp_path, k_max=100000, h=0.001), "work estimate")):
+        for command in (("spectrum", "sweep"), ("spectrum", "mass"), ("trace", "compute")):
+            code, _, err = run(capsys, *command, str(cfg))
+            assert code == EXIT_CONFIG and named in err, (cfg.name, command, err)
     cfg = write_config(tmp_path, h="1e-320")  # length / h overflows to inf
     assert run(capsys, "spectrum", "sweep", str(cfg))[0] == EXIT_CONFIG
     cfg = write_config(tmp_path, t_grid="2000.0")  # the neck's sinh(t / 2) overflows
     assert run(capsys, "spectrum", "sweep", str(cfg))[0] == EXIT_CONFIG
+    assert calls == [] and not (tmp_path / "out").exists()
+
+
+def test_count_is_not_refused_for_solve_work_it_does_not_do(monkeypatch, capsys, tmp_path):
+    # k_max and levels play no part in a count, so neither do the levels and
+    # work bounds of a solve: count runs both configs and writes the counts of
+    # k_max = 2, while sweep refuses them and names the bound
+    calls = refuse_work(monkeypatch)
+    monkeypatch.setattr(spectra, "sturm_counts", solver.sturm_counts)
+    cfg = tmp_path / "run.cfg"
+    counts = {}
+    for keys, named in (("k_max = 2", None), ("k_max = 100000", "work estimate 12796927968 "),
+                        ("levels = 5000", "exceeds the 3999 grid points")):
+        out = tmp_path / keys.replace(" = ", "")
+        cfg.write_text(f"t_grid = 0.5,0.1,0.0\n{keys}\nwindows = 0.0:3.0,0.5:2.0\n"
+                       f"output_dir = {out}\n", encoding="utf-8")
+        code, _, err = run(capsys, "spectrum", "count", str(cfg))
+        assert code == EXIT_OK, (keys, err)
+        counts[keys] = (out / "counts.csv").read_bytes()
+        if named:
+            code, _, err = run(capsys, "spectrum", "sweep", str(cfg))
+            assert code == EXIT_CONFIG and named in err, (keys, err)
+    assert len(set(counts.values())) == 1 and calls == []
 
 
 def test_commands_reject_unrunnable_configs_before_solving(monkeypatch, capsys, tmp_path):
@@ -400,6 +459,20 @@ def test_commands_reject_unrunnable_configs_before_solving(monkeypatch, capsys, 
         code, _, err = run(capsys, *command, str(write_config(tmp_path, **keys)))
         assert code == EXIT_RUNTIME and "solved" in err and calls, (command, keys)
         calls.clear()
+
+
+def test_refusals_before_work_and_failures_after_a_solve_split(capsys, tmp_path):
+    # check_windows refuses bad t before it builds a grid, and w <= 0
+    with pytest.raises(RunRefusedError, match="inf"):
+        check_windows([math.inf], SpectrumParams(), [1.0])
+    with pytest.raises(RunRefusedError, match="w > 0"):
+        check_windows([0.5], SpectrumParams(), [0.0])
+    # at t = 0 the grid's depth is known only after the cusp search has
+    # solved, so a window without grid points there fails in neck_mass: exit 1
+    cfg = write_config(tmp_path, t_grid="0.0", k_max=0, levels=2, windows="0.0:1e-9")
+    code, _, err = run(capsys, "spectrum", "mass", str(cfg))
+    assert code == EXIT_RUNTIME and "window contains no grid points" in err, err
+    assert not (tmp_path / "out").exists()
 
 
 def test_runtime_errors_exit_1_and_programming_errors_raise(monkeypatch, capsys, tmp_path):

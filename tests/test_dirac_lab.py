@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from cusplab.cli import EXIT_CONFIG, EXIT_RUNTIME, ConfigError, RunConfig, main
+from cusplab.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from cusplab.dirac_lab import solver, spectra
 from cusplab.dirac_lab import (
     Chirality,
@@ -28,6 +28,7 @@ from cusplab.dirac_lab import (
     NeckGeometry,
     NonConvergenceError,
     ResolventAboveLevelsError,
+    RunRefusedError,
     SpectralCollisionError,
     SpectrumParams,
     SpinStructure,
@@ -346,8 +347,9 @@ def test_dirac_spectrum_table_structure():
     handle = table.vector(0.3, 0, 1)
     assert neck_mass(0.3, handle, 100.0) == pytest.approx(1.0, abs=1e-12)
     assert neck_mass(0.3, handle, 0.05) >= 0.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as failure:  # a failure after the solve, not a refusal
         neck_mass(0.3, handle, 1e-9)
+    assert not isinstance(failure.value, RunRefusedError)
 
 
 def test_spectral_sweep_counts_and_inputs():
@@ -362,14 +364,14 @@ def test_spectral_sweep_counts_and_inputs():
     # discreteness with a gap: the smallest eigenvalue stays away from zero
     # as the neck pinches (the antiperiodic mode frequencies never vanish)
     assert all(table.lowest(t).lam > 0.5 for t in grid_t)
-    with pytest.raises(ValueError):
+    with pytest.raises(RunRefusedError):
         spectral_sweep([0.1, 0.4, 0.0], params)
-    with pytest.raises(ValueError):
+    with pytest.raises(RunRefusedError):
         spectral_sweep([0.4, 0.1], params)
-    with pytest.raises(ValueError):  # a repeated t would double its counts
+    with pytest.raises(RunRefusedError):  # a repeated t would double its counts
         spectral_sweep([0.4, 0.4, 0.0], params)
     for bad in (-0.5, math.nan):  # neither may pass for the t = 0 spectrum
-        with pytest.raises(ValueError):
+        with pytest.raises(RunRefusedError):
             dirac_spectrum(bad, params)
 
 
@@ -446,13 +448,13 @@ def test_window_counts_refuse_unbounded_work_before_any_factorisation(monkeypatc
     monkeypatch.setattr(spectra, "sturm_counts", lambda *a: calls.append(a))
     monkeypatch.setattr(spectra, "assemble_hamiltonian", lambda *a: calls.append(a))
     # about 2e6 modes of 3999 points reach mu = 1e12
-    with pytest.raises(ValueError, match="work estimate"):
+    with pytest.raises(RunRefusedError, match="work estimate"):
         spectra.window_counts([0.5], SpectrumParams(), [(0.0, 1e6)])
     for ts, windows, named in (([0.5], [(2.0, 1.0)], "a < b"), ([0.5], [(0.0, math.nan)], "finite"),
                                ([0.5], [(0.0, 1e200)], "overflows"),
                                ([0.4, 0.4], [(0.0, 1.0)], "distinct"),
                                ([-0.5], [(0.0, 1.0)], "-0.5"), ([], [(0.0, 1.0)], "at least one")):
-        with pytest.raises(ValueError, match=re.escape(named)):
+        with pytest.raises(RunRefusedError, match=re.escape(named)):
             spectra.window_counts(ts, SpectrumParams(), windows)
     assert calls == []
     # the closed-form bound: the first k with k + 1/2 >= 1 + sqrt(1 + 9 phi_wall^2),
@@ -685,7 +687,7 @@ def test_a_failed_solve_cancels_the_queued_ones(monkeypatch):
 def test_bad_t_values_fail_before_any_solve(monkeypatch, ts):
     calls = []
     monkeypatch.setattr(spectra, "eigen_lowest", lambda *a, **k: calls.append(a))
-    with pytest.raises(ValueError):
+    with pytest.raises(RunRefusedError):
         dirac_spectrum(ts, SpectrumParams(k_max=0, levels=2, n=100))
     assert calls == []
 
@@ -700,15 +702,25 @@ def test_bad_t_values_fail_before_any_solve(monkeypatch, ts):
     # 2 * 2000 solves * 100 levels * 3999 points at t = 0; 8.0e8 at t = 0.5 passes
     ("0.0", dict(k_max=1999, levels=100), "work estimate 1599600000 ")],
     ids=["negative", "nan", "inf", "2000", "repeated", "1000", "341.1", "over-max-work"])
-def test_config_and_library_refuse_the_same_runs_before_solving(monkeypatch, grid, keys, named):
+def test_config_and_library_refuse_the_same_runs_before_solving(monkeypatch, capsys, tmp_path,
+                                                                grid, keys, named):
     # check_grids is the one owner of the t rules and the work bound: the
-    # config and the library refuse the same runs, before any solve
+    # commands and the library refuse the same runs, before any solve.  A
+    # count solves nothing, so the solve work bound does not bind it.
     calls = []
     monkeypatch.setattr(spectra, "eigen_lowest", lambda *a, **k: calls.append(a))
-    with pytest.raises(ConfigError, match=re.escape(named)):
-        RunConfig.from_text(f"t_grid = {grid}\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"t_grid = {grid}\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   + f"output_dir = {tmp_path / 'out'}\n", encoding="utf-8")
+    for command in (("spectrum", "sweep"), ("spectrum", "mass"), ("trace", "compute"),
+                    ("spectrum", "count")):
+        code, err = main([*command, str(cfg)]), capsys.readouterr().err
+        if command[1] == "count" and named.startswith("work estimate"):
+            assert code == EXIT_OK, err
+        else:
+            assert code == EXIT_CONFIG and named in err, (command, err)
     ts = [float(x) for x in grid.split(",")]
-    with pytest.raises(ValueError, match=re.escape(named)):
+    with pytest.raises(RunRefusedError, match=re.escape(named)):
         dirac_spectrum(ts[0] if len(ts) == 1 else ts, SpectrumParams(**keys))
     assert calls == []
 
@@ -733,7 +745,7 @@ def test_the_spacing_rule_admits_what_the_solver_resolves(capsys, tmp_path):
         lowest_two(341.1)
     cfg = tmp_path / "run.cfg"
     for t in ("341.0", "341.1"):
-        with pytest.raises(ValueError, match=re.escape(f"t = {t}")):
+        with pytest.raises(RunRefusedError, match=re.escape(f"t = {t}")):
             dirac_spectrum(float(t), SpectrumParams(k_max=0, levels=2))
         cfg.write_text(f"t_grid = {t}\nk_max = 0\nlevels = 2\noutput_dir = {tmp_path}\n")
         assert main(["spectrum", "sweep", str(cfg)]) == EXIT_CONFIG
@@ -743,18 +755,18 @@ def test_the_spacing_rule_admits_what_the_solver_resolves(capsys, tmp_path):
 def test_levels_above_the_grid_fail_before_any_solve(monkeypatch, capsys, tmp_path):
     calls = []
     monkeypatch.setattr(spectra, "eigen_lowest", lambda *a, **k: calls.append(a))
-    with pytest.raises(ValueError, match="grid points"):
+    with pytest.raises(RunRefusedError, match="grid points"):
         dirac_spectrum(0.3, SpectrumParams(levels=101, n=100))
-    with pytest.raises(ValueError, match="grid points"):
+    with pytest.raises(RunRefusedError, match="grid points"):
         dirac_spectrum(0.0, SpectrumParams(levels=101, n=100))
     # h = 0.05: t = 0.01 has 239 interior points, the first cusp depth 158,
     # so the sweep must refuse before it solves t = 0.01
     # (k_max = 2: three solves at t > 0, six for a cusp-depth step)
     assert spectra.check_grids([0.01, 0.0], SpectrumParams(levels=158, h=0.05)) == [(3, 239),
                                                                                    (6, 158)]
-    with pytest.raises(ValueError, match="158 grid points at t = 0.0"):
+    with pytest.raises(RunRefusedError, match="158 grid points at t = 0.0"):
         spectral_sweep([0.01, 0.0], SpectrumParams(levels=159, h=0.05))
-    with pytest.raises(ValueError, match="levels >= 2"):  # the tail model needs two
+    with pytest.raises(RunRefusedError, match="levels >= 2"):  # the tail model needs two
         relative_resolvent_trace(0.3, -1.0, -2.0, SpectrumParams(levels=1))
     assert calls == []
 
@@ -764,8 +776,7 @@ def test_levels_above_the_grid_fail_before_any_solve(monkeypatch, capsys, tmp_pa
                        + f"output_dir = {tmp_path / 'out'}\n", encoding="utf-8")
         return main(["spectrum", "sweep", str(cfg)])
 
-    RunConfig.from_text("t_grid = 0.5,0.0\nlevels = 3999\n")
-    RunConfig.from_text("t_grid = 0.01,0.0\nlevels = 158\nh = 0.05\n")
+    spectra.check_grids([0.5, 0.0], SpectrumParams(levels=3999))
     assert exit_code(t_grid="0.5,0.0", levels=4000) == EXIT_CONFIG  # n = 3999 at every t
     assert exit_code(t_grid="0.01", levels=240, h=0.05) == EXIT_CONFIG
     assert exit_code(t_grid="0.01,0.0", levels=159, h=0.05) == EXIT_CONFIG
