@@ -14,7 +14,6 @@ refuses before any work (``RunRefusedError``).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import re
 import json
 import math
@@ -230,18 +229,17 @@ def cmd_symbols(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _solve(config: RunConfig, keep_vectors: int = 0) -> SpectrumTable:
+def _solve(config: RunConfig) -> SpectrumTable:
     """The spectra at every t of ``config`` from one ``dirac_spectrum`` call, which pools them.
 
     The progress line, with the solve counts of ``check_grids``, goes first.
     """
     ts = sorted(config.t_grid, reverse=True)
-    params = dataclasses.replace(config.params, keep_vectors=keep_vectors)
-    solves = {t: s for t, (s, _) in zip(ts, check_grids(ts, params))}
+    solves = {t: s for t, (s, _) in zip(ts, check_grids(ts, config.params))}
     more = f", plus {solves[0.0]} per further cusp-depth step" if 0.0 in solves else ""
     print(f"solving {len(ts)} values of t: {sum(solves.values())} mode solves{more}",
           file=sys.stderr)
-    return dirac_spectrum(ts, params)
+    return dirac_spectrum(ts, config.params)
 
 
 def _csv(header: str, rows) -> str:
@@ -273,13 +271,9 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
             for (a, b), c in zip(config.windows, counts))))
     # mass, the one name left: argparse refuses any other
     check_windows(config.t_grid, config.params, [b for _, b in config.windows])
-    table = _solve(config, keep_vectors=1)  # mass reads the lowest level's vector
-    rows = []
-    for t in table.mu:
-        low = table.lowest(t)
-        handle = table.vector(t, low.k, low.j)
-        rows += [f"{_fmt(t)},{low.j},{_fmt(b)},{_fmt(neck_mass(t, handle, b))}"
-                 for _, b in config.windows]
+    table = _solve(config)
+    rows = [f"{_fmt(t)},{table.lowest(t).j},{_fmt(b)},{_fmt(neck_mass(t, table.ground[t], b))}"
+            for t in table.mu for _, b in config.windows]
     return _write_outputs(config, "mass.csv", _csv("t,j,window,fraction", rows))
 
 

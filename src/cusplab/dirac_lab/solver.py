@@ -49,7 +49,7 @@ def _load_cython_lapack():
     return module
 
 
-# LAPACK's dstebz/dstein/dlarrc, called through scipy's Cython LAPACK table with
+# LAPACK's dstebz/dstein/dlaebz, called through scipy's Cython LAPACK table with
 # ctypes: a ctypes call releases the GIL, so solves on different threads run
 # at once (scipy's f2py wrappers hold it).  Only the cython_lapack extension
 # is loaded: importing it through ``scipy.linalg`` would first run that
@@ -86,9 +86,10 @@ _dstebz = _lapack_routine("dstebz", _CHAR, _CHAR, _INT, _DOUBLE, _DOUBLE, _INT, 
 # N D E M W IBLOCK ISPLIT Z LDZ WORK IWORK IFAIL INFO
 _dstein = _lapack_routine("dstein", _INT, _DOUBLE, _DOUBLE, _INT, _DOUBLE, _INT, _INT,
                           _DOUBLE, _INT, _DOUBLE, _INT, _INT, _INT)
-# JOBT N VL VU D E PIVMIN EIGCNT LCNT RCNT INFO
-_dlarrc = _lapack_routine("dlarrc", _CHAR, _INT, _DOUBLE, _DOUBLE, _DOUBLE, _DOUBLE, _DOUBLE,
-                          _INT, _INT, _INT, _INT)
+# IJOB NITMAX N MMAX MINP NBMIN ABSTOL RELTOL PIVMIN D E E2 NVAL AB C MOUT NAB WORK IWORK INFO
+_dlaebz = _lapack_routine("dlaebz", _INT, _INT, _INT, _INT, _INT, _INT, _DOUBLE, _DOUBLE,
+                          _DOUBLE, _DOUBLE, _DOUBLE, _DOUBLE, _INT, _DOUBLE, _DOUBLE, _INT,
+                          _INT, _DOUBLE, _INT, _INT)
 
 
 @dataclass(frozen=True)
@@ -141,16 +142,25 @@ class Grid:
 
 @dataclass(frozen=True)
 class Tridiagonal:
-    """A real symmetric tridiagonal matrix (diagonal + off-diagonal)."""
+    """A real symmetric tridiagonal matrix (diagonal + off-diagonal).
+
+    Both are finite, contiguous, read-only float64 1-d arrays, the off-diagonal one shorter.
+    """
 
     diagonal: np.ndarray
     offdiagonal: np.ndarray
 
     def __post_init__(self) -> None:
+        for name in ("diagonal", "offdiagonal"):
+            a = np.ascontiguousarray(getattr(self, name), dtype=float)
+            if a.ndim != 1:
+                raise ValueError("diagonal and off-diagonal must be 1-d")
+            if not np.isfinite(a).all():  # as eigh_tridiagonal's finiteness check
+                raise ValueError("array must not contain infs or NaNs")
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
         if len(self.offdiagonal) != len(self.diagonal) - 1:
             raise ValueError("off-diagonal must be one shorter than the diagonal")
-        self.diagonal.setflags(write=False)
-        self.offdiagonal.setflags(write=False)
 
     @property
     def dimension(self) -> int:
@@ -235,78 +245,78 @@ def eigen_lowest(
     T: Tridiagonal,
     count: int,
     tol: float = 1e-10,
-    vectors: bool = False,
+    vector: bool = False,
     h: float | None = None,
 ):
     """Lowest eigenvalues of T by Sturm-sequence bisection, to absolute tol.
 
-    Eigenvectors (inverse iteration) are normalized in the discrete
-    L^2(d rho) norm when the spacing h is given, else in the plain l^2 norm.
-    Returns an array of eigenvalues, or (values, columns) with vectors.
+    With ``vector``, also the eigenvector of the lowest one (inverse
+    iteration), normalized in the discrete L^2(d rho) norm when the spacing h
+    is given, else in the plain l^2 norm.  Returns the ascending eigenvalues,
+    or (values, vector) with ``vector``.
     """
     n = T.dimension
     if not 1 <= count <= n:
         raise ValueError("count must lie between 1 and the dimension")
-    d = np.ascontiguousarray(T.diagonal, dtype=float)
-    e = np.ascontiguousarray(T.offdiagonal, dtype=float)
-    if d.shape != (n,) or e.shape != (n - 1,):
-        raise ValueError("diagonal and off-diagonal must be 1-d")
-    if not (np.isfinite(d).all() and np.isfinite(e).all()):
-        raise ValueError("array must not contain infs or NaNs")
+    d, e = T.diagonal, T.offdiagonal
     # the calls scipy's eigh_tridiagonal(select="i", tol=tol) makes: values in
     # matrix order, or in block order for dstein and sorted afterwards
     m, nsplit, info = ctypes.c_int(), ctypes.c_int(), ctypes.c_int()
     w, iblock, isplit = np.empty(n), np.empty(n, np.intc), np.empty(n, np.intc)
     work, iwork = np.empty(5 * n), np.empty(3 * n, np.intc)  # enough for both routines
-    _dstebz(b"I", b"B" if vectors else b"E", ctypes.c_int(n), ctypes.c_double(0.0),
+    _dstebz(b"I", b"B" if vector else b"E", ctypes.c_int(n), ctypes.c_double(0.0),
             ctypes.c_double(0.0), ctypes.c_int(1), ctypes.c_int(count), ctypes.c_double(tol),
             _ptr(d), _ptr(e), m, nsplit, _ptr(w), _ptr(iblock), _ptr(isplit),
             _ptr(work), _ptr(iwork), info)
     if info.value != 0:
         raise NonConvergenceError(f"LAPACK dstebz failed with info = {info.value}")
     w = w[: m.value]
-    if not vectors:
+    if not vector:
         return w
-    vecs, ifail = np.empty((n, m.value), order="F"), np.empty(m.value, np.intc)
-    _dstein(ctypes.c_int(n), _ptr(d), _ptr(e), m, _ptr(w), _ptr(iblock), _ptr(isplit),
-            _ptr(vecs), ctypes.c_int(n), _ptr(work), _ptr(iwork), _ptr(ifail), info)
+    # dstein draws one random start per value in the order given: the values up to the
+    # lowest (one unless T splits) give its vector the bits of eigh_tridiagonal's column 0
+    order = np.argsort(w)
+    first = int(order[0]) + 1
+    vecs, ifail = np.empty((n, first), order="F"), np.empty(first, np.intc)
+    _dstein(ctypes.c_int(n), _ptr(d), _ptr(e), ctypes.c_int(first), _ptr(w), _ptr(iblock),
+            _ptr(isplit), _ptr(vecs), ctypes.c_int(n), _ptr(work), _ptr(iwork), _ptr(ifail),
+            info)
     if info.value != 0:
         raise NonConvergenceError(f"LAPACK dstein failed with info = {info.value}")
-    order = np.argsort(w)
-    w, vecs = w[order], vecs[:, order]
+    v = vecs[:, -1]
     if h is not None:
-        vecs = vecs / np.sqrt(h * np.sum(vecs**2, axis=0))
-    return w, vecs
+        v = v / np.sqrt(h * np.sum(v**2))
+    return w[order], v
 
 
 def sturm_counts(T: Tridiagonal, shifts) -> list[int]:
     """The number of eigenvalues of T at or below each shift, without an eigensolve.
 
     Each count is the number of nonpositive pivots of the LDL^T factorisation
-    of T - shift (Sylvester's law of inertia), which LAPACK's dlarrc forms in
-    O(n) for two shifts per call.  dlarrc does not guard a pivot that is
-    exactly zero, which takes an exact cancellation: it counts that pivot and
-    the -inf after it, one too many (2 for [[1, 1], [1, 1]] at the shift 1).
+    of T - shift (Sylvester's law of inertia), which LAPACK's dlaebz forms in
+    O(n) per shift, two shifts to an interval.  A pivot smaller in magnitude
+    than dstebz's PIVMIN is replaced by -PIVMIN, as in dstebz's own counts,
+    so an exactly zero pivot counts once (1 for [[1, 1], [1, 1]] at the
+    shift 1, which has the eigenvalues 0 and 2).
     """
-    d = np.ascontiguousarray(T.diagonal, dtype=float)
-    e = np.ascontiguousarray(T.offdiagonal, dtype=float)
-    n = len(d)
-    if not (np.isfinite(d).all() and np.isfinite(e).all()):
-        raise ValueError("array must not contain infs or NaNs")
     shifts = [float(s) for s in shifts]
     if not all(map(math.isfinite, shifts)):
         raise ValueError(f"shifts must be finite, got {shifts!r}")
-    eigcnt, lcnt, rcnt, info = ctypes.c_int(), ctypes.c_int(), ctypes.c_int(), ctypes.c_int()
-    counts = []
-    for i in range(0, len(shifts), 2):
-        low, high = shifts[i], shifts[min(i + 1, len(shifts) - 1)]
-        # PIVMIN is read only when dlarrc is given an LDL^T rather than T
-        _dlarrc(b"T", ctypes.c_int(n), ctypes.c_double(low), ctypes.c_double(high), _ptr(d),
-                _ptr(e), ctypes.c_double(sys.float_info.min), eigcnt, lcnt, rcnt, info)
-        if info.value != 0:
-            raise NonConvergenceError(f"LAPACK dlarrc failed with info = {info.value}")
-        counts += [lcnt.value, rcnt.value]
-    return counts[: len(shifts)]
+    e2 = T.offdiagonal**2
+    pivmin = sys.float_info.min * max(1.0, float(e2.max(initial=0.0)))
+    # AB's rows are the shift pairs, an odd last shift filling its row; NAB gets their counts
+    ab = np.asfortranarray(np.reshape(shifts + shifts[-1:] * (len(shifts) % 2), (-1, 2)))
+    nab, pairs = np.empty_like(ab, dtype=np.intc), ctypes.c_int(len(ab))
+    one, mout, info = ctypes.c_int(1), ctypes.c_int(), ctypes.c_int()
+    # IJOB = 1 only counts: NVAL, C, WORK and IWORK go unread
+    unread, unread_int = np.zeros(1), np.zeros(1, np.intc)
+    _dlaebz(one, one, ctypes.c_int(T.dimension), pairs, pairs, one, ctypes.c_double(0.0),
+            ctypes.c_double(0.0), ctypes.c_double(pivmin), _ptr(T.diagonal), _ptr(T.offdiagonal),
+            _ptr(e2), _ptr(unread_int), _ptr(ab), _ptr(unread), mout, _ptr(nab), _ptr(unread),
+            _ptr(unread_int), info)
+    if info.value != 0:
+        raise NonConvergenceError(f"LAPACK dlaebz failed with info = {info.value}")
+    return nab.ravel()[: len(shifts)].tolist()
 
 
 def convergence_order(

@@ -72,8 +72,7 @@ class SpectrumParams:
     ``k_max`` bounds the mode index (modes k and -k-1 form a degenerate
     pair, so only k = 0..k_max are solved), ``levels`` is the eigenvalue
     count per mode, ``h``/``n`` fix the grid (default spacing length/4000),
-    ``rho_margin_factor`` controls the t = 0 cusp truncation depth, and
-    ``keep_vectors`` stores eigenvectors for levels j <= keep_vectors.
+    and ``rho_margin_factor`` controls the t = 0 cusp truncation depth.
     Callers rely on the checks here and repeat none of them.
     """
 
@@ -82,7 +81,6 @@ class SpectrumParams:
     h: float | None = None
     n: int | None = None
     rho_margin_factor: float = 50.0
-    keep_vectors: int = 0
 
     def __post_init__(self) -> None:
         if self.k_max < 0 or self.levels < 1:
@@ -120,15 +118,17 @@ class VectorHandle:
 
 @dataclass(frozen=True, eq=False)
 class SpectrumTable:
-    """Eigenvalues per pinching parameter t, with the stored eigenvectors.
+    """Eigenvalues per pinching parameter t, with the ground state at each t.
 
     ``mu`` maps each t, kept in descending order, to a (k_max + 1, levels)
     array whose row k holds the ascending eigenvalues of mode pair k;
-    ``vectors`` maps (t, k, j) to the eigenvector of level j (1-based).
+    ``ground`` maps each t to the eigenvector of the lowest level.  That is
+    mode 0's first, the row (k = 0, j = 1) that ``lowest(t)`` returns, since
+    H_k <= H_{k+1} pointwise (see ``window_counts``).
     """
 
     mu: Mapping[float, np.ndarray]
-    vectors: Mapping[tuple[float, int, int], VectorHandle]
+    ground: Mapping[float, VectorHandle]
 
     def __post_init__(self) -> None:
         for m in self.mu.values():
@@ -159,9 +159,6 @@ class SpectrumTable:
     def lowest(self, t: float) -> SpectrumRow:
         return self.rows_at(t)[0]
 
-    def vector(self, t: float, k: int, j: int) -> VectorHandle:
-        return self.vectors[(t, k, j)]
-
 
 def _cpu_count() -> int:
     """CPUs this process may run on: its affinity mask where the OS has one."""
@@ -183,13 +180,11 @@ def _chiralities(t: float) -> tuple[Chirality, ...]:
 def _queue_modes(pool: ThreadPoolExecutor, geom: NeckGeometry, params: SpectrumParams):
     """Queue the geometry's solves on its grid: one list of futures per k, one per chirality."""
     grid = Grid.for_geometry(geom, n=params.n, h=params.h)
-    keep = params.keep_vectors
 
     def solve(mode: ModeSpec):
         out = eigen_lowest(assemble_hamiltonian(geom, mode, grid), params.levels,
-                           vectors=keep > 0, h=grid.h)
-        # a mode's j lowest levels over chis are among each solve's j lowest
-        return (out[0], [v.copy() for v in out[1][:, :keep].T]) if keep else (out, [])
+                           vector=mode.k == 0, h=grid.h)
+        return out if mode.k == 0 else (out, None)
 
     return grid, [[pool.submit(solve, ModeSpec(k, chi)) for chi in _chiralities(geom.t)]
                   for k in range(params.k_max + 1)]
@@ -198,22 +193,20 @@ def _queue_modes(pool: ThreadPoolExecutor, geom: NeckGeometry, params: SpectrumP
 def _collect_modes(params: SpectrumParams, queued):
     """Wait for a geometry's queued solves and merge each mode's chiralities.
 
-    Returns the grid, the lowest ``levels`` eigenvalues of each mode as a
-    (k_max + 1, levels) array, the kept eigenvectors keyed by (k, j), and the
-    largest eigenvalue any one solve returned.
+    Returns the lowest ``levels`` eigenvalues of each mode as a
+    (k_max + 1, levels) array, mode 0's ground state, and the largest
+    eigenvalue any one solve returned.  The ground state is the vector of the
+    chirality whose first level is lower, plus on a tie.
     """
     grid, modes = queued
-    mu = np.empty((params.k_max + 1, params.levels))
-    vectors, mu_max = {}, 0.0
+    mu, mu_max = np.empty((params.k_max + 1, params.levels)), 0.0
     for k, jobs in enumerate(modes):
         parts = [job.result() for job in jobs]
+        if k == 0:
+            ground = VectorHandle(grid, min(parts, key=lambda part: part[0][0])[1])
         mu_k = np.concatenate([w for w, _ in parts])
-        order = np.argsort(mu_k, kind="stable")[: params.levels]
-        mu[k], mu_max = mu_k[order], max(mu_max, float(mu_k.max()))
-        for j, i in enumerate(order[: params.keep_vectors], start=1):
-            # entry i of mu_k is level i % levels of solve number i // levels
-            vectors[(k, j)] = parts[i // params.levels][1][i % params.levels]
-    return grid, mu, vectors, mu_max
+        mu[k], mu_max = np.sort(mu_k, kind="stable")[: params.levels], max(mu_max, mu_k.max())
+    return mu, ground, float(mu_max)
 
 
 def _cusp_depth(params: SpectrumParams, mu_max: float) -> float:
@@ -326,15 +319,15 @@ def _cusp_geometry(params: SpectrumParams, pool: ThreadPoolExecutor):
     domain is deepened until the requirement holds, and deepening only
     lowers eigenvalues, so the loop terminates.  Each depth's solves go to
     ``pool``; the loop itself runs on the calling thread, so no worker waits
-    on another.  Returns the geometry with the grid, eigenvalues and
-    eigenvectors of its last depth.
+    on another.  Returns the geometry with the eigenvalues and ground state
+    of its last depth.
     """
     geom = _first_geometry(0.0, params)
     for _ in range(8):
-        grid, mu, vectors, mu_max = _collect_modes(params, _queue_modes(pool, geom, params))
+        mu, ground, mu_max = _collect_modes(params, _queue_modes(pool, geom, params))
         needed = _cusp_depth(params, mu_max)
         if geom.rho_min <= needed:
-            return geom, grid, mu, vectors
+            return geom, mu, ground
         geom = NeckGeometry.cusp(needed - 0.5)
     raise RuntimeError("cusp truncation depth did not stabilize")
 
@@ -357,15 +350,14 @@ def dirac_spectrum(t: float | Sequence[float], params: SpectrumParams) -> Spectr
             queued = {s: _queue_modes(pool, NeckGeometry.neck(s), params) for s in ts if s > 0}
             # the necks are collected first, in the order they were queued,
             # so a failed solve reaches the caller before the rest have run
-            slabs = {s: _collect_modes(params, q)[:3] for s, q in queued.items()}
+            slabs = {s: _collect_modes(params, q)[:2] for s, q in queued.items()}
             if 0.0 in ts:
                 slabs[0.0] = _cusp_geometry(params, pool)[1:]
         except BaseException:
             pool.shutdown(cancel_futures=True)  # fail now, not after the rest of the grid
             raise
-    return SpectrumTable({s: mu for s, (_, mu, _) in slabs.items()},
-                         {(s, *kj): VectorHandle(grid, v)
-                          for s, (grid, _, vectors) in slabs.items() for kj, v in vectors.items()})
+    return SpectrumTable({s: mu for s, (mu, _) in slabs.items()},
+                         {s: ground for s, (_, ground) in slabs.items()})
 
 
 def spectral_sweep(t_grid: Sequence[float], params: SpectrumParams) -> SpectrumTable:

@@ -315,7 +315,7 @@ WINDOW = (0.5, 2.0)
 
 @pytest.fixture(scope="module")
 def sweep_table():
-    params = SpectrumParams(k_max=2, levels=8, keep_vectors=1)
+    params = SpectrumParams(k_max=2, levels=8)
     return spectral_sweep(SWEEP_GRID, params)
 
 
@@ -338,9 +338,7 @@ def test_criterion_11_projector_mass_decay(sweep_table):
     tail = [0.1, 0.05, 0.02, 0.01]
     masses = []
     for t in tail:
-        low = sweep_table.lowest(t)
-        handle = sweep_table.vector(t, low.k, low.j)
-        masses.append(neck_mass(t, handle, 0.1))
+        masses.append(neck_mass(t, sweep_table.ground[t], 0.1))
     assert all(a > b for a, b in zip(masses, masses[1:]))
     report(11, masses[-1] < 1e-3,
            f"neck mass strictly decreasing {masses[0]:.1e} -> {masses[-1]:.1e} < 1e-3")

@@ -162,14 +162,13 @@ def test_eigen_lowest_small_matrix_and_residual():
     g = NeckGeometry.neck(0.3)
     grid = Grid.for_geometry(g, n=400)
     T = assemble_hamiltonian(g, ModeSpec(0), grid)
-    w, v = eigen_lowest(T, 3, vectors=True, h=grid.h)
-    for i in range(3):
-        Tv = T.diagonal * v[:, i]
-        Tv[:-1] += T.offdiagonal * v[1:, i]
-        Tv[1:] += T.offdiagonal * v[:-1, i]
-        res = np.linalg.norm(Tv - w[i] * v[:, i]) / np.linalg.norm(v[:, i])
-        assert res < 1e-8
-        assert grid.h * np.sum(v[:, i] ** 2) == pytest.approx(1.0, rel=1e-12)
+    w, v = eigen_lowest(T, 3, vector=True, h=grid.h)
+    assert v.shape == (T.dimension,)  # the lowest level's vector only
+    Tv = T.diagonal * v
+    Tv[:-1] += T.offdiagonal * v[1:]
+    Tv[1:] += T.offdiagonal * v[:-1]
+    assert np.linalg.norm(Tv - w[0] * v) / np.linalg.norm(v) < 1e-8
+    assert grid.h * np.sum(v**2) == pytest.approx(1.0, rel=1e-12)
     with pytest.raises(ValueError):
         eigen_lowest(T, 0)
     with pytest.raises(ValueError):
@@ -216,11 +215,27 @@ def test_eigen_lowest_is_bitwise_eigh_tridiagonal():
         want = eigh_tridiagonal(T.diagonal, T.offdiagonal, eigvals_only=True, **kwargs)
         assert _same_bits(eigen_lowest(T, count, tol=tol), want), (T.dimension, count)
         want_w, want_v = eigh_tridiagonal(T.diagonal, T.offdiagonal, **kwargs)
-        got_w, got_v = eigen_lowest(T, count, tol=tol, vectors=True)
-        assert _same_bits(got_w, want_w) and _same_bits(got_v, want_v), (T.dimension, count)
-    assert np.all(np.diff(eigen_lowest(split, 6, vectors=True)[0]) > 0)
-    with pytest.raises(ValueError):  # as eigh_tridiagonal's finiteness check
-        eigen_lowest(Tridiagonal(np.array([1.0, np.nan]), np.array([0.5])), 1)
+        got_w, got_v = eigen_lowest(T, count, tol=tol, vector=True)
+        # the values keep their bits with the vector, and the one vector is column 0
+        assert _same_bits(got_w, want_w) and _same_bits(got_w, want), (T.dimension, count)
+        assert _same_bits(got_v, want_v[:, 0]), (T.dimension, count)
+    w, v = eigen_lowest(split, 6, vector=True)
+    assert np.all(np.diff(w) > 0)
+    assert not v[:3].any() and v[3:].all()  # in the block of the lower eigenvalues
+
+
+def test_tridiagonal_stores_finite_contiguous_float_arrays():
+    T = Tridiagonal(np.arange(6.0)[::2], [1, 2])  # a strided view and a list of ints
+    for a, want in ((T.diagonal, [0.0, 2.0, 4.0]), (T.offdiagonal, [1.0, 2.0])):
+        assert a.dtype == np.float64 and a.flags.c_contiguous and not a.flags.writeable
+        assert a.tolist() == want
+    for d, e in (([1.0, np.nan], [0.5]), ([1.0, 2.0], [np.inf]), ([-np.inf, 2.0], [0.5])):
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            Tridiagonal(np.array(d), np.array(e))  # as eigh_tridiagonal's finiteness check
+    with pytest.raises(ValueError, match="one shorter"):
+        Tridiagonal(np.ones(3), np.ones(3))
+    with pytest.raises(ValueError, match="1-d"):
+        Tridiagonal(np.ones((2, 2)), np.ones(1))
 
 
 def test_lapack_binding_is_scipy_linalg_cython_lapack():
@@ -237,7 +252,7 @@ def test_lapack_binding_is_scipy_linalg_cython_lapack():
             ("PyCapsule_GetName", ctypes.pythonapi))
         pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
             ("PyCapsule_GetPointer", ctypes.pythonapi))
-        for routine in ("dstebz", "dstein", "dlarrc"):
+        for routine in ("dstebz", "dstein", "dlaebz"):
             capsule = cython_lapack.__pyx_capi__[routine]
             bound = ctypes.cast(getattr(solver, "_" + routine), ctypes.c_void_p).value
             assert bound is not None and pointer(capsule, name(capsule)) == bound, routine
@@ -335,7 +350,7 @@ def test_left_and_right_cusp_spectra_agree():
 
 
 def test_dirac_spectrum_table_structure():
-    params = SpectrumParams(k_max=1, levels=3, n=800, keep_vectors=1)
+    params = SpectrumParams(k_max=1, levels=3, n=800)
     table = dirac_spectrum(0.3, params)
     assert len(table.rows) == 2 * 3
     assert all(r.mu >= -1e-10 for r in table.rows)
@@ -344,7 +359,7 @@ def test_dirac_spectrum_table_structure():
     assert all(r.lam == math.sqrt(max(r.mu, 0.0)) for r in table.rows)
     low = table.lowest(0.3)
     assert (low.k, low.j) == (0, 1)
-    handle = table.vector(0.3, 0, 1)
+    handle = table.ground[0.3]
     assert neck_mass(0.3, handle, 100.0) == pytest.approx(1.0, abs=1e-12)
     assert neck_mass(0.3, handle, 0.05) >= 0.0
     with pytest.raises(ValueError) as failure:  # a failure after the solve, not a refusal
@@ -443,6 +458,15 @@ def test_window_ends_are_open_in_lam_and_counted_in_mu(count_slow_path):
     assert got == tuple(table.eigen_count(a, b, 0.5) for a, b in windows)
 
 
+def test_an_exactly_zero_pivot_counts_once():
+    # at the shift 1 the first pivot of both matrices is exactly 0; [[1, 1], [1, 1]] has
+    # the eigenvalues 0 and 2, the 3 x 3 tridiagonal of ones 1 - sqrt 2, 1 and 1 + sqrt 2
+    shifts = [-0.5, 0.5, 1.0, 4.0]
+    for n, want in ((2, [0, 1, 1, 2]), (3, [0, 1, 2, 3])):
+        assert solver.sturm_counts(Tridiagonal(np.ones(n), np.ones(n - 1)), shifts) == want
+        assert solver.sturm_counts(Tridiagonal(np.ones(n), np.ones(n - 1)), [1.0]) == want[2:3]
+
+
 def test_window_counts_refuse_unbounded_work_before_any_factorisation(monkeypatch):
     calls = []
     monkeypatch.setattr(spectra, "sturm_counts", lambda *a: calls.append(a))
@@ -513,22 +537,34 @@ def test_trace_rejects_points_above_the_computed_levels(capsys, tmp_path):
     assert not (out / "trace.csv").exists()
 
 
-@pytest.mark.parametrize("keep_vectors", [0, 1])
-def test_t0_spectrum_reuses_the_cusp_depth_search(monkeypatch, keep_vectors):
+def _ground_state(geom: NeckGeometry, grid: Grid, levels: int) -> tuple[float, np.ndarray]:
+    """Mode 0's lowest level and its vector, over the chiralities solved at geom.t."""
+    chis = (Chirality.PLUS, Chirality.MINUS) if geom.t == 0 else (Chirality.PLUS,)
+    solves = [eigen_lowest(assemble_hamiltonian(geom, ModeSpec(0, chi), grid), levels,
+                           vector=True, h=grid.h) for chi in chis]
+    w, v = min(solves, key=lambda solve: solve[0][0])  # plus on a tie
+    return float(w[0]), v
+
+
+@pytest.mark.parametrize("k_max", [0, 1])
+def test_t0_spectrum_reuses_the_cusp_depth_search(monkeypatch, k_max):
     # each (k, chirality) is solved once per search iteration and the t = 0
-    # table is the accepted iteration's solves, not a second solve
-    params = SpectrumParams(k_max=1, levels=12, n=800, keep_vectors=keep_vectors)
+    # table is the accepted iteration's solves, not a second solve; only
+    # mode 0's solves compute a vector
+    params = SpectrumParams(k_max=k_max, levels=20, n=800)
     calls, depths, calls_at_search_exit = [], set(), []
+    solving = threading.local()  # a worker assembles its mode, then solves it
     eigen, assemble, search = (spectra.eigen_lowest, spectra.assemble_hamiltonian,
                                spectra._cusp_geometry)
 
     def counted_eigen(*args, **kwargs):
-        calls.append(kwargs.get("vectors", False))
+        calls.append((solving.k, kwargs.get("vector", False)))
         return eigen(*args, **kwargs)
 
-    def recorded_assemble(geom, *args):
+    def recorded_assemble(geom, mode, *args):
         depths.add(geom.rho_min)
-        return assemble(geom, *args)
+        solving.k = mode.k
+        return assemble(geom, mode, *args)
 
     def recorded_search(*args):
         out = search(*args)
@@ -542,7 +578,7 @@ def test_t0_spectrum_reuses_the_cusp_depth_search(monkeypatch, keep_vectors):
     assert len(depths) >= 2  # the search deepened the cusp at least once
     assert len(calls) == 2 * (params.k_max + 1) * len(depths)
     assert calls_at_search_exit == [len(calls)]
-    assert all(v == (keep_vectors > 0) for v in calls)
+    assert sorted(set(calls)) == [(k, k == 0) for k in range(params.k_max + 1)]
     monkeypatch.undo()
 
     with ThreadPoolExecutor(max_workers=2) as pool:
@@ -555,24 +591,23 @@ def test_t0_spectrum_reuses_the_cusp_depth_search(monkeypatch, keep_vectors):
         want = np.sort(both)[: params.levels]
         assert np.array_equal(table.mu[0.0][k], want)
         assert [r.mu for r in table.rows_at(0.0) if r.k == k] == want.tolist()
-        assert ((0.0, k, 1) in table.vectors) == (keep_vectors > 0)
+    mu, v = _ground_state(geom, grid, params.levels)
+    assert list(table.ground) == [0.0] and table.lowest(0.0).mu == mu
+    assert _same_bits(table.ground[0.0].values, v)
+    assert _same_bits(table.ground[0.0].grid.rho_values, grid.rho_values)
 
 
 def test_mode_solves_on_threads_match_one_worker(monkeypatch):
     # the pool changes when each (k, chirality) is solved, never what comes out
-    cases = [(t, SpectrumParams(k_max=2, levels=6, n=900, keep_vectors=kv))
-             for t in (0.3, 0.0) for kv in (0, 1)]
-    cases.append((0.0, SpectrumParams(k_max=1, levels=5, n=700, keep_vectors=5)))
-    default = [dirac_spectrum(t, p) for t, p in cases]
+    params = SpectrumParams(k_max=2, levels=6, n=900)
+    default = {t: dirac_spectrum(t, params) for t in (0.3, 0.0)}
     for cpus in (1, 6):  # one worker, and one per job whatever this host has
         monkeypatch.setattr(spectra, "_cpu_count", lambda: cpus)
-        for (t, params), want in zip(cases, default):
+        for t, want in default.items():
             got = dirac_spectrum(t, params)
             assert _same_bits(got.mu[t], want.mu[t])
-            assert got.vectors.keys() == want.vectors.keys()
-            assert len(got.vectors) == (params.k_max + 1) * params.keep_vectors
-            for key, handle in got.vectors.items():
-                assert _same_bits(handle.values, want.vectors[key].values), key
+            assert list(got.ground) == list(want.ground) == [t]
+            assert _same_bits(got.ground[t].values, want.ground[t].values), t
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 64])
@@ -603,18 +638,18 @@ def test_mode_pool_is_bounded_by_jobs_and_cpus(monkeypatch, cpus):
         assert 1 <= len(threads) <= min(jobs, cpus), ts
 
 
-# k_max = 1, levels = 12, n = 800: the cusp search deepens at least once
+# k_max <= 1, levels = 20, n = 800: the cusp search deepens at least once
 POOL_GRID = [0.4, 0.2, 0.0]
 
 
-def _pool_params(keep_vectors: int) -> SpectrumParams:
-    return SpectrumParams(k_max=1, levels=12, n=800, keep_vectors=keep_vectors)
+def _pool_params(k_max: int) -> SpectrumParams:
+    return SpectrumParams(k_max=k_max, levels=20, n=800)
 
 
-@pytest.mark.parametrize("keep_vectors", [0, 1])
-def test_pooled_grid_matches_one_t_per_call(monkeypatch, keep_vectors):
+@pytest.mark.parametrize("k_max", [0, 1])
+def test_pooled_grid_matches_one_t_per_call(monkeypatch, k_max):
     # pooling the t values changes when each solve runs, never what comes out
-    params = _pool_params(keep_vectors)
+    params = _pool_params(k_max)
     per_t = {t: dirac_spectrum(t, params) for t in POOL_GRID}
     depths, assemble = set(), spectra.assemble_hamiltonian
 
@@ -626,14 +661,11 @@ def test_pooled_grid_matches_one_t_per_call(monkeypatch, keep_vectors):
     for cpus in (1, 2, 6):
         monkeypatch.setattr(spectra, "_cpu_count", lambda: cpus)
         got = dirac_spectrum(POOL_GRID, params)
-        assert list(got.mu) == POOL_GRID
-        assert got.vectors.keys() == {key for t in POOL_GRID for key in per_t[t].vectors}
-        assert len(got.vectors) == len(POOL_GRID) * (params.k_max + 1) * keep_vectors
+        assert list(got.mu) == POOL_GRID and sorted(got.ground) == sorted(POOL_GRID)
         for t in POOL_GRID:
             assert _same_bits(got.mu[t], per_t[t].mu[t]), (cpus, t)
-            for key, handle in per_t[t].vectors.items():
-                assert _same_bits(got.vectors[key].values, handle.values), (cpus, key)
-                assert _same_bits(got.vectors[key].grid.rho_values, handle.grid.rho_values)
+            assert _same_bits(got.ground[t].values, per_t[t].ground[t].values), (cpus, t)
+            assert _same_bits(got.ground[t].grid.rho_values, per_t[t].ground[t].grid.rho_values)
     assert len({rho for t, rho in depths if t == 0}) >= 2  # two cusp-depth steps or more
 
 
@@ -641,7 +673,7 @@ def test_necks_are_queued_ahead_of_the_cusp_search_and_one_cpu_finishes(monkeypa
     # one worker runs the jobs in the order they were queued: each t > 0,
     # then the search's steps, which it queues from the calling thread, so
     # no worker waits on another
-    params = _pool_params(0)
+    params = _pool_params(1)
     order, assemble = [], spectra.assemble_hamiltonian
 
     def recorded_assemble(geom, *args):
@@ -659,6 +691,26 @@ def test_necks_are_queued_ahead_of_the_cusp_search_and_one_cpu_finishes(monkeypa
     modes = params.k_max + 1
     assert order[: 2 * modes] == [0.4] * modes + [0.2] * modes
     assert order[2 * modes:] == [0.0] * (len(order) - 2 * modes) and len(order) > 4 * modes
+
+
+@pytest.mark.parametrize("ts, params", [
+    # the sweep-cli benchmark's grid and the criterion-13 config's
+    ([0.5, 0.3, 0.2, 0.1, 0.05, 0.02, 0.01, 0.0], SpectrumParams(k_max=2, levels=8)),
+    ([0.4, 0.2, 0.1, 0.0], SpectrumParams(k_max=1, levels=4, h=0.005)),
+    (sorted(np.random.default_rng(3).uniform(1e-3, 2.0, 6).tolist(), reverse=True),
+     SpectrumParams(k_max=3, levels=5, n=1000))], ids=["sweep-cli", "criterion-13", "random"])
+def test_the_ground_state_is_the_lowest_row(ts, params):
+    # H_k <= H_{k+1} pointwise puts mode 0's first level lowest at every t,
+    # so the lowest row's vector, the one spectrum mass reads, is mode 0's
+    table = dirac_spectrum(ts, params)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        cusp = spectra._cusp_geometry(params, pool)[0]
+    for t in ts:
+        low = table.lowest(t)
+        assert (low.k, low.j) == (0, 1) and low.mu < table.mu[t][1:, 0].min(initial=np.inf), t
+        geom = NeckGeometry.neck(t) if t > 0 else cusp
+        mu, v = _ground_state(geom, table.ground[t].grid, params.levels)
+        assert low.mu == mu and _same_bits(table.ground[t].values, v), t
 
 
 def test_a_failed_solve_cancels_the_queued_ones(monkeypatch):
