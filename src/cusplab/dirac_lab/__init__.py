@@ -46,7 +46,6 @@ from cusplab.dirac_lab.spectra import (
     dirac_spectrum,
     neck_mass,
     relative_resolvent_trace,
-    spectral_sweep,
     window_counts,
 )
 
@@ -59,5 +58,5 @@ __all__ = [
     "tridiagonal_from_potential",
     "ResolventAboveLevelsError", "RunRefusedError", "SpectralCollisionError", "SpectrumParams",
     "SpectrumRow", "SpectrumTable", "TraceValue", "WindowCounts", "check_grids", "check_windows",
-    "dirac_spectrum", "neck_mass", "relative_resolvent_trace", "spectral_sweep", "window_counts",
+    "dirac_spectrum", "neck_mass", "relative_resolvent_trace", "window_counts",
 ]

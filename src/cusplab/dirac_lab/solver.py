@@ -94,50 +94,45 @@ _dlaebz = _lapack_routine("dlaebz", _INT, _INT, _INT, _INT, _INT, _INT, _DOUBLE,
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform interior grid for Dirichlet problems on the arclength domain."""
+    """The n interior points rho_min + h * i (i = 1..n) of [rho_min, rho_min + (n + 1) h].
 
-    rho_values: np.ndarray
+    Dirichlet problems on the arclength domain use these points; the grid
+    stores the three numbers and computes the points on demand.
+    """
+
+    rho_min: float
     h: float
+    n: int
 
     def __post_init__(self) -> None:
-        if self.h <= 0:
-            raise ValueError("grid spacing must be positive")
+        if not math.isfinite(self.rho_min):
+            raise ValueError(f"grid start must be finite, got {self.rho_min!r}")
+        if not 0.0 < self.h < math.inf:  # nan fails this too
+            raise ValueError(f"grid spacing must be finite and positive, got {self.h!r}")
         if self.n < MIN_POINTS:
-            raise ValueError(f"need at least {MIN_POINTS} interior points")
-        steps = np.diff(self.rho_values)
-        if steps.size and not np.allclose(steps, self.h, rtol=1e-9, atol=0.0):
-            raise ValueError("grid must be uniform")
-        self.rho_values.setflags(write=False)
+            raise ValueError(f"need at least {MIN_POINTS} interior points, got {self.n!r}")
 
     @property
-    def n(self) -> int:
-        return len(self.rho_values)
-
-    @staticmethod
-    def points_for(geom: NeckGeometry, n: int | None = None, h: float | None = None) -> int:
-        """The number of interior points ``for_geometry`` lays on the domain."""
-        if n is not None and h is not None:
-            raise ValueError("give n or h, not both")
-        if n is not None:
-            return n
-        target = h if h is not None else geom.length / DEFAULT_POINTS
-        return max(MIN_POINTS, int(round(geom.length / target)) - 1)
+    def rho_values(self) -> np.ndarray:
+        """The interior points, a read-only array computed on each access."""
+        rho = self.rho_min + self.h * np.arange(1, self.n + 1)
+        rho.setflags(write=False)
+        return rho
 
     @classmethod
     def for_geometry(cls, geom: NeckGeometry, n: int | None = None,
                      h: float | None = None) -> "Grid":
-        """Interior points of [rho_min, rho_max]; default spacing length/4000."""
-        n = cls.points_for(geom, n, h)
-        hh = geom.length / (n + 1)
-        rho = geom.rho_min + hh * np.arange(1, n + 1)
-        return cls(rho, hh)
+        """The grid filling [rho_min, rho_max]: n points, else spacing near h or length/4000."""
+        if n is not None and h is not None:
+            raise ValueError("give n or h, not both")
+        if n is None:
+            target = h if h is not None else geom.length / DEFAULT_POINTS
+            n = max(MIN_POINTS, int(round(geom.length / target)) - 1)
+        return cls(geom.rho_min, geom.length / (n + 1), n)
 
     def halved(self) -> "Grid":
-        """The nested refinement with spacing h/2 (2n + 1 interior points)."""
-        a = self.rho_values[0] - self.h
-        hh = self.h / 2.0
-        m = 2 * self.n + 1
-        return Grid(a + hh * np.arange(1, m + 1), hh)
+        """The nested refinement at spacing h/2: its points 2, 4, ..., 2n are this grid's bits."""
+        return Grid(self.rho_min, self.h / 2.0, 2 * self.n + 1)
 
 
 @dataclass(frozen=True)
@@ -187,10 +182,10 @@ def assemble_hamiltonian(
     an arbitrary profile (V' then comes from centered differences of the
     override, except that a constant override has V' = 0 exactly).
     """
-    rho = grid.rho_values
-    if not (geom.contains(rho[0] - grid.h) or math.isclose(
-            rho[0] - grid.h, geom.rho_min, rel_tol=1e-9, abs_tol=1e-12)):
+    if not (geom.contains(grid.rho_min) or math.isclose(
+            grid.rho_min, geom.rho_min, rel_tol=1e-9, abs_tol=1e-12)):
         raise ValueError("grid does not cover the geometry's domain")
+    rho = grid.rho_values
     if potential_override is None:
         v = np.asarray(potential(geom, mode, rho), dtype=float)
         vp = np.asarray(potential_derivative(geom, mode, rho), dtype=float)
@@ -323,23 +318,18 @@ def convergence_order(
     geom: NeckGeometry,
     mode: ModeSpec,
     grid: Grid,
-    grid_half: Grid,
     potential_override: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> float:
-    """Observed discretization order of the lowest eigenvalue from nested grids.
+    """Observed discretization order of the lowest eigenvalue on ``grid`` and its halving.
 
     Richardson-style estimate log2(|mu_h - mu_ref| / |mu_h/2 - mu_ref|)
-    against a reference at spacing h/8.
+    against a reference at spacing h/8; the finer grids are nested refinements of ``grid``.
     """
-    if grid_half.n == grid.n:
-        raise ValueError("grids must be distinct nested refinements")
-    if not math.isclose(grid_half.h, grid.h / 2.0, rel_tol=1e-9):
-        raise ValueError("second grid must have half the spacing of the first")
 
     def mu(g: Grid) -> float:
         T = assemble_hamiltonian(geom, mode, g, potential_override)
         return float(eigen_lowest(T, 1)[0])
 
-    reference = grid.halved().halved().halved()
-    mu_ref = mu(reference)
-    return math.log2(abs(mu(grid) - mu_ref) / abs(mu(grid_half) - mu_ref))
+    half = grid.halved()
+    mu_ref = mu(half.halved().halved())
+    return math.log2(abs(mu(grid) - mu_ref) / abs(mu(half) - mu_ref))

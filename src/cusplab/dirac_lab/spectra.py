@@ -239,14 +239,13 @@ def _grids(ts: list[float], params: SpectrumParams, geometry) -> list[tuple[Neck
             raise RunRefusedError(f"pinching parameter t must be finite and >= 0, got {t!r}")
         try:
             geom = geometry(t)
-            n = Grid.points_for(geom, n=params.n, h=params.h)
+            grid = Grid.for_geometry(geom, n=params.n, h=params.h)
         except (ArithmeticError, ValueError) as exc:  # sinh(t / 2) or length / h overflows
             raise RunRefusedError(f"no grid can be counted at t = {t!r}: {exc}") from exc
-        spacing = geom.length / (n + 1)
-        if not spacing >= MIN_SPACING:
-            raise RunRefusedError(f"the grid spacing {spacing!r} at t = {t!r} is below "
+        if not grid.h >= MIN_SPACING:
+            raise RunRefusedError(f"the grid spacing {grid.h!r} at t = {t!r} is below "
                                   f"{MIN_SPACING!r}, where the solver's (2 / h^2)^2 overflows")
-        grids.append((geom, n))
+        grids.append((geom, grid.n))
     if len(set(ts)) != len(ts):
         raise RunRefusedError(f"pinching parameters must be distinct, got {ts!r}")
     return grids
@@ -358,16 +357,6 @@ def dirac_spectrum(t: float | Sequence[float], params: SpectrumParams) -> Spectr
             raise
     return SpectrumTable({s: mu for s, (mu, _) in slabs.items()},
                          {s: ground for s, (_, ground) in slabs.items()})
-
-
-def spectral_sweep(t_grid: Sequence[float], params: SpectrumParams) -> SpectrumTable:
-    """Solve every t in a sweep grid (descending, ending at 0) into one table."""
-    ts = list(t_grid)
-    if any(a <= b for a, b in zip(ts, ts[1:])):
-        raise RunRefusedError("t grid must be strictly descending")
-    if ts[-1] != 0.0:
-        raise RunRefusedError("t grid must end at 0 (the split-neck limit)")
-    return dirac_spectrum(ts, params)
 
 
 def _window_shifts(windows) -> list[tuple[float | None, float | None]]:
@@ -554,17 +543,18 @@ def relative_resolvent_trace(
 
     Sums 1/(mu - lam) - 1/(mu - lam0) over the table rows with the pair
     multiplicity 2 and adds the per-mode tail of the Weyl model anchored at
-    the largest computed eigenvalues, so it needs ``levels >= 2``; a given
-    ``table`` holds the spectrum at t computed with ``params``.  Both points
-    must lie below every mode's highest computed level
-    (``ResolventAboveLevelsError``).
+    the largest computed eigenvalues, so it needs two levels or more: the
+    given ``table``'s at t, else ``params.levels``, checked before the solve
+    of the spectrum at t with ``params``.  Both points must lie below every
+    mode's highest computed level (``ResolventAboveLevelsError``).
     """
-    if params.levels < 2:
-        raise RunRefusedError(f"the trace's tail model needs levels >= 2, got {params.levels}")
+    if table is not None and t not in table.mu:
+        raise ValueError(f"table has no rows at t = {t}")
+    levels = params.levels if table is None else table.mu[t].shape[1]
+    if levels < 2:
+        raise RunRefusedError(f"the trace's tail model needs levels >= 2, got {levels}")
     if table is None:
         table = dirac_spectrum(t, params)
-    if t not in table.mu:
-        raise ValueError(f"table has no rows at t = {t}")
     for k, mu in enumerate(table.mu[t]):
         for point in (lam, lam0):
             if not point < mu[-1]:  # nan fails this too

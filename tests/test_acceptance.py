@@ -44,13 +44,13 @@ from cusplab.dirac_lab import (
     assemble_hamiltonian,
     circle_spectrum,
     convergence_order,
+    dirac_spectrum,
     eigen_lowest,
     indicial_min,
     indicial_scan,
     neck_mass,
     partner_minus_hamiltonian,
     relative_resolvent_trace,
-    spectral_sweep,
 )
 from cusplab.dirac_lab.spectra import _cusp_geometry
 from cusplab.expfit import compare_models, fit_basis, log_even_basis, smooth_even_basis
@@ -283,8 +283,7 @@ def test_criterion_08_discretization_validity():
     err1 = abs(mu[0] - analytic[0])
     assert err1 < 1e-6
     coarse = Grid.for_geometry(geom, n=400)
-    order = convergence_order(geom, ModeSpec(0), coarse, coarse.halved(),
-                              potential_override=lambda r: c)
+    order = convergence_order(geom, ModeSpec(0), coarse, potential_override=lambda r: c)
     assert 1.7 <= order <= 2.3
     elapsed = time.perf_counter() - start
     report(8, elapsed < 30.0,
@@ -316,7 +315,7 @@ WINDOW = (0.5, 2.0)
 @pytest.fixture(scope="module")
 def sweep_table():
     params = SpectrumParams(k_max=2, levels=8)
-    return spectral_sweep(SWEEP_GRID, params)
+    return dirac_spectrum(SWEEP_GRID, params)
 
 
 def test_criterion_10_spectral_convergence(sweep_table):

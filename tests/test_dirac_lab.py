@@ -1,6 +1,7 @@
 """Tests for the neck geometry, mode reduction, and eigensolver."""
 
 import ctypes
+import dataclasses
 import math
 import os
 import re
@@ -46,7 +47,6 @@ from cusplab.dirac_lab import (
     potential,
     potential_derivative,
     relative_resolvent_trace,
-    spectral_sweep,
     tridiagonal_from_potential,
 )
 
@@ -153,7 +153,6 @@ def test_flat_override_matches_separable_eigenvalues():
 def test_eigen_lowest_small_matrix_and_residual():
     T = tridiagonal_from_potential(np.array([2.0, 2.0]), 1.0)
     # overwrite: direct [[2,-1],[-1,2]] has eigenvalues 1 and 3
-    import dataclasses
     T = dataclasses.replace(T, diagonal=np.array([2.0, 2.0]),
                             offdiagonal=np.array([-1.0]))
     w = eigen_lowest(T, 2)
@@ -285,13 +284,48 @@ def test_lapack_binding_refuses_a_foreign_prototype(monkeypatch):
 def test_convergence_order_flat_and_neck():
     g = NeckGeometry.neck(0.3)
     grid = Grid.for_geometry(g, n=250)
-    order_flat = convergence_order(g, ModeSpec(0), grid, grid.halved(),
-                                   potential_override=lambda r: 0.4)
+    order_flat = convergence_order(g, ModeSpec(0), grid, potential_override=lambda r: 0.4)
     assert 1.8 <= order_flat <= 2.2
-    order_neck = convergence_order(g, ModeSpec(0), grid, grid.halved())
+    order_neck = convergence_order(g, ModeSpec(0), grid)
     assert 1.7 <= order_neck <= 2.3
+
+
+@pytest.mark.parametrize("rho_min, h, n", [
+    (math.nan, 0.1, 100), (math.inf, 0.1, 100), (-math.inf, 0.1, 100),
+    (-1.0, math.nan, 100), (-1.0, math.inf, 100), (-1.0, 0.0, 100), (-1.0, -0.1, 100),
+    (-1.0, 0.1, 15), (-1.0, 0.1, 0)])
+def test_grid_refuses_bad_numbers(rho_min, h, n):
     with pytest.raises(ValueError):
-        convergence_order(g, ModeSpec(0), grid, grid)
+        Grid(rho_min, h, n)
+
+
+@pytest.mark.parametrize("ts, params", [
+    # the sweep-cli benchmark's grid and the criterion-13 config's
+    ([0.5, 0.3, 0.2, 0.1, 0.05, 0.02, 0.01, 0.0], SpectrumParams(k_max=2, levels=8)),
+    ([0.4, 0.2, 0.1, 0.0], SpectrumParams(k_max=1, levels=4, h=0.005))],
+    ids=["sweep-cli", "criterion-13"])
+def test_grid_points_are_three_numbers(ts, params):
+    # each t's grid, the first cusp depth's at t = 0, has the points it
+    # stored as an array before, and its halving nests them bit for bit
+    for t in ts:
+        geom = spectra._first_geometry(t, params)
+        g = Grid.for_geometry(geom, n=params.n, h=params.h)
+        assert [f.name for f in dataclasses.fields(g)] == ["rho_min", "h", "n"]
+        want = geom.rho_min + (geom.length / (g.n + 1)) * np.arange(1, g.n + 1)
+        assert _same_bits(g.rho_values, want) and not g.rho_values.flags.writeable, t
+        half = g.halved()
+        assert (half.rho_min, half.n) == (g.rho_min, 2 * g.n + 1)
+        assert _same_bits(half.rho_values[1::2], g.rho_values), t
+
+
+def test_halving_nests_the_points_bit_for_bit():
+    # (0.1 + 0.3) - 0.3 != 0.1: a halving started there would shift every point
+    rng = np.random.default_rng(8)
+    grids = [Grid(0.1, 0.3, 16)] + [Grid(float(a), float(h), int(n)) for a, h, n in zip(
+        rng.uniform(-10, 10, 20), 10.0 ** rng.uniform(-4, 0, 20), rng.integers(16, 5000, 20))]
+    assert (0.1 + 0.3) - 0.3 != 0.1
+    for g in grids:
+        assert _same_bits(g.halved().rho_values[1::2], g.rho_values), g
 
 
 # -- spectra, masses, traces ----------------------------------------------------
@@ -370,7 +404,7 @@ def test_dirac_spectrum_table_structure():
 def test_spectral_sweep_counts_and_inputs():
     params = SpectrumParams(k_max=1, levels=4, n=600)
     grid_t = [0.4, 0.2, 0.1, 0.0]
-    table = spectral_sweep(grid_t, params)
+    table = dirac_spectrum(grid_t, params)
     assert list(table.mu) == grid_t
     for t in grid_t:
         assert len(table.rows_at(t)) == 2 * 4
@@ -379,12 +413,8 @@ def test_spectral_sweep_counts_and_inputs():
     # discreteness with a gap: the smallest eigenvalue stays away from zero
     # as the neck pinches (the antiperiodic mode frequencies never vanish)
     assert all(table.lowest(t).lam > 0.5 for t in grid_t)
-    with pytest.raises(RunRefusedError):
-        spectral_sweep([0.1, 0.4, 0.0], params)
-    with pytest.raises(RunRefusedError):
-        spectral_sweep([0.4, 0.1], params)
     with pytest.raises(RunRefusedError):  # a repeated t would double its counts
-        spectral_sweep([0.4, 0.4, 0.0], params)
+        dirac_spectrum([0.4, 0.4, 0.0], params)
     for bad in (-0.5, math.nan):  # neither may pass for the t = 0 spectrum
         with pytest.raises(RunRefusedError):
             dirac_spectrum(bad, params)
@@ -511,6 +541,21 @@ def test_relative_resolvent_trace_contract():
     mu0 = table.rows_at(0.5)[0].mu
     with pytest.raises(SpectralCollisionError):
         relative_resolvent_trace(0.5, mu0, -2.0, params, table=table)
+
+
+def test_the_trace_counts_the_levels_of_the_table_it_sums():
+    # with a table, the tail model's two-level rule reads the table, not params
+    five = SpectrumParams(k_max=1, levels=5, n=200)
+    table = dirac_spectrum(0.3, five)
+    want = relative_resolvent_trace(0.3, -1.0, -2.0, five).value
+    got = relative_resolvent_trace(0.3, -1.0, -2.0, dataclasses.replace(five, levels=1),
+                                   table=table)
+    assert got.value == want == pytest.approx(0.5935379469563329, rel=1e-12)
+    one = dirac_spectrum(0.3, dataclasses.replace(five, levels=1))
+    with pytest.raises(RunRefusedError, match="got 1"):
+        relative_resolvent_trace(0.3, -1.0, -2.0, dataclasses.replace(five, levels=40), table=one)
+    with pytest.raises(ValueError, match="no rows at t = 0.4"):
+        relative_resolvent_trace(0.4, -1.0, -2.0, five, table=table)
 
 
 def test_trace_rejects_points_above_the_computed_levels(capsys, tmp_path):
@@ -817,7 +862,7 @@ def test_levels_above_the_grid_fail_before_any_solve(monkeypatch, capsys, tmp_pa
     assert spectra.check_grids([0.01, 0.0], SpectrumParams(levels=158, h=0.05)) == [(3, 239),
                                                                                    (6, 158)]
     with pytest.raises(RunRefusedError, match="158 grid points at t = 0.0"):
-        spectral_sweep([0.01, 0.0], SpectrumParams(levels=159, h=0.05))
+        dirac_spectrum([0.01, 0.0], SpectrumParams(levels=159, h=0.05))
     with pytest.raises(RunRefusedError, match="levels >= 2"):  # the tail model needs two
         relative_resolvent_trace(0.3, -1.0, -2.0, SpectrumParams(levels=1))
     assert calls == []
