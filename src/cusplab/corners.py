@@ -7,7 +7,12 @@ along b-fibrations.
 
 Everything in this module is exact: exponents are ``fractions.Fraction``,
 values are immutable after construction, and every operation is a pure
-function, so objects can be shared freely between concurrent tasks.
+function, so objects can be shared freely between concurrent tasks.  A float
+or a bool is refused wherever a rational is expected, since a float such as
+``0.1`` is not the rational it is written as.  Where an operation would only
+rebuild one of its operands (a sum with the naturals, a union with the empty
+set, a scale by 1, a shift by 0) it returns that operand: every set is kept
+canonical, and a canonical set re-canonicalises to itself.
 
 Conventions:
 
@@ -32,7 +37,11 @@ RationalLike = Union[int, str, Fraction]
 
 
 def _frac(x: RationalLike) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, (float, bool)):
+        raise TypeError(f"an exact rational (int, str or Fraction) is needed, got {x!r}")
+    return Fraction(x)
 
 
 class SpaceMismatchError(ValueError):
@@ -118,10 +127,12 @@ class IndexTerm:
     k: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.k, int) or isinstance(self.k, bool):
+            raise TypeError(f"log power must be an int, got {self.k!r}")
         if self.k < 0:
             raise ValueError("log power must be a natural number")
         if not isinstance(self.z, Fraction):
-            object.__setattr__(self, "z", Fraction(self.z))
+            object.__setattr__(self, "z", _frac(self.z))
 
 
 def _dominates(a: IndexTerm, b: IndexTerm) -> bool:
@@ -146,10 +157,11 @@ class IndexSet:
         # Only terms in one class of z mod 1 can dominate each other.  Walking
         # each class by z ascending (k descending on ties), a term survives
         # iff its k beats every k seen before it in its class.  At most one
-        # term per z survives, so the kept terms are already in (z, k) order.
+        # term per z survives, so the kept terms are already in (z, k) order,
+        # and an exact duplicate falls with the rest.
         best: dict[tuple[int, int], int] = {}
         kept = []
-        for t in sorted(set(self.generators), key=lambda t: (t.z, -t.k)):
+        for t in sorted(self.generators, key=lambda t: (t.z, -t.k)):
             cls = (t.z.numerator % t.z.denominator, t.z.denominator)
             if t.k > best.get(cls, -1):
                 best[cls] = t.k
@@ -162,12 +174,12 @@ class IndexSet:
 
     @classmethod
     def empty(cls) -> "IndexSet":
-        return cls(())
+        return _EMPTY
 
     @classmethod
     def naturals(cls) -> "IndexSet":
         """The smooth index set 0 = {(n, 0) : n natural}."""
-        return cls.from_terms([(0, 0)])
+        return _NATURALS
 
     @classmethod
     def shifted(cls, z: RationalLike) -> "IndexSet":
@@ -185,12 +197,18 @@ class IndexSet:
         return f"IndexSet[{inner}]"
 
 
+_EMPTY = IndexSet(())
+_NATURALS = IndexSet((IndexTerm(Fraction(0), 0),))
+_ONE = Fraction(1)
+
+
 def member(E: IndexSet, z: RationalLike, k: int) -> bool:
     """Whether (z, k) lies in the closure of E's generators."""
+    zq = _frac(z)
     if k < 0:
         return False
-    zq = _frac(z)
-    return any(_dominates(g, IndexTerm(zq, k)) for g in E.generators)
+    t = IndexTerm(zq, k)
+    return any(_dominates(g, t) for g in E.generators)
 
 
 def inf_order(E: IndexSet):
@@ -201,9 +219,13 @@ def inf_order(E: IndexSet):
 
 
 def sum_sets(E: IndexSet, F: IndexSet) -> IndexSet:
-    """Minkowski sum of exponents with additive log powers; empty absorbs."""
+    """Minkowski sum of exponents with additive log powers; empty absorbs, 0 is neutral."""
     if E.is_empty or F.is_empty:
-        return IndexSet.empty()
+        return _EMPTY
+    if E == _NATURALS:
+        return F
+    if F == _NATURALS:
+        return E
     return IndexSet(
         tuple(IndexTerm(a.z + b.z, a.k + b.k) for a in E.generators for b in F.generators)
     )
@@ -214,20 +236,30 @@ def scale_set(q: RationalLike, E: IndexSet) -> IndexSet:
     qf = _frac(q)
     if qf <= 0:
         raise ValueError(f"scale factor must be positive, got {qf}")
+    if qf == 1:
+        return E
     return IndexSet(tuple(IndexTerm(qf * g.z, g.k) for g in E.generators))
 
 
 def shift_set(E: IndexSet, d: RationalLike) -> IndexSet:
     """Add d to every exponent (the effect of a density factor rho^d)."""
-    return IndexSet(tuple(IndexTerm(g.z + _frac(d), g.k) for g in E.generators))
+    df = _frac(d)
+    if df == 0:
+        return E
+    return IndexSet(tuple(IndexTerm(g.z + df, g.k) for g in E.generators))
 
 
 def extended_union(E: IndexSet, F: IndexSet) -> IndexSet:
     """E union F plus log-bumped overlap terms.
 
     On generators: whenever generators (z, k) of E and (w, l) of F have
-    z - w an integer, the term (max(z, w), k + l + 1) is added.
+    z - w an integer, the term (max(z, w), k + l + 1) is added.  The empty
+    set is neutral.
     """
+    if E.is_empty:
+        return F
+    if F.is_empty:
+        return E
     extra = [
         IndexTerm(max(a.z, b.z), a.k + b.k + 1)
         for a in E.generators
@@ -276,7 +308,7 @@ class IndexFamily:
             return E
         if face not in self.space:
             raise SpaceMismatchError(f"face {face.label!r} not in the family's space")
-        return IndexSet.empty()
+        return _EMPTY
 
     def shifted(self, exponents: Mapping[str, int]) -> "IndexFamily":
         """Shift each face's nonempty set by the given density exponent."""
@@ -312,7 +344,7 @@ class BMap:
         for (G, H), val in self.e:
             if G not in self.source or H not in self.target:
                 raise SpaceMismatchError(f"entry ({G.label},{H.label}) off the spaces")
-            if not isinstance(val, int) or val < 0:
+            if not isinstance(val, int) or isinstance(val, bool) or val < 0:
                 raise ValueError("exponents must be natural numbers")
         for H in self.image_in:
             if H not in self.target:
@@ -420,8 +452,8 @@ def pullback_family(f: BMap, fam: IndexFamily) -> IndexFamily:
         raise SpaceMismatchError("family lives on the wrong space")
     out: dict[str, IndexSet] = {}
     for G in f.source.faces:
-        acc = IndexSet.naturals()
-        for H, exp in f.row(G).items():
+        acc = _NATURALS
+        for H, exp in f._rows.get(G, {}).items():
             acc = sum_sets(acc, scale_set(exp, fam.get(H)))
         out[G.label] = acc
     return IndexFamily.on(f.source, out)
@@ -439,15 +471,16 @@ def pushforward_family(f: BMap, fam: IndexFamily) -> IndexFamily:
     if fam.space != f.source:
         raise SpaceMismatchError("family lives on the wrong space")
     for G in f.source.faces:
-        if not f.row(G):
+        if G not in f._rows:
             inf_g = inf_order(fam.get(G))
             if not inf_g > 0:
                 raise IntegrabilityViolatedError(G, inf_g)
     out: dict[str, IndexSet] = {}
     for H in f.target.faces:
-        acc = IndexSet.empty()
-        for G, exp in f.column(H).items():
-            acc = extended_union(acc, scale_set(Fraction(1, exp), fam.get(G)))
+        acc = _EMPTY
+        for G, exp in f._columns.get(H, {}).items():
+            acc = extended_union(acc, scale_set(_ONE if exp == 1 else Fraction(1, exp),
+                                                fam.get(G)))
         out[H.label] = acc
     return IndexFamily.on(f.target, out)
 

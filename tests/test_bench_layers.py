@@ -6,6 +6,7 @@ import inspect
 import runpy
 from pathlib import Path
 
+from cusplab import corners, surgery_spaces
 from cusplab.dirac_lab import eigen_lowest
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -22,6 +23,17 @@ def test_every_traced_layer_names_an_existing_attribute():
     missing = [(module, attr) for module, attr in targets
                if not hasattr(importlib.import_module(module), attr)]
     assert missing == []
+
+
+def test_a_span_hooked_in_corners_and_surgery_spaces_times_one_function():
+    # the tracer wraps a name where each module looks it up; the surgery.*
+    # hooks time the same code as the corners.* hooks only if both names are
+    # bound to the one function
+    layers = runpy.run_path(str(TRACING))["LAYERS"]
+    shared = {attr for _, targets, _ in layers for module, attr in targets
+              if module == "cusplab.surgery_spaces" and hasattr(corners, attr)}
+    assert shared == {"sum_sets", "scale_set", "pullback_family", "pushforward_family"}
+    assert all(getattr(surgery_spaces, attr) is getattr(corners, attr) for attr in shared)
 
 
 def test_the_traced_eigensolver_takes_the_matrix_and_count_first():

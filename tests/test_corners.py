@@ -30,6 +30,7 @@ from cusplab.corners import (
     pullback_family,
     pushforward_family,
     scale_set,
+    shift_set,
     sum_sets,
 )
 
@@ -170,6 +171,62 @@ def test_extended_union_examples():
     mixed = extended_union(IndexSet.shifted(1), IndexSet.shifted(Fraction(3, 2)))
     assert gens_of(mixed) == [(Fraction(1), 0), (Fraction(3, 2), 0)]
     assert all(k == 0 for _, k in gens_of(mixed))
+
+
+def test_inexact_values_are_refused():
+    E = IndexSet.shifted(1)
+    for make in (lambda: IndexTerm(0.1, 0), lambda: IndexTerm(True, 0),
+                 lambda: IndexSet.shifted(0.1), lambda: IndexSet.from_terms([(0.5, 0)]),
+                 lambda: IndexTerm(1, 1.5), lambda: IndexTerm(1, True),
+                 lambda: member(E, 0.1 + 0.2 - 0.3, 0), lambda: member(E, 0.5, -1),
+                 lambda: member(E, 1, True)):
+        with pytest.raises(TypeError):
+            make()
+    # the shortcuts check their argument before they compare it with 1 or 0
+    for q in (1.0, 0.5, True):
+        with pytest.raises(TypeError):
+            scale_set(q, E)
+    for d in (0.0, 0.5, False):
+        with pytest.raises(TypeError):
+            shift_set(E, d)
+        with pytest.raises(TypeError):
+            shift_set(IndexSet.empty(), d)
+    src, tgt = Space.of("g"), Space.of("h")
+    for v in (True, 1.0):
+        with pytest.raises(ValueError):
+            BMap.build(src, tgt, {"g": {"h": v}})
+
+
+def test_each_shortcut_returns_the_set_its_definition_builds():
+    # sum with 0, union with the empty set, scale by 1 and shift by 0 hand
+    # back their operand; each is checked against the set built by the
+    # definition, with the naturals also given in non-singleton forms
+    rng = random.Random(1515)
+    N, empty = IndexSet.naturals(), IndexSet.empty()
+    assert N is IndexSet.naturals() and empty is IndexSet.empty()
+    naturals = (N, IndexSet.shifted(0), IndexSet.from_terms([(0, 0), (2, 0)]))
+    assert all(n == N for n in naturals)
+    for _ in range(200):
+        E = random_index_set(rng)
+        for n in naturals:
+            want = IndexSet(tuple(IndexTerm(a.z + b.z, a.k + b.k)
+                                  for a in n.generators for b in E.generators))
+            got = (sum_sets(n, E), sum_sets(E, n))
+            # when E is itself the naturals, either operand is the answer
+            assert got == (want, want) == (E, E) and (E == N or got[0] is got[1] is E)
+            assert sum_sets(n, empty).is_empty and sum_sets(empty, n).is_empty
+        for q in (1, Fraction(1), "1"):
+            assert scale_set(q, E) == IndexSet(tuple(IndexTerm(Fraction(q) * g.z, g.k)
+                                                     for g in E.generators)) == E
+        assert scale_set(1, E) is E and scale_set(Fraction(1), E) is E
+        for d in (0, Fraction(0), "0"):
+            assert shift_set(E, d) == IndexSet(tuple(IndexTerm(g.z + Fraction(d), g.k)
+                                                     for g in E.generators)) == E
+        assert shift_set(E, 0) is E
+        want = IndexSet(E.generators + empty.generators)
+        assert extended_union(empty, E) is E and extended_union(E, empty) is E
+        assert extended_union(IndexSet(()), E) == want == E
+    assert extended_union(empty, empty) is empty
 
 
 # -- oracle agreement --------------------------------------------------------

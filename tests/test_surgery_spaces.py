@@ -6,11 +6,17 @@ from fractions import Fraction
 import pytest
 
 from cusplab.corners import (
+    BMap,
+    IndexFamily,
     IndexSet,
+    IndexTerm,
+    Space,
     inf_order,
     is_b_fibration,
     is_b_normal,
     member,
+    pullback_family,
+    pushforward_family,
 )
 from cusplab.surgery_spaces import (
     OpOrders,
@@ -218,6 +224,149 @@ def test_composition_temporal_face_single_source(fx):
     assert nonempty == ["ttb"]
 
 
+# -- the pipelines against a reference built from the definitions -------------
+#
+# No shortcut here: every sum, scale, union and shift builds its set from the
+# generators, and an empty sum of terms starts from a freshly built naturals.
+
+
+def ref_sum(E, F):
+    if E.is_empty or F.is_empty:
+        return IndexSet(())
+    return IndexSet(tuple(IndexTerm(a.z + b.z, a.k + b.k)
+                          for a in E.generators for b in F.generators))
+
+
+def ref_scale(q, E):
+    return IndexSet(tuple(IndexTerm(q * g.z, g.k) for g in E.generators))
+
+
+def ref_union(E, F):
+    extra = tuple(IndexTerm(max(a.z, b.z), a.k + b.k + 1)
+                  for a in E.generators for b in F.generators if (a.z - b.z).denominator == 1)
+    return IndexSet(E.generators + F.generators + extra)
+
+
+def ref_get(fam, face):
+    return dict(fam.entries).get(face, IndexSet(()))
+
+
+def ref_shifted(fam, exponents):
+    return IndexFamily.on(fam.space, {
+        f.label: IndexSet(tuple(IndexTerm(g.z + exponents.get(f.label, 0), g.k)
+                                for g in E.generators))
+        for f, E in fam.entries})
+
+
+def ref_pullback(f, fam):
+    """Source face G gets the sum over H of e(G, H) * fam(H), starting from the naturals."""
+    out = {}
+    for G in f.source.faces:
+        acc = IndexSet((IndexTerm(0, 0),))
+        for H in f.target.faces:
+            if f.exponent(G, H):
+                acc = ref_sum(acc, ref_scale(f.exponent(G, H), ref_get(fam, H)))
+        out[G.label] = acc
+    return IndexFamily.on(f.source, out)
+
+
+def ref_pushforward(f, fam):
+    """Target face H gets the extended union over G with e(G, H) > 0 of fam(G) / e(G, H)."""
+    out = {}
+    for H in f.target.faces:
+        acc = IndexSet(())
+        for G in f.source.faces:
+            if f.exponent(G, H):
+                acc = ref_union(acc, ref_scale(Fraction(1, f.exponent(G, H)), ref_get(fam, G)))
+        out[H.label] = acc
+    return IndexFamily.on(f.target, out)
+
+
+def ref_kernel(fx, o):
+    return IndexFamily.on(fx.X2, {"ff_c": IndexSet((IndexTerm(-o.alpha - 2, 0),)),
+                                  "tb": IndexSet((IndexTerm(-o.beta, 0),))})
+
+
+def ref_product(space, A, B):
+    return IndexFamily.on(space, {f.label: ref_sum(ref_get(A, f), ref_get(B, f))
+                                  for f in space.faces})
+
+
+def test_mapping_stages_match_the_reference_pipeline(fx):
+    rng = random.Random(303)  # criterion 3's distribution
+    for _ in range(60):
+        o = rand_orders(rng)
+        section = (Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3])),
+                   Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3])))
+        got = mapping_stages(o, section)
+        fam = IndexFamily.on(fx.X1, {"ff": IndexSet((IndexTerm(section[0], 0),)),
+                                     "tf": IndexSet((IndexTerm(section[1], 0),))})
+        pulled = ref_pullback(fx.pi2_2, fam)
+        product = ref_product(fx.X2, pulled, ref_kernel(fx, o))
+        with_density = ref_shifted(product, fx.density_x2())
+        pushed = ref_pushforward(fx.pi2_1, with_density)
+        result = (inf_order(ref_get(pushed, fx.X1.face("ff"))) - fx.omega_ff_exponent,
+                  inf_order(ref_get(pushed, fx.X1.face("tf"))))
+        assert (got.section, got.pulled, got.product, got.with_density, got.pushed,
+                got.result) == (fam, pulled, product, with_density, pushed, result)
+
+
+def test_composition_stages_match_the_reference_pipeline(fx):
+    rng = random.Random(404)  # criterion 4's distribution
+    ff_c, tb = fx.X2.face("ff_c"), fx.X2.face("tb")
+    for _ in range(60):
+        o1, o2 = rand_orders(rng), rand_orders(rng)
+        got = composition_stages(o1, o2)
+        pulled_12 = ref_pullback(fx.pi3_12, ref_kernel(fx, o1))
+        pulled_23 = ref_pullback(fx.pi3_23, ref_kernel(fx, o2))
+        product = ref_product(fx.X3, pulled_12, pulled_23)
+        with_density = ref_shifted(product, fx.density_x3())
+        contributors = tuple((G, ref_scale(Fraction(1, fx.pi3_13.exponent(G, ff_c)),
+                                           ref_get(with_density, G)))
+                             for G in sorted(fx.X3.faces) if fx.pi3_13.exponent(G, ff_c))
+        pushed = ref_pushforward(fx.pi3_13, with_density)
+        normalized = ref_shifted(pushed, {lbl: -v for lbl, v in fx.density_X2})
+        result = OpOrders(o1.m + o2.m, -inf_order(ref_get(normalized, ff_c)) - 2,
+                          -inf_order(ref_get(normalized, tb)))
+        assert (got.pulled_12, got.pulled_23, got.product, got.with_density,
+                got.ffc_contributors, got.pushed, got.normalized, got.result) == \
+            (pulled_12, pulled_23, product, with_density, contributors, pushed,
+             normalized, result)
+
+
+def test_pull_back_and_push_forward_match_the_reference_on_random_b_maps():
+    # the fixture's exponents are all 1; these rows carry exponents 1 to 3
+    rng = random.Random(1313)
+    for _ in range(100):
+        X = Space.of(*[f"x{i}" for i in range(rng.randint(1, 6))])
+        Y = Space.of(*[f"y{i}" for i in range(rng.randint(1, 4))])
+        f = BMap.build(X, Y, {g.label: {rng.choice(Y.faces).label: rng.randint(1, 3)}
+                              for g in X.faces})
+        draw = [(Fraction(rng.randint(-8, 8), rng.choice([1, 2, 3])), rng.randint(0, 3))
+                for _ in range(12)]
+
+        def family(space):
+            return IndexFamily.on(space, {
+                face.label: IndexSet.from_terms(rng.sample(draw, rng.randint(1, 3)))
+                for face in space.faces if rng.random() < 0.7})
+
+        on_y, on_x = family(Y), family(X)
+        assert pullback_family(f, on_y) == ref_pullback(f, on_y)
+        assert pushforward_family(f, on_x) == ref_pushforward(f, on_x)
+
+
+def test_pulling_back_along_a_projection_hands_on_the_family_sets(fx):
+    # every row of pi3_12 is one exponent-1 entry, so each pulled face is the
+    # set of the face below it, the same object and not a rebuilt copy
+    rng = random.Random(12)
+    for _ in range(20):
+        fam = kernel_index_family(rand_orders(rng))
+        pulled = pullback_family(fx.pi3_12, fam)
+        for G in fx.X3.faces:
+            (H,) = fx.pi3_12.row(G)
+            assert pulled.get(G) is fam.get(H)
+
+
 # -- traces -------------------------------------------------------------------
 
 
@@ -227,6 +376,14 @@ def test_trace_index_set_examples():
     assert trace_index_set(Fraction(-5, 2), 0) == \
         IndexSet.from_terms([(0, 0), (Fraction(5, 2), 0)])
     assert not member(trace_index_set(Fraction(-5, 2), 0), Fraction(5, 2), 1)
+
+
+def test_orders_refuse_floats():
+    for make in (lambda: OpOrders(0.1, 1, 0), lambda: OpOrders(1, True, 0),
+                 lambda: mapping_orders(OpOrders(1, 1, 0), (0.5, 0)),
+                 lambda: trace_index_set(-2.0, 0)):
+        with pytest.raises(TypeError):
+            make()
 
 
 def test_trace_class_precondition():
