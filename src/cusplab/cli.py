@@ -30,6 +30,7 @@ from cusplab.dirac_lab import (
     check_grids,
     check_windows,
     dirac_spectrum,
+    ground_states,
     neck_mass,
     relative_resolvent_trace,
     window_counts,
@@ -229,16 +230,24 @@ def cmd_symbols(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _announce(ts, plan: list[tuple[int, int]]) -> None:
+    """Print the progress line from the solves of each t's first step in ``plan``.
+
+    At t = 0 that step's solves repeat at each further cusp-depth step.
+    """
+    solves = {t: s for t, (s, _) in zip(ts, plan)}
+    more = f", plus {solves[0.0]} per further cusp-depth step" if 0.0 in solves else ""
+    print(f"solving {len(solves)} values of t: {sum(solves.values())} mode solves{more}",
+          file=sys.stderr)
+
+
 def _solve(config: RunConfig) -> SpectrumTable:
     """The spectra at every t of ``config`` from one ``dirac_spectrum`` call, which pools them.
 
     The progress line, with the solve counts of ``check_grids``, goes first.
     """
     ts = sorted(config.t_grid, reverse=True)
-    solves = {t: s for t, (s, _) in zip(ts, check_grids(ts, config.params))}
-    more = f", plus {solves[0.0]} per further cusp-depth step" if 0.0 in solves else ""
-    print(f"solving {len(ts)} values of t: {sum(solves.values())} mode solves{more}",
-          file=sys.stderr)
+    _announce(ts, check_grids(ts, config.params))
     return dirac_spectrum(ts, config.params)
 
 
@@ -269,11 +278,13 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         return _write_outputs(config, "counts.csv", _csv("t,a,b,count", (
             f"{_fmt(t)},{_fmt(a)},{_fmt(b)},{c}" for t, counts in result.counts.items()
             for (a, b), c in zip(config.windows, counts))))
-    # mass, the one name left: argparse refuses any other
-    check_windows(config.t_grid, config.params, [b for _, b in config.windows])
-    table = _solve(config)
-    rows = [f"{_fmt(t)},{table.lowest(t).j},{_fmt(b)},{_fmt(neck_mass(t, table.ground[t], b))}"
-            for t in table.mu for _, b in config.windows]
+    # mass, the one name left: argparse refuses any other.  Its rows read the
+    # ground state, level j = 1 of mode 0
+    _announce(config.t_grid,
+              check_windows(config.t_grid, config.params, [b for _, b in config.windows]))
+    rows = [f"{_fmt(t)},1,{_fmt(b)},{_fmt(neck_mass(t, vector, b))}"
+            for t, vector in ground_states(config.t_grid, config.params).items()
+            for _, b in config.windows]
     return _write_outputs(config, "mass.csv", _csv("t,j,window,fraction", rows))
 
 

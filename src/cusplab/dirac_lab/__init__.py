@@ -44,6 +44,7 @@ from cusplab.dirac_lab.spectra import (
     check_grids,
     check_windows,
     dirac_spectrum,
+    ground_states,
     neck_mass,
     relative_resolvent_trace,
     window_counts,
@@ -58,5 +59,5 @@ __all__ = [
     "tridiagonal_from_potential",
     "ResolventAboveLevelsError", "RunRefusedError", "SpectralCollisionError", "SpectrumParams",
     "SpectrumRow", "SpectrumTable", "TraceValue", "WindowCounts", "check_grids", "check_windows",
-    "dirac_spectrum", "neck_mass", "relative_resolvent_trace", "window_counts",
+    "dirac_spectrum", "ground_states", "neck_mass", "relative_resolvent_trace", "window_counts",
 ]

@@ -6,7 +6,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -118,17 +118,14 @@ class VectorHandle:
 
 @dataclass(frozen=True, eq=False)
 class SpectrumTable:
-    """Eigenvalues per pinching parameter t, with the ground state at each t.
+    """Eigenvalues per pinching parameter t.
 
     ``mu`` maps each t, kept in descending order, to a (k_max + 1, levels)
-    array whose row k holds the ascending eigenvalues of mode pair k;
-    ``ground`` maps each t to the eigenvector of the lowest level.  That is
-    mode 0's first, the row (k = 0, j = 1) that ``lowest(t)`` returns, since
-    H_k <= H_{k+1} pointwise (see ``window_counts``).
+    array whose row k holds the ascending eigenvalues of mode pair k.  The
+    table holds no eigenvector; ``ground_states`` solves the ground state.
     """
 
     mu: Mapping[float, np.ndarray]
-    ground: Mapping[float, VectorHandle]
 
     def __post_init__(self) -> None:
         for m in self.mu.values():
@@ -177,14 +174,20 @@ def _chiralities(t: float) -> tuple[Chirality, ...]:
     return (Chirality.PLUS, Chirality.MINUS) if t == 0 else (Chirality.PLUS,)
 
 
-def _queue_modes(pool: ThreadPoolExecutor, geom: NeckGeometry, params: SpectrumParams):
-    """Queue the geometry's solves on its grid: one list of futures per k, one per chirality."""
+def _queue_modes(pool: ThreadPoolExecutor, geom: NeckGeometry, params: SpectrumParams,
+                 vector: bool = False):
+    """Queue the geometry's solves on its grid: one list of futures per k, one per chirality.
+
+    Each solve gives (eigenvalues, vector); the vector is mode 0's lowest
+    with ``vector``, else None.
+    """
     grid = Grid.for_geometry(geom, n=params.n, h=params.h)
 
     def solve(mode: ModeSpec):
-        out = eigen_lowest(assemble_hamiltonian(geom, mode, grid), params.levels,
-                           vector=mode.k == 0, h=grid.h)
-        return out if mode.k == 0 else (out, None)
+        H = assemble_hamiltonian(geom, mode, grid)
+        if vector and mode.k == 0:
+            return eigen_lowest(H, params.levels, vector=True, h=grid.h)
+        return eigen_lowest(H, params.levels), None
 
     return grid, [[pool.submit(solve, ModeSpec(k, chi)) for chi in _chiralities(geom.t)]
                   for k in range(params.k_max + 1)]
@@ -194,16 +197,18 @@ def _collect_modes(params: SpectrumParams, queued):
     """Wait for a geometry's queued solves and merge each mode's chiralities.
 
     Returns the lowest ``levels`` eigenvalues of each mode as a
-    (k_max + 1, levels) array, mode 0's ground state, and the largest
-    eigenvalue any one solve returned.  The ground state is the vector of the
-    chirality whose first level is lower, plus on a tie.
+    (k_max + 1, levels) array, mode 0's ground state (None unless the solves
+    were queued with a vector), and the largest eigenvalue any one solve
+    returned.  The ground state is the vector of the chirality whose first
+    level is lower, plus on a tie.
     """
     grid, modes = queued
     mu, mu_max = np.empty((params.k_max + 1, params.levels)), 0.0
     for k, jobs in enumerate(modes):
         parts = [job.result() for job in jobs]
         if k == 0:
-            ground = VectorHandle(grid, min(parts, key=lambda part: part[0][0])[1])
+            vector = min(parts, key=lambda part: part[0][0])[1]
+            ground = None if vector is None else VectorHandle(grid, vector)
         mu_k = np.concatenate([w for w, _ in parts])
         mu[k], mu_max = np.sort(mu_k, kind="stable")[: params.levels], max(mu_max, mu_k.max())
     return mu, ground, float(mu_max)
@@ -288,16 +293,18 @@ def _window(t: float, rho: np.ndarray, w: float) -> np.ndarray:
 
 
 def check_windows(t_grid: Sequence[float], params: SpectrumParams,
-                  widths: Sequence[float]) -> None:
-    """Raise RunRefusedError where ``check_grids`` refuses the run, where a width w
-    is not positive, or where a window |x| <= w holds no point of a t > 0 grid.
+                  widths: Sequence[float]) -> list[tuple[int, int]]:
+    """The solves and grid points of ``ground_states``'s first step at each t, before any solve.
 
-    ``check_grids`` goes first, so its work bound caps the grids built here.
-    At t = 0 the cusp search fixes the grid's depth by solving, so
-    ``neck_mass`` checks there.
+    That is one solve at each t > 0 and ``check_grids``'s at t = 0.  Raises
+    RunRefusedError where ``check_grids`` refuses the run, with the full
+    ``k_max``, where a width w is not positive, or where a window |x| <= w
+    holds no point of a t > 0 grid.  ``check_grids`` goes first, so its work
+    bound caps the grids built here.  At t = 0 the cusp search fixes the
+    grid's depth by solving, so ``neck_mass`` checks there.
     """
     ts = list(t_grid)
-    check_grids(ts, params)
+    plan = [(solves if t == 0 else 1, n) for t, (solves, n) in zip(ts, check_grids(ts, params))]
     for w in widths:
         if not w > 0:
             raise RunRefusedError(f"window |x| <= {w!r} needs a width w > 0")
@@ -308,9 +315,10 @@ def check_windows(t_grid: Sequence[float], params: SpectrumParams,
                 if not np.any(_window(t, grid.rho_values, w)):
                     raise RunRefusedError(f"window |x| <= {w!r} contains no grid points "
                                           f"at t = {t!r}")
+    return plan
 
 
-def _cusp_geometry(params: SpectrumParams, pool: ThreadPoolExecutor):
+def _cusp_geometry(params: SpectrumParams, pool: ThreadPoolExecutor, vector: bool = False):
     """Truncated cusp deep enough that V(rho_min) >= margin * sqrt(mu_max).
 
     V is that of the most permissive mode (k = 0, smallest V) and mu_max is
@@ -318,12 +326,12 @@ def _cusp_geometry(params: SpectrumParams, pool: ThreadPoolExecutor):
     domain is deepened until the requirement holds, and deepening only
     lowers eigenvalues, so the loop terminates.  Each depth's solves go to
     ``pool``; the loop itself runs on the calling thread, so no worker waits
-    on another.  Returns the geometry with the eigenvalues and ground state
-    of its last depth.
+    on another.  Returns the geometry with the eigenvalues and, with
+    ``vector``, the ground state of its last depth (else None).
     """
     geom = _first_geometry(0.0, params)
     for _ in range(8):
-        mu, ground, mu_max = _collect_modes(params, _queue_modes(pool, geom, params))
+        mu, ground, mu_max = _collect_modes(params, _queue_modes(pool, geom, params, vector))
         needed = _cusp_depth(params, mu_max)
         if geom.rho_min <= needed:
             return geom, mu, ground
@@ -331,8 +339,34 @@ def _cusp_geometry(params: SpectrumParams, pool: ThreadPoolExecutor):
     raise RuntimeError("cusp truncation depth did not stabilize")
 
 
+def _solve_grid(ts: list[float], params: SpectrumParams, neck_params: SpectrumParams,
+                vector: bool) -> dict[float, tuple[np.ndarray, VectorHandle | None]]:
+    """Each t's (eigenvalues, ground state) from ``_collect_modes``, every solve on one pool.
+
+    The modes of ``neck_params`` are solved at each t > 0 and those of
+    ``params`` by the cusp-depth search at t = 0; ``check_grids`` refuses
+    the t and ``params`` before any solve.  The pool has at most one thread
+    per CPU.
+    """
+    check_grids(ts, params)
+    jobs = sum(((neck_params if s > 0 else params).k_max + 1) * len(_chiralities(s)) for s in ts)
+    with ThreadPoolExecutor(max_workers=min(jobs, _cpu_count())) as pool:
+        try:
+            queued = {s: _queue_modes(pool, NeckGeometry.neck(s), neck_params, vector)
+                      for s in ts if s > 0}
+            # the necks are collected first, in the order they were queued,
+            # so a failed solve reaches the caller before the rest have run
+            slabs = {s: _collect_modes(neck_params, q)[:2] for s, q in queued.items()}
+            if 0.0 in ts:
+                slabs[0.0] = _cusp_geometry(params, pool, vector)[1:]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)  # fail now, not after the rest of the grid
+            raise
+    return slabs
+
+
 def dirac_spectrum(t: float | Sequence[float], params: SpectrumParams) -> SpectrumTable:
-    """Squared-Dirac eigenvalues at one t or at each of distinct t >= 0.
+    """Squared-Dirac eigenvalues at one t or at each of distinct t >= 0, with no eigenvector.
 
     One row per (t, mode pair, level).  Modes k and -k-1 form a degenerate
     pair (parity on the symmetric neck for t > 0, where the plus operator
@@ -343,20 +377,24 @@ def dirac_spectrum(t: float | Sequence[float], params: SpectrumParams) -> Spectr
     ``check_grids`` refuses the t and parameters before any solve.
     """
     ts = [t] if np.ndim(t) == 0 else list(t)
-    jobs = sum(solves for solves, _ in check_grids(ts, params))
-    with ThreadPoolExecutor(max_workers=min(jobs, _cpu_count())) as pool:
-        try:
-            queued = {s: _queue_modes(pool, NeckGeometry.neck(s), params) for s in ts if s > 0}
-            # the necks are collected first, in the order they were queued,
-            # so a failed solve reaches the caller before the rest have run
-            slabs = {s: _collect_modes(params, q)[:2] for s, q in queued.items()}
-            if 0.0 in ts:
-                slabs[0.0] = _cusp_geometry(params, pool)[1:]
-        except BaseException:
-            pool.shutdown(cancel_futures=True)  # fail now, not after the rest of the grid
-            raise
-    return SpectrumTable({s: mu for s, (mu, _) in slabs.items()},
-                         {s: ground for s, (_, ground) in slabs.items()})
+    return SpectrumTable({s: mu for s, (mu, _) in _solve_grid(ts, params, params, False).items()})
+
+
+def ground_states(t: float | Sequence[float], params: SpectrumParams) -> dict[float, VectorHandle]:
+    """Mode 0's ground state at one t or at each of distinct t >= 0, keyed by descending t.
+
+    H_k <= H_{k+1} pointwise (see ``window_counts``), so mode 0's first level
+    is the lowest of all, the row ``SpectrumTable.lowest`` returns, and at
+    each t > 0 only mode 0 is solved, to ``params.levels`` as
+    ``dirac_spectrum`` solves it.  At t = 0 the cusp-depth search solves
+    every mode and both chiralities, since its depth reads the top of them
+    all, and the vector is mode 0's at the last depth.  ``check_grids``
+    refuses the t and parameters with the full ``k_max``, which bounds this
+    work from above; every solve runs on one pool.
+    """
+    ts = sorted([t] if np.ndim(t) == 0 else t, reverse=True)
+    slabs = _solve_grid(ts, params, replace(params, k_max=0), True)
+    return {s: ground for s, (_, ground) in slabs.items()}  # t = 0, if there, is last
 
 
 def _window_shifts(windows) -> list[tuple[float | None, float | None]]:

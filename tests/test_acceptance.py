@@ -46,6 +46,7 @@ from cusplab.dirac_lab import (
     convergence_order,
     dirac_spectrum,
     eigen_lowest,
+    ground_states,
     indicial_min,
     indicial_scan,
     neck_mass,
@@ -333,11 +334,12 @@ def test_criterion_10_spectral_convergence(sweep_table):
            f"{diffs[0]:.1e} -> {diffs[-1]:.1e} < 5% of lam1(0) = {lam0:.4f}")
 
 
-def test_criterion_11_projector_mass_decay(sweep_table):
+def test_criterion_11_projector_mass_decay():
     tail = [0.1, 0.05, 0.02, 0.01]
+    ground = ground_states(tail, SpectrumParams(k_max=2, levels=8))  # sweep_table's params
     masses = []
     for t in tail:
-        masses.append(neck_mass(t, sweep_table.ground[t], 0.1))
+        masses.append(neck_mass(t, ground[t], 0.1))
     assert all(a > b for a, b in zip(masses, masses[1:]))
     report(11, masses[-1] < 1e-3,
            f"neck mass strictly decreasing {masses[0]:.1e} -> {masses[-1]:.1e} < 1e-3")

@@ -311,15 +311,19 @@ def test_trace_fit_rejects_zero_in_grid(capsys, tmp_path):
 
 
 def test_each_command_solves_its_grid_in_one_call(monkeypatch, capsys, tmp_path):
-    # every t of a command shares one pool, so the command asks for one table;
-    # count asks for none, and its line reports the modes it factorised
-    calls, spectrum = [], cli.dirac_spectrum
+    # every t of a command shares one pool, so the command asks for one table,
+    # and mass for one set of ground states; count asks for none, and its
+    # line reports the modes it factorised
+    calls = []
 
-    def counted(ts, params):
-        calls.append(list(ts))
-        return spectrum(ts, params)
+    def counted(solve):
+        def call(ts, params):
+            calls.append(list(ts))
+            return solve(ts, params)
+        return call
 
-    monkeypatch.setattr(cli, "dirac_spectrum", counted)
+    for name in ("dirac_spectrum", "ground_states"):
+        monkeypatch.setattr(cli, name, counted(getattr(cli, name)))
     grids = {"spectrum": "0.4,0.2,0.0", "trace": "0.5,0.3,0.2,0.1,0.05,0.02"}
     cfg = write_config(tmp_path, t_grid=grids["spectrum"])
     code, _, err = run(capsys, "spectrum", "count", str(cfg))
@@ -334,7 +338,10 @@ def test_each_command_solves_its_grid_in_one_call(monkeypatch, capsys, tmp_path)
         code, _, err = run(capsys, *command, str(cfg))
         want = sorted(map(float, grids[command[0]].split(",")), reverse=True)
         assert (code, calls) == (EXIT_OK, [want]), (command, err)
-        modes = 2 * (len(want) + (0.0 in want))  # k_max = 1; t = 0 solves both chiralities
+        # k_max = 1: mass solves mode 0 alone at each t > 0, the others both modes;
+        # the cusp-depth search at t = 0 solves both modes and both chiralities
+        necks = len(want) - (0.0 in want)
+        modes = (1 if command[1] == "mass" else 2) * necks + 4 * (0.0 in want)
         assert err.startswith(f"solving {len(want)} values of t: {modes} mode solves"), err
         assert err.count("\n") == 1, err
         calls.clear()
@@ -354,6 +361,43 @@ def test_count_makes_no_eigensolve_and_matches_the_golden_counts(monkeypatch, ca
     assert code == EXIT_OK, err
     golden = (GOLDEN_DIR / "counts.csv").read_bytes()
     assert (tmp_path / "out" / "counts.csv").read_bytes() == golden
+
+
+def test_only_mass_computes_an_eigenvector(monkeypatch, capsys, tmp_path):
+    # the table and the trace read eigenvalues alone, so with LAPACK's dstein
+    # failing they still run and match the golden files; mass reads a vector
+    def failed(*args):
+        raise AssertionError("dstein called")
+
+    def traces(lines: list[str]) -> list[tuple[float, float]]:
+        return [tuple(map(float, line.split(","))) for line in lines[1:]]
+
+    def close(got: float, want: float) -> bool:
+        return abs(got - want) <= 1e-11 * max(1.0, abs(want))
+
+    monkeypatch.setattr(solver, "_dstein", failed)
+    golden_rows = (GOLDEN_DIR / "spectrum.csv").read_text().splitlines()
+    golden_traces = traces((GOLDEN_DIR / "trace.csv").read_text().splitlines())
+    cfg, tcfg = tmp_path / "run.cfg", tmp_path / "trace.cfg"
+    cfg.write_text(CONFIG_TEMPLATE.format(outdir=tmp_path / "out"), encoding="utf-8")
+    tcfg.write_text(TRACE_CONFIG_TEMPLATE.format(outdir=tmp_path / "out"), encoding="utf-8")
+    config, trace_config = (RunConfig.from_text(c.read_text()) for c in (cfg, tcfg))
+
+    table = spectra.dirac_spectrum(config.t_grid, config.params)
+    assert [f"{cli._fmt(r.t)},{r.k},{r.j},{cli._fmt(r.mu)},{cli._fmt(r.lam)}"
+            for r in table.rows] == golden_rows[1:]
+    for t, g in golden_traces[::4]:
+        got = spectra.relative_resolvent_trace(t, trace_config.lam, trace_config.lam0,
+                                               trace_config.params)
+        assert close(got.value, g), (t, got.value, g)
+    assert run(capsys, "spectrum", "sweep", str(cfg))[0] == EXIT_OK
+    assert (tmp_path / "out" / "spectrum.csv").read_text().splitlines() == golden_rows
+    assert run(capsys, "trace", "compute", str(tcfg))[0] == EXIT_OK
+    got = traces((tmp_path / "out" / "trace.csv").read_text().splitlines())
+    assert [t for t, _ in got] == [t for t, _ in golden_traces]
+    assert all(close(g, w) for (_, g), (_, w) in zip(got, golden_traces)), got
+    with pytest.raises(AssertionError, match="dstein called"):
+        main(["spectrum", "mass", str(cfg)])
 
 
 def test_count_work_is_bounded_before_any_factorisation(monkeypatch, capsys, tmp_path):

@@ -39,6 +39,7 @@ from cusplab.dirac_lab import (
     convergence_order,
     dirac_spectrum,
     eigen_lowest,
+    ground_states,
     indicial_min,
     indicial_scan,
     neck_mass,
@@ -393,7 +394,7 @@ def test_dirac_spectrum_table_structure():
     assert all(r.lam == math.sqrt(max(r.mu, 0.0)) for r in table.rows)
     low = table.lowest(0.3)
     assert (low.k, low.j) == (0, 1)
-    handle = table.ground[0.3]
+    handle = ground_states(0.3, params)[0.3]
     assert neck_mass(0.3, handle, 100.0) == pytest.approx(1.0, abs=1e-12)
     assert neck_mass(0.3, handle, 0.05) >= 0.0
     with pytest.raises(ValueError) as failure:  # a failure after the solve, not a refusal
@@ -594,8 +595,8 @@ def _ground_state(geom: NeckGeometry, grid: Grid, levels: int) -> tuple[float, n
 @pytest.mark.parametrize("k_max", [0, 1])
 def test_t0_spectrum_reuses_the_cusp_depth_search(monkeypatch, k_max):
     # each (k, chirality) is solved once per search iteration and the t = 0
-    # table is the accepted iteration's solves, not a second solve; only
-    # mode 0's solves compute a vector
+    # table is the accepted iteration's solves, not a second solve; no solve
+    # computes a vector
     params = SpectrumParams(k_max=k_max, levels=20, n=800)
     calls, depths, calls_at_search_exit = [], set(), []
     solving = threading.local()  # a worker assembles its mode, then solves it
@@ -623,7 +624,7 @@ def test_t0_spectrum_reuses_the_cusp_depth_search(monkeypatch, k_max):
     assert len(depths) >= 2  # the search deepened the cusp at least once
     assert len(calls) == 2 * (params.k_max + 1) * len(depths)
     assert calls_at_search_exit == [len(calls)]
-    assert sorted(set(calls)) == [(k, k == 0) for k in range(params.k_max + 1)]
+    assert sorted(set(calls)) == [(k, False) for k in range(params.k_max + 1)]
     monkeypatch.undo()
 
     with ThreadPoolExecutor(max_workers=2) as pool:
@@ -637,22 +638,23 @@ def test_t0_spectrum_reuses_the_cusp_depth_search(monkeypatch, k_max):
         assert np.array_equal(table.mu[0.0][k], want)
         assert [r.mu for r in table.rows_at(0.0) if r.k == k] == want.tolist()
     mu, v = _ground_state(geom, grid, params.levels)
-    assert list(table.ground) == [0.0] and table.lowest(0.0).mu == mu
-    assert _same_bits(table.ground[0.0].values, v)
-    assert _same_bits(table.ground[0.0].grid.rho_values, grid.rho_values)
+    ground = ground_states(0.0, params)
+    assert list(ground) == [0.0] and table.lowest(0.0).mu == mu
+    assert _same_bits(ground[0.0].values, v)
+    assert _same_bits(ground[0.0].grid.rho_values, grid.rho_values)
 
 
 def test_mode_solves_on_threads_match_one_worker(monkeypatch):
     # the pool changes when each (k, chirality) is solved, never what comes out
     params = SpectrumParams(k_max=2, levels=6, n=900)
-    default = {t: dirac_spectrum(t, params) for t in (0.3, 0.0)}
+    default = {t: (dirac_spectrum(t, params), ground_states(t, params)) for t in (0.3, 0.0)}
     for cpus in (1, 6):  # one worker, and one per job whatever this host has
         monkeypatch.setattr(spectra, "_cpu_count", lambda: cpus)
-        for t, want in default.items():
-            got = dirac_spectrum(t, params)
+        for t, (want, want_ground) in default.items():
+            got, ground = dirac_spectrum(t, params), ground_states(t, params)
             assert _same_bits(got.mu[t], want.mu[t])
-            assert list(got.ground) == list(want.ground) == [t]
-            assert _same_bits(got.ground[t].values, want.ground[t].values), t
+            assert list(ground) == list(want_ground) == [t]
+            assert _same_bits(ground[t].values, want_ground[t].values), t
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 64])
@@ -696,6 +698,7 @@ def test_pooled_grid_matches_one_t_per_call(monkeypatch, k_max):
     # pooling the t values changes when each solve runs, never what comes out
     params = _pool_params(k_max)
     per_t = {t: dirac_spectrum(t, params) for t in POOL_GRID}
+    ground_per_t = {t: ground_states(t, params)[t] for t in POOL_GRID}
     depths, assemble = set(), spectra.assemble_hamiltonian
 
     def recorded_assemble(geom, *args):
@@ -705,12 +708,12 @@ def test_pooled_grid_matches_one_t_per_call(monkeypatch, k_max):
     monkeypatch.setattr(spectra, "assemble_hamiltonian", recorded_assemble)
     for cpus in (1, 2, 6):
         monkeypatch.setattr(spectra, "_cpu_count", lambda: cpus)
-        got = dirac_spectrum(POOL_GRID, params)
-        assert list(got.mu) == POOL_GRID and sorted(got.ground) == sorted(POOL_GRID)
+        got, ground = dirac_spectrum(POOL_GRID, params), ground_states(POOL_GRID, params)
+        assert list(got.mu) == POOL_GRID and sorted(ground) == sorted(POOL_GRID)
         for t in POOL_GRID:
             assert _same_bits(got.mu[t], per_t[t].mu[t]), (cpus, t)
-            assert _same_bits(got.ground[t].values, per_t[t].ground[t].values), (cpus, t)
-            assert _same_bits(got.ground[t].grid.rho_values, per_t[t].ground[t].grid.rho_values)
+            assert _same_bits(ground[t].values, ground_per_t[t].values), (cpus, t)
+            assert _same_bits(ground[t].grid.rho_values, ground_per_t[t].grid.rho_values)
     assert len({rho for t, rho in depths if t == 0}) >= 2  # two cusp-depth steps or more
 
 
@@ -738,24 +741,74 @@ def test_necks_are_queued_ahead_of_the_cusp_search_and_one_cpu_finishes(monkeypa
     assert order[2 * modes:] == [0.0] * (len(order) - 2 * modes) and len(order) > 4 * modes
 
 
-@pytest.mark.parametrize("ts, params", [
+GROUND_CONFIGS = pytest.mark.parametrize("ts, params", [
     # the sweep-cli benchmark's grid and the criterion-13 config's
     ([0.5, 0.3, 0.2, 0.1, 0.05, 0.02, 0.01, 0.0], SpectrumParams(k_max=2, levels=8)),
     ([0.4, 0.2, 0.1, 0.0], SpectrumParams(k_max=1, levels=4, h=0.005)),
     (sorted(np.random.default_rng(3).uniform(1e-3, 2.0, 6).tolist(), reverse=True),
      SpectrumParams(k_max=3, levels=5, n=1000))], ids=["sweep-cli", "criterion-13", "random"])
+
+
+@GROUND_CONFIGS
 def test_the_ground_state_is_the_lowest_row(ts, params):
     # H_k <= H_{k+1} pointwise puts mode 0's first level lowest at every t,
     # so the lowest row's vector, the one spectrum mass reads, is mode 0's
-    table = dirac_spectrum(ts, params)
+    table, ground = dirac_spectrum(ts, params), ground_states(ts, params)
     with ThreadPoolExecutor(max_workers=2) as pool:
         cusp = spectra._cusp_geometry(params, pool)[0]
     for t in ts:
         low = table.lowest(t)
         assert (low.k, low.j) == (0, 1) and low.mu < table.mu[t][1:, 0].min(initial=np.inf), t
         geom = NeckGeometry.neck(t) if t > 0 else cusp
-        mu, v = _ground_state(geom, table.ground[t].grid, params.levels)
-        assert low.mu == mu and _same_bits(table.ground[t].values, v), t
+        mu, v = _ground_state(geom, ground[t].grid, params.levels)
+        assert low.mu == mu and _same_bits(ground[t].values, v), t
+
+
+@GROUND_CONFIGS
+def test_ground_states_match_the_slow_path_on_any_cpus(monkeypatch, ts, params):
+    # mode 0 alone at t > 0 and the full cusp-depth search at t = 0 give the
+    # vectors of one serial solve per chirality, at the search's depth
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        cusp = spectra._cusp_geometry(params, pool)[0]
+    for cpus in (1, 2, 6):
+        monkeypatch.setattr(spectra, "_cpu_count", lambda: cpus)
+        ground = ground_states(list(reversed(ts)), params)  # any order in, descending t out
+        assert list(ground) == ts, cpus
+        for t in ts:
+            geom = NeckGeometry.neck(t) if t > 0 else cusp
+            grid = Grid.for_geometry(geom, n=params.n, h=params.h)
+            assert ground[t].grid == grid, (cpus, t)
+            assert _same_bits(ground[t].values, _ground_state(geom, grid, params.levels)[1]), (
+                cpus, t)
+
+
+def test_ground_states_solve_mode_0_alone_at_each_neck(monkeypatch):
+    # one vector solve of mode 0 per t > 0; at t = 0 the cusp-depth search
+    # solves every (k, chirality) at each depth, with a vector for mode 0
+    params = _pool_params(1)
+    calls, solving = [], threading.local()
+    eigen, assemble = spectra.eigen_lowest, spectra.assemble_hamiltonian
+
+    def recorded_assemble(geom, mode, *args):
+        solving.key = (geom.t, geom.rho_min, mode.k, mode.chirality.value)
+        return assemble(geom, mode, *args)
+
+    def counted_eigen(T, count, **kwargs):
+        calls.append((*solving.key, count, kwargs.get("vector", False)))
+        return eigen(T, count, **kwargs)
+
+    monkeypatch.setattr(spectra, "assemble_hamiltonian", recorded_assemble)
+    monkeypatch.setattr(spectra, "eigen_lowest", counted_eigen)
+    ground_states(POOL_GRID, params)
+    necks, plus = sorted(t for t in POOL_GRID if t > 0), Chirality.PLUS.value
+    assert sorted(c for c in calls if c[0] > 0) == [
+        (t, NeckGeometry.neck(t).rho_min, 0, plus, params.levels, True) for t in necks]
+    search = [c for c in calls if c[0] == 0]
+    depths = {rho for _, rho, *_ in search}
+    assert len(depths) >= 2  # the search deepened the cusp at least once
+    assert sorted(search) == sorted(
+        (0.0, rho, k, chi.value, params.levels, k == 0)
+        for rho in depths for k in range(params.k_max + 1) for chi in Chirality)
 
 
 def test_a_failed_solve_cancels_the_queued_ones(monkeypatch):
