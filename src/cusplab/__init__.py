@@ -1,6 +1,3 @@
 """Exact boundary-calculus combinatorics and a spectral lab for a pinching hyperbolic neck."""
 
-from cusplab import corners, dirac_lab, expfit, surgery_spaces
-
-__all__ = ["corners", "surgery_spaces", "dirac_lab", "expfit"]
 __version__ = "0.1.0"

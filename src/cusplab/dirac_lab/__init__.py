@@ -9,7 +9,6 @@ the pinching parameter, localization masses, and relative resolvent traces.
 
 from cusplab.dirac_lab.geometry import (
     Chirality,
-    CuspSide,
     IndicialScan,
     ModeSpec,
     NeckGeometry,
@@ -51,7 +50,7 @@ from cusplab.dirac_lab.spectra import (
 )
 
 __all__ = [
-    "Chirality", "CuspSide", "IndicialScan", "ModeSpec", "NeckGeometry",
+    "Chirality", "IndicialScan", "ModeSpec", "NeckGeometry",
     "SpinStructure", "circle_spectrum", "indicial_min", "indicial_scan",
     "phi", "potential", "potential_derivative",
     "Grid", "NonConvergenceError", "Tridiagonal", "assemble_hamiltonian",

@@ -12,12 +12,6 @@ import numpy as np
 WALL_PHI = 2.0  # profile value at the Dirichlet walls closing off the neck
 
 
-class CuspSide(enum.Enum):
-    FULL = "full"
-    LEFT = "left"
-    RIGHT = "right"
-
-
 class Chirality(enum.Enum):
     PLUS = 1
     MINUS = -1
@@ -34,25 +28,21 @@ class NeckGeometry:
 
     For t > 0 the profile is ``phi(rho) = t cosh(rho)`` on the symmetric
     interval with ``rho_max = asinh(1 / sinh(t/2))`` so that phi reaches
-    sqrt(halfwidth^2 + t^2) ~ 2 at the walls.  At t = 0 the neck splits and
-    each side is a hyperbolic cusp ``phi = e^rho`` (right side), truncated at
-    ``rho_min``; both branches have Gauss curvature -1.
+    sqrt(halfwidth^2 + t^2) ~ 2 at the walls.  At t = 0 the neck splits into
+    two mirror-image hyperbolic cusps.  The lab keeps the right one,
+    ``phi = e^rho`` truncated at ``rho_min``, and carries the left one through
+    the minus chirality.  Both profiles have Gauss curvature -1.
     """
 
     t: float
     rho_min: float
     rho_max: float
-    cusp_side: CuspSide = CuspSide.FULL
 
     def __post_init__(self) -> None:
         if self.t < 0:
             raise ValueError("pinching parameter must be nonnegative")
         if not self.rho_min < self.rho_max:
             raise ValueError("empty arclength domain")
-        if self.t > 0 and self.cusp_side is not CuspSide.FULL:
-            raise ValueError("cusp branches exist only at t = 0")
-        if self.t == 0 and self.cusp_side is CuspSide.FULL:
-            raise ValueError("at t = 0 the neck splits; pick a cusp side")
 
     @classmethod
     def neck(cls, t: float) -> "NeckGeometry":
@@ -60,22 +50,14 @@ class NeckGeometry:
         if t <= 0:
             raise ValueError("use NeckGeometry.cusp for t = 0")
         r = math.asinh(1.0 / math.sinh(t / 2))
-        return cls(t=t, rho_min=-r, rho_max=r, cusp_side=CuspSide.FULL)
+        return cls(t=t, rho_min=-r, rho_max=r)
 
     @classmethod
-    def cusp(cls, rho_min: float, side: CuspSide = CuspSide.RIGHT) -> "NeckGeometry":
-        """One truncated cusp of the split (t = 0) neck."""
-        if side is CuspSide.RIGHT:
-            if rho_min >= math.log(WALL_PHI):
-                raise ValueError("truncation must lie below the wall")
-            return cls(t=0.0, rho_min=rho_min, rho_max=math.log(WALL_PHI),
-                       cusp_side=CuspSide.RIGHT)
-        if side is CuspSide.LEFT:
-            if rho_min >= math.log(WALL_PHI):
-                raise ValueError("truncation must lie below the wall")
-            return cls(t=0.0, rho_min=-math.log(WALL_PHI), rho_max=-rho_min,
-                       cusp_side=CuspSide.LEFT)
-        raise ValueError("a single cusp branch must be LEFT or RIGHT")
+    def cusp(cls, rho_min: float) -> "NeckGeometry":
+        """The right cusp of the split (t = 0) neck, truncated at rho_min."""
+        if rho_min >= math.log(WALL_PHI):
+            raise ValueError("truncation must lie below the wall")
+        return cls(t=0.0, rho_min=rho_min, rho_max=math.log(WALL_PHI))
 
     @property
     def length(self) -> float:
@@ -98,10 +80,8 @@ def phi(geom: NeckGeometry, rho):
     r = _check_domain(geom, rho)
     if geom.t > 0:
         out = geom.t * np.cosh(r)
-    elif geom.cusp_side is CuspSide.RIGHT:
-        out = np.exp(r)
     else:
-        out = np.exp(-r)
+        out = np.exp(r)
     return out if out.ndim else float(out)
 
 
@@ -130,10 +110,8 @@ def potential_derivative(geom: NeckGeometry, mode: ModeSpec, rho):
     q = mode.frequency
     if geom.t > 0:
         out = -q * np.sinh(r) / (geom.t * np.cosh(r) ** 2)
-    elif geom.cusp_side is CuspSide.RIGHT:
-        out = -q * np.exp(-r)
     else:
-        out = q * np.exp(r)
+        out = -q * np.exp(-r)
     return out if out.ndim else float(out)
 
 

@@ -16,8 +16,6 @@ import numpy as np
 import scipy
 
 from cusplab.dirac_lab.geometry import (
-    Chirality,
-    CuspSide,
     ModeSpec,
     NeckGeometry,
     potential,
@@ -204,30 +202,21 @@ def partner_minus_hamiltonian(geom: NeckGeometry, mode: ModeSpec, grid: Grid) ->
     at the wall; realizing that condition (ghost-node elimination, then a
     diagonal similarity restoring symmetry) makes -d^2/drho^2 + V^2 - V'
     isospectral to the plus operator away from zero modes.  At t = 0 the wall
-    is the shallow end of the cusp; the deep end keeps Dirichlet, which is
-    invisible under the confining potential.
+    is the shallow end of the cusp, ``rho_max``; the deep end keeps Dirichlet,
+    which is invisible under the confining potential.
     """
     if geom.t != 0:
         raise ValueError("the partner realization is used on the split (t = 0) neck")
-    wall_at_max = geom.cusp_side is CuspSide.RIGHT
     h = grid.h
-    if wall_at_max:
-        rho = np.append(grid.rho_values, geom.rho_max)
-    else:
-        rho = np.insert(grid.rho_values, 0, geom.rho_min)
-    v = np.asarray(potential(geom, ModeSpec(mode.k, Chirality.MINUS), rho), dtype=float)
+    rho = np.append(grid.rho_values, geom.rho_max)
+    v = np.asarray(potential(geom, mode, rho), dtype=float)
     vp = np.asarray(potential_derivative(geom, mode, rho), dtype=float)
     diag = 2.0 / h**2 + v * v - vp
     m = len(rho)
     sub = np.full(m - 1, -1.0 / h**2)
     sup = np.full(m - 1, -1.0 / h**2)
-    vw = v[-1] if wall_at_max else v[0]
-    if wall_at_max:
-        diag[-1] += 2.0 * vw / h
-        sub[-1] = -2.0 / h**2
-    else:
-        diag[0] += 2.0 * vw / h
-        sup[0] = -2.0 / h**2
+    diag[-1] += 2.0 * v[-1] / h
+    sub[-1] = -2.0 / h**2
     off = -np.sqrt(sub * sup)
     return Tridiagonal(diag, off)
 

@@ -168,7 +168,7 @@ def _cpu_count() -> int:
 def _chiralities(t: float) -> tuple[Chirality, ...]:
     """The chiralities solved per mode: plus at t > 0, both at t = 0.
 
-    At t = 0 the pair's spectrum is their union on one cusp branch, so each
+    At t = 0 the pair's spectrum is their union on the right cusp, so each
     step of the cusp-depth search costs twice the solves of a neck.
     """
     return (Chirality.PLUS, Chirality.MINUS) if t == 0 else (Chirality.PLUS,)
@@ -289,7 +289,7 @@ def _window(t: float, rho: np.ndarray, w: float) -> np.ndarray:
     """
     if t > 0:
         return np.abs(rho) <= math.asinh(w / t)
-    return np.exp(rho) <= w  # right-cusp branch: |x| = e^rho
+    return np.exp(rho) <= w  # the right cusp: |x| = e^rho
 
 
 def check_windows(t_grid: Sequence[float], params: SpectrumParams,
@@ -370,10 +370,10 @@ def dirac_spectrum(t: float | Sequence[float], params: SpectrumParams) -> Spectr
 
     One row per (t, mode pair, level).  Modes k and -k-1 form a degenerate
     pair (parity on the symmetric neck for t > 0, where the plus operator
-    suffices; the mirror cusp at t = 0, where the pair's spectrum is the
-    union of the plus and minus spectra on one cusp branch), so each row
-    carries multiplicity 2 wherever counts or traces are formed.  Every
-    solve of every t runs on one pool of at most one thread per CPU;
+    suffices; at t = 0 the left cusp mirrors the right one, so the pair's
+    spectrum is the union of the plus and minus spectra on the right cusp),
+    so each row carries multiplicity 2 wherever counts or traces are formed.
+    Every solve of every t runs on one pool of at most one thread per CPU;
     ``check_grids`` refuses the t and parameters before any solve.
     """
     ts = [t] if np.ndim(t) == 0 else list(t)
@@ -388,7 +388,9 @@ def ground_states(t: float | Sequence[float], params: SpectrumParams) -> dict[fl
     each t > 0 only mode 0 is solved, to ``params.levels`` as
     ``dirac_spectrum`` solves it.  At t = 0 the cusp-depth search solves
     every mode and both chiralities, since its depth reads the top of them
-    all, and the vector is mode 0's at the last depth.  ``check_grids``
+    all, and the vector is mode 0's at the last depth.  Each depth step
+    computes mode 0's two vectors, one per chirality, and only the last
+    step's are read; every config tried takes one step.  ``check_grids``
     refuses the t and parameters with the full ``k_max``, which bounds this
     work from above; every solve runs on one pool.
     """

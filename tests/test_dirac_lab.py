@@ -23,7 +23,6 @@ from cusplab.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from cusplab.dirac_lab import solver, spectra
 from cusplab.dirac_lab import (
     Chirality,
-    CuspSide,
     Grid,
     ModeSpec,
     NeckGeometry,
@@ -67,11 +66,31 @@ def test_phi_values_and_domain():
     assert phi(c, c.rho_max) == pytest.approx(2.0, rel=1e-12)
 
 
+def test_geometry_input_rules():
+    wall = math.log(2.0)  # log WALL_PHI: the cusp's shallow end
+    for rho_min in (wall, wall + 0.5):
+        with pytest.raises(ValueError):
+            NeckGeometry.cusp(rho_min)
+    for t in (0.0, -0.3):
+        with pytest.raises(ValueError):
+            NeckGeometry.neck(t)
+    with pytest.raises(ValueError):
+        NeckGeometry(-0.1, -1.0, 1.0)
+    for a, b in ((1.0, 1.0), (1.0, -1.0)):
+        with pytest.raises(ValueError):
+            NeckGeometry(0.5, a, b)
+    assert [f.name for f in dataclasses.fields(NeckGeometry)] == ["t", "rho_min", "rho_max"]
+    # t = 0 is the right cusp phi = e^rho
+    c = NeckGeometry.cusp(-8.0)
+    assert (c.t, c.rho_min, c.rho_max) == (0.0, -8.0, wall)
+    rho = np.array([-8.0, -3.7, -0.25, 0.0, 0.5, wall])
+    assert np.array_equal(phi(c, rho), np.exp(rho))
+
+
 def test_gauss_curvature_is_minus_one_on_both_branches():
     # -phi''/phi via central differences at random interior points
     rng = np.random.default_rng(7)
-    for geom in (NeckGeometry.neck(0.37), NeckGeometry.cusp(-9.0),
-                 NeckGeometry.cusp(-9.0, CuspSide.LEFT)):
+    for geom in (NeckGeometry.neck(0.37), NeckGeometry.cusp(-9.0)):
         lo, hi = geom.rho_min + 0.1, geom.rho_max - 0.1
         pts = rng.uniform(lo, hi, size=100)
         eps = 1e-5
@@ -371,17 +390,6 @@ def test_dirichlet_domain_monotonicity():
         mus.append(eigen_lowest(T, 6))
     for shallow, deep in zip(mus, mus[1:]):
         assert np.all(deep <= shallow + 1e-9)
-
-
-def test_left_and_right_cusp_spectra_agree():
-    right = NeckGeometry.cusp(-8.0, CuspSide.RIGHT)
-    left = NeckGeometry.cusp(-8.0, CuspSide.LEFT)
-    gr = Grid.for_geometry(right, n=3000)
-    gl = Grid.for_geometry(left, n=3000)
-    wr = eigen_lowest(assemble_hamiltonian(right, ModeSpec(0), gr), 4)
-    # mirrored geometry carries the minus operator of the right cusp
-    wl = eigen_lowest(assemble_hamiltonian(left, ModeSpec(0, Chirality.MINUS), gl), 4)
-    assert np.allclose(wr, wl, rtol=1e-12)
 
 
 def test_dirac_spectrum_table_structure():

@@ -1,10 +1,15 @@
 """Tests for the surgery-space fixture and the order pipelines."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import cusplab
 from cusplab.corners import (
     BMap,
     IndexFamily,
@@ -179,6 +184,20 @@ def test_composition_orders_examples():
         OpOrders(0, 0, 0)
     assert composition_orders(OpOrders(Fraction(3, 2), -2, 5),
                               OpOrders(Fraction(-3, 2), 2, -5)) == OpOrders(0, 0, 0)
+
+
+def test_the_exact_engine_imports_without_numpy(tmp_path):
+    # cusplab/__init__.py imports no subpackage, so the exact engine loads
+    # only the standard library
+    env = {**os.environ, "PYTHONPATH": str(Path(cusplab.__file__).parents[1])}  # src/
+    script = ("import sys\n"
+              "from cusplab.surgery_spaces import OpOrders, composition_orders\n"
+              "print(composition_orders(OpOrders(-1, -1, 0), OpOrders(-1, -1, 0)))\n"
+              "print('numpy' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False", done.stdout
 
 
 def test_composition_matches_sum_randomized():
