@@ -14,6 +14,12 @@ rebuild one of its operands (a sum with the naturals, a union with the empty
 set, a scale by 1, a shift by 0) it returns that operand: every set is kept
 canonical, and a canonical set re-canonicalises to itself.
 
+The hot paths stay on C-level keys: a :class:`Face` is a named tuple of its
+label, so faces hash, compare and sort as tuples; an index set sorts its
+generators on exact integer keys over their common denominator; and whether
+two exponents differ by an integer is read off their reduced numerators and
+denominators, with no ``Fraction`` arithmetic.
+
 Conventions:
 
 * An index set is generated by finitely many terms ``(z, k)``; membership is
@@ -31,7 +37,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 RationalLike = Union[int, str, Fraction]
 
@@ -72,9 +78,12 @@ class DanglingInheritanceError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
-class Face:
-    """A boundary hypersurface, identified by its label."""
+class Face(NamedTuple):
+    """A boundary hypersurface, identified by its label.
+
+    A named tuple of its label, so hashing, equality and ordering (by label)
+    run in C wherever faces key a dict or sort a b-map's entries.
+    """
 
     label: str
 
@@ -88,9 +97,11 @@ class Space:
     def __post_init__(self) -> None:
         if not self.faces:
             raise ValueError("a space needs at least one face")
-        labels = [f.label for f in self.faces]
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate face labels in {labels}")
+        index = {f: i for i, f in enumerate(self.faces)}
+        if len(index) != len(self.faces):
+            raise ValueError(f"duplicate face labels in {[f.label for f in self.faces]}")
+        # each face's position: the membership test and the order of a family's entries
+        object.__setattr__(self, "_index", index)
 
     @classmethod
     def of(cls, *labels: str) -> "Space":
@@ -106,12 +117,8 @@ class Space:
         except KeyError:
             raise KeyError(f"no face labelled {label!r}") from None
 
-    @cached_property
-    def _face_set(self) -> frozenset[Face]:
-        return frozenset(self.faces)
-
     def __contains__(self, face: Face) -> bool:
-        return face in self._face_set
+        return face in self._index
 
 
 # ---------------------------------------------------------------------------
@@ -135,10 +142,17 @@ class IndexTerm:
             object.__setattr__(self, "z", _frac(self.z))
 
 
-def _dominates(a: IndexTerm, b: IndexTerm) -> bool:
-    """True if b lies in the closure generated by a (so b is redundant)."""
-    d = b.z - a.z
-    return d.denominator == 1 and d >= 0 and b.k <= a.k
+def _integer_gap(a: Fraction, b: Fraction) -> int | None:
+    """``a - b`` if it is an integer, else None, read off the reduced fractions.
+
+    Two reduced fractions differ by an integer only when their denominators
+    agree, so no ``Fraction`` is formed.
+    """
+    q = a.denominator
+    if q != b.denominator:
+        return None
+    gap, rest = divmod(a.numerator - b.numerator, q)
+    return None if rest else gap
 
 
 @dataclass(frozen=True)
@@ -154,15 +168,24 @@ class IndexSet:
     generators: tuple[IndexTerm, ...] = ()
 
     def __post_init__(self) -> None:
-        # Only terms in one class of z mod 1 can dominate each other.  Walking
-        # each class by z ascending (k descending on ties), a term survives
-        # iff its k beats every k seen before it in its class.  At most one
-        # term per z survives, so the kept terms are already in (z, k) order,
-        # and an exact duplicate falls with the rest.
-        best: dict[tuple[int, int], int] = {}
+        # Over the common denominator d of the generators, the term (z, k)
+        # has the exact integer key (z*d, -k), and its class of z mod 1 is
+        # z*d mod d: only terms in one class can dominate each other.
+        # Walking each class by z ascending (k descending on ties), a term
+        # survives iff its k beats every k seen before it in its class.  At
+        # most one term per z survives, so the kept terms are already in
+        # (z, k) order, and an exact duplicate falls with the rest.
+        gens = tuple(self.generators)
+        if len(gens) < 2:  # already canonical
+            object.__setattr__(self, "generators", gens)
+            return
+        d = math.lcm(*(t.z.denominator for t in gens))
+        best: dict[int, int] = {}
         kept = []
-        for t in sorted(self.generators, key=lambda t: (t.z, -t.k)):
-            cls = (t.z.numerator % t.z.denominator, t.z.denominator)
+        for n, _, i in sorted(
+            (t.z.numerator * (d // t.z.denominator), -t.k, i) for i, t in enumerate(gens)
+        ):
+            t, cls = gens[i], n % d
             if t.k > best.get(cls, -1):
                 best[cls] = t.k
                 kept.append(t)
@@ -199,16 +222,21 @@ class IndexSet:
 
 _EMPTY = IndexSet(())
 _NATURALS = IndexSet((IndexTerm(Fraction(0), 0),))
-_ONE = Fraction(1)
 
 
 def member(E: IndexSet, z: RationalLike, k: int) -> bool:
     """Whether (z, k) lies in the closure of E's generators."""
     zq = _frac(z)
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise TypeError(f"log power must be an int, got {k!r}")
     if k < 0:
         return False
-    t = IndexTerm(zq, k)
-    return any(_dominates(g, t) for g in E.generators)
+    for g in E.generators:
+        if k <= g.k:
+            gap = _integer_gap(zq, g.z)
+            if gap is not None and gap >= 0:
+                return True
+    return False
 
 
 def inf_order(E: IndexSet):
@@ -260,12 +288,12 @@ def extended_union(E: IndexSet, F: IndexSet) -> IndexSet:
         return F
     if F.is_empty:
         return E
-    extra = [
-        IndexTerm(max(a.z, b.z), a.k + b.k + 1)
-        for a in E.generators
-        for b in F.generators
-        if (a.z - b.z).denominator == 1
-    ]
+    extra = []
+    for a in E.generators:
+        for b in F.generators:
+            gap = _integer_gap(a.z, b.z)
+            if gap is not None:
+                extra.append(IndexTerm(a.z if gap >= 0 else b.z, a.k + b.k + 1))
     return IndexSet(E.generators + F.generators + tuple(extra))
 
 
@@ -282,17 +310,17 @@ class IndexFamily:
     entries: tuple[tuple[Face, IndexSet], ...] = ()
 
     def __post_init__(self) -> None:
+        index = self.space._index
         seen: dict[Face, IndexSet] = {}
         for face, E in self.entries:
-            if face not in self.space:
+            if face not in index:
                 raise SpaceMismatchError(f"face {face.label!r} not in the family's space")
             if face in seen:
                 raise ValueError(f"duplicate entry for face {face.label!r}")
             seen[face] = E
-        canon = tuple(
-            (f, seen[f]) for f in self.space.faces if f in seen and not seen[f].is_empty
-        )
-        object.__setattr__(self, "entries", canon)
+        canon = sorted(((f, E) for f, E in seen.items() if E.generators),
+                       key=lambda entry: index[entry[0]])
+        object.__setattr__(self, "entries", tuple(canon))
 
     @classmethod
     def on(cls, space: Space, sets: Mapping[str, IndexSet]) -> "IndexFamily":
@@ -306,16 +334,15 @@ class IndexFamily:
         E = self._by_face.get(face)
         if E is not None:
             return E
-        if face not in self.space:
+        if face not in self.space._index:
             raise SpaceMismatchError(f"face {face.label!r} not in the family's space")
         return _EMPTY
 
     def shifted(self, exponents: Mapping[str, int]) -> "IndexFamily":
         """Shift each face's nonempty set by the given density exponent."""
-        out = {
-            f.label: shift_set(E, exponents.get(f.label, 0)) for f, E in self.entries
-        }
-        return IndexFamily.on(self.space, out)
+        return IndexFamily(self.space, tuple(
+            (f, shift_set(E, exponents.get(f.label, 0))) for f, E in self.entries
+        ))
 
 
 # ---------------------------------------------------------------------------
@@ -450,13 +477,14 @@ def pullback_family(f: BMap, fam: IndexFamily) -> IndexFamily:
         raise ValueError("pull-back requires an interior b-map")
     if fam.space != f.target:
         raise SpaceMismatchError("family lives on the wrong space")
-    out: dict[str, IndexSet] = {}
+    out = []
     for G in f.source.faces:
         acc = _NATURALS
         for H, exp in f._rows.get(G, {}).items():
-            acc = sum_sets(acc, scale_set(exp, fam.get(H)))
-        out[G.label] = acc
-    return IndexFamily.on(f.source, out)
+            E = fam.get(H)
+            acc = sum_sets(acc, E if exp == 1 else scale_set(exp, E))
+        out.append((G, acc))
+    return IndexFamily(f.source, tuple(out))
 
 
 def pushforward_family(f: BMap, fam: IndexFamily) -> IndexFamily:
@@ -475,14 +503,14 @@ def pushforward_family(f: BMap, fam: IndexFamily) -> IndexFamily:
             inf_g = inf_order(fam.get(G))
             if not inf_g > 0:
                 raise IntegrabilityViolatedError(G, inf_g)
-    out: dict[str, IndexSet] = {}
+    out = []
     for H in f.target.faces:
         acc = _EMPTY
         for G, exp in f._columns.get(H, {}).items():
-            acc = extended_union(acc, scale_set(_ONE if exp == 1 else Fraction(1, exp),
-                                                fam.get(G)))
-        out[H.label] = acc
-    return IndexFamily.on(f.target, out)
+            E = fam.get(G)
+            acc = extended_union(acc, E if exp == 1 else scale_set(Fraction(1, exp), E))
+        out.append((H, acc))
+    return IndexFamily(f.target, tuple(out))
 
 
 # ---------------------------------------------------------------------------

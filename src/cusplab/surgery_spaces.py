@@ -205,9 +205,9 @@ def mapping_stages(o: OpOrders, section: tuple[RationalLike, RationalLike]) -> M
     })
     pulled = pullback_family(fx.pi2_2, fam_section)
     kernel = kernel_index_family(o)
-    product = IndexFamily.on(fx.X2, {
-        f.label: sum_sets(pulled.get(f), kernel.get(f)) for f in fx.X2.faces
-    })
+    product = IndexFamily(fx.X2, tuple(
+        (f, sum_sets(pulled.get(f), kernel.get(f))) for f in fx.X2.faces
+    ))
     with_density = product.shifted(fx.density_x2())
     pushed = pushforward_family(fx.pi2_1, with_density)
     lead_ff = inf_order(pushed.get(fx.X1.face("ff"))) - fx.omega_ff_exponent
@@ -246,9 +246,9 @@ def composition_stages(o1: OpOrders, o2: OpOrders) -> CompositionStages:
     fx = build_fixture()
     pulled_12 = pullback_family(fx.pi3_12, kernel_index_family(o1))
     pulled_23 = pullback_family(fx.pi3_23, kernel_index_family(o2))
-    product = IndexFamily.on(fx.X3, {
-        f.label: sum_sets(pulled_12.get(f), pulled_23.get(f)) for f in fx.X3.faces
-    })
+    product = IndexFamily(fx.X3, tuple(
+        (f, sum_sets(pulled_12.get(f), pulled_23.get(f))) for f in fx.X3.faces
+    ))
     with_density = product.shifted(fx.density_x3())
 
     ff_c = fx.X2.face("ff_c")

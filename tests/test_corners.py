@@ -126,6 +126,46 @@ def test_canonical_form_matches_pairwise_reference():
     assert all(n >= 100 for n in seen.values()), seen
 
 
+PRIMES = [p for p in range(2, 100) if all(p % q for q in range(2, p))]
+
+# cases for the integer sort keys (z * lcm of the denominators) and the
+# integer-gap test on reduced numerators and denominators
+KEY_CASES = {
+    "negative numerators": [(Fraction(-7, 3), 1), (Fraction(-4, 3), 0), (Fraction(-1, 3), 2),
+                            (Fraction(-5, 2), 0), (Fraction(-1, 2), 1), (Fraction(2, 3), 0)],
+    "equal denominators, gap not an integer": [(Fraction(1, 6), 0), (Fraction(5, 6), 1),
+                                               (Fraction(7, 6), 1), (Fraction(-1, 6), 0)],
+    "different denominators": [(Fraction(1, 2), 0), (Fraction(1, 3), 1),
+                               (Fraction(3, 2), 0), (Fraction(4, 3), 2)],
+    # the 25 primes below 100: their lcm is about 2.3e36
+    "coprime denominators to 97": [(Fraction(1, p), p % 3) for p in PRIMES]
+    + [(Fraction(1, p) + 1, 2) for p in PRIMES[::4]] + [(Fraction(-1, p), 0) for p in PRIMES[::5]],
+    "exact duplicates": [(Fraction(1, 2), 1)] * 3 + [(Fraction(3, 2), 1), (Fraction(1, 2), 0)],
+    "one generator": [(Fraction(5, 7), 3)],
+    "no generators": [],
+}
+
+
+@pytest.mark.parametrize("case", list(KEY_CASES))
+def test_integer_keys_match_the_pairwise_reference(case):
+    pairs = KEY_CASES[case]
+    terms = [IndexTerm(z, k) for z, k in pairs]
+    for order in (terms, terms[::-1]):
+        E = IndexSet(tuple(order))
+        assert E.generators == pairwise_canonical(order)
+    M = closure(pairs)
+    assert members_of(E) == M
+    probes = {t.z + n for t in terms for n in (-2, -1, 0, 1, 3)}
+    probes |= {z + Fraction(1, 2) for z in probes} | {Fraction(0), Fraction(1, 6)}
+    for z in probes:
+        for k in range(K_MAX + 1):
+            assert member(E, z, k) == ((z, k) in M) or z > Z_MAX
+    # the overlap terms of an extended union need the same integer-gap test
+    F = IndexSet.from_terms([(z + 1, k) for z, k in pairs[::2]]
+                            + [(Fraction(5, 6), 0), (Fraction(-2, 3), 1)])
+    assert members_of(extended_union(E, F)) == oracle_extended_union(M, members_of(F))
+
+
 def test_structural_equality_is_semantic():
     assert IndexSet.from_terms([(0, 0), (0, 1)]) == IndexSet.from_terms([(0, 1)])
     assert IndexSet.from_terms([(0, 0)]) != IndexSet.from_terms([(1, 0)])
@@ -179,7 +219,10 @@ def test_inexact_values_are_refused():
                  lambda: IndexSet.shifted(0.1), lambda: IndexSet.from_terms([(0.5, 0)]),
                  lambda: IndexTerm(1, 1.5), lambda: IndexTerm(1, True),
                  lambda: member(E, 0.1 + 0.2 - 0.3, 0), lambda: member(E, 0.5, -1),
-                 lambda: member(E, 1, True)):
+                 lambda: member(E, 1, True),
+                 # a log power is checked before it is compared with 0
+                 lambda: member(E, 0, -0.5), lambda: member(E, 0, 0.5),
+                 lambda: member(IndexSet.empty(), 0, -0.5)):
         with pytest.raises(TypeError):
             make()
     # the shortcuts check their argument before they compare it with 1 or 0

@@ -12,10 +12,12 @@ import pytest
 import cusplab
 from cusplab.corners import (
     BMap,
+    Face,
     IndexFamily,
     IndexSet,
     IndexTerm,
     Space,
+    SpaceMismatchError,
     inf_order,
     is_b_fibration,
     is_b_normal,
@@ -384,6 +386,39 @@ def test_pulling_back_along_a_projection_hands_on_the_family_sets(fx):
         for G in fx.X3.faces:
             (H,) = fx.pi3_12.row(G)
             assert pulled.get(G) is fam.get(H)
+
+
+def test_faces_are_their_labels_and_families_follow_the_space_order(fx):
+    a, b = Face("ff"), Face("ff")
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert [f.label for f in sorted(Face(lbl) for lbl in ("tb", "ff_c", "Br1", "ff_b"))] == \
+        ["Br1", "ff_b", "ff_c", "tb"]
+    with pytest.raises(AttributeError):
+        a.label = "tf"
+    assert repr(a) == "Face(label='ff')"
+    # a b-map's entries are sorted by (source label, target label)
+    for bm in (fx.pi2_1, fx.pi2_2, fx.pi3_12, fx.pi3_23, fx.pi3_13):
+        pairs = [(G.label, H.label) for (G, H), _ in bm.e]
+        assert pairs == sorted(pairs) and len(pairs) == len(bm.source.faces)
+    assert [(G.label, H.label) for (G, H), _ in fx.pi2_1.e] == \
+        [("Br1", "tf"), ("Br2", "ff"), ("ff_b", "ff"), ("ff_c", "ff"), ("tb", "tf")]
+    # a family keeps its non-empty entries in the space's face order, whatever
+    # order they are given in
+    sets = {lbl: IndexSet.shifted(i) for i, lbl in enumerate(("tb", "Br2", "ff_c", "ff_b"))}
+    given = [(fx.X2.face(lbl), E) for lbl, E in sets.items()]
+    given.append((fx.X2.face("Br1"), IndexSet.empty()))
+    for entries in (given, given[::-1]):
+        fam = IndexFamily(fx.X2, tuple(entries))
+        assert [(f.label, E) for f, E in fam.entries] == \
+            [(lbl, sets[lbl]) for lbl in ("ff_b", "ff_c", "Br2", "tb")]
+        assert fam == IndexFamily.on(fx.X2, sets)
+    with pytest.raises(SpaceMismatchError):
+        IndexFamily(fx.X2, ((fx.X1.face("ff"), IndexSet.naturals()),))
+    with pytest.raises(SpaceMismatchError):
+        fam.get(fx.X1.face("tf"))
+    with pytest.raises(ValueError, match="duplicate"):
+        IndexFamily(fx.X2, ((fx.X2.face("tb"), IndexSet.naturals()),
+                            (Face("tb"), IndexSet.shifted(1))))
 
 
 # -- traces -------------------------------------------------------------------
