@@ -28,6 +28,7 @@ from cusplab.dirac_lab import (
     SpectrumParams,
     SpectrumTable,
     check_grids,
+    check_trace,
     check_windows,
     dirac_spectrum,
     ground_states,
@@ -290,8 +291,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    if config.params.levels < 2:
-        raise ConfigError("trace needs levels >= 2 for its tail model")
+    check_trace(config.lam, config.lam0, config.params.levels)
     smooth, logb = smooth_even_basis(), log_even_basis()
     if args.trace_cmd == "fit":
         if config.lam == config.lam0:

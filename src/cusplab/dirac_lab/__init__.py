@@ -41,6 +41,7 @@ from cusplab.dirac_lab.spectra import (
     TraceValue,
     WindowCounts,
     check_grids,
+    check_trace,
     check_windows,
     dirac_spectrum,
     ground_states,
@@ -57,6 +58,7 @@ __all__ = [
     "convergence_order", "eigen_lowest", "partner_minus_hamiltonian", "sturm_counts",
     "tridiagonal_from_potential",
     "ResolventAboveLevelsError", "RunRefusedError", "SpectralCollisionError", "SpectrumParams",
-    "SpectrumRow", "SpectrumTable", "TraceValue", "WindowCounts", "check_grids", "check_windows",
-    "dirac_spectrum", "ground_states", "neck_mass", "relative_resolvent_trace", "window_counts",
+    "SpectrumRow", "SpectrumTable", "TraceValue", "WindowCounts", "check_grids", "check_trace",
+    "check_windows", "dirac_spectrum", "ground_states", "neck_mass", "relative_resolvent_trace",
+    "window_counts",
 ]

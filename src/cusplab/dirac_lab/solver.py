@@ -172,24 +172,21 @@ def assemble_hamiltonian(
     geom: NeckGeometry,
     mode: ModeSpec,
     grid: Grid,
-    potential_override: Callable[[np.ndarray], np.ndarray] | None = None,
+    flat_potential: float | None = None,
 ) -> Tridiagonal:
     """Mode Hamiltonian -d^2/drho^2 + V^2 +- V' on the grid, Dirichlet ends.
 
-    The sign is the mode's chirality.  ``potential_override`` replaces V by
-    an arbitrary profile (V' then comes from centered differences of the
-    override, except that a constant override has V' = 0 exactly).
+    The sign is the mode's chirality.  ``flat_potential`` replaces V by that
+    constant c, so V' = 0 and the potential is c^2 at every point.
     """
     if not (geom.contains(grid.rho_min) or math.isclose(
             grid.rho_min, geom.rho_min, rel_tol=1e-9, abs_tol=1e-12)):
         raise ValueError("grid does not cover the geometry's domain")
+    if flat_potential is not None:
+        return tridiagonal_from_potential(np.full(grid.n, flat_potential * flat_potential), grid.h)
     rho = grid.rho_values
-    if potential_override is None:
-        v = np.asarray(potential(geom, mode, rho), dtype=float)
-        vp = np.asarray(potential_derivative(geom, mode, rho), dtype=float)
-    else:
-        v = np.asarray(potential_override(rho), dtype=float) * np.ones_like(rho)
-        vp = np.gradient(v, grid.h) if np.ptp(v) > 0 else np.zeros_like(v)
+    v = np.asarray(potential(geom, mode, rho), dtype=float)
+    vp = np.asarray(potential_derivative(geom, mode, rho), dtype=float)
     sign = float(mode.chirality.value)
     return tridiagonal_from_potential(v * v + sign * vp, grid.h)
 
@@ -307,16 +304,17 @@ def convergence_order(
     geom: NeckGeometry,
     mode: ModeSpec,
     grid: Grid,
-    potential_override: Callable[[np.ndarray], np.ndarray] | None = None,
+    flat_potential: float | None = None,
 ) -> float:
     """Observed discretization order of the lowest eigenvalue on ``grid`` and its halving.
 
     Richardson-style estimate log2(|mu_h - mu_ref| / |mu_h/2 - mu_ref|)
     against a reference at spacing h/8; the finer grids are nested refinements of ``grid``.
+    ``flat_potential`` is passed on to ``assemble_hamiltonian``.
     """
 
     def mu(g: Grid) -> float:
-        T = assemble_hamiltonian(geom, mode, g, potential_override)
+        T = assemble_hamiltonian(geom, mode, g, flat_potential)
         return float(eigen_lowest(T, 1)[0])
 
     half = grid.halved()

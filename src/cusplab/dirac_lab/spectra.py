@@ -6,7 +6,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -50,7 +50,7 @@ class SpectralCollisionError(ValueError):
 
 
 class ResolventAboveLevelsError(ValueError):
-    """A resolvent point not below the highest computed level of a mode, or nan.
+    """A resolvent point not below the highest computed level of a mode.
 
     The tail model continues each mode's spectrum above its computed levels,
     so a point up there lies among the model's poles and the trace would be
@@ -175,35 +175,37 @@ def _chiralities(t: float) -> tuple[Chirality, ...]:
 
 
 def _queue_modes(pool: ThreadPoolExecutor, geom: NeckGeometry, params: SpectrumParams,
-                 vector: bool = False):
+                 ground: bool = False):
     """Queue the geometry's solves on its grid: one list of futures per k, one per chirality.
 
-    Each solve gives (eigenvalues, vector); the vector is mode 0's lowest
-    with ``vector``, else None.
+    Each solve gives (eigenvalues, vector): mode 0's lowest vector in a
+    ground-state run (``ground``), which solves mode 0 alone at a neck and
+    every mode at t = 0, where the cusp-depth search reads them all; else None.
     """
     grid = Grid.for_geometry(geom, n=params.n, h=params.h)
 
     def solve(mode: ModeSpec):
         H = assemble_hamiltonian(geom, mode, grid)
-        if vector and mode.k == 0:
+        if ground and mode.k == 0:
             return eigen_lowest(H, params.levels, vector=True, h=grid.h)
         return eigen_lowest(H, params.levels), None
 
+    modes = 1 if ground and geom.t > 0 else params.k_max + 1
     return grid, [[pool.submit(solve, ModeSpec(k, chi)) for chi in _chiralities(geom.t)]
-                  for k in range(params.k_max + 1)]
+                  for k in range(modes)]
 
 
 def _collect_modes(params: SpectrumParams, queued):
     """Wait for a geometry's queued solves and merge each mode's chiralities.
 
-    Returns the lowest ``levels`` eigenvalues of each mode as a
-    (k_max + 1, levels) array, mode 0's ground state (None unless the solves
-    were queued with a vector), and the largest eigenvalue any one solve
-    returned.  The ground state is the vector of the chirality whose first
-    level is lower, plus on a tie.
+    Returns the lowest ``levels`` eigenvalues of each queued mode as a
+    (modes, levels) array, mode 0's ground state (None unless the solves
+    were queued for a ground-state run), and the largest eigenvalue any one
+    solve returned.  The ground state is the vector of the chirality whose
+    first level is lower, plus on a tie.
     """
     grid, modes = queued
-    mu, mu_max = np.empty((params.k_max + 1, params.levels)), 0.0
+    mu, mu_max = np.empty((len(modes), params.levels)), 0.0
     for k, jobs in enumerate(modes):
         parts = [job.result() for job in jobs]
         if k == 0:
@@ -318,7 +320,7 @@ def check_windows(t_grid: Sequence[float], params: SpectrumParams,
     return plan
 
 
-def _cusp_geometry(params: SpectrumParams, pool: ThreadPoolExecutor, vector: bool = False):
+def _cusp_geometry(params: SpectrumParams, pool: ThreadPoolExecutor, ground: bool = False):
     """Truncated cusp deep enough that V(rho_min) >= margin * sqrt(mu_max).
 
     V is that of the most permissive mode (k = 0, smallest V) and mu_max is
@@ -326,39 +328,38 @@ def _cusp_geometry(params: SpectrumParams, pool: ThreadPoolExecutor, vector: boo
     domain is deepened until the requirement holds, and deepening only
     lowers eigenvalues, so the loop terminates.  Each depth's solves go to
     ``pool``; the loop itself runs on the calling thread, so no worker waits
-    on another.  Returns the geometry with the eigenvalues and, with
-    ``vector``, the ground state of its last depth (else None).
+    on another.  Returns the geometry with the eigenvalues and, for a
+    ground-state run (``ground``), the ground state of its last depth (else None).
     """
     geom = _first_geometry(0.0, params)
     for _ in range(8):
-        mu, ground, mu_max = _collect_modes(params, _queue_modes(pool, geom, params, vector))
+        mu, state, mu_max = _collect_modes(params, _queue_modes(pool, geom, params, ground))
         needed = _cusp_depth(params, mu_max)
         if geom.rho_min <= needed:
-            return geom, mu, ground
+            return geom, mu, state
         geom = NeckGeometry.cusp(needed - 0.5)
     raise RuntimeError("cusp truncation depth did not stabilize")
 
 
-def _solve_grid(ts: list[float], params: SpectrumParams, neck_params: SpectrumParams,
-                vector: bool) -> dict[float, tuple[np.ndarray, VectorHandle | None]]:
+def _solve_grid(ts: list[float], params: SpectrumParams,
+                ground: bool) -> dict[float, tuple[np.ndarray, VectorHandle | None]]:
     """Each t's (eigenvalues, ground state) from ``_collect_modes``, every solve on one pool.
 
-    The modes of ``neck_params`` are solved at each t > 0 and those of
-    ``params`` by the cusp-depth search at t = 0; ``check_grids`` refuses
-    the t and ``params`` before any solve.  The pool has at most one thread
-    per CPU.
+    ``_queue_modes`` picks the modes of a ground-state run (``ground``) or a
+    full one; ``check_grids`` refuses the t and ``params`` before any solve.
+    The pool has one thread per CPU and starts one only when a job finds
+    none idle, so never more threads than jobs.
     """
     check_grids(ts, params)
-    jobs = sum(((neck_params if s > 0 else params).k_max + 1) * len(_chiralities(s)) for s in ts)
-    with ThreadPoolExecutor(max_workers=min(jobs, _cpu_count())) as pool:
+    with ThreadPoolExecutor(max_workers=_cpu_count()) as pool:
         try:
-            queued = {s: _queue_modes(pool, NeckGeometry.neck(s), neck_params, vector)
+            queued = {s: _queue_modes(pool, NeckGeometry.neck(s), params, ground)
                       for s in ts if s > 0}
             # the necks are collected first, in the order they were queued,
             # so a failed solve reaches the caller before the rest have run
-            slabs = {s: _collect_modes(neck_params, q)[:2] for s, q in queued.items()}
+            slabs = {s: _collect_modes(params, q)[:2] for s, q in queued.items()}
             if 0.0 in ts:
-                slabs[0.0] = _cusp_geometry(params, pool, vector)[1:]
+                slabs[0.0] = _cusp_geometry(params, pool, ground)[1:]
         except BaseException:
             pool.shutdown(cancel_futures=True)  # fail now, not after the rest of the grid
             raise
@@ -377,7 +378,7 @@ def dirac_spectrum(t: float | Sequence[float], params: SpectrumParams) -> Spectr
     ``check_grids`` refuses the t and parameters before any solve.
     """
     ts = [t] if np.ndim(t) == 0 else list(t)
-    return SpectrumTable({s: mu for s, (mu, _) in _solve_grid(ts, params, params, False).items()})
+    return SpectrumTable({s: mu for s, (mu, _) in _solve_grid(ts, params, False).items()})
 
 
 def ground_states(t: float | Sequence[float], params: SpectrumParams) -> dict[float, VectorHandle]:
@@ -395,7 +396,7 @@ def ground_states(t: float | Sequence[float], params: SpectrumParams) -> dict[fl
     work from above; every solve runs on one pool.
     """
     ts = sorted([t] if np.ndim(t) == 0 else t, reverse=True)
-    slabs = _solve_grid(ts, params, replace(params, k_max=0), True)
+    slabs = _solve_grid(ts, params, True)
     return {s: ground for s, (_, ground) in slabs.items()}  # t = 0, if there, is last
 
 
@@ -542,16 +543,19 @@ def _inverse_square_tail(n: int, q: float) -> float:
     both digamma arguments at least 16 from the origin; the rest is the
     asymptotic series 5.11.2, each term's difference quotient written as a
     real function of q, so a^2 <= 0 needs no complex root and no division by a.
+    Its powers (w + ia)^(-2m) come from repeated products with 1/(w + ia)^2,
+    whose parts shrink as q grows, so no power overflows at any finite q.
     """
     w = max(n, 16 + math.ceil(math.sqrt(max(-q, 0.0))))
     x = math.sqrt(abs(q)) / w
     log_term = math.atan(x) / x if q > 0 else math.atanh(x) / x if q < 0 else 1.0
     r2 = w * w + q
     total = float(np.sum(1.0 / (np.arange(n, w) ** 2 + q))) + log_term / w + 0.5 / r2
-    re, im = 1.0, 0.0  # (w + ia)^(2m) = re + ia * im
-    for m, c in enumerate((1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132), start=1):  # B_2m / 2m
-        re, im = re * (w * w - q) - 2 * w * q * im, 2 * w * re + (w * w - q) * im
-        total += c * im / r2 ** (2 * m)
+    u, v = (w / r2) ** 2 - q / r2 / r2, -2.0 * w / r2 / r2  # 1/(w + ia)^2 = u + ia * v
+    re, im = 1.0, 0.0  # (w + ia)^(-2m) = re + ia * im
+    for c in (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132):  # B_2m / 2m
+        re, im = re * u - q * im * v, re * v + im * u
+        total -= c * im
     return total
 
 
@@ -572,6 +576,18 @@ def _mode_tail(mu: np.ndarray, lam: float, lam0: float) -> float:
             - _inverse_square_tail(J + 1, (c - lam0) / A)) / A
 
 
+def check_trace(lam: float, lam0: float, levels: int) -> None:
+    """Refuse a trace before any solve unless lam and lam0 are finite and levels >= 2.
+
+    Two levels are the fewest the tail model is fitted through.  Both
+    ``relative_resolvent_trace`` and the ``trace`` command call this.
+    """
+    if not (math.isfinite(lam) and math.isfinite(lam0)):
+        raise RunRefusedError(f"the resolvent points must be finite, got {lam!r} and {lam0!r}")
+    if levels < 2:
+        raise RunRefusedError(f"the trace's tail model needs levels >= 2, got {levels}")
+
+
 def relative_resolvent_trace(
     t: float,
     lam: float,
@@ -583,21 +599,21 @@ def relative_resolvent_trace(
 
     Sums 1/(mu - lam) - 1/(mu - lam0) over the table rows with the pair
     multiplicity 2 and adds the per-mode tail of the Weyl model anchored at
-    the largest computed eigenvalues, so it needs two levels or more: the
-    given ``table``'s at t, else ``params.levels``, checked before the solve
-    of the spectrum at t with ``params``.  Both points must lie below every
-    mode's highest computed level (``ResolventAboveLevelsError``).
+    the largest computed eigenvalues.  ``check_trace`` refuses the points
+    and the levels, the given ``table``'s at t, else ``params.levels``,
+    before the spectrum at t is solved with ``params``.  Both points must
+    lie below every mode's highest computed level
+    (``ResolventAboveLevelsError``), and a trace that is not finite raises
+    RuntimeError instead of being returned.
     """
     if table is not None and t not in table.mu:
         raise ValueError(f"table has no rows at t = {t}")
-    levels = params.levels if table is None else table.mu[t].shape[1]
-    if levels < 2:
-        raise RunRefusedError(f"the trace's tail model needs levels >= 2, got {levels}")
+    check_trace(lam, lam0, params.levels if table is None else table.mu[t].shape[1])
     if table is None:
         table = dirac_spectrum(t, params)
     for k, mu in enumerate(table.mu[t]):
         for point in (lam, lam0):
-            if not point < mu[-1]:  # nan fails this too
+            if not point < mu[-1]:
                 raise ResolventAboveLevelsError(k, point, float(mu[-1]))
     if lam == lam0:
         return TraceValue(0.0, 0.0, 0.0)
@@ -608,4 +624,6 @@ def relative_resolvent_trace(
     for mu in table.mu[t]:
         bare += 2.0 * float(np.sum(1.0 / (mu - lam) - 1.0 / (mu - lam0)))
         tail += 2.0 * _mode_tail(mu, lam, lam0)
+    if not math.isfinite(bare + tail):
+        raise RuntimeError(f"the trace at t = {t!r} is not finite: {bare!r} + {tail!r}")
     return TraceValue(bare + tail, bare, tail)

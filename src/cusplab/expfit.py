@@ -35,43 +35,30 @@ class BasisSpec:
                 raise ValueError("log powers must be natural numbers")
         object.__setattr__(self, "monomials", canon)
 
-    @classmethod
-    def of(cls, *monomials: tuple) -> "BasisSpec":
-        return cls(tuple((Fraction(z), int(k)) for z, k in monomials))
-
-    def finite_at_zero(self) -> bool:
-        return all(z > 0 or (z == 0 and k == 0) for z, k in self.monomials)
-
-    def has_log(self) -> bool:
-        return any(k > 0 for _, k in self.monomials)
-
     @property
     def min_samples(self) -> int:
         """Fewest samples ``fit_basis`` accepts: two more than the monomials."""
         return len(self.monomials) + 2
 
     def design_matrix(self, ts: np.ndarray) -> np.ndarray:
+        """One column t^z log^k t per monomial, at samples t > 0."""
         cols = []
-        positive = ts > 0
-        safe = np.where(positive, ts, 1.0)
         for z, k in self.monomials:
-            col = safe ** float(z)
+            col = ts ** float(z)
             if k:
-                col = col * np.log(safe) ** k
-            # monomials with z > 0 vanish at t = 0 in the limit sense
-            col = np.where(positive, col, 1.0 if (z == 0 and k == 0) else 0.0)
+                col = col * np.log(ts) ** k
             cols.append(col)
         return np.column_stack(cols)
 
 
 def smooth_even_basis(max_power: int = 4) -> BasisSpec:
     """Default smooth basis {1, t^2, t^4, ...}; the model is even in t."""
-    return BasisSpec.of(*[(2 * i, 0) for i in range(max_power // 2 + 1)])
+    return BasisSpec(tuple((2 * i, 0) for i in range(max_power // 2 + 1)))
 
 
 def log_even_basis(max_power: int = 4) -> BasisSpec:
     """The smooth basis augmented by the t^2 log t monomial."""
-    return BasisSpec(smooth_even_basis(max_power).monomials + ((Fraction(2), 1),))
+    return BasisSpec(smooth_even_basis(max_power).monomials + ((2, 1),))
 
 
 @dataclass(frozen=True)
@@ -82,7 +69,7 @@ class FitReport:
 
 
 def fit_basis(ts, ys, basis: BasisSpec) -> FitReport:
-    """Linear least squares of samples against the basis; deterministic."""
+    """Linear least squares of samples at t > 0 against the basis; deterministic."""
     t = np.asarray(ts, dtype=float)
     y = np.asarray(ys, dtype=float)
     if t.shape != y.shape or t.ndim != 1:
@@ -91,10 +78,8 @@ def fit_basis(ts, ys, basis: BasisSpec) -> FitReport:
         raise ValueError(f"need at least {basis.min_samples} samples")
     if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
         raise ValueError("samples must be finite")
-    if np.any(t < 0):
-        raise ValueError("samples must have t >= 0")
-    if np.any(t == 0) and (basis.has_log() or not basis.finite_at_zero()):
-        raise ValueError("t = 0 samples require a log-free basis finite at 0")
+    if np.any(t <= 0):
+        raise ValueError("samples must have t > 0")
     M = basis.design_matrix(t)
     sv = np.linalg.svd(M, compute_uv=False)
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
@@ -111,18 +96,12 @@ class ModelComparison:
     log: FitReport
 
     @property
-    def residual_smooth(self) -> float:
-        return self.smooth.rms_residual
-
-    @property
-    def residual_log(self) -> float:
-        return self.log.rms_residual
-
-    @property
     def ratio(self) -> float:
-        if self.residual_log == 0.0:
-            return np.inf if self.residual_smooth > 0 else 1.0
-        return self.residual_smooth / self.residual_log
+        """The smooth fit's rms residual over the log fit's."""
+        smooth, log = self.smooth.rms_residual, self.log.rms_residual
+        if log == 0.0:
+            return np.inf if smooth > 0 else 1.0
+        return smooth / log
 
 
 def compare_models(ts, ys, smooth_basis: BasisSpec, log_basis: BasisSpec) -> ModelComparison:

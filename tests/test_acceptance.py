@@ -272,19 +272,19 @@ def test_criterion_07_circle_dirac_and_indicial_bound():
 
 def test_criterion_08_discretization_validity():
     start = time.perf_counter()
-    # flat separable case on a neck of arclength ~1 with constant override
+    # flat separable case on a neck of arclength ~1 with a constant potential
     t = 2.0 * math.asinh(1.0 / math.sinh(0.5))
     geom = NeckGeometry.neck(t)
     L = geom.length
     c = 0.7
     grid = Grid.for_geometry(geom)  # default spacing: length / 4000
-    T = assemble_hamiltonian(geom, ModeSpec(0), grid, potential_override=lambda r: c)
+    T = assemble_hamiltonian(geom, ModeSpec(0), grid, flat_potential=c)
     mu = eigen_lowest(T, 3)
     analytic = [c * c + (math.pi * m / L) ** 2 for m in (1, 2, 3)]
     err1 = abs(mu[0] - analytic[0])
     assert err1 < 1e-6
     coarse = Grid.for_geometry(geom, n=400)
-    order = convergence_order(geom, ModeSpec(0), coarse, potential_override=lambda r: c)
+    order = convergence_order(geom, ModeSpec(0), coarse, flat_potential=c)
     assert 1.7 <= order <= 2.3
     elapsed = time.perf_counter() - start
     report(8, elapsed < 30.0,

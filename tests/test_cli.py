@@ -305,6 +305,21 @@ def test_trace_identical_lambdas_gives_zero_column(capsys, tmp_path):
     assert run(capsys, "trace", "fit", str(cfg))[0] == EXIT_CONFIG
 
 
+def test_trace_compute_at_a_far_resolvent_point_is_finite(capsys, tmp_path):
+    # far below every level, lambda = -1e100 gives lambda = -1e60's trace to
+    # rounding: the tail series may not overflow into nan rows with exit 0
+    rows = {}
+    for lam in ("-1e60", "-1e100"):
+        cfg = tmp_path / "trace.cfg"
+        cfg.write_text(TRACE_CONFIG_TEMPLATE.format(outdir=tmp_path / lam)
+                       .replace("lambda = -1.0", f"lambda = {lam}"), encoding="utf-8")
+        assert run(capsys, "trace", "compute", str(cfg))[0] == EXIT_OK
+        lines = (tmp_path / lam / "trace.csv").read_text().splitlines()[1:]
+        rows[lam] = [float(line.split(",")[1]) for line in lines]
+    assert all(map(math.isfinite, rows["-1e100"]))
+    assert rows["-1e100"] == pytest.approx(rows["-1e60"], rel=1e-12, abs=1e-12)
+
+
 def test_trace_fit_rejects_zero_in_grid(capsys, tmp_path):
     cfg = write_config(tmp_path)  # grid contains 0
     assert run(capsys, "trace", "fit", str(cfg))[0] == EXIT_CONFIG

@@ -161,7 +161,7 @@ def test_flat_override_matches_separable_eigenvalues():
     L = g.length
     grid = Grid.for_geometry(g, n=2000)
     c = 0.7
-    T = assemble_hamiltonian(g, ModeSpec(0), grid, potential_override=lambda r: c)
+    T = assemble_hamiltonian(g, ModeSpec(0), grid, flat_potential=c)
     got = eigen_lowest(T, 5)
     for m, mu in enumerate(got, start=1):
         analytic = c * c + (math.pi * m / L) ** 2
@@ -304,7 +304,7 @@ def test_lapack_binding_refuses_a_foreign_prototype(monkeypatch):
 def test_convergence_order_flat_and_neck():
     g = NeckGeometry.neck(0.3)
     grid = Grid.for_geometry(g, n=250)
-    order_flat = convergence_order(g, ModeSpec(0), grid, potential_override=lambda r: 0.4)
+    order_flat = convergence_order(g, ModeSpec(0), grid, flat_potential=0.4)
     assert 1.8 <= order_flat <= 2.2
     order_neck = convergence_order(g, ModeSpec(0), grid)
     assert 1.7 <= order_neck <= 2.3
@@ -361,23 +361,6 @@ def test_mode_pair_degeneracy_via_parity():
         wp = eigen_lowest(plus, 5)
         wm = eigen_lowest(minus, 5)
         assert np.allclose(wp, wm, atol=1e-10)
-
-
-def test_susy_pairing_with_partner_wall_condition():
-    params = SpectrumParams(k_max=2, levels=10, n=12000)
-    geom_params = params
-    from cusplab.dirac_lab.spectra import _cusp_geometry
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        geom = _cusp_geometry(geom_params, pool)[0]
-    grid = Grid.for_geometry(geom, n=12000)
-    for k in (0, 1, 2):
-        plus = assemble_hamiltonian(geom, ModeSpec(k), grid)
-        minus = partner_minus_hamiltonian(geom, ModeSpec(k), grid)
-        wp = eigen_lowest(plus, 10)
-        wm = eigen_lowest(minus, 10)
-        rel = np.abs(wp - wm) / np.abs(wp)
-        assert np.all(wp > 0)
-        assert np.max(rel) < 1e-6
 
 
 def test_dirichlet_domain_monotonicity():
@@ -578,7 +561,7 @@ def test_trace_rejects_points_above_the_computed_levels(capsys, tmp_path):
             relative_resolvent_trace(0.4, lam, lam0, params, table=table)
         assert (err.value.k, err.value.lam, err.value.top) == (0, max(lam, lam0), top)
         assert "mode 0" in str(err.value)
-    with pytest.raises(ResolventAboveLevelsError):
+    with pytest.raises(RunRefusedError, match="finite"):  # check_trace refuses nan first
         relative_resolvent_trace(0.4, -1.0, math.nan, params, table=table)
     assert math.isfinite(relative_resolvent_trace(0.4, 0.5 * top, -2.0, params, table=table).value)
 
@@ -667,7 +650,8 @@ def test_mode_solves_on_threads_match_one_worker(monkeypatch):
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 64])
 def test_mode_pool_is_bounded_by_jobs_and_cpus(monkeypatch, cpus):
-    # one pool per call, sized by the jobs queued at its start; a later
+    # one pool per call, sized by the CPUs; it starts a thread only when a
+    # job finds none idle, so never more threads than jobs.  A later
     # cusp-depth step reuses it
     asked, threads = [], set()
     pool, eigen = spectra.ThreadPoolExecutor, spectra.eigen_lowest
@@ -689,7 +673,7 @@ def test_mode_pool_is_bounded_by_jobs_and_cpus(monkeypatch, cpus):
         asked.clear()
         threads.clear()
         dirac_spectrum(ts, params)
-        assert asked == [min(jobs, cpus)], ts
+        assert asked == [cpus], ts
         assert 1 <= len(threads) <= min(jobs, cpus), ts
 
 
@@ -983,6 +967,35 @@ def test_mode_tail_closed_form_matches_reference_loop():
         bare = float(np.sum(1.0 / (mu - lam) - 1.0 / (mu - lam0)))
         got, want = spectra._mode_tail(mu, lam, lam0), _mode_tail_loop(mu, lam, lam0)
         assert abs(got - want) <= 1e-11 * max(1.0, abs(bare)), (mu, lam, lam0)
+
+
+@pytest.mark.parametrize("q", [0.5, 3.7, 1e2, 1e4, 1e8, 1e20, 1e60, 1e100, 1e200, 1e300])
+def test_inverse_square_tail_matches_the_coth_sum_up_to_huge_q(q):
+    # sum_{j >= 1} 1/(j^2 + a^2) = (pi a coth(pi a) - 1) / (2 a^2); no power
+    # the asymptotic series forms may overflow, whatever q
+    a = math.sqrt(q)
+    full = (math.pi * a / math.tanh(math.pi * a) - 1.0) / (2.0 * q)
+    for n in (1, 3, 41):
+        want = full - sum(1.0 / (j * j + q) for j in range(1, n))
+        assert spectra._inverse_square_tail(n, q) == pytest.approx(want, rel=1e-13), n
+
+
+def test_the_trace_refuses_non_finite_points_before_any_solve(monkeypatch):
+    calls = []
+    monkeypatch.setattr(spectra, "eigen_lowest", lambda *a, **k: calls.append(a))
+    params = SpectrumParams(k_max=1, levels=4, h=0.005)
+    for lam, lam0 in ((-math.inf, -2.0), (-1.0, math.nan), (math.inf, math.inf)):
+        with pytest.raises(RunRefusedError, match="finite"):
+            relative_resolvent_trace(0.3, lam, lam0, params)
+    assert calls == []
+
+
+def test_a_non_finite_trace_is_raised_not_returned(monkeypatch):
+    params = SpectrumParams(k_max=1, levels=4, h=0.005)
+    table = dirac_spectrum(0.4, params)
+    monkeypatch.setattr(spectra, "_mode_tail", lambda mu, lam, lam0: math.nan)
+    with pytest.raises(RuntimeError, match="not finite"):
+        relative_resolvent_trace(0.4, -1.0, -2.0, params, table=table)
 
 
 def test_trace_reproducible_at_reference_parameters():
