@@ -531,9 +531,6 @@ class TraceValue:
     bare_sum: float
     tail_estimate: float
 
-    def __float__(self) -> float:
-        return self.value
-
 
 def _inverse_square_tail(n: int, q: float) -> float:
     """Sum of 1/(j^2 + q) over j >= n in closed form; no j^2 + q may be 0.
@@ -544,8 +541,11 @@ def _inverse_square_tail(n: int, q: float) -> float:
     asymptotic series 5.11.2, each term's difference quotient written as a
     real function of q, so a^2 <= 0 needs no complex root and no division by a.
     Its powers (w + ia)^(-2m) come from repeated products with 1/(w + ia)^2,
-    whose parts shrink as q grows, so no power overflows at any finite q.
+    whose parts shrink as q grows, so no power overflows at any finite q;
+    q = inf gives 0.0, the limit.
     """
+    if q == math.inf:
+        return 0.0
     w = max(n, 16 + math.ceil(math.sqrt(max(-q, 0.0))))
     x = math.sqrt(abs(q)) / w
     log_term = math.atan(x) / x if q > 0 else math.atanh(x) / x if q < 0 else 1.0
@@ -565,13 +565,15 @@ def _mode_tail(mu: np.ndarray, lam: float, lam0: float) -> float:
     The top of the computed spectrum fixes a Weyl-type model
     mu_j ~ A j^2 + c through the largest two eigenvalues; the tail is the
     exact sum of 1/(mu_j - lam) - 1/(mu_j - lam0) over that model.  ``mu``
-    holds at least two levels.
+    holds at least two levels.  The model is formed in Python floats, so a
+    lam near -DBL_MAX makes (c - lam) / A overflow to inf, whose tail is 0.
     """
     J = len(mu)
-    A = (mu[-1] - mu[-2]) / (2 * J - 1)
+    top, below = float(mu[-1]), float(mu[-2])
+    A = (top - below) / (2 * J - 1)
     if A <= 0:
         return 0.0
-    c = mu[-1] - A * J**2
+    c = top - A * J**2
     return (_inverse_square_tail(J + 1, (c - lam) / A)
             - _inverse_square_tail(J + 1, (c - lam0) / A)) / A
 

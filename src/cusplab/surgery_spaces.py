@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Mapping
 
 from cusplab.corners import (
@@ -61,7 +62,11 @@ class OpOrders:
 
 @dataclass(frozen=True)
 class SurgeryFixture:
-    """The three spaces, the five projections, and the density exponents."""
+    """The three spaces, the five projections, and the density exponents.
+
+    ``density_X2`` and ``density_X3`` map a face label to the exponent of
+    its defining function on the lifted b-density, read-only.
+    """
 
     X1: Space
     X2: Space
@@ -71,15 +76,9 @@ class SurgeryFixture:
     pi3_12: BMap
     pi3_23: BMap
     pi3_13: BMap
-    density_X2: tuple[tuple[str, int], ...]
-    density_X3: tuple[tuple[str, int], ...]
+    density_X2: Mapping[str, int]
+    density_X3: Mapping[str, int]
     omega_ff_exponent: int
-
-    def density_x2(self) -> dict[str, int]:
-        return dict(self.density_X2)
-
-    def density_x3(self) -> dict[str, int]:
-        return dict(self.density_X3)
 
 
 _X3_ROWS_12 = {
@@ -157,8 +156,8 @@ def build_fixture() -> SurgeryFixture:
         pi3_12=triple(_X3_ROWS_12),
         pi3_23=triple(_X3_ROWS_23),
         pi3_13=triple(_X3_ROWS_13),
-        density_X2=tuple(sorted((f.label, v) for f, v in dens2.items())),
-        density_X3=tuple(sorted((f.label, v) for f, v in dens3.items())),
+        density_X2=MappingProxyType({f.label: v for f, v in dens2.items()}),
+        density_X3=MappingProxyType({f.label: v for f, v in dens3.items()}),
         omega_ff_exponent=1,
     )
 
@@ -208,7 +207,7 @@ def mapping_stages(o: OpOrders, section: tuple[RationalLike, RationalLike]) -> M
     product = IndexFamily(fx.X2, tuple(
         (f, sum_sets(pulled.get(f), kernel.get(f))) for f in fx.X2.faces
     ))
-    with_density = product.shifted(fx.density_x2())
+    with_density = product.shifted(fx.density_X2)
     pushed = pushforward_family(fx.pi2_1, with_density)
     lead_ff = inf_order(pushed.get(fx.X1.face("ff"))) - fx.omega_ff_exponent
     lead_tf = inf_order(pushed.get(fx.X1.face("tf")))
@@ -249,7 +248,7 @@ def composition_stages(o1: OpOrders, o2: OpOrders) -> CompositionStages:
     product = IndexFamily(fx.X3, tuple(
         (f, sum_sets(pulled_12.get(f), pulled_23.get(f))) for f in fx.X3.faces
     ))
-    with_density = product.shifted(fx.density_x3())
+    with_density = product.shifted(fx.density_X3)
 
     ff_c = fx.X2.face("ff_c")
     contributors = tuple(
@@ -257,7 +256,7 @@ def composition_stages(o1: OpOrders, o2: OpOrders) -> CompositionStages:
         for G, e in sorted(fx.pi3_13.column(ff_c).items())
     )
     pushed = pushforward_family(fx.pi3_13, with_density)
-    normalized = pushed.shifted({lbl: -v for lbl, v in fx.density_X2})
+    normalized = pushed.shifted({lbl: -v for lbl, v in fx.density_X2.items()})
 
     lead_ffc = inf_order(normalized.get(ff_c))
     lead_tb = inf_order(normalized.get(fx.X2.face("tb")))
@@ -369,11 +368,11 @@ def verify_fixture() -> list[tuple[str, bool]]:
     ))
     checks.append((
         "double-space density exponents are (2, 3)",
-        fx.density_x2() == {"ff_b": 2, "ff_c": 3},
+        fx.density_X2 == {"ff_b": 2, "ff_c": 3},
     ))
     checks.append((
         "triple-space density exponents are (3, 5)",
-        fx.density_x3() == {"fff_b": 3, "fff_c": 5},
+        fx.density_X3 == {"fff_b": 3, "fff_c": 5},
     ))
     checks.append(("reference density front-face exponent is 1",
                    fx.omega_ff_exponent == 1))

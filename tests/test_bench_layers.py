@@ -67,3 +67,15 @@ def test_every_name_the_benchmark_reads_exists():
     missing = sorted((module, attr) for module, attr in reads
                      if not hasattr(importlib.import_module(module), attr))
     assert missing == []
+
+
+def test_the_exact_algebra_oracles_accept_one_pass():
+    # a library change that drops what an oracle reads (BMap.interior, .e,
+    # .generators) fails here, and not only as a wrong output of a benchmark run
+    workload = runpy.run_path(str(BENCH / "workloads.py"))["ExactAlgebra"](0)
+    outs = []
+    for op in workload.ops():
+        outs.append(op.fn(outs))
+    verdicts = workload.check(outs)
+    assert len(verdicts) == len(workload.queries) > 0
+    assert [q[0] for q, ok in zip(workload.queries, verdicts) if not ok] == []

@@ -306,18 +306,20 @@ def test_trace_identical_lambdas_gives_zero_column(capsys, tmp_path):
 
 
 def test_trace_compute_at_a_far_resolvent_point_is_finite(capsys, tmp_path):
-    # far below every level, lambda = -1e100 gives lambda = -1e60's trace to
-    # rounding: the tail series may not overflow into nan rows with exit 0
+    # far below every level, lambda = -1e100 and -1.7e308 (near -DBL_MAX, where
+    # the tail model's (c - lambda) / A overflows to inf) give lambda = -1e60's
+    # trace to rounding: the tail may not overflow into nan rows or a failure
     rows = {}
-    for lam in ("-1e60", "-1e100"):
+    for lam in ("-1e60", "-1e100", "-1.7e308"):
         cfg = tmp_path / "trace.cfg"
         cfg.write_text(TRACE_CONFIG_TEMPLATE.format(outdir=tmp_path / lam)
                        .replace("lambda = -1.0", f"lambda = {lam}"), encoding="utf-8")
         assert run(capsys, "trace", "compute", str(cfg))[0] == EXIT_OK
         lines = (tmp_path / lam / "trace.csv").read_text().splitlines()[1:]
         rows[lam] = [float(line.split(",")[1]) for line in lines]
-    assert all(map(math.isfinite, rows["-1e100"]))
-    assert rows["-1e100"] == pytest.approx(rows["-1e60"], rel=1e-12, abs=1e-12)
+    for lam in ("-1e100", "-1.7e308"):
+        assert all(map(math.isfinite, rows[lam]))
+        assert rows[lam] == pytest.approx(rows["-1e60"], rel=1e-12, abs=1e-12)
 
 
 def test_trace_fit_rejects_zero_in_grid(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Tests for the exact index-set / b-map layer, with brute-force oracles."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -574,6 +575,27 @@ def test_chained_density_dangling_reference():
         chained_density_exponents([
             BlowupStep(2, 1, Face("new"), frozenset({Face("ghost")})),
         ])
+
+
+def test_chained_density_refuses_a_face_two_steps_create():
+    c = Face("c")
+    with pytest.raises(ValueError, match="'c'"):
+        chained_density_exponents([BlowupStep(3, 1, c), BlowupStep(2, 1, c)])
+
+
+def test_blowup_dimensions_are_exact_integers():
+    f = Face("a")
+    for n, k in ((3.0, 1), (3, 1.0), (True, False), (2, True), (Fraction(3), 1)):
+        with pytest.raises(TypeError):
+            BlowupStep(n, k, f)
+
+
+def test_a_b_map_is_interior_by_construction():
+    f = two_face_example()
+    assert [fld.name for fld in dataclasses.fields(BMap)] == \
+        ["source", "target", "e", "submersion_witness"]
+    assert f.interior is True and compose_bmaps(f, BMap.build(
+        f.target, f.target, {"x1p": {"x1p": 1}})).interior is True
 
 
 def test_space_validation():

@@ -969,10 +969,15 @@ def test_mode_tail_closed_form_matches_reference_loop():
         assert abs(got - want) <= 1e-11 * max(1.0, abs(bare)), (mu, lam, lam0)
 
 
-@pytest.mark.parametrize("q", [0.5, 3.7, 1e2, 1e4, 1e8, 1e20, 1e60, 1e100, 1e200, 1e300])
+@pytest.mark.parametrize("q", [0.5, 3.7, 1e2, 1e4, 1e8, 1e20, 1e60, 1e100, 1e200, 1e300,
+                               math.inf])
 def test_inverse_square_tail_matches_the_coth_sum_up_to_huge_q(q):
     # sum_{j >= 1} 1/(j^2 + a^2) = (pi a coth(pi a) - 1) / (2 a^2); no power
-    # the asymptotic series forms may overflow, whatever q
+    # the asymptotic series forms may overflow, whatever q, and q = inf gives
+    # the limit 0
+    if q == math.inf:
+        assert [spectra._inverse_square_tail(n, q) for n in (1, 3, 41)] == [0.0] * 3
+        return
     a = math.sqrt(q)
     full = (math.pi * a / math.tanh(math.pi * a) - 1.0) / (2.0 * q)
     for n in (1, 3, 41):

@@ -79,8 +79,10 @@ def test_pinned_pi2_rows(fx):
 
 
 def test_densities_and_reference_exponent(fx):
-    assert fx.density_x2() == {"ff_b": 2, "ff_c": 3}
-    assert fx.density_x3() == {"fff_b": 3, "fff_c": 5}
+    assert fx.density_X2 == {"ff_b": 2, "ff_c": 3}
+    assert fx.density_X3 == {"fff_b": 3, "fff_c": 5}
+    with pytest.raises(TypeError):  # read-only: the pipelines share one mapping
+        fx.density_X2["ff_b"] = 0
     assert fx.omega_ff_exponent == 1
 
 
@@ -324,7 +326,7 @@ def test_mapping_stages_match_the_reference_pipeline(fx):
                                      "tf": IndexSet((IndexTerm(section[1], 0),))})
         pulled = ref_pullback(fx.pi2_2, fam)
         product = ref_product(fx.X2, pulled, ref_kernel(fx, o))
-        with_density = ref_shifted(product, fx.density_x2())
+        with_density = ref_shifted(product, fx.density_X2)
         pushed = ref_pushforward(fx.pi2_1, with_density)
         result = (inf_order(ref_get(pushed, fx.X1.face("ff"))) - fx.omega_ff_exponent,
                   inf_order(ref_get(pushed, fx.X1.face("tf"))))
@@ -341,12 +343,12 @@ def test_composition_stages_match_the_reference_pipeline(fx):
         pulled_12 = ref_pullback(fx.pi3_12, ref_kernel(fx, o1))
         pulled_23 = ref_pullback(fx.pi3_23, ref_kernel(fx, o2))
         product = ref_product(fx.X3, pulled_12, pulled_23)
-        with_density = ref_shifted(product, fx.density_x3())
+        with_density = ref_shifted(product, fx.density_X3)
         contributors = tuple((G, ref_scale(Fraction(1, fx.pi3_13.exponent(G, ff_c)),
                                            ref_get(with_density, G)))
                              for G in sorted(fx.X3.faces) if fx.pi3_13.exponent(G, ff_c))
         pushed = ref_pushforward(fx.pi3_13, with_density)
-        normalized = ref_shifted(pushed, {lbl: -v for lbl, v in fx.density_X2})
+        normalized = ref_shifted(pushed, {lbl: -v for lbl, v in fx.density_X2.items()})
         result = OpOrders(o1.m + o2.m, -inf_order(ref_get(normalized, ff_c)) - 2,
                           -inf_order(ref_get(normalized, tb)))
         assert (got.pulled_12, got.pulled_23, got.product, got.with_density,
