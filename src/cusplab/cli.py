@@ -182,9 +182,31 @@ def _write(path: Path, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+MAX_DIGITS = 1000  # per numerator, denominator and decimal exponent of a rational option
+
+
+def _within_digit_bound(text: str) -> bool:
+    """Whether a rational as written has at most ``MAX_DIGITS`` digits in its
+    numerator and its denominator, and a decimal exponent of at most
+    ``MAX_DIGITS`` in size.
+
+    Read off the string, so no huge integer is ever built: ``Fraction`` would
+    spend seconds on ``1e10000000`` before any check could run.  A value that
+    passes has at most about 2 * MAX_DIGITS digits above and below the line.
+    """
+    mantissa, _, exponent = text.lower().partition("e")
+    exp_digits = "".join(filter(str.isdecimal, exponent)).lstrip("0")
+    if len(exp_digits) > len(str(MAX_DIGITS)) or int(exp_digits or 0) > MAX_DIGITS:
+        return False
+    return all(sum(map(str.isdecimal, part)) <= MAX_DIGITS for part in mantissa.split("/"))
+
+
 def _rationals(text: str, names: str) -> list[Fraction]:
     """The comma-separated rationals of an option value, one per name in ``names``."""
     parts = text.split(",")
+    if not all(map(_within_digit_bound, parts)):
+        raise UsageError(f"expected {names} as rationals of at most {MAX_DIGITS} digits "
+                         "in each numerator, denominator and decimal exponent")
     try:
         if len(parts) == len(names.split(",")):
             return [Fraction(p.strip()) for p in parts]
@@ -198,7 +220,12 @@ def _parse_orders(text: str) -> OpOrders:
 
 
 def _num(x: Fraction):
-    return int(x) if x.denominator == 1 else float(x)
+    if x.denominator == 1:
+        return int(x)
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError("a non-integer result lies beyond the float range") from None
 
 
 def cmd_symbols(args: argparse.Namespace) -> int:

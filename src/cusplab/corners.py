@@ -15,6 +15,15 @@ operands (a sum with the naturals, a union with the empty set, a scale by 1,
 a shift by 0) it returns that operand: every set is kept canonical, and a
 canonical set re-canonicalises to itself.
 
+Index families stay sparse: a family holds only its nonempty sets, in face
+order, with its face -> set lookup built at construction.  Pull-back stops a
+face at its first empty target set, since the empty set absorbs a sum;
+push-forward feeds only nonempty sets to ``extended_union``; the face-wise
+product (``product_family``) walks one family's entries and looks up the
+other.  Those three and ``IndexFamily.shifted`` build their canonical-by-
+construction results with ``IndexFamily._from_canonical``, and ``shift_set``
+with ``IndexSet._from_canonical``; the public constructors keep every check.
+
 The hot paths stay on C-level keys: a :class:`Face` is a named tuple of its
 label, so faces hash, compare and sort as tuples; an index set sorts its
 generators on exact integer keys over their common denominator; and whether
@@ -195,6 +204,13 @@ class IndexSet:
         object.__setattr__(self, "generators", tuple(kept))
 
     @classmethod
+    def _from_canonical(cls, generators: tuple[IndexTerm, ...]) -> "IndexSet":
+        """The set of generators already in canonical form, taken as they are."""
+        E = object.__new__(cls)
+        object.__setattr__(E, "generators", generators)
+        return E
+
+    @classmethod
     def from_terms(cls, terms: Iterable[tuple[RationalLike, int]]) -> "IndexSet":
         return cls(tuple(IndexTerm(z, k) for z, k in terms))
 
@@ -273,11 +289,15 @@ def scale_set(q: RationalLike, E: IndexSet) -> IndexSet:
 
 
 def shift_set(E: IndexSet, d: RationalLike) -> IndexSet:
-    """Add d to every exponent (the effect of a density factor rho^d)."""
+    """Add d to every exponent (the effect of a density factor rho^d).
+
+    A shift keeps the order of the exponents and every difference between
+    them, so the shifted canonical generators are canonical as they stand.
+    """
     df = _frac(d)
     if df == 0:
         return E
-    return IndexSet(tuple(IndexTerm(g.z + df, g.k) for g in E.generators))
+    return IndexSet._from_canonical(tuple(IndexTerm(g.z + df, g.k) for g in E.generators))
 
 
 def extended_union(E: IndexSet, F: IndexSet) -> IndexSet:
@@ -307,7 +327,13 @@ def extended_union(E: IndexSet, F: IndexSet) -> IndexSet:
 
 @dataclass(frozen=True)
 class IndexFamily:
-    """An index set per face of a space; absent faces mean the empty set."""
+    """An index set per face of a space; absent faces mean the empty set.
+
+    ``entries`` holds the nonempty sets only, in the space's face order, and
+    every family carries its face -> set lookup from construction on.  The
+    constructor checks and sorts what it is given; the operations below whose
+    result is canonical by construction build it with ``_from_canonical``.
+    """
 
     space: Space
     entries: tuple[tuple[Face, IndexSet], ...] = ()
@@ -321,17 +347,24 @@ class IndexFamily:
             if face in seen:
                 raise ValueError(f"duplicate entry for face {face.label!r}")
             seen[face] = E
-        canon = sorted(((f, E) for f, E in seen.items() if E.generators),
-                       key=lambda entry: index[entry[0]])
-        object.__setattr__(self, "entries", tuple(canon))
+        canon = tuple(sorted(((f, E) for f, E in seen.items() if E.generators),
+                             key=lambda entry: index[entry[0]]))
+        object.__setattr__(self, "entries", canon)
+        object.__setattr__(self, "_by_face", dict(canon))
+
+    @classmethod
+    def _from_canonical(cls, space: Space,
+                        entries: tuple[tuple[Face, IndexSet], ...]) -> "IndexFamily":
+        """The family of nonempty entries already in face order, taken as they are."""
+        fam = object.__new__(cls)
+        object.__setattr__(fam, "space", space)
+        object.__setattr__(fam, "entries", entries)
+        object.__setattr__(fam, "_by_face", dict(entries))
+        return fam
 
     @classmethod
     def on(cls, space: Space, sets: Mapping[str, IndexSet]) -> "IndexFamily":
         return cls(space, tuple((space.face(lbl), E) for lbl, E in sets.items()))
-
-    @cached_property
-    def _by_face(self) -> dict[Face, IndexSet]:
-        return dict(self.entries)
 
     def get(self, face: Face) -> IndexSet:
         E = self._by_face.get(face)
@@ -343,9 +376,23 @@ class IndexFamily:
 
     def shifted(self, exponents: Mapping[str, int]) -> "IndexFamily":
         """Shift each face's nonempty set by the given density exponent."""
-        return IndexFamily(self.space, tuple(
+        return IndexFamily._from_canonical(self.space, tuple(
             (f, shift_set(E, exponents.get(f.label, 0))) for f, E in self.entries
         ))
+
+
+def product_family(A: IndexFamily, B: IndexFamily) -> IndexFamily:
+    """The face-wise sum of two families on one space: the index family of a product.
+
+    The empty set absorbs, so only the faces where both families carry a
+    set are visited.
+    """
+    if A.space != B.space:
+        raise SpaceMismatchError("the two families live on different spaces")
+    by_face = B._by_face
+    return IndexFamily._from_canonical(A.space, tuple(
+        (f, sum_sets(E, by_face[f])) for f, E in A.entries if f in by_face
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +464,10 @@ class BMap:
             cols.setdefault(H, {})[G] = v
         return cols
 
+    @cached_property
+    def _b_normal(self) -> bool:
+        return all(len(row) <= 1 for row in self._rows.values())
+
     def exponent(self, G: Face, H: Face) -> int:
         return self._rows.get(G, {}).get(H, 0)
 
@@ -429,7 +480,7 @@ class BMap:
 
 def is_b_normal(f: BMap) -> bool:
     """Each source face meets at most one target defining function."""
-    return all(len(row) <= 1 for row in f._rows.values())
+    return f._b_normal
 
 
 def is_b_fibration(f: BMap) -> bool:
@@ -456,18 +507,23 @@ def pullback_family(f: BMap, fam: IndexFamily) -> IndexFamily:
 
     The source face G receives the sum over target faces H of
     ``e(G, H) * fam(H)``; an empty sum of terms is the smooth set, while any
-    empty summand makes the result empty.
+    empty summand makes the result empty, so a face stops at its first one.
     """
     if fam.space != f.target:
         raise SpaceMismatchError("family lives on the wrong space")
+    by_face, rows = fam._by_face, f._rows
     out = []
     for G in f.source.faces:
-        acc = _NATURALS
-        for H, exp in f._rows.get(G, {}).items():
-            E = fam.get(H)
-            acc = sum_sets(acc, E if exp == 1 else scale_set(exp, E))
-        out.append((G, acc))
-    return IndexFamily(f.source, tuple(out))
+        acc = None
+        for H, exp in rows.get(G, {}).items():
+            E = by_face.get(H)
+            if E is None:
+                break
+            E = E if exp == 1 else scale_set(exp, E)
+            acc = E if acc is None else sum_sets(acc, E)
+        else:
+            out.append((G, _NATURALS if acc is None else acc))
+    return IndexFamily._from_canonical(f.source, tuple(out))
 
 
 def pushforward_family(f: BMap, fam: IndexFamily) -> IndexFamily:
@@ -481,19 +537,24 @@ def pushforward_family(f: BMap, fam: IndexFamily) -> IndexFamily:
         raise NotBFibrationError("push-forward requires a b-fibration")
     if fam.space != f.source:
         raise SpaceMismatchError("family lives on the wrong space")
-    for G in f.source.faces:
-        if G not in f._rows:
-            inf_g = inf_order(fam.get(G))
+    rows, by_face = f._rows, fam._by_face
+    for G, E in fam.entries:  # an empty set has inf order +inf
+        if G not in rows:
+            inf_g = inf_order(E)
             if not inf_g > 0:
                 raise IntegrabilityViolatedError(G, inf_g)
     out = []
     for H in f.target.faces:
-        acc = _EMPTY
+        acc = None
         for G, exp in f._columns.get(H, {}).items():
-            E = fam.get(G)
-            acc = extended_union(acc, E if exp == 1 else scale_set(Fraction(1, exp), E))
-        out.append((H, acc))
-    return IndexFamily(f.target, tuple(out))
+            E = by_face.get(G)
+            if E is None:
+                continue  # the empty set is neutral
+            E = E if exp == 1 else scale_set(Fraction(1, exp), E)
+            acc = E if acc is None else extended_union(acc, E)
+        if acc is not None:
+            out.append((H, acc))
+    return IndexFamily._from_canonical(f.target, tuple(out))
 
 
 # ---------------------------------------------------------------------------

@@ -35,10 +35,11 @@ from cusplab.corners import (
     inf_order,
     is_b_fibration,
     is_b_normal,
+    product_family,
     pullback_family,
     pushforward_family,
     scale_set,
-    sum_sets,
+    sum_sets,  # noqa: F401  (unused here; bench/tracing.py hooks surgery_spaces.sum_sets)
 )
 
 
@@ -204,9 +205,7 @@ def mapping_stages(o: OpOrders, section: tuple[RationalLike, RationalLike]) -> M
     })
     pulled = pullback_family(fx.pi2_2, fam_section)
     kernel = kernel_index_family(o)
-    product = IndexFamily(fx.X2, tuple(
-        (f, sum_sets(pulled.get(f), kernel.get(f))) for f in fx.X2.faces
-    ))
+    product = product_family(pulled, kernel)
     with_density = product.shifted(fx.density_X2)
     pushed = pushforward_family(fx.pi2_1, with_density)
     lead_ff = inf_order(pushed.get(fx.X1.face("ff"))) - fx.omega_ff_exponent
@@ -245,9 +244,7 @@ def composition_stages(o1: OpOrders, o2: OpOrders) -> CompositionStages:
     fx = build_fixture()
     pulled_12 = pullback_family(fx.pi3_12, kernel_index_family(o1))
     pulled_23 = pullback_family(fx.pi3_23, kernel_index_family(o2))
-    product = IndexFamily(fx.X3, tuple(
-        (f, sum_sets(pulled_12.get(f), pulled_23.get(f))) for f in fx.X3.faces
-    ))
+    product = product_family(pulled_12, pulled_23)
     with_density = product.shifted(fx.density_X3)
 
     ff_c = fx.X2.face("ff_c")

@@ -6,6 +6,8 @@ import math
 import os
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,7 @@ from cusplab.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
     EXIT_USAGE,
+    MAX_DIGITS,
     ConfigError,
     RunConfig,
     main,
@@ -116,6 +119,50 @@ def test_symbols_reject_bad_rationals_as_usage_errors(capsys, argv):
     code, out, err = run(capsys, "symbols", *argv)
     assert (code, out) == (EXIT_USAGE, ""), err
     assert err.startswith("usage error: expected ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("trace-expansion", "--alpha=-1e10000000", "--beta=0"),
+    ("mapping-orders", "--orders", "1,1e5000,0", "--section", "0,0"),
+    ("mapping-orders", "--orders", "1,1,0", "--section", f"0,1e-{MAX_DIGITS + 1}"),
+    ("compose-orders", "--a", "1,1,0", "--b", f"1,{'7' * (MAX_DIGITS + 1)},0"),
+    ("compose-orders", "--a", f"1,1/{'3' * (MAX_DIGITS + 1)},0", "--b", "1,1,0"),
+    ("trace-expansion", "--alpha", f"-{'9' * 600}.{'9' * 401}", "--beta", "0")],
+    ids=["alpha-huge-exponent", "orders-huge-exponent", "section-exponent-over",
+         "numerator-over", "denominator-over", "decimal-digits-over"])
+def test_symbols_refuse_oversized_rationals_before_parsing(capsys, argv):
+    # the bound is read off the string: building 1e10000000 as a Fraction
+    # takes seconds, and printing it trips Python's 4300-digit int -> str limit
+    start = time.perf_counter()
+    code, out, err = run(capsys, "symbols", *argv)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (EXIT_USAGE, ""), err
+    assert err.startswith("usage error: expected ") and f"{MAX_DIGITS} digits" in err
+
+
+def test_symbols_accept_rationals_at_the_digit_bound(capsys):
+    big = 10 ** MAX_DIGITS
+    code, out, err = run(capsys, "symbols", "trace-expansion",
+                         f"--alpha=-1e{MAX_DIGITS}", "--beta=0")
+    assert (code, json.loads(out)) == (EXIT_OK, {"terms": [[0, 0], [big, 1]]}), err
+    num, den = "9" * MAX_DIGITS, "7" * (MAX_DIGITS - 1) + "1"
+    code, out, err = run(capsys, "symbols", "mapping-orders", "--orders",
+                         f"0,-{num}/{den},0", "--section", f"-{num}e-{MAX_DIGITS},0")
+    want = Fraction(int(num), int(den)) - Fraction(int(num), big)
+    assert (code, json.loads(out)) == (EXIT_OK, {"orders": [float(want), 0]}), err
+    code, out, err = run(capsys, "symbols", "compose-orders",
+                         "--a", f"1,{num[:500]}.{num[500:]}e{MAX_DIGITS},0",
+                         "--b", f"1,{num}e{MAX_DIGITS},0")
+    want = int(num) * 10 ** 500 + int(num) * big  # about 2 * MAX_DIGITS digits
+    assert (code, json.loads(out)) == (EXIT_OK, {"orders": [2, want, 0]}), err
+
+
+def test_symbols_non_integer_result_beyond_the_float_range_is_a_runtime_error(capsys):
+    # exact inside the digit bound, but JSON carries a non-integer as a float
+    code, out, err = run(capsys, "symbols", "mapping-orders",
+                         "--orders", "1,1/3,0", "--section", "1e400,0")
+    assert (code, out) == (EXIT_RUNTIME, "")
+    assert err == "error: a non-integer result lies beyond the float range\n"
 
 
 # -- config -------------------------------------------------------------------

@@ -28,6 +28,7 @@ from cusplab.corners import (
     is_b_fibration,
     is_b_normal,
     member,
+    product_family,
     pullback_family,
     pushforward_family,
     scale_set,
@@ -72,13 +73,31 @@ def oracle_extended_union(MA, MB, k_max=K_MAX):
     return out
 
 
-def oracle_sum(MA, MB, z_max=Z_MAX, k_max=K_MAX):
-    return {
-        (za + zb, ka + kb)
-        for za, ka in MA
-        for zb, kb in MB
-        if za + zb <= z_max and ka + kb <= k_max
-    }
+def profile(members):
+    """The member set as a map z -> largest k.
+
+    Index sets are downward closed in the log power, so the profile encodes
+    the member set without loss (criterion 1's oracle uses the same
+    encoding).
+    """
+    out = {}
+    for z, k in members:
+        if out.get(z, -1) < k:
+            out[z] = k
+    return out
+
+
+def oracle_sum(PA, PB, z_max=Z_MAX, k_max=K_MAX):
+    """Minkowski sum of two profiles, windowed to z <= z_max and k <= k_max."""
+    out = {}
+    for za, ka in PA.items():
+        for zb, kb in PB.items():
+            z = za + zb
+            if z <= z_max:
+                k = min(ka + kb, k_max)
+                if out.get(z, -1) < k:
+                    out[z] = k
+    return out
 
 
 def random_index_set(rng, max_terms=4):
@@ -299,9 +318,10 @@ def test_sum_matches_oracle_on_random_sets():
     rng = random.Random(11)
     for _ in range(300):
         E, F = random_index_set(rng), random_index_set(rng)
-        got = {m for m in members_of(sum_sets(E, F)) if m[1] <= K_MAX}
+        got = profile(members_of(sum_sets(E, F)))
         lo_e, lo_f = inf_order(E), inf_order(F)
-        want = oracle_sum(members_of(E, Z_MAX - lo_f), members_of(F, Z_MAX - lo_e))
+        want = oracle_sum(profile(members_of(E, Z_MAX - lo_f)),
+                          profile(members_of(F, Z_MAX - lo_e)))
         assert got == want
 
 
@@ -540,6 +560,135 @@ def test_pushforward_examples_and_errors():
     assert err.value.face.label == "tf"
     ok = IndexFamily.on(X1, {"ff": IndexSet.naturals(), "tf": IndexSet.shifted(1)})
     assert pushforward_family(partial, ok).get(time.face("zero")) == IndexSet.naturals()
+
+
+# -- sparse family operations against their dense definitions ---------------
+# The family operations walk only the faces that carry a set and stop a sum at
+# its first empty term; these references visit every face and every matrix
+# entry, straight from the definitions.
+
+
+def dense_pullback(f, fam):
+    if fam.space != f.target:
+        raise SpaceMismatchError("family lives on the wrong space")
+    out = {}
+    for G in f.source.faces:
+        acc = IndexSet.naturals()
+        for H in f.target.faces:
+            e = f.exponent(G, H)
+            if e:
+                acc = sum_sets(acc, scale_set(e, fam.get(H)))
+        out[G.label] = acc
+    return IndexFamily.on(f.source, out)
+
+
+def dense_pushforward(f, fam):
+    nonzero = {G: [H for H in f.target.faces if f.exponent(G, H)] for G in f.source.faces}
+    if not (all(len(hs) <= 1 for hs in nonzero.values()) and f.submersion_witness):
+        raise NotBFibrationError("push-forward requires a b-fibration")
+    if fam.space != f.source:
+        raise SpaceMismatchError("family lives on the wrong space")
+    for G in f.source.faces:
+        if not nonzero[G] and not inf_order(fam.get(G)) > 0:
+            raise IntegrabilityViolatedError(G, inf_order(fam.get(G)))
+    out = {}
+    for H in f.target.faces:
+        acc = IndexSet.empty()
+        for G in f.source.faces:
+            e = f.exponent(G, H)
+            if e:
+                acc = extended_union(acc, scale_set(Fraction(1, e), fam.get(G)))
+        out[H.label] = acc
+    return IndexFamily.on(f.target, out)
+
+
+def dense_product(A, B):
+    if A.space != B.space:
+        raise SpaceMismatchError("the two families live on different spaces")
+    return IndexFamily.on(A.space, {F.label: sum_sets(A.get(F), B.get(F))
+                                    for F in A.space.faces})
+
+
+def dense_shifted(fam, exponents):
+    return IndexFamily.on(fam.space, {F.label: shift_set(fam.get(F), exponents.get(F.label, 0))
+                                      for F in fam.space.faces})
+
+
+def random_bmap(rng, src, tgt):
+    """An interior b-map, not necessarily b-normal: about a third of the rows
+    are all zero (their faces map to the interior), the others hold one to
+    three exponents in 1..3; one map in ten has no submersion witness."""
+    rows = {}
+    for g in src.faces:
+        if rng.random() < 0.3:
+            continue
+        hs = rng.sample(tgt.faces, rng.randint(1, min(3, len(tgt.faces))))
+        rows[g.label] = {h.label: rng.randint(1, 3) for h in hs}
+    return BMap.build(src, tgt, rows, submersion_witness=rng.random() < 0.9)
+
+
+def random_sparse_family(rng, space):
+    """Empty on about half the faces; half the sets are shifted to positive
+    inf order, so integrability holds on some interior faces and not others."""
+    sets = {}
+    for F in space.faces:
+        if rng.random() < 0.5:
+            continue
+        E = random_index_set(rng, max_terms=2)
+        sets[F.label] = E if rng.random() < 0.5 else shift_set(E, 9)
+    return IndexFamily.on(space, sets)
+
+
+def outcome(fn, *args):
+    """The family ``fn`` returns, or the refusal it raises with what it names."""
+    try:
+        fam = fn(*args)
+    except IntegrabilityViolatedError as exc:
+        return IntegrabilityViolatedError, exc.face, exc.inf_value
+    except (SpaceMismatchError, NotBFibrationError) as exc:
+        return type(exc)
+    # canonical as built: the public constructor changes nothing, and the
+    # face lookup agrees with the entries on every face
+    assert IndexFamily(fam.space, fam.entries) == fam
+    assert [fam.get(F) for F in fam.space.faces] == \
+        [dict(fam.entries).get(F, IndexSet.empty()) for F in fam.space.faces]
+    return fam
+
+
+def test_sparse_family_operations_match_their_dense_definitions():
+    rng = random.Random(2121)
+    seen = set()
+    for _ in range(400):
+        X, Y = (Space.of(*[f"{p}{i}" for i in range(rng.randint(1, 8))]) for p in "xy")
+        f = random_bmap(rng, X, Y)
+        wrong = rng.random() < 0.1  # families on the other space
+        on_y = random_sparse_family(rng, X if wrong else Y)
+        on_x = random_sparse_family(rng, Y if wrong else X)
+        also_x = random_sparse_family(rng, X)
+        shifts = {F.label: rng.randint(-3, 3) for F in X.faces if rng.random() < 0.7}
+        for sparse, dense, args in (
+            (pullback_family, dense_pullback, (f, on_y)),
+            (pushforward_family, dense_pushforward, (f, on_x)),
+            (product_family, dense_product, (on_x, also_x)),
+            (product_family, dense_product, (also_x, on_x)),
+            (IndexFamily.shifted, dense_shifted, (also_x, shifts)),
+        ):
+            got = outcome(sparse, *args)
+            assert got == outcome(dense, *args)
+            seen.add(got[0] if isinstance(got, tuple) else
+                     "family" if isinstance(got, IndexFamily) else got)
+    assert seen == {"family", SpaceMismatchError, NotBFibrationError,
+                    IntegrabilityViolatedError}
+
+
+def test_a_shift_keeps_a_canonical_set_canonical():
+    rng = random.Random(77)
+    for _ in range(300):
+        E = random_index_set(rng, max_terms=6)
+        d = Fraction(rng.randint(-12, 12), rng.choice([1, 2, 3, 5]))
+        S = shift_set(E, d)
+        assert S.generators == IndexSet(tuple(IndexTerm(g.z + d, g.k)
+                                              for g in E.generators)).generators
 
 
 # -- blow-up bookkeeping -----------------------------------------------------
