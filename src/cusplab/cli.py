@@ -223,9 +223,12 @@ def _num(x: Fraction):
     if x.denominator == 1:
         return int(x)
     try:
-        return float(x)
+        value = float(x)
     except OverflowError:
         raise ValueError("a non-integer result lies beyond the float range") from None
+    if value == 0.0:  # x is not 0, so it underflowed
+        raise ValueError("a non-integer result lies below the float range")
+    return value
 
 
 def cmd_symbols(args: argparse.Namespace) -> int:

@@ -51,14 +51,14 @@ class BasisSpec:
         return np.column_stack(cols)
 
 
-def smooth_even_basis(max_power: int = 4) -> BasisSpec:
-    """Default smooth basis {1, t^2, t^4, ...}; the model is even in t."""
-    return BasisSpec(tuple((2 * i, 0) for i in range(max_power // 2 + 1)))
+def smooth_even_basis() -> BasisSpec:
+    """Default smooth basis {1, t^2, t^4}; the model is even in t."""
+    return BasisSpec(((0, 0), (2, 0), (4, 0)))
 
 
-def log_even_basis(max_power: int = 4) -> BasisSpec:
+def log_even_basis() -> BasisSpec:
     """The smooth basis augmented by the t^2 log t monomial."""
-    return BasisSpec(smooth_even_basis(max_power).monomials + ((2, 1),))
+    return BasisSpec(smooth_even_basis().monomials + ((2, 1),))
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,14 @@ faces over {t = x2 = 0} / {t = x1 = 0}, and ``tb`` the temporal boundary.
 On the triple space, ``B_i`` lies over the corner missing ``x_i``, ``P_i``
 over {t = x_i = 0}, ``C_i``/``T_i`` over the partial diagonals inside
 ``fff_b``/``B_i``, and ``ttb`` is the temporal face.
+
+The projections are built from their symmetries, not tabulated.  A triple
+projection keeps factors a and b and drops c; a face with an index sends
+its row by the index's role alone (``B_a -> Br1``, ``B_b -> Br2``,
+``B_c -> ff_b``, and likewise for ``P``, ``C`` and ``T``), so ``pi3_12``,
+``pi3_23`` and ``pi3_13`` are one rule at (1, 2, 3), (2, 3, 1) and (1, 3, 2).
+The projection ``pi2_i`` to factor i sends ``Br_i`` to ``tf`` and
+``Br_(3-i)`` to ``ff``, so ``pi2_1`` and ``pi2_2`` are one mirror rule.
 """
 
 from __future__ import annotations
@@ -82,34 +90,16 @@ class SurgeryFixture:
     omega_ff_exponent: int
 
 
-_X3_ROWS_12 = {
-    # projection dropping the third factor
-    "fff_b": "ff_b", "fff_c": "ff_c",
-    "B1": "Br1", "B2": "Br2", "B3": "ff_b",
-    "P1": "Br2", "P2": "Br1", "P3": "tb",
-    "C1": "ff_b", "C2": "ff_b", "C3": "ff_c",
-    "T1": "Br1", "T2": "Br2", "T3": "ff_c",
-    "ttb": "tb",
-}
-
-_X3_ROWS_23 = {
-    # projection dropping the first factor
-    "fff_b": "ff_b", "fff_c": "ff_c",
-    "B1": "ff_b", "B2": "Br1", "B3": "Br2",
-    "P1": "tb", "P2": "Br2", "P3": "Br1",
-    "C1": "ff_c", "C2": "ff_b", "C3": "ff_b",
-    "T1": "ff_c", "T2": "Br1", "T3": "Br2",
-    "ttb": "tb",
-}
-
-_X3_ROWS_13 = {
-    # projection dropping the middle factor
-    "fff_b": "ff_b", "fff_c": "ff_c",
-    "B1": "Br1", "B2": "ff_b", "B3": "Br2",
-    "P1": "Br2", "P2": "tb", "P3": "Br1",
-    "C1": "ff_b", "C2": "ff_c", "C3": "ff_b",
-    "T1": "Br1", "T2": "ff_c", "T3": "Br2",
-    "ttb": "tb",
+# Where each triple face lands, by the role of its index in a projection:
+# (first kept, second kept, dropped) factor.  The forgotten coordinate drops
+# out of a face's centre: B_i lies over the corner missing x_i and Br_j over
+# {t = x_(3-j) = 0}, so B_a lands on Br1, B_c on ff_b and P_c on tb.  In the
+# same way the projection to factor i sends Br_i to tf and Br_(3-i) to ff.
+_X3_ROLE_ROWS = {
+    "B": ("Br1", "Br2", "ff_b"),
+    "P": ("Br2", "Br1", "tb"),
+    "C": ("ff_b", "ff_b", "ff_c"),
+    "T": ("Br1", "Br2", "ff_c"),
 }
 
 
@@ -127,17 +117,18 @@ def build_fixture() -> SurgeryFixture:
         "ttb",
     )
 
-    pi2_1 = BMap.build(X2, X1, {
-        "ff_b": {"ff": 1}, "ff_c": {"ff": 1}, "Br2": {"ff": 1},
-        "Br1": {"tf": 1}, "tb": {"tf": 1},
-    })
-    pi2_2 = BMap.build(X2, X1, {
-        "ff_b": {"ff": 1}, "ff_c": {"ff": 1}, "Br1": {"ff": 1},
-        "Br2": {"tf": 1}, "tb": {"tf": 1},
-    })
+    def bmap(source: Space, target: Space, rows: Mapping[str, str]) -> BMap:
+        return BMap.build(source, target, {g: {h: 1} for g, h in rows.items()})
 
-    def triple(rows: Mapping[str, str]) -> BMap:
-        return BMap.build(X3, X2, {g: {h: 1} for g, h in rows.items()})
+    def pi2(i: int) -> BMap:
+        return bmap(X2, X1, {"ff_b": "ff", "ff_c": "ff", f"Br{i}": "tf",
+                             f"Br{3 - i}": "ff", "tb": "tf"})
+
+    def pi3(a: int, b: int, c: int) -> BMap:
+        rows = {"fff_b": "ff_b", "fff_c": "ff_c", "ttb": "tb"}
+        for kind, targets in _X3_ROLE_ROWS.items():
+            rows.update({f"{kind}{i}": h for i, h in zip((a, b, c), targets)})
+        return bmap(X3, X2, rows)
 
     # Density exponents of the lifted reference b-densities, from the chain
     # of local models: the double space lifts [R^3_1;0] then [R^2_1;0], the
@@ -153,10 +144,8 @@ def build_fixture() -> SurgeryFixture:
 
     return SurgeryFixture(
         X1=X1, X2=X2, X3=X3,
-        pi2_1=pi2_1, pi2_2=pi2_2,
-        pi3_12=triple(_X3_ROWS_12),
-        pi3_23=triple(_X3_ROWS_23),
-        pi3_13=triple(_X3_ROWS_13),
+        pi2_1=pi2(1), pi2_2=pi2(2),
+        pi3_12=pi3(1, 2, 3), pi3_23=pi3(2, 3, 1), pi3_13=pi3(1, 3, 2),
         density_X2=MappingProxyType({f.label: v for f, v in dens2.items()}),
         density_X3=MappingProxyType({f.label: v for f, v in dens3.items()}),
         omega_ff_exponent=1,

@@ -96,6 +96,33 @@ def test_symbols_verify_fixture(capsys):
     assert any("b-fibration" in c["name"] for c in payload["checks"])
 
 
+FIXTURE_CHECKS = (
+    "pi2_1 rows match the pinned exponents",
+    "pi2_2 is the 1<->2 mirror of pi2_1",
+    "pi2_1 is b-normal",
+    "pi2_1 rows have exactly one nonzero entry",
+    *(f"{name} {claim}" for name in ("pi2_1", "pi2_2", "pi3_12", "pi3_23", "pi3_13")
+      for claim in ("is a b-fibration", "entries all lie in {0, 1}")),
+    "triple faces over the cusp front face of the outer projection",
+    "temporal face projects over the temporal boundary",
+    "triple cusp face lies over the cusp face in all three projections",
+    "double-space density exponents are (2, 3)",
+    "triple-space density exponents are (3, 5)",
+    "reference density front-face exponent is 1",
+    "mapping pipeline reproduces the closed formula on a sample",
+    "composition pipeline reproduces order addition on a sample",
+)
+
+
+def test_symbols_verify_fixture_prints_every_check_in_order(capsys):
+    # the whole stdout, byte for byte: every check, in order, each passed
+    checks = ",\n".join(f'    {{\n      "name": "{name}",\n      "passed": true\n    }}'
+                        for name in FIXTURE_CHECKS)
+    code, out, _ = run(capsys, "symbols", "verify-fixture")
+    assert code == EXIT_OK
+    assert out == f'{{\n  "all_passed": true,\n  "checks": [\n{checks}\n  ]\n}}\n'
+
+
 def test_usage_errors(capsys):
     code, _, err = run(capsys, "symbols", "compose-orders", "--a", "1,2")
     assert code == EXIT_USAGE
@@ -158,11 +185,16 @@ def test_symbols_accept_rationals_at_the_digit_bound(capsys):
 
 
 def test_symbols_non_integer_result_beyond_the_float_range_is_a_runtime_error(capsys):
-    # exact inside the digit bound, but JSON carries a non-integer as a float
-    code, out, err = run(capsys, "symbols", "mapping-orders",
-                         "--orders", "1,1/3,0", "--section", "1e400,0")
-    assert (code, out) == (EXIT_RUNTIME, "")
-    assert err == "error: a non-integer result lies beyond the float range\n"
+    # exact inside the digit bound, but JSON carries a non-integer as a float,
+    # which would read as infinity or as a zero exponent
+    for argv, where in (
+        (("mapping-orders", "--orders", "1,1/3,0", "--section", "1e400,0"), "beyond"),
+        (("trace-expansion", "--alpha=-2", "--beta=-1e-400"), "below"),
+        (("mapping-orders", "--orders", "1,1e-400,0", "--section", "0,0"), "below"),
+    ):
+        code, out, err = run(capsys, "symbols", *argv)
+        assert (code, out) == (EXIT_RUNTIME, ""), argv
+        assert err == f"error: a non-integer result lies {where} the float range\n"
 
 
 # -- config -------------------------------------------------------------------

@@ -69,13 +69,15 @@ def test_projections_are_b_fibrations_with_01_entries(fx):
 
 def test_pinned_pi2_rows(fx):
     X2, X1 = fx.X2, fx.X1
-    expected_1 = {"ff_b": "ff", "ff_c": "ff", "Br2": "ff", "Br1": "tf", "tb": "tf"}
-    for g, h in expected_1.items():
-        assert fx.pi2_1.exponent(X2.face(g), X1.face(h)) == 1
-        assert len(fx.pi2_1.row(X2.face(g))) == 1
-    expected_2 = {"ff_b": "ff", "ff_c": "ff", "Br1": "ff", "Br2": "tf", "tb": "tf"}
-    for g, h in expected_2.items():
-        assert fx.pi2_2.exponent(X2.face(g), X1.face(h)) == 1
+    expected = {
+        "pi2_1": {"ff_b": "ff", "ff_c": "ff", "Br2": "ff", "Br1": "tf", "tb": "tf"},
+        "pi2_2": {"ff_b": "ff", "ff_c": "ff", "Br1": "ff", "Br2": "tf", "tb": "tf"},
+    }
+    for name, rows in expected.items():
+        bm = getattr(fx, name)
+        for g, h in rows.items():
+            assert bm.row(X2.face(g)) == {X1.face(h): 1}, (name, g)
+        assert len(bm.e) == 5, name
 
 
 def test_densities_and_reference_exponent(fx):
