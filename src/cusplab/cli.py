@@ -39,6 +39,7 @@ from cusplab.dirac_lab import (
 from cusplab.expfit import compare_models, log_even_basis, smooth_even_basis
 from cusplab.surgery_spaces import (
     OpOrders,
+    TraceClassViolatedError,
     composition_orders,
     mapping_orders,
     trace_expansion_terms,
@@ -251,7 +252,10 @@ def cmd_symbols(args: argparse.Namespace) -> int:
         return EXIT_OK
     # trace-expansion, the one name left: argparse refuses any other
     (alpha,), (beta,) = _rationals(args.alpha, "alpha"), _rationals(args.beta, "beta")
-    terms = trace_expansion_terms(alpha, beta)
+    try:
+        terms = trace_expansion_terms(alpha, beta)
+    except TraceClassViolatedError as exc:  # the option values, not the run, are at fault
+        raise UsageError(str(exc)) from None
     print(json.dumps({"terms": [[_num(z), k] for z, k in terms]}))
     return EXIT_OK
 

@@ -20,15 +20,27 @@ order, with its face -> set lookup built at construction.  Pull-back stops a
 face at its first empty target set, since the empty set absorbs a sum;
 push-forward feeds only nonempty sets to ``extended_union``; the face-wise
 product (``product_family``) walks one family's entries and looks up the
-other.  Those three and ``IndexFamily.shifted`` build their canonical-by-
-construction results with ``IndexFamily._from_canonical``, and ``shift_set``
-with ``IndexSet._from_canonical``; the public constructors keep every check.
+other.
+
+The engine checks at its boundary only.  The public constructors
+(``IndexTerm``, ``IndexSet``, ``IndexFamily``, ``BMap``) keep every check;
+a result built from parts already checked skips them:
+
+* ``sum_sets``, ``scale_set``, ``shift_set`` and ``extended_union`` build
+  their terms with ``_new_term``, and only the canonical pruning runs on
+  them (a shift keeps a canonical set canonical, so it skips that too);
+* ``IndexSet.shifted`` takes its one generator as a canonical set;
+* pull-back, push-forward, ``product_family`` and ``IndexFamily.shifted``
+  build their families with ``IndexFamily._from_canonical``;
+* ``compose_bmaps`` sorts its entries and builds the composite with
+  ``BMap._from_canonical``.
 
 The hot paths stay on C-level keys: a :class:`Face` is a named tuple of its
-label, so faces hash, compare and sort as tuples; an index set sorts its
-generators on exact integer keys over their common denominator; and whether
-two exponents differ by an integer is read off their reduced numerators and
-denominators, with no ``Fraction`` arithmetic.
+label, and an :class:`IndexTerm` of its ``(z, k)``, so each equals, hashes
+and sorts as that tuple; an index set sorts its generators on exact integer
+keys over their common denominator; and whether two exponents differ by an
+integer is read off their reduced numerators and denominators, with no
+``Fraction`` arithmetic.
 
 Conventions:
 
@@ -138,33 +150,32 @@ class Space:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
-class IndexTerm:
-    """One generator ``(z, k)``: exponent z, log power k."""
-
+class _Term(NamedTuple):
     z: Fraction
     k: int
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.k, int) or isinstance(self.k, bool):
-            raise TypeError(f"log power must be an int, got {self.k!r}")
-        if self.k < 0:
-            raise ValueError("log power must be a natural number")
-        if not isinstance(self.z, Fraction):
-            object.__setattr__(self, "z", _frac(self.z))
 
+class IndexTerm(_Term):
+    """One generator ``(z, k)``: exponent z, log power k.
 
-def _integer_gap(a: Fraction, b: Fraction) -> int | None:
-    """``a - b`` if it is an integer, else None, read off the reduced fractions.
-
-    Two reduced fractions differ by an integer only when their denominators
-    agree, so no ``Fraction`` is formed.
+    A named tuple, so a term equals, hashes and sorts as its ``(z, k)``
+    tuple, in C.  The constructor refuses a float or a bool exponent and a
+    log power that is not a natural ``int``; the operations below build the
+    terms of their results with ``_new_term``, from parts already checked.
     """
-    q = a.denominator
-    if q != b.denominator:
-        return None
-    gap, rest = divmod(a.numerator - b.numerator, q)
-    return None if rest else gap
+
+    __slots__ = ()
+
+    def __new__(cls, z: RationalLike, k: int) -> "IndexTerm":
+        if not isinstance(k, int) or isinstance(k, bool):
+            raise TypeError(f"log power must be an int, got {k!r}")
+        if k < 0:
+            raise ValueError("log power must be a natural number")
+        return _new_term(cls, (_frac(z), k))
+
+
+# ``_new_term(IndexTerm, (z, k))`` is the term of an exact z and a natural k, unchecked
+_new_term = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -174,34 +185,18 @@ class IndexSet:
     Membership: ``(z, k)`` belongs to the set iff some generator ``(z0, k0)``
     has ``z - z0`` a natural number and ``k <= k0``.  Canonical form sorts
     generators lexicographically and prunes any generator dominated by
-    another, so structural equality is semantic equality.
+    another, so structural equality is semantic equality.  The constructor
+    takes :class:`IndexTerm` generators only, and canonicalises them.
     """
 
     generators: tuple[IndexTerm, ...] = ()
 
     def __post_init__(self) -> None:
-        # Over the common denominator d of the generators, the term (z, k)
-        # has the exact integer key (z*d, -k), and its class of z mod 1 is
-        # z*d mod d: only terms in one class can dominate each other.
-        # Walking each class by z ascending (k descending on ties), a term
-        # survives iff its k beats every k seen before it in its class.  At
-        # most one term per z survives, so the kept terms are already in
-        # (z, k) order, and an exact duplicate falls with the rest.
         gens = tuple(self.generators)
-        if len(gens) < 2:  # already canonical
-            object.__setattr__(self, "generators", gens)
-            return
-        d = math.lcm(*(t.z.denominator for t in gens))
-        best: dict[int, int] = {}
-        kept = []
-        for n, _, i in sorted(
-            (t.z.numerator * (d // t.z.denominator), -t.k, i) for i, t in enumerate(gens)
-        ):
-            t, cls = gens[i], n % d
-            if t.k > best.get(cls, -1):
-                best[cls] = t.k
-                kept.append(t)
-        object.__setattr__(self, "generators", tuple(kept))
+        for t in gens:
+            if not isinstance(t, IndexTerm):
+                raise TypeError(f"a generator must be an IndexTerm, got {t!r}")
+        object.__setattr__(self, "generators", _canonical(gens))
 
     @classmethod
     def _from_canonical(cls, generators: tuple[IndexTerm, ...]) -> "IndexSet":
@@ -225,8 +220,8 @@ class IndexSet:
 
     @classmethod
     def shifted(cls, z: RationalLike) -> "IndexSet":
-        """The set z + naturals."""
-        return cls.from_terms([(z, 0)])
+        """The set z + naturals: its one generator is canonical as it stands."""
+        return cls._from_canonical((_new_term(IndexTerm, (_frac(z), 0)),))
 
     @property
     def is_empty(self) -> bool:
@@ -239,8 +234,44 @@ class IndexSet:
         return f"IndexSet[{inner}]"
 
 
+def _canonical(gens: tuple[IndexTerm, ...]) -> tuple[IndexTerm, ...]:
+    """The canonical generators of the set that ``gens`` generate.
+
+    Over the common denominator d of the generators, the term (z, k) has
+    the exact integer key (z*d, -k), and its class of z mod 1 is z*d mod d:
+    only terms in one class can dominate each other.  Walking each class by
+    z ascending (k descending on ties), a term survives iff its k beats
+    every k seen before it in its class.  At most one term per z survives,
+    so the kept terms are already in (z, k) order, and an exact duplicate
+    falls with the rest.
+    """
+    if len(gens) < 2:  # already canonical
+        return gens
+    d = math.lcm(*(z.denominator for z, _ in gens))
+    best: dict[int, int] = {}
+    kept = []
+    for n, negk, i in sorted(
+        (z.numerator * (d // z.denominator), -k, i) for i, (z, k) in enumerate(gens)
+    ):
+        cls = n % d
+        if -negk > best.get(cls, -1):
+            best[cls] = -negk
+            kept.append(gens[i])
+    return tuple(kept)
+
+
 _EMPTY = IndexSet(())
-_NATURALS = IndexSet((IndexTerm(Fraction(0), 0),))
+_NATURALS = IndexSet((IndexTerm(0, 0),))
+
+
+def _is_naturals(E: IndexSet) -> bool:
+    """Whether E is the smooth set 0 + N, however it was built (``shifted(0)`` too).
+
+    Its canonical form has the one generator (0, 0); comparing the fields
+    with the int 0 skips ``Fraction``'s general equality.
+    """
+    gens = E.generators
+    return len(gens) == 1 and gens[0].k == 0 and gens[0].z == 0
 
 
 def member(E: IndexSet, z: RationalLike, k: int) -> bool:
@@ -250,32 +281,36 @@ def member(E: IndexSet, z: RationalLike, k: int) -> bool:
         raise TypeError(f"log power must be an int, got {k!r}")
     if k < 0:
         return False
-    for g in E.generators:
+    # z - z0 is a natural number iff the reduced fractions share their
+    # denominator q and the numerators differ by a natural multiple of q
+    n, q = zq.numerator, zq.denominator
+    for g in E.generators:  # read k first, and z only where k passes
         if k <= g.k:
-            gap = _integer_gap(zq, g.z)
-            if gap is not None and gap >= 0:
+            z0 = g.z
+            if z0.denominator == q and n >= z0.numerator and (n - z0.numerator) % q == 0:
                 return True
     return False
 
 
 def inf_order(E: IndexSet):
     """Minimal exponent of E, or +inf for the empty set."""
-    if E.is_empty:
+    gens = E.generators
+    if not gens:
         return math.inf
-    return min(g.z for g in E.generators)
+    return gens[0].z  # canonical generators ascend in z
 
 
 def sum_sets(E: IndexSet, F: IndexSet) -> IndexSet:
     """Minkowski sum of exponents with additive log powers; empty absorbs, 0 is neutral."""
-    if E.is_empty or F.is_empty:
+    if not E.generators or not F.generators:
         return _EMPTY
-    if E == _NATURALS:
+    if _is_naturals(E):
         return F
-    if F == _NATURALS:
+    if _is_naturals(F):
         return E
-    return IndexSet(
-        tuple(IndexTerm(a.z + b.z, a.k + b.k) for a in E.generators for b in F.generators)
-    )
+    return IndexSet._from_canonical(_canonical(tuple(
+        _new_term(IndexTerm, (z + w, k + l)) for z, k in E.generators for w, l in F.generators
+    )))
 
 
 def scale_set(q: RationalLike, E: IndexSet) -> IndexSet:
@@ -285,7 +320,9 @@ def scale_set(q: RationalLike, E: IndexSet) -> IndexSet:
         raise ValueError(f"scale factor must be positive, got {qf}")
     if qf == 1:
         return E
-    return IndexSet(tuple(IndexTerm(qf * g.z, g.k) for g in E.generators))
+    return IndexSet._from_canonical(_canonical(tuple(
+        _new_term(IndexTerm, (qf * z, k)) for z, k in E.generators
+    )))
 
 
 def shift_set(E: IndexSet, d: RationalLike) -> IndexSet:
@@ -294,10 +331,13 @@ def shift_set(E: IndexSet, d: RationalLike) -> IndexSet:
     A shift keeps the order of the exponents and every difference between
     them, so the shifted canonical generators are canonical as they stand.
     """
-    df = _frac(d)
-    if df == 0:
+    if type(d) is not int:  # an int adds to a Fraction exactly as it is
+        d = _frac(d)
+    if d == 0:
         return E
-    return IndexSet._from_canonical(tuple(IndexTerm(g.z + df, g.k) for g in E.generators))
+    return IndexSet._from_canonical(tuple(
+        _new_term(IndexTerm, (z + d, k)) for z, k in E.generators
+    ))
 
 
 def extended_union(E: IndexSet, F: IndexSet) -> IndexSet:
@@ -307,17 +347,20 @@ def extended_union(E: IndexSet, F: IndexSet) -> IndexSet:
     z - w an integer, the term (max(z, w), k + l + 1) is added.  The empty
     set is neutral.
     """
-    if E.is_empty:
+    if not E.generators:
         return F
-    if F.is_empty:
+    if not F.generators:
         return E
+    # z - w is an integer iff the reduced fractions share their denominator
+    # q and their numerators agree mod q, so no Fraction is formed
+    others = [(w.numerator, w.denominator, w, l) for w, l in F.generators]
     extra = []
-    for a in E.generators:
-        for b in F.generators:
-            gap = _integer_gap(a.z, b.z)
-            if gap is not None:
-                extra.append(IndexTerm(a.z if gap >= 0 else b.z, a.k + b.k + 1))
-    return IndexSet(E.generators + F.generators + tuple(extra))
+    for z, k in E.generators:
+        n, q = z.numerator, z.denominator
+        for m, r, w, l in others:
+            if r == q and (n - m) % q == 0:
+                extra.append(_new_term(IndexTerm, (z if n >= m else w, k + l + 1)))
+    return IndexSet._from_canonical(_canonical(E.generators + F.generators + tuple(extra)))
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +477,18 @@ class BMap:
         object.__setattr__(self, "e", canon)
 
     @classmethod
+    def _from_canonical(cls, source: Space, target: Space,
+                        e: tuple[tuple[tuple[Face, Face], int], ...],
+                        submersion_witness: bool) -> "BMap":
+        """The map of sorted, distinct, positive entries on the spaces, taken as they are."""
+        bm = object.__new__(cls)
+        object.__setattr__(bm, "source", source)
+        object.__setattr__(bm, "target", target)
+        object.__setattr__(bm, "e", e)
+        object.__setattr__(bm, "submersion_witness", submersion_witness)
+        return bm
+
+    @classmethod
     def build(
         cls,
         source: Space,
@@ -488,18 +543,25 @@ def is_b_fibration(f: BMap) -> bool:
 
 
 def compose_bmaps(f: BMap, g: BMap) -> BMap:
-    """The b-map of g after f; exponent matrices multiply."""
+    """The b-map of g after f; exponent matrices multiply.
+
+    Every entry is a sum of products of positive integers, on faces of
+    f's source and g's target, one per pair, so the sorted entries are
+    the composite's canonical ones and skip the ``BMap`` checks.
+    """
     if f.target != g.source:
         raise SpaceMismatchError("intermediate spaces do not match")
     entries = []
+    g_rows = g._rows
     for G, frow in f._rows.items():
         acc: dict[Face, int] = {}
         for H, v in frow.items():
-            for K, w in g._rows.get(H, {}).items():
+            for K, w in g_rows.get(H, {}).items():
                 acc[K] = acc.get(K, 0) + v * w
         entries.extend(((G, K), val) for K, val in acc.items())
-    return BMap(f.source, g.target, tuple(entries),
-                f.submersion_witness and g.submersion_witness)
+    entries.sort()
+    return BMap._from_canonical(f.source, g.target, tuple(entries),
+                                f.submersion_witness and g.submersion_witness)
 
 
 def pullback_family(f: BMap, fam: IndexFamily) -> IndexFamily:

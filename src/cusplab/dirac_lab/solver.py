@@ -107,6 +107,8 @@ class Grid:
             raise ValueError(f"grid start must be finite, got {self.rho_min!r}")
         if not 0.0 < self.h < math.inf:  # nan fails this too
             raise ValueError(f"grid spacing must be finite and positive, got {self.h!r}")
+        if not isinstance(self.n, int) or isinstance(self.n, bool):
+            raise TypeError(f"the point count must be an int, got {self.n!r}")
         if self.n < MIN_POINTS:
             raise ValueError(f"need at least {MIN_POINTS} interior points, got {self.n!r}")
 

@@ -73,6 +73,8 @@ class SpectrumParams:
     pair, so only k = 0..k_max are solved), ``levels`` is the eigenvalue
     count per mode, ``h``/``n`` fix the grid (default spacing length/4000),
     and ``rho_margin_factor`` controls the t = 0 cusp truncation depth.
+    ``k_max``, ``levels`` and ``n`` must be ``int``s: a float or a bool
+    raises ``TypeError``.
     Callers rely on the checks here and repeat none of them.
     """
 
@@ -83,6 +85,12 @@ class SpectrumParams:
     rho_margin_factor: float = 50.0
 
     def __post_init__(self) -> None:
+        for name in ("k_max", "levels", "n"):
+            value = getattr(self, name)
+            if value is None and name == "n":
+                continue
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an int, got {value!r}")
         if self.k_max < 0 or self.levels < 1:
             raise ValueError("need k_max >= 0 and levels >= 1")
         if self.h is not None and not 0.0 < self.h < math.inf:  # nan fails too

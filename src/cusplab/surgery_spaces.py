@@ -152,6 +152,19 @@ def build_fixture() -> SurgeryFixture:
     )
 
 
+def _pair_family(space: Space, first: str, a: Fraction,
+                 second: str, b: Fraction) -> IndexFamily:
+    """The family ``a + N`` on face ``first``, ``b + N`` on ``second``, empty elsewhere.
+
+    The two faces come in the space's face order, so the entries are
+    canonical as they stand and skip the ``IndexFamily`` checks.
+    """
+    return IndexFamily._from_canonical(space, (
+        (space.face(first), IndexSet.shifted(a)),
+        (space.face(second), IndexSet.shifted(b)),
+    ))
+
+
 def kernel_index_family(o: OpOrders) -> IndexFamily:
     """Index family of the kernel of an operator with orders o on the double space.
 
@@ -159,11 +172,7 @@ def kernel_index_family(o: OpOrders) -> IndexFamily:
     the density convention), ``-beta + N`` at the temporal boundary, and the
     empty set at every other face.
     """
-    fx = build_fixture()
-    return IndexFamily.on(fx.X2, {
-        "ff_c": IndexSet.shifted(-o.alpha - 2),
-        "tb": IndexSet.shifted(-o.beta),
-    })
+    return _pair_family(build_fixture().X2, "ff_c", -o.alpha - 2, "tb", -o.beta)
 
 
 @dataclass(frozen=True)
@@ -187,11 +196,7 @@ def mapping_stages(o: OpOrders, section: tuple[RationalLike, RationalLike]) -> M
     density's front-face factor.
     """
     fx = build_fixture()
-    a_p, b_p = _frac(section[0]), _frac(section[1])
-    fam_section = IndexFamily.on(fx.X1, {
-        "ff": IndexSet.shifted(a_p),
-        "tf": IndexSet.shifted(b_p),
-    })
+    fam_section = _pair_family(fx.X1, "ff", _frac(section[0]), "tf", _frac(section[1]))
     pulled = pullback_family(fx.pi2_2, fam_section)
     kernel = kernel_index_family(o)
     product = product_family(pulled, kernel)
@@ -223,6 +228,19 @@ class CompositionStages:
     result: OpOrders
 
 
+@lru_cache(maxsize=1)
+def _composition_constants() -> tuple[tuple[tuple[Face, Fraction], ...], Mapping[str, int]]:
+    """What every composition reads off the fixture, read once.
+
+    The triple faces over ``ff_c`` in ``pi3_13``, sorted, each with the
+    scale 1/e of its exponent e, and the negated double-space density.
+    """
+    fx = build_fixture()
+    column = fx.pi3_13.column(fx.X2.face("ff_c"))
+    return (tuple((G, Fraction(1, e)) for G, e in sorted(column.items())),
+            MappingProxyType({lbl: -v for lbl, v in fx.density_X2.items()}))
+
+
 def composition_stages(o1: OpOrders, o2: OpOrders) -> CompositionStages:
     """Run the triple-space pipeline for composing two operators.
 
@@ -236,15 +254,12 @@ def composition_stages(o1: OpOrders, o2: OpOrders) -> CompositionStages:
     product = product_family(pulled_12, pulled_23)
     with_density = product.shifted(fx.density_X3)
 
-    ff_c = fx.X2.face("ff_c")
-    contributors = tuple(
-        (G, scale_set(Fraction(1, e), with_density.get(G)))
-        for G, e in sorted(fx.pi3_13.column(ff_c).items())
-    )
+    ffc_column, undo_density = _composition_constants()
+    contributors = tuple((G, scale_set(q, with_density.get(G))) for G, q in ffc_column)
     pushed = pushforward_family(fx.pi3_13, with_density)
-    normalized = pushed.shifted({lbl: -v for lbl, v in fx.density_X2.items()})
+    normalized = pushed.shifted(undo_density)
 
-    lead_ffc = inf_order(normalized.get(ff_c))
+    lead_ffc = inf_order(normalized.get(fx.X2.face("ff_c")))
     lead_tb = inf_order(normalized.get(fx.X2.face("tb")))
     result = OpOrders(o1.m + o2.m, -lead_ffc - 2, -lead_tb)
     return CompositionStages(pulled_12, pulled_23, product, with_density,
@@ -277,11 +292,7 @@ def trace_index_set(alpha: RationalLike, beta: RationalLike) -> IndexSet:
     a, b = _frac(alpha), _frac(beta)
     _check_trace_class(a, b)
     _, pi = _time_axis()
-    fam = IndexFamily.on(pi.source, {
-        "ff": IndexSet.shifted(-a),
-        "tf": IndexSet.shifted(-b),
-    })
-    pushed = pushforward_family(pi, fam)
+    pushed = pushforward_family(pi, _pair_family(pi.source, "ff", -a, "tf", -b))
     return pushed.get(pi.target.face("zero"))
 
 

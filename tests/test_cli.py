@@ -69,6 +69,15 @@ def test_symbols_trace_expansion(capsys):
     assert json.loads(out) == {"terms": [[0, 0], [2, 1]]}
 
 
+@pytest.mark.parametrize("alpha, beta", [("-1", "0"), ("-3/2", "1/3")])
+def test_symbols_trace_expansion_outside_the_trace_class_is_a_usage_error(capsys, alpha, beta):
+    code, out, err = run(capsys, "symbols", "trace-expansion",
+                         f"--alpha={alpha}", f"--beta={beta}")
+    assert (code, out) == (EXIT_USAGE, ""), err
+    assert err == (f"usage error: need alpha < -1 and beta <= 0 for a trace; "
+                   f"got ({alpha}, {beta})\n")
+
+
 def test_symbols_compose_orders(capsys):
     code, out, _ = run(capsys, "symbols", "compose-orders",
                        "--a", "-1,-1,0", "--b", "-1,-1,0")

@@ -691,6 +691,96 @@ def test_a_shift_keeps_a_canonical_set_canonical():
                                               for g in E.generators)).generators
 
 
+# -- unchecked results against their rebuild through the public constructors --
+# sum_sets, scale_set, shift_set, extended_union and IndexSet.shifted build
+# their terms without IndexTerm's checks, and compose_bmaps its composite
+# without BMap's; each result must be what the checking constructors build
+# from the same terms or entries, term for term and in the same order.
+
+
+def rebuilt(E):
+    """E's terms through ``IndexTerm`` and ``IndexSet``, asserting each is exact."""
+    for t in E.generators:
+        assert type(t) is IndexTerm and type(t.z) is Fraction and type(t.k) is int, t
+    return IndexSet(tuple(IndexTerm(z, k) for z, k in E.generators))
+
+
+def assert_as_checked(E, want):
+    """E equals the set ``want`` built through the public constructors, and is canonical."""
+    again = rebuilt(E)
+    assert again.generators == E.generators == want.generators
+
+
+def random_wide_set(rng):
+    """Up to 8 terms over denominators 1 to 6, so classes mod 1 mix and prune."""
+    return IndexSet.from_terms(
+        (Fraction(rng.randint(-12, 12), rng.randint(1, 6)), rng.randint(0, 4))
+        for _ in range(rng.randint(0, 8)))
+
+
+def test_unchecked_set_results_equal_their_public_rebuild():
+    rng = random.Random(2323)
+    for _ in range(400):
+        E, F = random_wide_set(rng), random_wide_set(rng)
+        if rng.random() < 0.1:
+            E = IndexSet.shifted(0)  # the naturals, as the README says it counts
+        want = (IndexSet(()) if E.is_empty or F.is_empty else
+                IndexSet(tuple(IndexTerm(a.z + b.z, a.k + b.k)
+                               for a in E.generators for b in F.generators)))
+        assert_as_checked(sum_sets(E, F), want)
+        extra = tuple(IndexTerm(max(a.z, b.z), a.k + b.k + 1) for a in E.generators
+                      for b in F.generators if (a.z - b.z).denominator == 1)
+        assert_as_checked(extended_union(E, F),
+                          IndexSet(E.generators + F.generators + extra))
+        for q in (Fraction(rng.randint(1, 6), rng.randint(1, 6)), rng.randint(1, 4),
+                  f"1/{rng.randint(1, 4)}"):
+            assert_as_checked(scale_set(q, E), IndexSet(tuple(
+                IndexTerm(Fraction(q) * g.z, g.k) for g in E.generators)))
+        for d in (rng.randint(-5, 5), Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+                  f"{rng.randint(-9, 9)}/{rng.randint(1, 6)}"):
+            assert_as_checked(shift_set(E, d), IndexSet(tuple(
+                IndexTerm(g.z + Fraction(d), g.k) for g in E.generators)))
+        for z in (rng.randint(-5, 5), Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+                  f"{rng.randint(-9, 9)}/{rng.randint(1, 6)}"):
+            assert_as_checked(IndexSet.shifted(z), IndexSet.from_terms([(z, 0)]))
+    # shifted(0) is the naturals: equal, and so handed back by a sum
+    assert IndexSet.shifted(0) == IndexSet.naturals()
+    E = IndexSet.from_terms([(Fraction(1, 2), 1)])
+    assert sum_sets(IndexSet.shifted(0), E) is E and sum_sets(E, IndexSet.shifted("0")) is E
+
+
+def test_an_index_term_is_its_pair():
+    t = IndexTerm(Fraction(1, 2), 3)
+    assert t == (Fraction(1, 2), 3) and hash(t) == hash((Fraction(1, 2), 3))
+    assert (t.z, t.k) == tuple(t) and IndexTerm(z="1/2", k=3) == t
+    assert sorted([IndexTerm(1, 0), IndexTerm(0, 2), IndexTerm(0, 1)]) == \
+        [(0, 1), (0, 2), (1, 0)]
+    for bad in ((Fraction(1, 2),), ((Fraction(1, 2), 0),)):  # a plain tuple is no term
+        with pytest.raises(TypeError):
+            IndexSet(bad)
+    with pytest.raises(ValueError):
+        IndexTerm(0, -1)
+
+
+def test_an_unchecked_composite_equals_its_public_rebuild():
+    rng = random.Random(3434)
+    for _ in range(200):
+        X, Y, Z = (Space.of(*[f"{p}{i}" for i in range(rng.randint(1, 9))]) for p in "xyz")
+        f, g = random_bmap(rng, X, Y), random_bmap(rng, Y, Z)
+        h = compose_bmaps(f, g)
+        again = BMap(h.source, h.target, h.e, h.submersion_witness)
+        assert again == h and again.e == h.e
+        assert all(type(v) is int and v > 0 for _, v in h.e)
+        assert (h.source, h.target, h.submersion_witness) == \
+            (X, Z, f.submersion_witness and g.submersion_witness)
+        want = {}
+        for (G, H), v in f.e:
+            for (H2, K), w in g.e:
+                if H2 == H:
+                    want[G, K] = want.get((G, K), 0) + v * w
+        assert dict(h.e) == want
+
+
 # -- blow-up bookkeeping -----------------------------------------------------
 
 def test_density_lift_exponents():

@@ -519,6 +519,23 @@ def test_spectrum_params_rejects_bad_values(bad):
         SpectrumParams(**bad)
 
 
+@pytest.mark.parametrize("bad", [
+    dict(k_max=1.5), dict(k_max=2.0), dict(k_max=True), dict(levels=2.5), dict(levels=True),
+    dict(n=100.5), dict(n=100.0), dict(n=False), dict(k_max=0, levels=2, n=100.5)],
+    ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()))
+def test_spectrum_params_refuse_a_count_that_is_not_an_int(bad):
+    # refused before any work: n = 100.5 would give 101 points at h = L/101.5,
+    # with the Dirichlet end past rho_max, and levels = 2.5 would fail in a pool thread
+    with pytest.raises(TypeError, match="must be an int"):
+        SpectrumParams(**bad)
+
+
+@pytest.mark.parametrize("n", [100.5, 100.0, True])
+def test_grid_refuses_a_point_count_that_is_not_an_int(n):
+    with pytest.raises(TypeError, match="must be an int"):
+        Grid(-1.0, 0.1, n)
+
+
 def test_relative_resolvent_trace_contract():
     params = SpectrumParams(k_max=1, levels=6, n=700)
     zero = relative_resolvent_trace(0.5, -1.0, -1.0, params)

@@ -359,6 +359,63 @@ def test_composition_stages_match_the_reference_pipeline(fx):
              normalized, result)
 
 
+def assert_exact_terms(fam):
+    for _, E in fam.entries:
+        for t in E.generators:
+            assert type(t) is IndexTerm and type(t.z) is Fraction and type(t.k) is int, t
+
+
+def assert_as_checked(fam, sets):
+    """``fam`` is the family ``IndexFamily.on`` builds from ``sets``: entry for
+    entry, in face order, and unchanged when its terms are rebuilt through
+    ``IndexTerm``, ``IndexSet`` and ``IndexFamily``."""
+    assert_exact_terms(fam)
+    again = IndexFamily(fam.space, tuple(
+        (F, IndexSet(tuple(IndexTerm(z, k) for z, k in E.generators))) for F, E in fam.entries))
+    assert fam.entries == again.entries == IndexFamily.on(fam.space, sets).entries
+
+
+def test_pipeline_families_equal_their_public_rebuild(fx):
+    # the kernel, section and trace families are built in face order without
+    # IndexFamily's checks, and the composition reads its ff_c column and the
+    # negated density off the fixture once
+    rng = random.Random(505)
+    time = Space.of("zero")
+    to_time = BMap.build(fx.X1, time, {"ff": {"zero": 1}, "tf": {"zero": 1}})
+    for _ in range(100):
+        o, o2 = rand_orders(rng), rand_orders(rng)
+        assert_as_checked(kernel_index_family(o), {
+            "ff_c": IndexSet.from_terms([(-o.alpha - 2, 0)]),
+            "tb": IndexSet.from_terms([(-o.beta, 0)])})
+        a, b = (Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3])) for _ in range(2))
+        stages = mapping_stages(o, (a, b))
+        assert_as_checked(stages.section, {"ff": IndexSet.from_terms([(a, 0)]),
+                                           "tf": IndexSet.from_terms([(b, 0)])})
+        composed = composition_stages(o, o2)
+        for fam in (stages.pulled, stages.product, stages.with_density, stages.pushed,
+                    composed.pulled_12, composed.pulled_23, composed.product,
+                    composed.with_density, composed.pushed, composed.normalized):
+            assert_exact_terms(fam)
+            assert IndexFamily(fam.space, fam.entries).entries == fam.entries
+        ff_c = fx.X2.face("ff_c")
+        assert composed.ffc_contributors == tuple(
+            (G, IndexSet(tuple(IndexTerm(g.z / e, g.k)
+                               for g in composed.with_density.get(G).generators)))
+            for G, e in sorted(fx.pi3_13.column(ff_c).items()))
+        assert composed.normalized == IndexFamily.on(fx.X2, {
+            F.label: IndexSet(tuple(IndexTerm(g.z - fx.density_X2.get(F.label, 0), g.k)
+                                    for g in E.generators))
+            for F, E in composed.pushed.entries})
+        alpha = Fraction(-rng.randint(4, 24), rng.choice([1, 2, 3]))  # below -1
+        beta = Fraction(-rng.randint(0, 12), rng.choice([1, 2, 3]))
+        want = pushforward_family(to_time, IndexFamily.on(fx.X1, {
+            "ff": IndexSet.from_terms([(-alpha, 0)]),
+            "tf": IndexSet.from_terms([(-beta, 0)])})).get(time.face("zero"))
+        got = trace_index_set(alpha, beta)
+        assert got.generators == want.generators
+        assert all(type(t) is IndexTerm and type(t.z) is Fraction for t in got.generators)
+
+
 def test_pull_back_and_push_forward_match_the_reference_on_random_b_maps():
     # the fixture's exponents are all 1; these rows carry exponents 1 to 3
     rng = random.Random(1313)
