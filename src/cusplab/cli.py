@@ -166,8 +166,8 @@ class RunConfig:
 
 
 def _load_config(path: str) -> RunConfig:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
+    try:  # utf-8-sig drops the byte-order mark some editors write first
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return RunConfig.from_text(text)

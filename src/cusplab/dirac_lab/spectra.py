@@ -11,7 +11,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from cusplab.dirac_lab.geometry import Chirality, ModeSpec, NeckGeometry, phi
+from cusplab.dirac_lab.geometry import WALL_PHI, Chirality, ModeSpec, NeckGeometry, phi
 from cusplab.dirac_lab.solver import (
     MIN_POINTS,
     Grid,
@@ -34,6 +34,13 @@ MAX_WORK = 10**9
 # diagonal as the eigenvalues.  Squaring the off-diagonal -1 / h^2 overflows
 # at a spacing sqrt(2) finer, where dstebz fails outright.
 MIN_SPACING = (4.0 / sys.float_info.max) ** 0.25
+
+# Largest double whose square is finite, which bounds how thin a neck may be.
+# The assembly squares cosh(rho) in V' = -q sinh(rho) / (t cosh(rho)^2), up to
+# (phi_wall / t)^2 ~ (2 / t)^2 at the walls, and V = q / phi in V^2, up to
+# (q / t)^2 at the waist, q = k + 1/2.  Past this base either square
+# overflows: V' reads -0 near the walls, or V^2 is inf.
+SQRT_MAX = math.sqrt(sys.float_info.max)
 
 
 class RunRefusedError(ValueError):
@@ -239,12 +246,19 @@ def _first_geometry(t: float, params: SpectrumParams, top: float = 0.0) -> NeckG
     return NeckGeometry.cusp(_cusp_depth(params, max(200.0, top)))
 
 
-def _grids(ts: list[float], params: SpectrumParams, geometry) -> list[tuple[NeckGeometry, int]]:
-    """The geometry ``geometry(t)`` and its interior grid points at each t, before any solve.
+def _grids(ts: list[float], params: SpectrumParams,
+           top: float | None = None) -> list[tuple[NeckGeometry, Grid]]:
+    """Each t's geometry and grid before any work: a solve's, or a count's up to ``top``.
 
+    The geometry is ``_first_geometry``'s: the neck at t > 0, and at t = 0
+    the first cusp depth, which a count takes from its top window end
+    ``top`` and a solve (``top`` None) from the depth search's first step.
     Raises RunRefusedError unless the t are nonempty, finite, >= 0 and
-    distinct, and where a t or ``h`` gives a grid too large to count or a
-    spacing below ``MIN_SPACING``.
+    distinct, where a t or ``h`` gives a grid too large to count or a
+    spacing below ``MIN_SPACING``, and where a neck is too thin for
+    ``SQRT_MAX``: max(2, k + 1/2) / t above it for the highest mode k the
+    run assembles, ``k_max`` for a solve and the last below ``_mode_bound``
+    for a count.
     """
     if not ts:
         raise RunRefusedError("need at least one pinching parameter t")
@@ -253,21 +267,28 @@ def _grids(ts: list[float], params: SpectrumParams, geometry) -> list[tuple[Neck
         if not 0.0 <= t < math.inf:  # nan fails this too
             raise RunRefusedError(f"pinching parameter t must be finite and >= 0, got {t!r}")
         try:
-            geom = geometry(t)
+            geom = _first_geometry(t, params, top or 0.0)
             grid = Grid.for_geometry(geom, n=params.n, h=params.h)
         except (ArithmeticError, ValueError) as exc:  # sinh(t / 2) or length / h overflows
             raise RunRefusedError(f"no grid can be counted at t = {t!r}: {exc}") from exc
         if not grid.h >= MIN_SPACING:
             raise RunRefusedError(f"the grid spacing {grid.h!r} at t = {t!r} is below "
                                   f"{MIN_SPACING!r}, where the solver's (2 / h^2)^2 overflows")
-        grids.append((geom, grid.n))
+        # the wall test goes first: below it a count's mode bound may overflow
+        if t > 0 and (WALL_PHI / t > SQRT_MAX or (
+                (params.k_max + 0.5 if top is None else _mode_bound(geom, top) - 0.5) / t
+                > SQRT_MAX)):
+            raise RunRefusedError(f"the neck at t = {t!r} is too thin: max(2, k + 1/2) / t "
+                                  f"exceeds {SQRT_MAX!r} for the highest mode k it assembles, "
+                                  f"so cosh(rho)^2 or ((k + 1/2) / t)^2 overflows")
+        grids.append((geom, grid))
     if len(set(ts)) != len(ts):
         raise RunRefusedError(f"pinching parameters must be distinct, got {ts!r}")
     return grids
 
 
-def check_grids(t_grid: Sequence[float], params: SpectrumParams) -> list[tuple[int, int]]:
-    """The solves and interior grid points of the first step at each t, before any solve.
+def check_grids(t_grid: Sequence[float], params: SpectrumParams) -> list[tuple[int, Grid]]:
+    """The solves of the first step at each t, and ``_grids``'s grid there, before any solve.
 
     Raises RunRefusedError where ``_grids`` refuses the t (a spacing below
     ``MIN_SPACING`` is every t above 340.3827 at the default spacing), where
@@ -278,12 +299,12 @@ def check_grids(t_grid: Sequence[float], params: SpectrumParams) -> list[tuple[i
     """
     ts = list(t_grid)
     plan = []
-    for t, (_, n) in zip(ts, _grids(ts, params, lambda t: _first_geometry(t, params))):
-        if params.levels > n:
-            raise RunRefusedError(f"levels = {params.levels} exceeds the {n} grid points "
+    for t, (_, grid) in zip(ts, _grids(ts, params)):
+        if params.levels > grid.n:
+            raise RunRefusedError(f"levels = {params.levels} exceeds the {grid.n} grid points "
                                   f"at t = {t!r}")
-        plan.append(((params.k_max + 1) * len(_chiralities(t)), n))
-    work = params.levels * sum(solves * n for solves, n in plan)
+        plan.append(((params.k_max + 1) * len(_chiralities(t)), grid))
+    work = params.levels * sum(solves * grid.n for solves, grid in plan)
     if work > MAX_WORK:
         raise RunRefusedError(f"work estimate {work} (the sum over t_grid of solves * levels * "
                               f"grid points, with k_max + 1 solves at t > 0 and twice that "
@@ -303,28 +324,26 @@ def _window(t: float, rho: np.ndarray, w: float) -> np.ndarray:
 
 
 def check_windows(t_grid: Sequence[float], params: SpectrumParams,
-                  widths: Sequence[float]) -> list[tuple[int, int]]:
-    """The solves and grid points of ``ground_states``'s first step at each t, before any solve.
+                  widths: Sequence[float]) -> list[tuple[int, Grid]]:
+    """The solves of ``ground_states``'s first step at each t, and its grid, before any solve.
 
-    That is one solve at each t > 0 and ``check_grids``'s at t = 0.  Raises
-    RunRefusedError where ``check_grids`` refuses the run, with the full
-    ``k_max``, where a width w is not positive, or where a window |x| <= w
-    holds no point of a t > 0 grid.  ``check_grids`` goes first, so its work
-    bound caps the grids built here.  At t = 0 the cusp search fixes the
-    grid's depth by solving, so ``neck_mass`` checks there.
+    That is one solve at each t > 0 and ``check_grids``'s at t = 0, on
+    ``check_grids``'s grids.  Raises RunRefusedError where ``check_grids``
+    refuses the run, with the full ``k_max``, where a width w is not
+    positive, or where a window |x| <= w holds no point of a t > 0 grid.
+    At t = 0 the cusp search fixes the grid's depth by solving, so
+    ``neck_mass`` checks there.
     """
     ts = list(t_grid)
-    plan = [(solves if t == 0 else 1, n) for t, (solves, n) in zip(ts, check_grids(ts, params))]
+    plan = [(solves if t == 0 else 1, grid)
+            for t, (solves, grid) in zip(ts, check_grids(ts, params))]
     for w in widths:
         if not w > 0:
             raise RunRefusedError(f"window |x| <= {w!r} needs a width w > 0")
-    for t in ts:
-        if t > 0:
-            grid = Grid.for_geometry(_first_geometry(t, params), n=params.n, h=params.h)
-            for w in widths:
-                if not np.any(_window(t, grid.rho_values, w)):
-                    raise RunRefusedError(f"window |x| <= {w!r} contains no grid points "
-                                          f"at t = {t!r}")
+    for t, (_, grid) in zip(ts, plan):
+        for w in widths:
+            if t > 0 and not np.any(_window(t, grid.rho_values, w)):
+                raise RunRefusedError(f"window |x| <= {w!r} contains no grid points at t = {t!r}")
     return plan
 
 
@@ -441,30 +460,6 @@ def _mode_bound(geom: NeckGeometry, top: float) -> int:
     return math.ceil(0.5 + math.hypot(1.0, math.sqrt(top) * phi_wall))  # no overflow in top
 
 
-def check_counts(t_grid: Sequence[float], params: SpectrumParams,
-                 windows: Sequence[tuple[float, float]]) -> list[tuple[NeckGeometry, int, int]]:
-    """The geometry, grid points and mode bound of each t's window count, before any count.
-
-    Raises RunRefusedError where ``_grids`` refuses the t, where a window is
-    not finite with a < b, and where the work estimate, the sum over t of
-    mode bound * chiralities * grid points * distinct window ends, exceeds
-    ``MAX_WORK``.  ``k_max`` and ``levels`` play no part in a count.
-    """
-    ts = list(t_grid)
-    shifts = {s for pair in _window_shifts(windows) for s in pair if s is not None}
-    top = max(shifts, default=0.0)
-    plan = [(geom, n, _mode_bound(geom, top) if shifts else 0)
-            for geom, n in _grids(ts, params, lambda t: _first_geometry(t, params, top))]
-    work = len(shifts) * sum(modes * len(_chiralities(t)) * n
-                             for t, (_, n, modes) in zip(ts, plan))
-    if work > MAX_WORK:
-        raise RunRefusedError(f"work estimate {work} (the sum over t_grid of modes * "
-                              f"chiralities * grid points * distinct window ends, with the modes "
-                              f"that can reach the window top {math.sqrt(top)!r}) exceeds "
-                              f"{MAX_WORK}")
-    return plan
-
-
 @dataclass(frozen=True)
 class WindowCounts:
     """Exact window counts per t, and the work they took.
@@ -486,21 +481,32 @@ def window_counts(t_grid: Sequence[float], params: SpectrumParams,
 
     Each count is the Sturm inertia of H_k - mu for the window's mu-ends (see
     ``_window_shifts``), summed over the modes k and, at t = 0, both
-    chiralities on one cusp of the depth ``_first_geometry`` gives.  The
-    potential w = V^2 +- V' grows pointwise in k (w_{k+1} - w_k =
+    chiralities on one cusp of the depth ``_first_geometry`` gives for the
+    top end.  The potential w = V^2 +- V' grows pointwise in k (w_{k+1} - w_k =
     (2k + 2 -+ phi') / phi^2 and |phi'| <= 2), so H_k <= H_{k+1} and every
     eigenvalue grows with k: the modes are visited from k = 0 until one has
-    no eigenvalue at or below the top window end b^2, which ends the count,
-    and ``check_counts`` bounds them in closed form before any
-    factorisation.  So the counts depend on neither ``k_max`` nor ``levels``.
+    no eigenvalue at or below the top window end b^2, which ends the count.
+    Before any factorisation, RunRefusedError is raised where a window is not
+    finite with a < b, where ``_grids`` refuses the t, and where the work
+    estimate, the sum over t of ``_mode_bound`` * chiralities * grid points *
+    distinct window ends, exceeds ``MAX_WORK``.  So the counts depend on
+    neither ``k_max`` nor ``levels``.
     """
     ts = sorted(t_grid, reverse=True)
-    plan = check_counts(ts, params, windows)
     pairs = _window_shifts(windows)
     shifts = sorted({s for pair in pairs for s in pair if s is not None})
+    top = shifts[-1] if shifts else 0.0
+    grids = _grids(ts, params, top)
+    bounds = [_mode_bound(geom, top) if shifts else 0 for geom, _ in grids]
+    work = len(shifts) * sum(modes * len(_chiralities(t)) * grid.n
+                             for t, (_, grid), modes in zip(ts, grids, bounds))
+    if work > MAX_WORK:
+        raise RunRefusedError(f"work estimate {work} (the sum over t_grid of modes * "
+                              f"chiralities * grid points * distinct window ends, with the modes "
+                              f"that can reach the window top {math.sqrt(top)!r}) exceeds "
+                              f"{MAX_WORK}")
     counts, modes, factorisations = {}, {}, 0
-    for t, (geom, _, bound) in zip(ts, plan):
-        grid = Grid.for_geometry(geom, n=params.n, h=params.h)
+    for t, (geom, grid), bound in zip(ts, grids, bounds):
         below = dict.fromkeys(shifts, 0)  # eigenvalues at or below each shift, over modes
         visited = 0
         for k in range(bound):

@@ -4,6 +4,7 @@ import filecmp
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -279,12 +280,33 @@ def test_bad_config_exit_code(monkeypatch, capsys, tmp_path):
     assert code == EXIT_CONFIG
     code, _, _ = run(capsys, "spectrum", "sweep", str(tmp_path / "missing.cfg"))
     assert code == EXIT_CONFIG
+    for text, named in (("t_grid = 0.5\nk_max = 1\nk_max = 2\n", "line 3: duplicate key 'k_max'"),
+                        ("k_max = 1\n", "missing required key t_grid")):
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            RunConfig.from_text(text)
+        path.write_text(text, encoding="utf-8")
+        code, _, err = run(capsys, "spectrum", "sweep", str(path))
+        assert code == EXIT_CONFIG and named in err, err
     calls = refuse_work(monkeypatch)
     for key, value in BAD_VALUES:
         cfg = write_config(tmp_path, **{key: value})
         for command in NUMERICAL_COMMANDS:
             assert run(capsys, *command, str(cfg))[0] == EXIT_CONFIG, (key, value, command)
     assert calls == [] and not (tmp_path / "out").exists()
+
+
+def test_a_byte_order_mark_is_not_part_of_the_first_key(capsys, tmp_path):
+    # some Windows editors start a UTF-8 file with U+FEFF; the run and its
+    # manifest are those of the same file without it
+    text = f"t_grid = 0.5\nwindows = 0.0:2.0\noutput_dir = {tmp_path / 'out'}\n"
+    for name, encoding in (("plain.cfg", "utf-8"), ("bom.cfg", "utf-8-sig")):
+        (tmp_path / name).write_text(text, encoding=encoding)
+    assert (tmp_path / "bom.cfg").read_bytes() == b"\xef\xbb\xbf" + text.encode()
+    outputs = []
+    for name in ("plain.cfg", "bom.cfg"):
+        assert run(capsys, "spectrum", "count", str(tmp_path / name))[0] == EXIT_OK
+        outputs.append({f.name: f.read_bytes() for f in (tmp_path / "out").iterdir()})
+    assert outputs[0] == outputs[1] and set(outputs[0]) == {"counts.csv", "manifest.json"}
 
 
 def test_empty_output_dir_is_a_config_error(monkeypatch, capsys, tmp_path):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -189,6 +190,8 @@ def test_integer_keys_match_the_pairwise_reference(case):
 def test_structural_equality_is_semantic():
     assert IndexSet.from_terms([(0, 0), (0, 1)]) == IndexSet.from_terms([(0, 1)])
     assert IndexSet.from_terms([(0, 0)]) != IndexSet.from_terms([(1, 0)])
+    assert repr(IndexSet.empty()) == "IndexSet(empty)"
+    assert repr(IndexSet.from_terms([(Fraction(1, 2), 1), (0, 0)])) == "IndexSet[(0,0), (1/2,1)]"
 
 
 def test_member_examples():
@@ -199,6 +202,7 @@ def test_member_examples():
     assert member(E, 5, 0)
     assert not member(E, 2, 2)
     assert not member(E, Fraction(5, 2), 0)
+    assert not member(E, 0, -1) and not member(N, 0, -1)  # no negative log power
 
 
 def test_inf_order_examples():
@@ -844,6 +848,10 @@ def test_space_validation():
         Space.of("a", "a")
     with pytest.raises(ValueError):
         BlowupStep(2, 3, Face("f"))
+    with pytest.raises(KeyError, match="no face labelled 'b'"):
+        Space.of("a").face("b")
     a, b = Face("a"), Face("b")
     with pytest.raises(ValueError):  # one exponent per (G, H)
         BMap(Space((a,)), Space((b,)), (((a, b), 1), ((a, b), 2)))
+    with pytest.raises(SpaceMismatchError, match=re.escape("entry (b,a) off the spaces")):
+        BMap(Space((a,)), Space((b,)), (((b, a), 1),))

@@ -448,11 +448,10 @@ def test_the_count_stops_below_every_mode_it_skips(count_slow_path):
     # above the window top, as has every mode from the closed-form bound on
     _, got = count_slow_path
     top = max(b for _, b in COUNT_WINDOWS) ** 2
-    plan = spectra.check_counts(COUNT_TS, SpectrumParams(), COUNT_WINDOWS)
-    for t, (geom, n, bound) in zip(COUNT_TS, plan):
-        grid = Grid.for_geometry(geom)
+    for t, (geom, grid) in zip(COUNT_TS, spectra._grids(COUNT_TS, SpectrumParams(), top)):
+        bound = spectra._mode_bound(geom, top)
         chis = (Chirality.PLUS, Chirality.MINUS) if t == 0 else (Chirality.PLUS,)
-        assert grid.n == n and got.modes[t] <= bound
+        assert grid == Grid.for_geometry(geom) and got.modes[t] <= bound
         for k in (got.modes[t] - 1, got.modes[t]):
             for chi in chis:
                 assert eigen_lowest(assemble_hamiltonian(geom, ModeSpec(k, chi), grid), 1)[0] > top
@@ -505,8 +504,9 @@ def test_window_counts_refuse_unbounded_work_before_any_factorisation(monkeypatc
     assert calls == []
     # the closed-form bound: the first k with k + 1/2 >= 1 + sqrt(1 + 9 phi_wall^2),
     # phi_wall = 2.04 at t = 0.5 and 2 on the cusp
-    plan = spectra.check_counts([0.5, 0.0], SpectrumParams(), [(0.0, 3.0)])
-    assert [(n, bound) for _, n, bound in plan] == [(3999, 7), (3999, 7)]
+    grids = spectra._grids([0.5, 0.0], SpectrumParams(), 9.0)
+    assert [(grid.n, spectra._mode_bound(geom, 9.0)) for geom, grid in grids] == [(3999, 7),
+                                                                                (3999, 7)]
 
 
 @pytest.mark.parametrize("bad", [
@@ -911,6 +911,60 @@ def test_the_spacing_rule_admits_what_the_solver_resolves(capsys, tmp_path):
         assert f"t = {t}" in capsys.readouterr().err
 
 
+def test_the_thin_neck_rule_admits_what_the_assembly_represents(monkeypatch, capsys, tmp_path):
+    # V' squares cosh(rho), about 2 / t at the walls, and V^2 squares (k + 1/2) / t
+    # at the waist; SQRT_MAX is the largest double whose square is finite
+    assert spectra.SQRT_MAX ** 2 < math.inf
+    with pytest.raises(OverflowError):
+        math.nextafter(spectra.SQRT_MAX, math.inf) ** 2
+
+    def tanh_form(t, k, levels):
+        # V' = -q tanh(rho) / phi squares nothing, so it holds where cosh(rho)^2 overflows
+        geom = NeckGeometry.neck(t)
+        grid = Grid.for_geometry(geom)
+        v = (k + 0.5) / (t * np.cosh(grid.rho_values))
+        return eigen_lowest(tridiagonal_from_potential(v * v - v * np.tanh(grid.rho_values),
+                                                       grid.h), levels)
+
+    # below the rule the assembly is wrong with no error: V' reads -0 near the walls
+    with np.errstate(over="ignore"):
+        geom = NeckGeometry.neck(1e-154)
+        H = assemble_hamiltonian(geom, ModeSpec(0), Grid.for_geometry(geom))
+    assert eigen_lowest(H, 1)[0] == pytest.approx(1.5526656, rel=1e-7)
+    assert tanh_form(1e-154, 0, 1)[0] == pytest.approx(1.5400011, rel=1e-7)
+    # the thinnest neck is max(2, k + 1/2) / SQRT_MAX for the highest mode k: k_max
+    # for a solve; for a count, the last below the mode bound, 5 for b = 2 where
+    # phi_wall = 2, so k = 4
+    thinnest = {0: 2.0 / spectra.SQRT_MAX, 2: 2.5 / spectra.SQRT_MAX}  # 1.49e-154, 1.86e-154
+    for k_max, t in thinnest.items():
+        mu = dirac_spectrum(t, SpectrumParams(k_max=k_max, levels=3)).mu[t]
+        for k in range(k_max + 1):
+            assert mu[k] == pytest.approx(tanh_form(t, k, 3), rel=1e-12), (k_max, k)
+    t = 4.5 / spectra.SQRT_MAX
+    table = dirac_spectrum(t, SpectrumParams(k_max=4, levels=4))
+    assert table.mu[t][:, -1].min() > 4.0
+    assert spectra.window_counts([t], SpectrumParams(), [(0.0, 2.0)]).counts[t] == (
+        table.eigen_count(0.0, 2.0, t),)
+
+    calls = []
+    for name in ("eigen_lowest", "sturm_counts", "assemble_hamiltonian"):
+        monkeypatch.setattr(spectra, name, lambda *a, **k: calls.append(a))
+    with pytest.raises(RunRefusedError, match="too thin"):
+        spectra.window_counts([math.nextafter(t, 0.0)], SpectrumParams(), [(0.0, 2.0)])
+    cfg = tmp_path / "run.cfg"
+    for k_max, t in thinnest.items():
+        for thinner in (math.nextafter(t, 0.0), 1e-154, 5e-155, 1e-160):
+            with pytest.raises(RunRefusedError, match=re.escape(f"t = {thinner!r} is too thin")):
+                dirac_spectrum(thinner, SpectrumParams(k_max=k_max, levels=3))
+            cfg.write_text(f"t_grid = {thinner!r}\nk_max = {k_max}\nlevels = 3\n"
+                           f"output_dir = {tmp_path / 'out'}\n", encoding="utf-8")
+            for command in (("spectrum", "sweep"), ("spectrum", "mass"), ("spectrum", "count"),
+                            ("trace", "compute")):
+                code, err = main([*command, str(cfg)]), capsys.readouterr().err
+                assert code == EXIT_CONFIG and "too thin" in err, (command, thinner, err)
+    assert calls == [] and not (tmp_path / "out").exists()
+
+
 def test_levels_above_the_grid_fail_before_any_solve(monkeypatch, capsys, tmp_path):
     calls = []
     monkeypatch.setattr(spectra, "eigen_lowest", lambda *a, **k: calls.append(a))
@@ -921,8 +975,8 @@ def test_levels_above_the_grid_fail_before_any_solve(monkeypatch, capsys, tmp_pa
     # h = 0.05: t = 0.01 has 239 interior points, the first cusp depth 158,
     # so the sweep must refuse before it solves t = 0.01
     # (k_max = 2: three solves at t > 0, six for a cusp-depth step)
-    assert spectra.check_grids([0.01, 0.0], SpectrumParams(levels=158, h=0.05)) == [(3, 239),
-                                                                                   (6, 158)]
+    plan = spectra.check_grids([0.01, 0.0], SpectrumParams(levels=158, h=0.05))
+    assert [(solves, grid.n) for solves, grid in plan] == [(3, 239), (6, 158)]
     with pytest.raises(RunRefusedError, match="158 grid points at t = 0.0"):
         dirac_spectrum([0.01, 0.0], SpectrumParams(levels=159, h=0.05))
     with pytest.raises(RunRefusedError, match="levels >= 2"):  # the tail model needs two

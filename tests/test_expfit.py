@@ -1,5 +1,6 @@
 """Tests for polyhomogeneous basis fitting and model comparison."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +9,8 @@ import pytest
 
 from cusplab.expfit import (
     BasisSpec,
+    FitReport,
+    ModelComparison,
     RankDeficientError,
     compare_models,
     fit_basis,
@@ -38,6 +41,13 @@ def test_zero_data_gives_zero_fit():
     assert report.rms_residual == 0.0
 
 
+def test_a_ratio_of_exact_fits():
+    # a log fit with no residual makes the ratio inf, unless the smooth fit has none either
+    exact, rough = FitReport((1.0,), 0.0, 1.0), FitReport((1.0,), 0.5, 1.0)
+    assert ModelComparison(rough, exact).ratio == math.inf
+    assert ModelComparison(exact, exact).ratio == 1.0
+
+
 def test_duplicate_monomial_is_rank_deficient():
     with pytest.raises(RankDeficientError):
         BasisSpec(((2, 0), (2, 0)))
@@ -50,6 +60,10 @@ def test_preconditions():
     basis = smooth_even_basis()
     with pytest.raises(ValueError):
         fit_basis([0.1, 0.2, 0.3], [1, 2, 3], basis)  # too few samples
+    with pytest.raises(ValueError, match="equal length"):
+        fit_basis(np.linspace(0.1, 0.6, 6), np.ones(5), basis)
+    with pytest.raises(ValueError, match="natural"):
+        BasisSpec(((0, -1),))
     ts = np.array([0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
     for b in (basis, log_even_basis()):  # t = 0 and t < 0 are refused by any basis
         for bad in (0.0, -0.1):
