@@ -314,11 +314,11 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
             f"{_fmt(t)},{_fmt(a)},{_fmt(b)},{c}" for t, counts in result.counts.items()
             for (a, b), c in zip(config.windows, counts))))
     # mass, the one name left: argparse refuses any other.  Its rows read the
-    # ground state, level j = 1 of mode 0
-    _announce(config.t_grid,
-              check_windows(config.t_grid, config.params, [b for _, b in config.windows]))
+    # ground state, level j = 1 of mode 0; its t are checked in _solve's order
+    ts = sorted(config.t_grid, reverse=True)
+    _announce(ts, check_windows(ts, config.params, [b for _, b in config.windows]))
     rows = [f"{_fmt(t)},1,{_fmt(b)},{_fmt(neck_mass(t, vector, b))}"
-            for t, vector in ground_states(config.t_grid, config.params).items()
+            for t, vector in ground_states(ts, config.params).items()
             for _, b in config.windows]
     return _write_outputs(config, "mass.csv", _csv("t,j,window,fraction", rows))
 

@@ -24,6 +24,7 @@ from cusplab.dirac_lab.geometry import (
 
 DEFAULT_POINTS = 4000  # default resolution: h = length / DEFAULT_POINTS
 MIN_POINTS = 16  # fewest interior points a Grid accepts
+EIGEN_TOL = 1e-10  # absolute tolerance of eigen_lowest's bisection
 
 
 class NonConvergenceError(RuntimeError):
@@ -224,14 +225,8 @@ def _ptr(a: np.ndarray):
     return a.ctypes.data_as(_INT if a.dtype == np.intc else _DOUBLE)
 
 
-def eigen_lowest(
-    T: Tridiagonal,
-    count: int,
-    tol: float = 1e-10,
-    vector: bool = False,
-    h: float | None = None,
-):
-    """Lowest eigenvalues of T by Sturm-sequence bisection, to absolute tol.
+def eigen_lowest(T: Tridiagonal, count: int, vector: bool = False, h: float | None = None):
+    """Lowest eigenvalues of T by Sturm-sequence bisection, to absolute ``EIGEN_TOL``.
 
     With ``vector``, also the eigenvector of the lowest one (inverse
     iteration), normalized in the discrete L^2(d rho) norm when the spacing h
@@ -242,13 +237,13 @@ def eigen_lowest(
     if not 1 <= count <= n:
         raise ValueError("count must lie between 1 and the dimension")
     d, e = T.diagonal, T.offdiagonal
-    # the calls scipy's eigh_tridiagonal(select="i", tol=tol) makes: values in
+    # the calls scipy's eigh_tridiagonal(select="i", tol=EIGEN_TOL) makes: values in
     # matrix order, or in block order for dstein and sorted afterwards
     m, nsplit, info = ctypes.c_int(), ctypes.c_int(), ctypes.c_int()
     w, iblock, isplit = np.empty(n), np.empty(n, np.intc), np.empty(n, np.intc)
     work, iwork = np.empty(5 * n), np.empty(3 * n, np.intc)  # enough for both routines
     _dstebz(b"I", b"B" if vector else b"E", ctypes.c_int(n), ctypes.c_double(0.0),
-            ctypes.c_double(0.0), ctypes.c_int(1), ctypes.c_int(count), ctypes.c_double(tol),
+            ctypes.c_double(0.0), ctypes.c_int(1), ctypes.c_int(count), ctypes.c_double(EIGEN_TOL),
             _ptr(d), _ptr(e), m, nsplit, _ptr(w), _ptr(iblock), _ptr(isplit),
             _ptr(work), _ptr(iwork), info)
     if info.value != 0:

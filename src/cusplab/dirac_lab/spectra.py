@@ -189,15 +189,18 @@ def _chiralities(t: float) -> tuple[Chirality, ...]:
     return (Chirality.PLUS, Chirality.MINUS) if t == 0 else (Chirality.PLUS,)
 
 
-def _queue_modes(pool: ThreadPoolExecutor, geom: NeckGeometry, params: SpectrumParams,
-                 ground: bool = False):
-    """Queue the geometry's solves on its grid: one list of futures per k, one per chirality.
+def _modes(t: float, params: SpectrumParams, ground: bool = False) -> int:
+    """How many modes t solves: mode 0 alone at a neck in a ground-state run, else k <= k_max."""
+    return 1 if ground and t > 0 else params.k_max + 1
+
+
+def _queue_modes(pool: ThreadPoolExecutor, geom: NeckGeometry, grid: Grid,
+                 params: SpectrumParams, ground: bool = False):
+    """Queue ``_modes``'s solves on ``grid``: one list of futures per k, one per chirality.
 
     Each solve gives (eigenvalues, vector): mode 0's lowest vector in a
-    ground-state run (``ground``), which solves mode 0 alone at a neck and
-    every mode at t = 0, where the cusp-depth search reads them all; else None.
+    ground-state run (``ground``), else None.
     """
-    grid = Grid.for_geometry(geom, n=params.n, h=params.h)
 
     def solve(mode: ModeSpec):
         H = assemble_hamiltonian(geom, mode, grid)
@@ -205,9 +208,8 @@ def _queue_modes(pool: ThreadPoolExecutor, geom: NeckGeometry, params: SpectrumP
             return eigen_lowest(H, params.levels, vector=True, h=grid.h)
         return eigen_lowest(H, params.levels), None
 
-    modes = 1 if ground and geom.t > 0 else params.k_max + 1
     return grid, [[pool.submit(solve, ModeSpec(k, chi)) for chi in _chiralities(geom.t)]
-                  for k in range(modes)]
+                  for k in range(_modes(geom.t, params, ground))]
 
 
 def _collect_modes(params: SpectrumParams, queued):
@@ -236,29 +238,42 @@ def _cusp_depth(params: SpectrumParams, mu_max: float) -> float:
     return -math.log(params.rho_margin_factor * math.sqrt(mu_max) / 0.5)
 
 
-def _first_geometry(t: float, params: SpectrumParams, top: float = 0.0) -> NeckGeometry:
-    """The neck at t > 0; at t = 0 the cusp the depth search accepts for mu_max = max(200, top).
+def _check_squares(geom: NeckGeometry, grid: Grid, params: SpectrumParams,
+                   top: float | None = None, error: type[Exception] = RunRefusedError) -> None:
+    """Raise ``error`` where the assembly on ``grid`` would square a number above ``SQRT_MAX``.
 
-    With top <= 200 that is the shallowest cusp the search tries.
+    For the highest mode k, ``k_max`` for a solve (``top`` None) and the last below
+    ``_mode_bound`` for a count, a neck squares cosh(rho) ~ 2 / t at its walls (tested first:
+    below it the mode bound may overflow) and V = (k + 1/2) / t at its waist; the cusp squares
+    V = -V' = (k + 1/2) e^-rho at its deepest grid point, rho = rho_min + h.
     """
-    if t > 0:
-        return NeckGeometry.neck(t)
-    return NeckGeometry.cusp(_cusp_depth(params, max(200.0, top)))
+    t, q = geom.t, math.inf  # q stays inf past the wall test, which refuses the neck
+    if not (t > 0 and WALL_PHI / t > SQRT_MAX):
+        try:
+            q = params.k_max + 0.5 if top is None else _mode_bound(geom, top) - 0.5
+        except OverflowError:  # a k_max beyond the float range
+            pass
+    if t > 0 and q / t > SQRT_MAX:
+        raise error(f"the neck at t = {t!r} is too thin: max(2, k + 1/2) / t exceeds "
+                    f"{SQRT_MAX!r} for the highest mode k it assembles, so cosh(rho)^2 or "
+                    f"((k + 1/2) / t)^2 overflows")
+    if t == 0 and q > SQRT_MAX * math.exp(grid.rho_min + grid.h):
+        raise error(f"the cusp at t = {t!r} with rho_min = {geom.rho_min!r} is too deep for the "
+                    f"highest mode k it assembles: (k + 1/2) e^-rho exceeds {SQRT_MAX!r}, so V^2 "
+                    f"overflows")
 
 
 def _grids(ts: list[float], params: SpectrumParams,
            top: float | None = None) -> list[tuple[NeckGeometry, Grid]]:
     """Each t's geometry and grid before any work: a solve's, or a count's up to ``top``.
 
-    The geometry is ``_first_geometry``'s: the neck at t > 0, and at t = 0
-    the first cusp depth, which a count takes from its top window end
-    ``top`` and a solve (``top`` None) from the depth search's first step.
-    Raises RunRefusedError unless the t are nonempty, finite, >= 0 and
-    distinct, where a t or ``h`` gives a grid too large to count or a
-    spacing below ``MIN_SPACING``, and where a neck is too thin for
-    ``SQRT_MAX``: max(2, k + 1/2) / t above it for the highest mode k the
-    run assembles, ``k_max`` for a solve and the last below ``_mode_bound``
-    for a count.
+    Every check plans with these, and the solves run on them.  The geometry
+    is the neck at t > 0; at t = 0 the cusp the depth search accepts for a
+    largest eigenvalue max(200, ``top``): a solve's (``top`` None) first
+    depth, or the one a count's top window end needs.  Raises
+    RunRefusedError unless the t are nonempty, finite, >= 0 and distinct,
+    where a t or ``h`` gives a grid too large to count or a spacing below
+    ``MIN_SPACING``, and where ``_check_squares`` refuses the geometry.
     """
     if not ts:
         raise RunRefusedError("need at least one pinching parameter t")
@@ -267,20 +282,15 @@ def _grids(ts: list[float], params: SpectrumParams,
         if not 0.0 <= t < math.inf:  # nan fails this too
             raise RunRefusedError(f"pinching parameter t must be finite and >= 0, got {t!r}")
         try:
-            geom = _first_geometry(t, params, top or 0.0)
+            geom = (NeckGeometry.neck(t) if t > 0
+                    else NeckGeometry.cusp(_cusp_depth(params, max(200.0, top or 0.0))))
             grid = Grid.for_geometry(geom, n=params.n, h=params.h)
         except (ArithmeticError, ValueError) as exc:  # sinh(t / 2) or length / h overflows
             raise RunRefusedError(f"no grid can be counted at t = {t!r}: {exc}") from exc
         if not grid.h >= MIN_SPACING:
             raise RunRefusedError(f"the grid spacing {grid.h!r} at t = {t!r} is below "
                                   f"{MIN_SPACING!r}, where the solver's (2 / h^2)^2 overflows")
-        # the wall test goes first: below it a count's mode bound may overflow
-        if t > 0 and (WALL_PHI / t > SQRT_MAX or (
-                (params.k_max + 0.5 if top is None else _mode_bound(geom, top) - 0.5) / t
-                > SQRT_MAX)):
-            raise RunRefusedError(f"the neck at t = {t!r} is too thin: max(2, k + 1/2) / t "
-                                  f"exceeds {SQRT_MAX!r} for the highest mode k it assembles, "
-                                  f"so cosh(rho)^2 or ((k + 1/2) / t)^2 overflows")
+        _check_squares(geom, grid, params, top)
         grids.append((geom, grid))
     if len(set(ts)) != len(ts):
         raise RunRefusedError(f"pinching parameters must be distinct, got {ts!r}")
@@ -303,7 +313,7 @@ def check_grids(t_grid: Sequence[float], params: SpectrumParams) -> list[tuple[i
         if params.levels > grid.n:
             raise RunRefusedError(f"levels = {params.levels} exceeds the {grid.n} grid points "
                                   f"at t = {t!r}")
-        plan.append(((params.k_max + 1) * len(_chiralities(t)), grid))
+        plan.append((_modes(t, params) * len(_chiralities(t)), grid))
     work = params.levels * sum(solves * grid.n for solves, grid in plan)
     if work > MAX_WORK:
         raise RunRefusedError(f"work estimate {work} (the sum over t_grid of solves * levels * "
@@ -327,16 +337,15 @@ def check_windows(t_grid: Sequence[float], params: SpectrumParams,
                   widths: Sequence[float]) -> list[tuple[int, Grid]]:
     """The solves of ``ground_states``'s first step at each t, and its grid, before any solve.
 
-    That is one solve at each t > 0 and ``check_grids``'s at t = 0, on
-    ``check_grids``'s grids.  Raises RunRefusedError where ``check_grids``
-    refuses the run, with the full ``k_max``, where a width w is not
-    positive, or where a window |x| <= w holds no point of a t > 0 grid.
-    At t = 0 the cusp search fixes the grid's depth by solving, so
-    ``neck_mass`` checks there.
+    That is ``_modes``'s for a ground-state run, on ``check_grids``'s
+    grids.  Raises RunRefusedError where ``check_grids`` refuses the run,
+    with the full ``k_max``, where a width w is not positive, or where a
+    window |x| <= w holds no point of a t > 0 grid.  At t = 0 the cusp
+    search fixes the grid's depth by solving, so ``neck_mass`` checks there.
     """
     ts = list(t_grid)
-    plan = [(solves if t == 0 else 1, grid)
-            for t, (solves, grid) in zip(ts, check_grids(ts, params))]
+    plan = [(_modes(t, params, ground=True) * len(_chiralities(t)), grid)
+            for t, (_, grid) in zip(ts, check_grids(ts, params))]
     for w in widths:
         if not w > 0:
             raise RunRefusedError(f"window |x| <= {w!r} needs a width w > 0")
@@ -353,18 +362,22 @@ def _cusp_geometry(params: SpectrumParams, pool: ThreadPoolExecutor, ground: boo
     V is that of the most permissive mode (k = 0, smallest V) and mu_max is
     the top of the ``levels`` solved for every mode and chirality; the
     domain is deepened until the requirement holds, and deepening only
-    lowers eigenvalues, so the loop terminates.  Each depth's solves go to
-    ``pool``; the loop itself runs on the calling thread, so no worker waits
-    on another.  Returns the geometry with the eigenvalues and, for a
-    ground-state run (``ground``), the ground state of its last depth (else None).
+    lowers eigenvalues, so the loop terminates.  The first depth and grid
+    are ``_grids``'s, and only a deeper step builds a grid, which
+    ``_check_squares`` must admit.  Each depth's solves go to ``pool``; the
+    loop runs on the calling thread, so no worker waits on another.  Returns
+    the geometry with the eigenvalues and, for a ground-state run
+    (``ground``), the ground state of its last depth (else None).
     """
-    geom = _first_geometry(0.0, params)
+    [(geom, grid)] = _grids([0.0], params)
     for _ in range(8):
-        mu, state, mu_max = _collect_modes(params, _queue_modes(pool, geom, params, ground))
+        mu, state, mu_max = _collect_modes(params, _queue_modes(pool, geom, grid, params, ground))
         needed = _cusp_depth(params, mu_max)
         if geom.rho_min <= needed:
             return geom, mu, state
         geom = NeckGeometry.cusp(needed - 0.5)
+        grid = Grid.for_geometry(geom, n=params.n, h=params.h)
+        _check_squares(geom, grid, params, error=RuntimeError)
     raise RuntimeError("cusp truncation depth did not stabilize")
 
 
@@ -372,16 +385,16 @@ def _solve_grid(ts: list[float], params: SpectrumParams,
                 ground: bool) -> dict[float, tuple[np.ndarray, VectorHandle | None]]:
     """Each t's (eigenvalues, ground state) from ``_collect_modes``, every solve on one pool.
 
-    ``_queue_modes`` picks the modes of a ground-state run (``ground``) or a
-    full one; ``check_grids`` refuses the t and ``params`` before any solve.
-    The pool has one thread per CPU and starts one only when a job finds
-    none idle, so never more threads than jobs.
+    ``check_grids`` refuses the t and ``params`` before any solve, and each
+    neck is solved on the grid it planned, in a ground-state run
+    (``ground``) or a full one.  The pool has one thread per CPU and starts
+    one only when a job finds none idle, so never more threads than jobs.
     """
-    check_grids(ts, params)
+    plan = check_grids(ts, params)
     with ThreadPoolExecutor(max_workers=_cpu_count()) as pool:
         try:
-            queued = {s: _queue_modes(pool, NeckGeometry.neck(s), params, ground)
-                      for s in ts if s > 0}
+            queued = {s: _queue_modes(pool, NeckGeometry.neck(s), grid, params, ground)
+                      for s, (_, grid) in zip(ts, plan) if s > 0}
             # the necks are collected first, in the order they were queued,
             # so a failed solve reaches the caller before the rest have run
             slabs = {s: _collect_modes(params, q)[:2] for s, q in queued.items()}
@@ -481,8 +494,8 @@ def window_counts(t_grid: Sequence[float], params: SpectrumParams,
 
     Each count is the Sturm inertia of H_k - mu for the window's mu-ends (see
     ``_window_shifts``), summed over the modes k and, at t = 0, both
-    chiralities on one cusp of the depth ``_first_geometry`` gives for the
-    top end.  The potential w = V^2 +- V' grows pointwise in k (w_{k+1} - w_k =
+    chiralities on one cusp of the depth ``_grids`` plans for the top end.
+    The potential w = V^2 +- V' grows pointwise in k (w_{k+1} - w_k =
     (2k + 2 -+ phi') / phi^2 and |phi'| <= 2), so H_k <= H_{k+1} and every
     eigenvalue grows with k: the modes are visited from k = 0 until one has
     no eigenvalue at or below the top window end b^2, which ends the count.

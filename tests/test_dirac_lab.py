@@ -210,31 +210,33 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 def test_eigen_lowest_is_bitwise_eigh_tridiagonal():
     # the GIL-free binding makes the calls scipy's eigh_tridiagonal makes
+    assert solver.EIGEN_TOL == 1e-10
     rng = np.random.default_rng(5)
     cases = []
     for n in (1, 2, 3, 17, 600, *rng.integers(1, 601, 12)):
         d, e = rng.normal(size=n), rng.normal(size=n - 1)
         for count in {1, n, int(rng.integers(1, n + 1))}:
-            cases.append((Tridiagonal(d, e), count, 10.0 ** rng.uniform(-14, -6)))
+            cases.append((Tridiagonal(d, e), count))
+            rng.uniform(-14, -6)  # keeps the draws in order, so the seed gives these cases
     neck = NeckGeometry.neck(0.05)
     cusp = NeckGeometry.cusp(-7.0)
     for geom in (neck, cusp):
         grid = Grid.for_geometry(geom)
         for mode in (ModeSpec(0), ModeSpec(3, Chirality.MINUS)):
-            cases.append((assemble_hamiltonian(geom, mode, grid), 40, 1e-10))
+            cases.append((assemble_hamiltonian(geom, mode, grid), 40))
     cusp_grid = Grid.for_geometry(cusp, n=3000)
-    cases.append((partner_minus_hamiltonian(cusp, ModeSpec(1), cusp_grid), 12, 1e-10))
+    cases.append((partner_minus_hamiltonian(cusp, ModeSpec(1), cusp_grid), 12))
     # a zero off-diagonal splits dstebz's work into blocks, and the block
     # holding the larger eigenvalues comes first: block order is not sorted
     split = Tridiagonal(np.array([10.0, 11.0, 12.0, 0.0, 1.0, 2.0]),
                         np.array([1.0, 1.0, 0.0, 1.0, 1.0]))
-    cases += [(split, 6, 1e-12), (split, 4, 1e-12)]
-    for T, count, tol in cases:
-        kwargs = dict(select="i", select_range=(0, count - 1), tol=tol)
+    cases += [(split, 6), (split, 4)]
+    for T, count in cases:
+        kwargs = dict(select="i", select_range=(0, count - 1), tol=1e-10)
         want = eigh_tridiagonal(T.diagonal, T.offdiagonal, eigvals_only=True, **kwargs)
-        assert _same_bits(eigen_lowest(T, count, tol=tol), want), (T.dimension, count)
+        assert _same_bits(eigen_lowest(T, count), want), (T.dimension, count)
         want_w, want_v = eigh_tridiagonal(T.diagonal, T.offdiagonal, **kwargs)
-        got_w, got_v = eigen_lowest(T, count, tol=tol, vector=True)
+        got_w, got_v = eigen_lowest(T, count, vector=True)
         # the values keep their bits with the vector, and the one vector is column 0
         assert _same_bits(got_w, want_w) and _same_bits(got_w, want), (T.dimension, count)
         assert _same_bits(got_v, want_v[:, 0]), (T.dimension, count)
@@ -327,9 +329,7 @@ def test_grid_refuses_bad_numbers(rho_min, h, n):
 def test_grid_points_are_three_numbers(ts, params):
     # each t's grid, the first cusp depth's at t = 0, has the points it
     # stored as an array before, and its halving nests them bit for bit
-    for t in ts:
-        geom = spectra._first_geometry(t, params)
-        g = Grid.for_geometry(geom, n=params.n, h=params.h)
+    for t, (geom, g) in zip(ts, spectra._grids(ts, params)):
         assert [f.name for f in dataclasses.fields(g)] == ["rho_min", "h", "n"]
         want = geom.rho_min + (geom.length / (g.n + 1)) * np.arange(1, g.n + 1)
         assert _same_bits(g.rho_values, want) and not g.rho_values.flags.writeable, t
@@ -963,6 +963,158 @@ def test_the_thin_neck_rule_admits_what_the_assembly_represents(monkeypatch, cap
                 code, err = main([*command, str(cfg)]), capsys.readouterr().err
                 assert code == EXIT_CONFIG and "too thin" in err, (command, thinner, err)
     assert calls == [] and not (tmp_path / "out").exists()
+
+
+COMMANDS = (("spectrum", "sweep"), ("spectrum", "mass"), ("spectrum", "count"),
+            ("trace", "compute"))
+
+
+def test_a_k_max_beyond_the_float_range_is_refused_as_a_thin_neck(capsys, tmp_path):
+    # k_max + 1/2 overflows a float from about 1.8e308: the thin-neck rule
+    # refuses such a k_max as it refuses 10**300, and at t = 0 the cusp rule
+    # does; count reads no k_max and runs
+    huge = SpectrumParams(k_max=10**400, levels=2)
+    with pytest.raises(RunRefusedError) as big:
+        spectra.check_grids([0.5], SpectrumParams(k_max=10**300, levels=2))
+    with pytest.raises(RunRefusedError, match=re.escape(str(big.value))):
+        spectra.check_grids([0.5], huge)
+    assert "t = 0.5 is too thin" in str(big.value)
+    with pytest.raises(RunRefusedError, match="too deep"):
+        spectra.check_grids([0.0], huge)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"t_grid = 0.5\nk_max = {10**400}\nlevels = 2\n"
+                   f"output_dir = {tmp_path / 'out'}\n", encoding="utf-8")
+    for command in COMMANDS:
+        code, err = main([*command, str(cfg)]), capsys.readouterr().err
+        if command[1] == "count":
+            assert code == EXIT_OK, err
+        else:
+            assert code == EXIT_CONFIG and str(big.value) in err, (command, err)
+
+
+def _first_cusp_bound(k_max: int) -> float:
+    """The largest rho_margin_factor whose first cusp depth the rule admits for k_max."""
+    def admitted(factor):
+        try:
+            spectra.check_grids([0.0], SpectrumParams(k_max=k_max, levels=2,
+                                                      rho_margin_factor=factor))
+        except RunRefusedError:
+            return False
+        return True
+
+    lo, hi = 1e150, 1e160
+    while (mid := (lo + hi) / 2) not in (lo, hi):
+        lo, hi = (mid, hi) if admitted(mid) else (lo, mid)
+    return lo
+
+
+@pytest.mark.parametrize("k_max", [0, 2])
+def test_the_cusp_rule_admits_what_the_assembly_represents(monkeypatch, capsys, tmp_path, k_max):
+    # V = (k + 1/2) e^-rho peaks at the cusp's deepest grid point; a
+    # rho_margin_factor that puts it above SQRT_MAX used to fail with inf
+    # entries after work had started, so the rule refuses it before any
+    bound = _first_cusp_bound(k_max)
+    assert 1e152 < bound < 1.1e153
+    params = SpectrumParams(k_max=k_max, levels=2, rho_margin_factor=bound)
+    [(geom, grid)] = spectra._grids([0.0], params)
+    for mode in (ModeSpec(k_max), ModeSpec(k_max, Chirality.MINUS)):
+        with np.errstate(over="raise"):
+            assemble_hamiltonian(geom, mode, grid)
+    assert np.isfinite(dirac_spectrum(0.0, params).mu[0.0]).all()
+    past = NeckGeometry.cusp(geom.rho_min * (1 + 1e-12))  # 1e-12 deeper overflows
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        assemble_hamiltonian(past, ModeSpec(k_max), Grid.for_geometry(past))
+
+    calls = []
+    for name in ("eigen_lowest", "sturm_counts", "assemble_hamiltonian"):
+        monkeypatch.setattr(spectra, name, lambda *a, **k: calls.append(a))
+    for factor in (math.nextafter(bound, math.inf), 1e200):
+        deep = SpectrumParams(k_max=k_max, levels=2, rho_margin_factor=factor)
+        with pytest.raises(RunRefusedError, match="t = 0.0 with rho_min = .* is too deep"):
+            dirac_spectrum(0.0, deep)
+        with pytest.raises(RunRefusedError, match="t = 0.0 with rho_min = .* is too deep"):
+            spectra.window_counts([0.0], deep, [(0.0, 2.0)])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"t_grid = 0.0\nk_max = {k_max}\nlevels = 2\n"
+                       f"rho_margin_factor = {factor!r}\noutput_dir = {tmp_path / 'out'}\n",
+                       encoding="utf-8")
+        for command in COMMANDS:
+            code, err = main([*command, str(cfg)]), capsys.readouterr().err
+            assert code == EXIT_CONFIG and "too deep" in err, (command, factor, err)
+    assert calls == [] and not (tmp_path / "out").exists()
+
+
+def test_rho_margin_factor_1e150_solves_the_first_cusp():
+    # far below the bound the rule changes nothing: one depth step, whose
+    # rows are the serial solves of both chiralities on _grids's grid
+    params = SpectrumParams(k_max=2, levels=2, rho_margin_factor=1e150)
+    [(geom, grid)] = spectra._grids([0.0], params)
+    mu = dirac_spectrum(0.0, params).mu[0.0]
+    for k in range(params.k_max + 1):
+        both = np.concatenate([
+            eigen_lowest(assemble_hamiltonian(geom, ModeSpec(k, chi), grid), params.levels)
+            for chi in Chirality])
+        assert _same_bits(mu[k], np.sort(both)[: params.levels]), k
+    # the count assembles modes up to k = 4 on its own cusp, also below the bound
+    assert spectra.window_counts([0.0], params, [(0.0, 2.0)]).modes[0.0] >= 1
+
+
+def test_a_deeper_cusp_step_that_would_overflow_fails_before_assembling(monkeypatch, capsys,
+                                                                         tmp_path):
+    # the first depth passes the rule and solves; its 20th level lies above
+    # 200, so the search deepens, and there V^2 would overflow: a RuntimeError
+    # names the depth before any assembly on it
+    params = SpectrumParams(k_max=0, levels=20, h=0.05, rho_margin_factor=8e152)
+    [(first, _)] = spectra._grids([0.0], params)
+    depths, assemble = [], spectra.assemble_hamiltonian
+
+    def recorded(geom, *args):
+        depths.append(geom.rho_min)
+        return assemble(geom, *args)
+
+    monkeypatch.setattr(spectra, "assemble_hamiltonian", recorded)
+    for run in (dirac_spectrum, ground_states):
+        depths.clear()
+        with pytest.raises(RuntimeError, match=r"t = 0.0 with rho_min = \S+ is too deep") as e:
+            run(0.0, params)
+        deeper = float(re.search(r"rho_min = (\S+) is", str(e.value))[1])
+        assert deeper < first.rho_min and set(depths) == {first.rho_min}, run
+        assert 0.5 * math.exp(-deeper) > spectra.SQRT_MAX
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"t_grid = 0.0\nk_max = 0\nlevels = 20\nh = 0.05\n"
+                   f"rho_margin_factor = 8e152\noutput_dir = {tmp_path / 'out'}\n",
+                   encoding="utf-8")
+    for command in (("spectrum", "sweep"), ("spectrum", "mass"), ("trace", "compute")):
+        code, err = main([*command, str(cfg)]), capsys.readouterr().err
+        assert code == EXIT_RUNTIME and f"rho_min = {deeper!r}" in err, (command, err)
+
+
+def test_every_command_checks_its_t_grid_in_descending_order(capsys, tmp_path):
+    # 1e-200 is too thin and 500.0 too coarse: every command checks 500.0
+    # first, so each names the spacing
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"t_grid = 1e-200,500\nk_max = 0\nlevels = 2\n"
+                   f"output_dir = {tmp_path / 'out'}\n", encoding="utf-8")
+    for command in COMMANDS:
+        code, err = main([*command, str(cfg)]), capsys.readouterr().err
+        assert code == EXIT_CONFIG and "spacing" in err and "t = 500.0" in err, (command, err)
+
+
+def test_the_solves_run_on_the_planned_grids(monkeypatch):
+    # _grids plans each t's grid once, and each neck is solved on it: k values
+    # of t > 0 build k grids, not one for the checks and one for the solves
+    ts, params = [0.5, 0.2, 0.05], SpectrumParams(k_max=1, levels=3, n=200)
+    built, for_geometry = [], Grid.for_geometry.__func__
+
+    def recorded(cls, geom, *args, **kwargs):
+        built.append(geom.t)
+        return for_geometry(cls, geom, *args, **kwargs)
+
+    monkeypatch.setattr(Grid, "for_geometry", classmethod(recorded))
+    for run in (dirac_spectrum, ground_states):
+        built.clear()
+        run(ts, params)
+        assert sorted(built, reverse=True) == ts, run.__name__
 
 
 def test_levels_above_the_grid_fail_before_any_solve(monkeypatch, capsys, tmp_path):
