@@ -24,6 +24,7 @@ from pathlib import Path
 
 from cusplab import __version__
 from cusplab.dirac_lab import (
+    Grid,
     RunRefusedError,
     SpectrumParams,
     SpectrumTable,
@@ -265,25 +266,23 @@ def cmd_symbols(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _announce(ts, plan: list[tuple[int, int]]) -> None:
-    """Print the progress line from the solves of each t's first step in ``plan``.
+def _announce(plan: dict[float, tuple[int, Grid]]) -> None:
+    """Print the progress line from ``plan``, each t's solves of its first step and its grid.
 
     At t = 0 that step's solves repeat at each further cusp-depth step.
     """
-    solves = {t: s for t, (s, _) in zip(ts, plan)}
-    more = f", plus {solves[0.0]} per further cusp-depth step" if 0.0 in solves else ""
-    print(f"solving {len(solves)} values of t: {sum(solves.values())} mode solves{more}",
+    more = f", plus {plan[0.0][0]} per further cusp-depth step" if 0.0 in plan else ""
+    print(f"solving {len(plan)} values of t: {sum(s for s, _ in plan.values())} mode solves{more}",
           file=sys.stderr)
 
 
 def _solve(config: RunConfig) -> SpectrumTable:
     """The spectra at every t of ``config`` from one ``dirac_spectrum`` call, which pools them.
 
-    The progress line, with the solve counts of ``check_grids``, goes first.
+    The progress line, from ``check_grids``'s plan, goes first; the library orders the t.
     """
-    ts = sorted(config.t_grid, reverse=True)
-    _announce(ts, check_grids(ts, config.params))
-    return dirac_spectrum(ts, config.params)
+    _announce(check_grids(config.t_grid, config.params))
+    return dirac_spectrum(config.t_grid, config.params)
 
 
 def _csv(header: str, rows) -> str:
@@ -314,11 +313,10 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
             f"{_fmt(t)},{_fmt(a)},{_fmt(b)},{c}" for t, counts in result.counts.items()
             for (a, b), c in zip(config.windows, counts))))
     # mass, the one name left: argparse refuses any other.  Its rows read the
-    # ground state, level j = 1 of mode 0; its t are checked in _solve's order
-    ts = sorted(config.t_grid, reverse=True)
-    _announce(ts, check_windows(ts, config.params, [b for _, b in config.windows]))
+    # ground state, level j = 1 of mode 0
+    _announce(check_windows(config.t_grid, config.params, [b for _, b in config.windows]))
     rows = [f"{_fmt(t)},1,{_fmt(b)},{_fmt(neck_mass(t, vector, b))}"
-            for t, vector in ground_states(ts, config.params).items()
+            for t, vector in ground_states(config.t_grid, config.params).items()
             for _, b in config.windows]
     return _write_outputs(config, "mass.csv", _csv("t,j,window,fraction", rows))
 

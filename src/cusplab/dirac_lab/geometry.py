@@ -39,8 +39,11 @@ class NeckGeometry:
     rho_max: float
 
     def __post_init__(self) -> None:
-        if self.t < 0:
-            raise ValueError("pinching parameter must be nonnegative")
+        if not self.t >= 0:  # nan fails this too
+            raise ValueError(f"pinching parameter must be nonnegative, got {self.t!r}")
+        if not (math.isfinite(self.rho_min) and math.isfinite(self.rho_max)):
+            raise ValueError(f"arclength domain must be finite, got rho in "
+                             f"({self.rho_min!r}, {self.rho_max!r})")
         if not self.rho_min < self.rho_max:
             raise ValueError("empty arclength domain")
 

@@ -263,21 +263,23 @@ def _check_squares(geom: NeckGeometry, grid: Grid, params: SpectrumParams,
                     f"overflows")
 
 
-def _grids(ts: list[float], params: SpectrumParams,
-           top: float | None = None) -> list[tuple[NeckGeometry, Grid]]:
+def _grids(t_grid: Sequence[float], params: SpectrumParams,
+           top: float | None = None) -> dict[float, tuple[NeckGeometry, Grid]]:
     """Each t's geometry and grid before any work: a solve's, or a count's up to ``top``.
 
-    Every check plans with these, and the solves run on them.  The geometry
-    is the neck at t > 0; at t = 0 the cusp the depth search accepts for a
-    largest eigenvalue max(200, ``top``): a solve's (``top`` None) first
-    depth, or the one a count's top window end needs.  Raises
+    Keyed by t in descending order, -0.0 as 0.0: every check and solve reads
+    its t from here, so every entry point refuses a faulty grid at one t.
+    The geometry is the neck at t > 0; at t = 0 the cusp the depth search
+    accepts for a largest eigenvalue max(200, ``top``): a solve's (``top``
+    None) first depth, or the one a count's top window end needs.  Raises
     RunRefusedError unless the t are nonempty, finite, >= 0 and distinct,
     where a t or ``h`` gives a grid too large to count or a spacing below
     ``MIN_SPACING``, and where ``_check_squares`` refuses the geometry.
     """
+    ts = sorted(t_grid, reverse=True)
     if not ts:
         raise RunRefusedError("need at least one pinching parameter t")
-    grids = []
+    grids = {}
     for t in ts:
         if not 0.0 <= t < math.inf:  # nan fails this too
             raise RunRefusedError(f"pinching parameter t must be finite and >= 0, got {t!r}")
@@ -291,14 +293,14 @@ def _grids(ts: list[float], params: SpectrumParams,
             raise RunRefusedError(f"the grid spacing {grid.h!r} at t = {t!r} is below "
                                   f"{MIN_SPACING!r}, where the solver's (2 / h^2)^2 overflows")
         _check_squares(geom, grid, params, top)
-        grids.append((geom, grid))
-    if len(set(ts)) != len(ts):
+        grids[t + 0.0] = (geom, grid)  # -0.0 + 0.0 is 0.0: the split neck has one key
+    if len(grids) != len(ts):
         raise RunRefusedError(f"pinching parameters must be distinct, got {ts!r}")
     return grids
 
 
-def check_grids(t_grid: Sequence[float], params: SpectrumParams) -> list[tuple[int, Grid]]:
-    """The solves of the first step at each t, and ``_grids``'s grid there, before any solve.
+def check_grids(t_grid: Sequence[float], params: SpectrumParams) -> dict[float, tuple[int, Grid]]:
+    """Each t of ``_grids`` to the solves of its first step and its grid, before any solve.
 
     Raises RunRefusedError where ``_grids`` refuses the t (a spacing below
     ``MIN_SPACING`` is every t above 340.3827 at the default spacing), where
@@ -307,14 +309,13 @@ def check_grids(t_grid: Sequence[float], params: SpectrumParams) -> list[tuple[i
     ``n`` or, at a fixed ``h``, adds points, so its first depth bounds every
     later one.
     """
-    ts = list(t_grid)
-    plan = []
-    for t, (_, grid) in zip(ts, _grids(ts, params)):
+    plan = {}
+    for t, (_, grid) in _grids(t_grid, params).items():
         if params.levels > grid.n:
             raise RunRefusedError(f"levels = {params.levels} exceeds the {grid.n} grid points "
                                   f"at t = {t!r}")
-        plan.append((_modes(t, params) * len(_chiralities(t)), grid))
-    work = params.levels * sum(solves * grid.n for solves, grid in plan)
+        plan[t] = (_modes(t, params) * len(_chiralities(t)), grid)
+    work = params.levels * sum(solves * grid.n for solves, grid in plan.values())
     if work > MAX_WORK:
         raise RunRefusedError(f"work estimate {work} (the sum over t_grid of solves * levels * "
                               f"grid points, with k_max + 1 solves at t > 0 and twice that "
@@ -334,22 +335,21 @@ def _window(t: float, rho: np.ndarray, w: float) -> np.ndarray:
 
 
 def check_windows(t_grid: Sequence[float], params: SpectrumParams,
-                  widths: Sequence[float]) -> list[tuple[int, Grid]]:
-    """The solves of ``ground_states``'s first step at each t, and its grid, before any solve.
+                  widths: Sequence[float]) -> dict[float, tuple[int, Grid]]:
+    """Each t of ``_grids`` to the solves of ``ground_states``'s first step there, and its grid.
 
-    That is ``_modes``'s for a ground-state run, on ``check_grids``'s
-    grids.  Raises RunRefusedError where ``check_grids`` refuses the run,
-    with the full ``k_max``, where a width w is not positive, or where a
-    window |x| <= w holds no point of a t > 0 grid.  At t = 0 the cusp
-    search fixes the grid's depth by solving, so ``neck_mass`` checks there.
+    That is ``_modes``'s for a ground-state run, on ``check_grids``'s grids,
+    before any solve.  Raises RunRefusedError where ``check_grids`` refuses
+    the run, with the full ``k_max``, where a width w is not positive, or
+    where a window |x| <= w holds no point of a t > 0 grid.  At t = 0 the
+    cusp search fixes the grid's depth by solving, so ``neck_mass`` checks.
     """
-    ts = list(t_grid)
-    plan = [(_modes(t, params, ground=True) * len(_chiralities(t)), grid)
-            for t, (_, grid) in zip(ts, check_grids(ts, params))]
+    plan = {t: (_modes(t, params, ground=True) * len(_chiralities(t)), grid)
+            for t, (_, grid) in check_grids(t_grid, params).items()}
     for w in widths:
         if not w > 0:
             raise RunRefusedError(f"window |x| <= {w!r} needs a width w > 0")
-    for t, (_, grid) in zip(ts, plan):
+    for t, (_, grid) in plan.items():
         for w in widths:
             if t > 0 and not np.any(_window(t, grid.rho_values, w)):
                 raise RunRefusedError(f"window |x| <= {w!r} contains no grid points at t = {t!r}")
@@ -369,7 +369,7 @@ def _cusp_geometry(params: SpectrumParams, pool: ThreadPoolExecutor, ground: boo
     the geometry with the eigenvalues and, for a ground-state run
     (``ground``), the ground state of its last depth (else None).
     """
-    [(geom, grid)] = _grids([0.0], params)
+    [(geom, grid)] = _grids([0.0], params).values()
     for _ in range(8):
         mu, state, mu_max = _collect_modes(params, _queue_modes(pool, geom, grid, params, ground))
         needed = _cusp_depth(params, mu_max)
@@ -381,24 +381,25 @@ def _cusp_geometry(params: SpectrumParams, pool: ThreadPoolExecutor, ground: boo
     raise RuntimeError("cusp truncation depth did not stabilize")
 
 
-def _solve_grid(ts: list[float], params: SpectrumParams,
+def _solve_grid(t: float | Sequence[float], params: SpectrumParams,
                 ground: bool) -> dict[float, tuple[np.ndarray, VectorHandle | None]]:
     """Each t's (eigenvalues, ground state) from ``_collect_modes``, every solve on one pool.
 
-    ``check_grids`` refuses the t and ``params`` before any solve, and each
-    neck is solved on the grid it planned, in a ground-state run
-    (``ground``) or a full one.  The pool has one thread per CPU and starts
-    one only when a job finds none idle, so never more threads than jobs.
+    ``t`` is one t or many, keyed as ``check_grids`` keys them.  That refuses
+    the t and ``params`` before any solve, and each neck is solved on the
+    grid it planned, in a ground-state run (``ground``) or a full one.  The
+    pool has one thread per CPU and starts one only when a job finds none
+    idle, so never more threads than jobs.
     """
-    plan = check_grids(ts, params)
+    plan = check_grids([t] if np.ndim(t) == 0 else t, params)
     with ThreadPoolExecutor(max_workers=_cpu_count()) as pool:
         try:
             queued = {s: _queue_modes(pool, NeckGeometry.neck(s), grid, params, ground)
-                      for s, (_, grid) in zip(ts, plan) if s > 0}
+                      for s, (_, grid) in plan.items() if s > 0}
             # the necks are collected first, in the order they were queued,
             # so a failed solve reaches the caller before the rest have run
             slabs = {s: _collect_modes(params, q)[:2] for s, q in queued.items()}
-            if 0.0 in ts:
+            if 0.0 in plan:  # the last key, so the slabs keep the plan's order
                 slabs[0.0] = _cusp_geometry(params, pool, ground)[1:]
         except BaseException:
             pool.shutdown(cancel_futures=True)  # fail now, not after the rest of the grid
@@ -415,10 +416,9 @@ def dirac_spectrum(t: float | Sequence[float], params: SpectrumParams) -> Spectr
     spectrum is the union of the plus and minus spectra on the right cusp),
     so each row carries multiplicity 2 wherever counts or traces are formed.
     Every solve of every t runs on one pool of at most one thread per CPU;
-    ``check_grids`` refuses the t and parameters before any solve.
+    ``check_grids`` refuses the t, in descending order, and parameters before any solve.
     """
-    ts = [t] if np.ndim(t) == 0 else list(t)
-    return SpectrumTable({s: mu for s, (mu, _) in _solve_grid(ts, params, False).items()})
+    return SpectrumTable({s: mu for s, (mu, _) in _solve_grid(t, params, False).items()})
 
 
 def ground_states(t: float | Sequence[float], params: SpectrumParams) -> dict[float, VectorHandle]:
@@ -432,12 +432,10 @@ def ground_states(t: float | Sequence[float], params: SpectrumParams) -> dict[fl
     all, and the vector is mode 0's at the last depth.  Each depth step
     computes mode 0's two vectors, one per chirality, and only the last
     step's are read; every config tried takes one step.  ``check_grids``
-    refuses the t and parameters with the full ``k_max``, which bounds this
-    work from above; every solve runs on one pool.
+    refuses the t, in descending order, and parameters with the full
+    ``k_max``, an upper bound on this work; every solve runs on one pool.
     """
-    ts = sorted([t] if np.ndim(t) == 0 else t, reverse=True)
-    slabs = _solve_grid(ts, params, True)
-    return {s: ground for s, (_, ground) in slabs.items()}  # t = 0, if there, is last
+    return {s: ground for s, (_, ground) in _solve_grid(t, params, True).items()}
 
 
 def _window_shifts(windows) -> list[tuple[float | None, float | None]]:
@@ -490,7 +488,7 @@ class WindowCounts:
 
 def window_counts(t_grid: Sequence[float], params: SpectrumParams,
                   windows: Sequence[tuple[float, float]]) -> WindowCounts:
-    """Exact counts of the eigenvalues with lam in each window (a, b) at each t, with no solve.
+    """Exact counts of eigenvalues with lam in each window (a, b) at each t of ``_grids``, no solve.
 
     Each count is the Sturm inertia of H_k - mu for the window's mu-ends (see
     ``_window_shifts``), summed over the modes k and, at t = 0, both
@@ -505,24 +503,23 @@ def window_counts(t_grid: Sequence[float], params: SpectrumParams,
     distinct window ends, exceeds ``MAX_WORK``.  So the counts depend on
     neither ``k_max`` nor ``levels``.
     """
-    ts = sorted(t_grid, reverse=True)
     pairs = _window_shifts(windows)
     shifts = sorted({s for pair in pairs for s in pair if s is not None})
     top = shifts[-1] if shifts else 0.0
-    grids = _grids(ts, params, top)
-    bounds = [_mode_bound(geom, top) if shifts else 0 for geom, _ in grids]
-    work = len(shifts) * sum(modes * len(_chiralities(t)) * grid.n
-                             for t, (_, grid), modes in zip(ts, grids, bounds))
+    grids = _grids(t_grid, params, top)
+    bounds = {t: _mode_bound(geom, top) if shifts else 0 for t, (geom, _) in grids.items()}
+    work = len(shifts) * sum(bounds[t] * len(_chiralities(t)) * grid.n
+                             for t, (_, grid) in grids.items())
     if work > MAX_WORK:
         raise RunRefusedError(f"work estimate {work} (the sum over t_grid of modes * "
                               f"chiralities * grid points * distinct window ends, with the modes "
                               f"that can reach the window top {math.sqrt(top)!r}) exceeds "
                               f"{MAX_WORK}")
     counts, modes, factorisations = {}, {}, 0
-    for t, (geom, grid), bound in zip(ts, grids, bounds):
+    for t, (geom, grid) in grids.items():
         below = dict.fromkeys(shifts, 0)  # eigenvalues at or below each shift, over modes
         visited = 0
-        for k in range(bound):
+        for k in range(bounds[t]):
             hams = [assemble_hamiltonian(geom, ModeSpec(k, chi), grid) for chi in _chiralities(t)]
             before = below[shifts[-1]]
             for H in hams:
@@ -532,16 +529,15 @@ def window_counts(t_grid: Sequence[float], params: SpectrumParams,
             factorisations += len(hams) * len(shifts)
             if below[shifts[-1]] == before:
                 break  # no eigenvalue of mode k reaches the top, so none of a later mode does
-        key = t if t > 0 else 0.0  # -0.0 is the split neck too, keyed 0.0 as in dirac_spectrum
-        counts[key] = tuple(2 * (below[high] - (below[low] if low is not None else 0))
-                            if high is not None else 0 for low, high in pairs)
-        modes[key] = visited
+        counts[t] = tuple(2 * (below[high] - (below[low] if low is not None else 0))
+                          if high is not None else 0 for low, high in pairs)
+        modes[t] = visited
     return WindowCounts(counts, modes, factorisations)
 
 
 def neck_mass(t: float, vector: "VectorHandle", w: float) -> float:
     """Fraction of discrete L^2 mass of an eigenvector inside |x| <= w."""
-    if w <= 0:
+    if not w > 0:  # nan fails this too
         raise ValueError("window width must be positive")
     inside = _window(t, vector.grid.rho_values, w)
     if not np.any(inside):

@@ -578,6 +578,9 @@ def test_work_bound_rejects_a_config_before_solving(monkeypatch, capsys, tmp_pat
     assert run(capsys, "spectrum", "sweep", str(cfg))[0] == EXIT_CONFIG
     cfg = write_config(tmp_path, t_grid="2000.0")  # the neck's sinh(t / 2) overflows
     assert run(capsys, "spectrum", "sweep", str(cfg))[0] == EXIT_CONFIG
+    cfg = write_config(tmp_path, t_grid="1e-320")  # 1 / sinh(t / 2) overflows: rho is unbounded
+    code, _, err = run(capsys, "spectrum", "sweep", str(cfg))
+    assert code == EXIT_CONFIG and "arclength domain must be finite" in err, err
     assert calls == [] and not (tmp_path / "out").exists()
 
 

@@ -2,6 +2,7 @@
 
 import ctypes
 import dataclasses
+import itertools
 import math
 import os
 import re
@@ -74,11 +75,18 @@ def test_geometry_input_rules():
     for t in (0.0, -0.3):
         with pytest.raises(ValueError):
             NeckGeometry.neck(t)
-    with pytest.raises(ValueError):
-        NeckGeometry(-0.1, -1.0, 1.0)
+    for t in (-0.1, math.nan):
+        with pytest.raises(ValueError, match=f"nonnegative, got {t!r}"):
+            NeckGeometry(t, -1.0, 1.0)
     for a, b in ((1.0, 1.0), (1.0, -1.0)):
         with pytest.raises(ValueError):
             NeckGeometry(0.5, a, b)
+    # a neck below t = 1.1e-308 has 1 / sinh(t / 2) = inf, so rho in (-inf, inf),
+    # which no grid can count; a nan end is refused too
+    for make in (lambda: NeckGeometry.neck(1e-320), lambda: NeckGeometry.cusp(-math.inf),
+                 lambda: NeckGeometry(0.5, -1.0, math.nan)):
+        with pytest.raises(ValueError, match="arclength domain must be finite"):
+            make()
     assert [f.name for f in dataclasses.fields(NeckGeometry)] == ["t", "rho_min", "rho_max"]
     # t = 0 is the right cusp phi = e^rho
     c = NeckGeometry.cusp(-8.0)
@@ -329,7 +337,7 @@ def test_grid_refuses_bad_numbers(rho_min, h, n):
 def test_grid_points_are_three_numbers(ts, params):
     # each t's grid, the first cusp depth's at t = 0, has the points it
     # stored as an array before, and its halving nests them bit for bit
-    for t, (geom, g) in zip(ts, spectra._grids(ts, params)):
+    for t, (geom, g) in spectra._grids(ts, params).items():
         assert [f.name for f in dataclasses.fields(g)] == ["rho_min", "h", "n"]
         want = geom.rho_min + (geom.length / (g.n + 1)) * np.arange(1, g.n + 1)
         assert _same_bits(g.rho_values, want) and not g.rho_values.flags.writeable, t
@@ -391,6 +399,9 @@ def test_dirac_spectrum_table_structure():
     with pytest.raises(ValueError) as failure:  # a failure after the solve, not a refusal
         neck_mass(0.3, handle, 1e-9)
     assert not isinstance(failure.value, RunRefusedError)
+    for w in (0.0, math.nan):
+        with pytest.raises(ValueError, match="window width must be positive"):
+            neck_mass(0.3, handle, w)
 
 
 def test_spectral_sweep_counts_and_inputs():
@@ -448,7 +459,7 @@ def test_the_count_stops_below_every_mode_it_skips(count_slow_path):
     # above the window top, as has every mode from the closed-form bound on
     _, got = count_slow_path
     top = max(b for _, b in COUNT_WINDOWS) ** 2
-    for t, (geom, grid) in zip(COUNT_TS, spectra._grids(COUNT_TS, SpectrumParams(), top)):
+    for t, (geom, grid) in spectra._grids(COUNT_TS, SpectrumParams(), top).items():
         bound = spectra._mode_bound(geom, top)
         chis = (Chirality.PLUS, Chirality.MINUS) if t == 0 else (Chirality.PLUS,)
         assert grid == Grid.for_geometry(geom) and got.modes[t] <= bound
@@ -504,7 +515,7 @@ def test_window_counts_refuse_unbounded_work_before_any_factorisation(monkeypatc
     assert calls == []
     # the closed-form bound: the first k with k + 1/2 >= 1 + sqrt(1 + 9 phi_wall^2),
     # phi_wall = 2.04 at t = 0.5 and 2 on the cusp
-    grids = spectra._grids([0.5, 0.0], SpectrumParams(), 9.0)
+    grids = spectra._grids([0.5, 0.0], SpectrumParams(), 9.0).values()
     assert [(grid.n, spectra._mode_bound(geom, 9.0)) for geom, grid in grids] == [(3999, 7),
                                                                                 (3999, 7)]
 
@@ -1016,7 +1027,7 @@ def test_the_cusp_rule_admits_what_the_assembly_represents(monkeypatch, capsys, 
     bound = _first_cusp_bound(k_max)
     assert 1e152 < bound < 1.1e153
     params = SpectrumParams(k_max=k_max, levels=2, rho_margin_factor=bound)
-    [(geom, grid)] = spectra._grids([0.0], params)
+    [(geom, grid)] = spectra._grids([0.0], params).values()
     for mode in (ModeSpec(k_max), ModeSpec(k_max, Chirality.MINUS)):
         with np.errstate(over="raise"):
             assemble_hamiltonian(geom, mode, grid)
@@ -1048,7 +1059,7 @@ def test_rho_margin_factor_1e150_solves_the_first_cusp():
     # far below the bound the rule changes nothing: one depth step, whose
     # rows are the serial solves of both chiralities on _grids's grid
     params = SpectrumParams(k_max=2, levels=2, rho_margin_factor=1e150)
-    [(geom, grid)] = spectra._grids([0.0], params)
+    [(geom, grid)] = spectra._grids([0.0], params).values()
     mu = dirac_spectrum(0.0, params).mu[0.0]
     for k in range(params.k_max + 1):
         both = np.concatenate([
@@ -1065,7 +1076,7 @@ def test_a_deeper_cusp_step_that_would_overflow_fails_before_assembling(monkeypa
     # 200, so the search deepens, and there V^2 would overflow: a RuntimeError
     # names the depth before any assembly on it
     params = SpectrumParams(k_max=0, levels=20, h=0.05, rho_margin_factor=8e152)
-    [(first, _)] = spectra._grids([0.0], params)
+    [(first, _)] = spectra._grids([0.0], params).values()
     depths, assemble = [], spectra.assemble_hamiltonian
 
     def recorded(geom, *args):
@@ -1090,14 +1101,44 @@ def test_a_deeper_cusp_step_that_would_overflow_fails_before_assembling(monkeypa
 
 
 def test_every_command_checks_its_t_grid_in_descending_order(capsys, tmp_path):
-    # 1e-200 is too thin and 500.0 too coarse: every command checks 500.0
-    # first, so each names the spacing
+    # 1e-200 is too thin and 500.0 too coarse: _grids checks 500.0 first, so
+    # every library entry point and every command gives one message, the spacing's
+    messages = set()
+    for run in (dirac_spectrum, ground_states, spectra.check_grids,
+                lambda ts, params: spectra.check_windows(ts, params, [1.0]),
+                lambda ts, params: spectra.window_counts(ts, params, [(0.0, 2.0)])):
+        with pytest.raises(RunRefusedError) as refused:
+            run([1e-200, 500.0], SpectrumParams(k_max=0, levels=2))
+        messages.add(str(refused.value))
+    [message] = messages
+    assert "spacing" in message and "t = 500.0" in message
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"t_grid = 1e-200,500\nk_max = 0\nlevels = 2\n"
                    f"output_dir = {tmp_path / 'out'}\n", encoding="utf-8")
     for command in COMMANDS:
         code, err = main([*command, str(cfg)]), capsys.readouterr().err
-        assert code == EXIT_CONFIG and "spacing" in err and "t = 500.0" in err, (command, err)
+        assert code == EXIT_CONFIG and err == f"config error: {message}\n", (command, err)
+
+
+def test_the_order_of_a_t_grid_does_not_matter():
+    # _grids orders every t grid, so each permutation gives the sorted call's
+    # plans, bits and counts, keyed by descending t
+    want, params, windows = [0.5, 0.2, 0.0], SpectrumParams(k_max=1, levels=3, n=200), [(0.0, 2.0)]
+    plans = spectra.check_grids(want, params), spectra.check_windows(want, params, [1.0])
+    table, ground = dirac_spectrum(want, params), ground_states(want, params)
+    counts = spectra.window_counts(want, params, windows)
+    for ts in itertools.permutations(want):
+        got = spectra.check_grids(ts, params), spectra.check_windows(ts, params, [1.0])
+        assert [list(plan) for plan in got] == [want, want] and got == plans, ts
+        mu, vectors = dirac_spectrum(ts, params).mu, ground_states(ts, params)
+        assert list(mu) == list(vectors) == want, ts
+        assert all(_same_bits(mu[t], table.mu[t]) for t in want), ts
+        assert all(_same_bits(vectors[t].values, ground[t].values) for t in want), ts
+        assert spectra.window_counts(ts, params, windows) == counts, ts
+    # -0.0 is the split neck, keyed 0.0
+    for plan in (spectra._grids([-0.0, 0.5], params), spectra.check_grids([-0.0, 0.5], params),
+                 spectra.check_windows([-0.0, 0.5], params, [1.0])):
+        assert list(plan) == [0.5, 0.0] and math.copysign(1.0, list(plan)[1]) == 1.0
 
 
 def test_the_solves_run_on_the_planned_grids(monkeypatch):
@@ -1128,7 +1169,7 @@ def test_levels_above_the_grid_fail_before_any_solve(monkeypatch, capsys, tmp_pa
     # so the sweep must refuse before it solves t = 0.01
     # (k_max = 2: three solves at t > 0, six for a cusp-depth step)
     plan = spectra.check_grids([0.01, 0.0], SpectrumParams(levels=158, h=0.05))
-    assert [(solves, grid.n) for solves, grid in plan] == [(3, 239), (6, 158)]
+    assert [(solves, grid.n) for solves, grid in plan.values()] == [(3, 239), (6, 158)]
     with pytest.raises(RunRefusedError, match="158 grid points at t = 0.0"):
         dirac_spectrum([0.01, 0.0], SpectrumParams(levels=159, h=0.05))
     with pytest.raises(RunRefusedError, match="levels >= 2"):  # the tail model needs two
