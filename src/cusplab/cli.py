@@ -9,35 +9,27 @@ goes to a separate manifest.json).
 Exit codes: 0 ok, 1 runtime error, 2 verification failure, 64 usage error,
 78 config error: a config file that does not parse, or a run the library
 refuses before any work (``RunRefusedError``).
+
+The numerical lab and the fits load numpy and LAPACK, which ``symbols``
+never uses, so their names are imported on first use: reading a config
+(``RunConfig.from_text``, or a ``RunConfig`` with its default params) loads
+them, and so does reading one of them as an attribute of this module.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import re
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
 from cusplab import __version__
-from cusplab.dirac_lab import (
-    Grid,
-    RunRefusedError,
-    SpectrumParams,
-    SpectrumTable,
-    check_grids,
-    check_trace,
-    check_windows,
-    dirac_spectrum,
-    ground_states,
-    neck_mass,
-    relative_resolvent_trace,
-    window_counts,
-)
-from cusplab.expfit import compare_models, log_even_basis, smooth_even_basis
+from cusplab.refusal import RunRefusedError
 from cusplab.surgery_spaces import (
     OpOrders,
     TraceClassViolatedError,
@@ -52,6 +44,34 @@ EXIT_RUNTIME = 1
 EXIT_VERIFY = 2
 EXIT_USAGE = 64
 EXIT_CONFIG = 78
+
+
+# The numerical names this module uses, by the module that defines them.
+_NUMERICS = {
+    "cusplab.dirac_lab": ("Grid", "SpectrumParams", "SpectrumTable", "check_grids",
+                          "check_trace", "check_windows", "dirac_spectrum", "ground_states",
+                          "neck_mass", "relative_resolvent_trace", "window_counts"),
+    "cusplab.expfit": ("compare_models", "log_even_basis", "smooth_even_basis"),
+}
+
+
+def _load_numerics() -> None:
+    """File each numerical name in this module's globals.
+
+    A name already there stays: a wrapper that replaced it (the benchmark's
+    tracer, a test's patch) is what the commands below call.
+    """
+    for module_name, names in _NUMERICS.items():
+        module = importlib.import_module(module_name)
+        for name in names:
+            globals().setdefault(name, getattr(module, name))
+
+
+def __getattr__(name: str):
+    if any(name in names for names in _NUMERICS.values()):
+        _load_numerics()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class UsageError(Exception):
@@ -102,6 +122,11 @@ _KEYS = {
 }
 
 
+def _default_params() -> SpectrumParams:
+    _load_numerics()
+    return SpectrumParams()
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Flat run configuration; lists are comma-separated, windows are a:b pairs.
@@ -112,7 +137,7 @@ class RunConfig:
     """
 
     t_grid: tuple[float, ...]
-    params: SpectrumParams = SpectrumParams()
+    params: SpectrumParams = field(default_factory=_default_params)
     lam: float = -1.0
     lam0: float = -2.0
     windows: tuple[tuple[float, float], ...] = ((0.0, 2.0),)
@@ -131,6 +156,7 @@ class RunConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
+        _load_numerics()
         raw: dict[str, str] = {}
         for lineno, line in enumerate(text.splitlines(), start=1):
             body = line.split("#", 1)[0].strip()

@@ -40,7 +40,21 @@ label, and an :class:`IndexTerm` of its ``(z, k)``, so each equals, hashes
 and sorts as that tuple; an index set sorts its generators on exact integer
 keys over their common denominator; and whether two exponents differ by an
 integer is read off their reduced numerators and denominators, with no
-``Fraction`` arithmetic.
+``Fraction`` arithmetic.  They also do only the work their inputs need:
+
+* each :class:`BMap` computes two plans once.  Pull-back walks the pull
+  plan, each source face in face order with its row as a tuple, and a row
+  that is one entry of exponent 1 hands on the target face's set as it is,
+  with no sum and no scale.  Push-forward walks the push plan, each target
+  face with its column and the scale 1/e of each entry, after checking the
+  faces the plan lists as mapping to the interior;
+* ``sum_sets`` keys each candidate sum on ``_canonical``'s integer keys
+  over the common denominator of both operands, prunes on the keys, and
+  builds a ``Fraction`` only for the terms it keeps; a sum of two
+  one-generator sets, and an extended union of two, are worked out by
+  cases;
+* a :class:`Space` compares equal to itself by identity first, since every
+  pipeline compares a space with itself.
 
 Conventions:
 
@@ -141,6 +155,14 @@ class Space:
         except KeyError:
             raise KeyError(f"no face labelled {label!r}") from None
 
+    def __eq__(self, other: object) -> bool:
+        # every pipeline compares a space with itself, so identity answers first
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.faces == other.faces
+
     def __contains__(self, face: Face) -> bool:
         return face in self._index
 
@@ -202,7 +224,7 @@ class IndexSet:
     def _from_canonical(cls, generators: tuple[IndexTerm, ...]) -> "IndexSet":
         """The set of generators already in canonical form, taken as they are."""
         E = object.__new__(cls)
-        object.__setattr__(E, "generators", generators)
+        E.__dict__["generators"] = generators
         return E
 
     @classmethod
@@ -301,16 +323,35 @@ def inf_order(E: IndexSet):
 
 
 def sum_sets(E: IndexSet, F: IndexSet) -> IndexSet:
-    """Minkowski sum of exponents with additive log powers; empty absorbs, 0 is neutral."""
-    if not E.generators or not F.generators:
+    """Minkowski sum of exponents with additive log powers; empty absorbs, 0 is neutral.
+
+    A sum of two one-generator sets is its one term.  A larger sum keys each
+    candidate (z + w, k + l) as ``_canonical`` does, by the exact integers
+    ((z + w)*d, -(k + l)) over the common denominator d of both operands,
+    prunes on those keys by ``_canonical``'s rule, and forms z + w as the
+    ``Fraction`` n/d only for the keys n it keeps.
+    """
+    eg, fg = E.generators, F.generators
+    if not eg or not fg:
         return _EMPTY
     if _is_naturals(E):
         return F
     if _is_naturals(F):
         return E
-    return IndexSet._from_canonical(_canonical(tuple(
-        _new_term(IndexTerm, (z + w, k + l)) for z, k in E.generators for w, l in F.generators
-    )))
+    if len(eg) == 1 and len(fg) == 1:
+        a, b = eg[0], fg[0]
+        return IndexSet._from_canonical((_new_term(IndexTerm, (a.z + b.z, a.k + b.k)),))
+    d = math.lcm(*(t.z.denominator for t in eg), *(t.z.denominator for t in fg))
+    ekeys = [(t.z.numerator * (d // t.z.denominator), -t.k) for t in eg]
+    fkeys = [(t.z.numerator * (d // t.z.denominator), -t.k) for t in fg]
+    best: dict[int, int] = {}  # per class z*d mod d, the least -k kept so far
+    kept = []
+    for n, negk in sorted([(a + b, p + q) for a, p in ekeys for b, q in fkeys]):
+        cls = n % d
+        if negk < best.get(cls, 1):
+            best[cls] = negk
+            kept.append(_new_term(IndexTerm, (Fraction(n, d), -negk)))
+    return IndexSet._from_canonical(tuple(kept))
 
 
 def scale_set(q: RationalLike, E: IndexSet) -> IndexSet:
@@ -347,10 +388,13 @@ def extended_union(E: IndexSet, F: IndexSet) -> IndexSet:
     z - w an integer, the term (max(z, w), k + l + 1) is added.  The empty
     set is neutral.
     """
-    if not E.generators:
+    eg, fg = E.generators, F.generators
+    if not eg:
         return F
-    if not F.generators:
+    if not fg:
         return E
+    if len(eg) == 1 and len(fg) == 1:
+        return IndexSet._from_canonical(_union_of_two(eg[0], fg[0]))
     # z - w is an integer iff the reduced fractions share their denominator
     # q and their numerators agree mod q, so no Fraction is formed
     others = [(w.numerator, w.denominator, w, l) for w, l in F.generators]
@@ -360,7 +404,26 @@ def extended_union(E: IndexSet, F: IndexSet) -> IndexSet:
         for m, r, w, l in others:
             if r == q and (n - m) % q == 0:
                 extra.append(_new_term(IndexTerm, (z if n >= m else w, k + l + 1)))
-    return IndexSet._from_canonical(_canonical(E.generators + F.generators + tuple(extra)))
+    return IndexSet._from_canonical(_canonical(eg + fg + tuple(extra)))
+
+
+def _union_of_two(a: IndexTerm, b: IndexTerm) -> tuple[IndexTerm, ...]:
+    """The canonical generators of ``extended_union`` of the sets {a} and {b}.
+
+    Where z - w is an integer, the bumped term (max(z, w), k + l + 1)
+    dominates the generator at the larger exponent, and at z = w the other
+    one too; otherwise the two generators stand, in order.  Every test is
+    on reduced numerators and denominators, with no ``Fraction`` arithmetic.
+    """
+    z, w = a.z, b.z
+    n, q, m, r = z.numerator, z.denominator, w.numerator, w.denominator
+    if q == r and (n - m) % q == 0:
+        bumped = a.k + b.k + 1
+        if n == m:
+            return (_new_term(IndexTerm, (z, bumped)),)
+        return (b, _new_term(IndexTerm, (z, bumped))) if n > m else \
+            (a, _new_term(IndexTerm, (w, bumped)))
+    return (a, b) if n * r < m * q else (b, a)
 
 
 # ---------------------------------------------------------------------------
@@ -400,9 +463,7 @@ class IndexFamily:
                         entries: tuple[tuple[Face, IndexSet], ...]) -> "IndexFamily":
         """The family of nonempty entries already in face order, taken as they are."""
         fam = object.__new__(cls)
-        object.__setattr__(fam, "space", space)
-        object.__setattr__(fam, "entries", entries)
-        object.__setattr__(fam, "_by_face", dict(entries))
+        fam.__dict__.update(space=space, entries=entries, _by_face=dict(entries))
         return fam
 
     @classmethod
@@ -520,6 +581,34 @@ class BMap:
         return cols
 
     @cached_property
+    def _pull_plan(self) -> tuple[tuple[Face, Face | None, tuple[tuple[Face, int], ...]], ...]:
+        """Each source face G in face order, with its row as a tuple of (H, e(G, H)).
+
+        The middle slot is H where the row is the one entry e(G, H) = 1, so
+        that G pulls back H's set as it is; it is None for any other row.
+        """
+        rows = self._rows
+        plan = []
+        for G in self.source.faces:
+            row = tuple(rows.get(G, {}).items())
+            unit = row[0][0] if len(row) == 1 and row[0][1] == 1 else None
+            plan.append((G, unit, row))
+        return tuple(plan)
+
+    @cached_property
+    def _push_plan(self) -> tuple[tuple[tuple[Face, tuple[tuple[Face, Fraction | None], ...]], ...],
+                                  tuple[Face, ...]]:
+        """Each target face H with a nonzero column, in face order, with that
+        column as a tuple of (G, 1/e(G, H)), None where e(G, H) = 1; and the
+        source faces of all-zero rows, which map to the interior."""
+        cols = self._columns
+        columns = tuple(
+            (H, tuple((G, None if e == 1 else Fraction(1, e)) for G, e in cols[H].items()))
+            for H in self.target.faces if H in cols
+        )
+        return columns, tuple(G for G in self.source.faces if G not in self._rows)
+
+    @cached_property
     def _b_normal(self) -> bool:
         return all(len(row) <= 1 for row in self._rows.values())
 
@@ -570,14 +659,20 @@ def pullback_family(f: BMap, fam: IndexFamily) -> IndexFamily:
     The source face G receives the sum over target faces H of
     ``e(G, H) * fam(H)``; an empty sum of terms is the smooth set, while any
     empty summand makes the result empty, so a face stops at its first one.
+    A row that is one entry e(G, H) = 1 hands on H's set as it is.
     """
     if fam.space != f.target:
         raise SpaceMismatchError("family lives on the wrong space")
-    by_face, rows = fam._by_face, f._rows
+    by_face = fam._by_face
     out = []
-    for G in f.source.faces:
+    for G, unit, row in f._pull_plan:
+        if unit is not None:
+            E = by_face.get(unit)
+            if E is not None:
+                out.append((G, E))
+            continue
         acc = None
-        for H, exp in rows.get(G, {}).items():
+        for H, exp in row:
             E = by_face.get(H)
             if E is None:
                 break
@@ -599,20 +694,22 @@ def pushforward_family(f: BMap, fam: IndexFamily) -> IndexFamily:
         raise NotBFibrationError("push-forward requires a b-fibration")
     if fam.space != f.source:
         raise SpaceMismatchError("family lives on the wrong space")
-    rows, by_face = f._rows, fam._by_face
-    for G, E in fam.entries:  # an empty set has inf order +inf
-        if G not in rows:
+    columns, interior = f._push_plan
+    by_face = fam._by_face
+    for G in interior:  # an empty set has inf order +inf
+        E = by_face.get(G)
+        if E is not None:
             inf_g = inf_order(E)
             if not inf_g > 0:
                 raise IntegrabilityViolatedError(G, inf_g)
     out = []
-    for H in f.target.faces:
+    for H, column in columns:
         acc = None
-        for G, exp in f._columns.get(H, {}).items():
+        for G, q in column:
             E = by_face.get(G)
             if E is None:
                 continue  # the empty set is neutral
-            E = E if exp == 1 else scale_set(Fraction(1, exp), E)
+            E = E if q is None else scale_set(q, E)
             acc = E if acc is None else extended_union(acc, E)
         if acc is not None:
             out.append((H, acc))

@@ -19,6 +19,7 @@ from cusplab.dirac_lab.solver import (
     eigen_lowest,
     sturm_counts,
 )
+from cusplab.refusal import RunRefusedError
 
 COLLISION_TOL = 1e-9  # an eigenvalue this close to a resolvent point is a collision
 
@@ -41,10 +42,6 @@ MIN_SPACING = (4.0 / sys.float_info.max) ** 0.25
 # (q / t)^2 at the waist, q = k + 1/2.  Past this base either square
 # overflows: V' reads -0 near the walls, or V^2 is inf.
 SQRT_MAX = math.sqrt(sys.float_info.max)
-
-
-class RunRefusedError(ValueError):
-    """A run refused before any work: a t, window or parameter breaks a rule checked up front."""
 
 
 class SpectralCollisionError(ValueError):

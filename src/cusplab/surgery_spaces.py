@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Mapping
 
@@ -36,9 +36,11 @@ from cusplab.corners import (
     Face,
     IndexFamily,
     IndexSet,
+    IndexTerm,
     RationalLike,
     Space,
     _frac,
+    _new_term,
     chained_density_exponents,
     inf_order,
     is_b_fibration,
@@ -67,6 +69,13 @@ class OpOrders:
         object.__setattr__(self, "m", _frac(self.m))
         object.__setattr__(self, "alpha", _frac(self.alpha))
         object.__setattr__(self, "beta", _frac(self.beta))
+
+    @classmethod
+    def _from_fractions(cls, m: Fraction, alpha: Fraction, beta: Fraction) -> "OpOrders":
+        """The orders of three ``Fraction`` values, taken as they are."""
+        o = object.__new__(cls)
+        o.__dict__.update(m=m, alpha=alpha, beta=beta)
+        return o
 
 
 @dataclass(frozen=True)
@@ -156,12 +165,14 @@ def _pair_family(space: Space, first: str, a: Fraction,
                  second: str, b: Fraction) -> IndexFamily:
     """The family ``a + N`` on face ``first``, ``b + N`` on ``second``, empty elsewhere.
 
-    The two faces come in the space's face order, so the entries are
-    canonical as they stand and skip the ``IndexFamily`` checks.
+    The two faces come in the space's face order and each set has the one
+    generator (a, 0) or (b, 0), so the entries are canonical as they stand
+    and skip the ``IndexSet`` and ``IndexFamily`` checks.
     """
+    by_label = space._by_label
     return IndexFamily._from_canonical(space, (
-        (space.face(first), IndexSet.shifted(a)),
-        (space.face(second), IndexSet.shifted(b)),
+        (by_label[first], IndexSet._from_canonical((_new_term(IndexTerm, (a, 0)),))),
+        (by_label[second], IndexSet._from_canonical((_new_term(IndexTerm, (b, 0)),))),
     ))
 
 
@@ -216,16 +227,25 @@ def mapping_orders(o: OpOrders,
 
 @dataclass(frozen=True)
 class CompositionStages:
-    """Intermediates of the triple-space composition pipeline."""
+    """Intermediates of the triple-space composition pipeline.
+
+    ``ffc_contributors`` is for inspection only, so it is not a field: it
+    is computed from ``with_density`` when first read, and kept.
+    """
 
     pulled_12: IndexFamily
     pulled_23: IndexFamily
     product: IndexFamily
     with_density: IndexFamily
-    ffc_contributors: tuple[tuple[Face, IndexSet], ...]
     pushed: IndexFamily
     normalized: IndexFamily
     result: OpOrders
+
+    @cached_property
+    def ffc_contributors(self) -> tuple[tuple[Face, IndexSet], ...]:
+        """Each triple face over ``ff_c`` in ``pi3_13``, sorted, with its set scaled by 1/e."""
+        ffc_column, _ = _composition_constants()
+        return tuple((G, scale_set(q, self.with_density.get(G))) for G, q in ffc_column)
 
 
 @lru_cache(maxsize=1)
@@ -254,16 +274,14 @@ def composition_stages(o1: OpOrders, o2: OpOrders) -> CompositionStages:
     product = product_family(pulled_12, pulled_23)
     with_density = product.shifted(fx.density_X3)
 
-    ffc_column, undo_density = _composition_constants()
-    contributors = tuple((G, scale_set(q, with_density.get(G))) for G, q in ffc_column)
     pushed = pushforward_family(fx.pi3_13, with_density)
-    normalized = pushed.shifted(undo_density)
+    normalized = pushed.shifted(_composition_constants()[1])
 
     lead_ffc = inf_order(normalized.get(fx.X2.face("ff_c")))
     lead_tb = inf_order(normalized.get(fx.X2.face("tb")))
-    result = OpOrders(o1.m + o2.m, -lead_ffc - 2, -lead_tb)
+    result = OpOrders._from_fractions(o1.m + o2.m, -lead_ffc - 2, -lead_tb)
     return CompositionStages(pulled_12, pulled_23, product, with_density,
-                             contributors, pushed, normalized, result)
+                             pushed, normalized, result)
 
 
 def composition_orders(o1: OpOrders, o2: OpOrders) -> OpOrders:

@@ -687,3 +687,31 @@ def test_cold_start_and_the_process_entry_point(capsys, tmp_path):
     cfg = write_config(tmp_path, "in_process.cfg", **keys, output_dir=tmp_path / "in_process")
     assert run(capsys, "spectrum", "count", str(cfg))[0] == EXIT_OK
     assert (tmp_path / "in_process" / "counts.csv").read_text() == counts
+
+
+def test_symbols_commands_start_without_numpy(tmp_path):
+    # the numerical lab is imported on first use: a symbols command leaves
+    # numpy unloaded, and a config or RunConfig's default params load it
+    env = {**os.environ, "PYTHONPATH": str(Path(cusplab.__file__).parents[1])}  # src/
+
+    def python(script, *argv):
+        return subprocess.run([sys.executable, "-c", script, *argv], env=env, cwd=tmp_path,
+                              capture_output=True, text=True)
+
+    command = ("import sys\nfrom cusplab.cli import main\ncode = main(sys.argv[1:])\n"
+               "print(code, 'numpy' in sys.modules)\n")
+    for argv in (("verify-fixture",), ("mapping-orders", "--orders", "1,1,0", "--section", "0,0"),
+                 ("compose-orders", "--a", "-1,-1,0", "--b", "-1,-1,0"),
+                 ("trace-expansion", "--alpha", "-2", "--beta", "0")):
+        done = python(command, "symbols", *argv)
+        assert done.stdout.splitlines()[-1] == "0 False", (argv, done.stdout, done.stderr)
+    done = python("from cusplab.cli import RunConfig\n"
+                  "from cusplab.dirac_lab import SpectrumParams\n"
+                  "print(RunConfig(t_grid=(0.5,)).params == SpectrumParams())\n")
+    assert done.stdout == "True\n", done.stderr
+    assert RunConfig(t_grid=(0.5,)).params == SpectrumParams()
+    # the library's refusal, raised by a module the CLI imported lazily, exits 78
+    done = python(command, "spectrum", "sweep", str(write_config(tmp_path, t_grid="-0.5")))
+    assert done.stdout.splitlines()[-1] == f"{EXIT_CONFIG} True", done.stderr
+    assert done.stderr == "config error: pinching parameter t must be finite and >= 0, " \
+                          "got -0.5\n", done.stderr

@@ -6,7 +6,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cusplab.corners import (
@@ -21,6 +21,7 @@ from cusplab.corners import (
     NotBFibrationError,
     Space,
     SpaceMismatchError,
+    _canonical,
     chained_density_exponents,
     compose_bmaps,
     density_lift_exponent,
@@ -783,6 +784,144 @@ def test_an_unchecked_composite_equals_its_public_rebuild():
                 if H2 == H:
                     want[G, K] = want.get((G, K), 0) + v * w
         assert dict(h.e) == want
+
+
+# -- each shortcut against the path it replaces --------------------------------
+# sum_sets prunes on integer keys and builds a Fraction only for the terms it
+# keeps; extended_union joins two one-generator sets by cases; pull-back and
+# push-forward walk the plans each b-map caches.  The references are the
+# paths these replaced: every Fraction sum then _canonical, the general
+# union, and the dense definitions above.
+
+
+def fraction_sum(E, F):
+    """``sum_sets`` without its integer keys: every ``Fraction`` sum z + w, then ``_canonical``."""
+    if E.is_empty or F.is_empty:
+        return IndexSet.empty()
+    return IndexSet._from_canonical(_canonical(tuple(
+        IndexTerm(z + w, k + l) for z, k in E.generators for w, l in F.generators)))
+
+
+def farey_set(n, shift=0):
+    """n canonical generators: the first n fractions of denominator at most 12, in
+    distinct classes mod 1, with log powers 0 to 6."""
+    classes = sorted({Fraction(p, q) for q in range(1, 13) for p in range(q)})
+    return IndexSet.from_terms((z + shift, i % 7) for i, z in enumerate(classes[:n]))
+
+
+EXPONENTS = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+# few exponents and log powers, so sums collide: equal z with different k, and duplicates
+CROWDED = st.sampled_from([Fraction(-3, 2), Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(2)])
+INDEX_SETS = st.one_of(
+    st.just(IndexSet.naturals()), st.just(IndexSet.empty()),
+    st.lists(st.tuples(EXPONENTS, st.integers(0, 6)), max_size=30).map(IndexSet.from_terms),
+    st.lists(st.tuples(CROWDED, st.integers(0, 2)), min_size=1, max_size=4)
+    .map(IndexSet.from_terms),
+)
+CROWDED_PAIR = IndexSet.from_terms([(0, 1), (Fraction(1, 2), 0)])
+
+
+@settings(max_examples=400, deadline=None)
+@given(INDEX_SETS, INDEX_SETS)
+@example(farey_set(24), farey_set(24, shift=Fraction(-7, 3)))
+@example(farey_set(1, shift=-5), farey_set(24))
+@example(farey_set(24), IndexSet.from_terms([(Fraction(-11, 12), 3)]))
+@example(CROWDED_PAIR, CROWDED_PAIR)
+@example(IndexSet.naturals(), farey_set(5))
+@example(farey_set(5), IndexSet.empty())
+def test_integer_keyed_sums_equal_the_fraction_sums(E, F):
+    got = sum_sets(E, F)
+    assert got.generators == fraction_sum(E, F).generators
+    for t in got.generators:
+        assert type(t) is IndexTerm and type(t.z) is Fraction and type(t.k) is int, t
+
+
+@settings(max_examples=300, deadline=None)
+@given(*(st.tuples(st.one_of(CROWDED, EXPONENTS), st.integers(0, 3)) for _ in range(2)))
+@example((Fraction(1, 2), 1), (Fraction(1, 2), 0))  # equal z
+@example((Fraction(5, 2), 0), (Fraction(-1, 2), 2))  # an integer apart
+@example((Fraction(1, 3), 0), (Fraction(-2, 3), 0))  # a non-integer apart
+def test_a_union_of_two_one_generator_sets_equals_the_general_union(a, b):
+    a, b = IndexTerm(*a), IndexTerm(*b)
+    extra = (IndexTerm(max(a.z, b.z), a.k + b.k + 1),) if (a.z - b.z).denominator == 1 else ()
+    got = extended_union(IndexSet((a,)), IndexSet((b,)))
+    assert got.generators == _canonical((a, b) + extra)
+    for t in got.generators:
+        assert type(t) is IndexTerm and type(t.z) is Fraction and type(t.k) is int, t
+
+
+ROW_KINDS = ("unit", "scaled", "multi", "empty")
+
+
+@st.composite
+def b_maps(draw, kinds=ROW_KINDS):
+    """A b-map whose rows are of the kinds the plans tell apart: one entry of
+    exponent 1 (pulled back by relabelling), one entry above 1, several
+    entries, and none (the face maps to the interior)."""
+    X = Space.of(*[f"x{i}" for i in range(draw(st.integers(1, 6)))])
+    Y = Space.of(*[f"y{i}" for i in range(draw(st.integers(1, 4)))])
+    rows = {}
+    for G in X.faces:
+        kind = draw(st.sampled_from(kinds))
+        if kind == "empty":
+            continue
+        multi = kind == "multi" and len(Y.faces) > 1
+        n = draw(st.integers(2, min(3, len(Y.faces)))) if multi else 1
+        targets = draw(st.lists(st.sampled_from(Y.faces), min_size=n, max_size=n, unique=True))
+        lowest = {"unit": 1, "scaled": 2, "multi": 1}[kind]
+        rows[G.label] = {H.label: draw(st.integers(lowest, 1 if kind == "unit" else 3))
+                         for H in targets}
+    return BMap.build(X, Y, rows)
+
+
+@st.composite
+def families(draw, space):
+    """Sets on some faces; half are shifted to positive inf order, so a face that
+    maps to the interior passes the integrability check or fails it."""
+    sets = {}
+    for F in space.faces:
+        terms = draw(st.lists(st.tuples(st.builds(Fraction, st.integers(-8, 8), st.integers(1, 4)),
+                                        st.integers(0, 3)), max_size=3))
+        if terms:
+            E = IndexSet.from_terms(terms)
+            sets[F.label] = shift_set(E, 9) if draw(st.booleans()) else E
+    return IndexFamily.on(space, sets)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_plan_walks_equal_the_dense_definitions(data):
+    f = data.draw(b_maps())
+    on_y = data.draw(families(f.target))
+    pulled = outcome(pullback_family, f, on_y)
+    assert pulled == outcome(dense_pullback, f, on_y)
+    for G in f.source.faces:  # a unit row hands on the target's set itself
+        if list(f.row(G).values()) == [1] and not on_y.get(*f.row(G)).is_empty:
+            assert pulled.get(G) is on_y.get(*f.row(G))
+    g = data.draw(b_maps(kinds=("unit", "scaled", "empty")))  # b-normal, so push-forward runs
+    on_x = data.draw(families(g.source))
+    assert outcome(pushforward_family, g, on_x) == outcome(dense_pushforward, g, on_x)
+
+
+def test_spaces_built_apart_with_the_same_labels_are_one_space():
+    X, again = Space.of("a", "b", "c"), Space.of("a", "b", "c")
+    assert X is not again and X == again and hash(X) == hash(again)
+    assert X != Space.of("a", "c", "b") and X != Space.of("a", "b") and X != ("a", "b", "c")
+    f = BMap.build(X, Space.of("p", "q"), {"a": {"p": 1}, "b": {"p": 2}, "c": {"q": 1}})
+    on_y = IndexFamily.on(Space.of("p", "q"), {"p": IndexSet.shifted(1),
+                                               "q": IndexSet.shifted("1/2")})
+    on_again = IndexFamily.on(again, {"a": IndexSet.shifted(1), "c": IndexSet.shifted(2)})
+    pulled = pullback_family(f, on_y)
+    assert pulled == dense_pullback(f, on_y)
+    assert pushforward_family(f, on_again) == dense_pushforward(f, on_again)
+    assert product_family(on_again, pulled) == dense_product(on_again, pulled)
+    on_other = IndexFamily.on(Space.of("a", "b", "d"), {"a": IndexSet.naturals()})
+    for call in (lambda: product_family(on_again, on_other),
+                 lambda: product_family(on_other, on_again),
+                 lambda: pullback_family(f, on_other),
+                 lambda: pushforward_family(f, on_other)):
+        with pytest.raises(SpaceMismatchError):
+            call()
 
 
 # -- blow-up bookkeeping -----------------------------------------------------

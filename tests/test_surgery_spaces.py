@@ -1,5 +1,6 @@
 """Tests for the surgery-space fixture and the order pipelines."""
 
+import dataclasses
 import os
 import random
 import subprocess
@@ -24,8 +25,10 @@ from cusplab.corners import (
     member,
     pullback_family,
     pushforward_family,
+    scale_set,
 )
 from cusplab.surgery_spaces import (
+    CompositionStages,
     OpOrders,
     SurgeryFixture,
     TraceClassViolatedError,
@@ -239,6 +242,24 @@ def test_composition_cusp_face_contributor_pattern(fx):
     assert stages.result == OpOrders(0, 0, 0)
 
 
+def test_the_cusp_face_contributors_wait_until_read(fx):
+    # ffc_contributors is for inspection only: no field, computed on first
+    # read, and equal to the expression composition_stages once built eagerly
+    rng = random.Random(404)  # criterion 4's draws
+    ff_c = fx.X2.face("ff_c")
+    assert "ffc_contributors" not in [f.name for f in dataclasses.fields(CompositionStages)]
+    for _ in range(100):
+        o1, o2 = rand_orders(rng), rand_orders(rng)
+        stages = composition_stages(o1, o2)
+        result = stages.result
+        assert "ffc_contributors" not in vars(stages)
+        eager = tuple((G, scale_set(Fraction(1, e), stages.with_density.get(G)))
+                      for G, e in sorted(fx.pi3_13.column(ff_c).items()))
+        assert stages.ffc_contributors == eager
+        assert stages.ffc_contributors is stages.ffc_contributors
+        assert stages.result is result and result == composition_orders(o1, o2)
+
+
 def test_composition_temporal_face_single_source(fx):
     stages = composition_stages(OpOrders(1, 1, 0), OpOrders(-1, -1, 0))
     tb_sources = [
@@ -377,8 +398,9 @@ def assert_as_checked(fam, sets):
 
 def test_pipeline_families_equal_their_public_rebuild(fx):
     # the kernel, section and trace families are built in face order without
-    # IndexFamily's checks, and the composition reads its ff_c column and the
-    # negated density off the fixture once
+    # IndexSet's and IndexFamily's checks, the composition's orders without
+    # OpOrders', and the composition reads its ff_c column and the negated
+    # density off the fixture once
     rng = random.Random(505)
     time = Space.of("zero")
     to_time = BMap.build(fx.X1, time, {"ff": {"zero": 1}, "tf": {"zero": 1}})
@@ -397,6 +419,10 @@ def test_pipeline_families_equal_their_public_rebuild(fx):
                     composed.with_density, composed.pushed, composed.normalized):
             assert_exact_terms(fam)
             assert IndexFamily(fam.space, fam.entries).entries == fam.entries
+        r = composed.result  # built unchecked from Fractions
+        assert all(type(v) is Fraction for v in (r.m, r.alpha, r.beta))
+        again = OpOrders(r.m, r.alpha, r.beta)
+        assert r == again and hash(r) == hash(again)
         ff_c = fx.X2.face("ff_c")
         assert composed.ffc_contributors == tuple(
             (G, IndexSet(tuple(IndexTerm(g.z / e, g.k)
