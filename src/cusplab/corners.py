@@ -10,10 +10,23 @@ values are immutable after construction, and every operation is a pure
 function, so objects can be shared freely between concurrent tasks.  A float
 or a bool is refused wherever a rational or an integer is expected (a log
 power, a blow-up's dimensions), since a float such as ``0.1`` is not the
-rational it is written as.  Where an operation would only rebuild one of its
-operands (a sum with the naturals, a union with the empty set, a scale by 1,
-a shift by 0) it returns that operand: every set is kept canonical, and a
-canonical set re-canonicalises to itself.
+rational it is written as.  A value given where a :class:`Face` is expected,
+such as its label string, is refused with ``TypeError``: by a lookup when
+it misses, and by ``Space`` and ``BlowupStep`` at construction.  Where an
+operation would only rebuild one of its operands (a sum with the naturals,
+a union with the empty set, a scale by 1, a shift by 0) it returns that
+operand: every set is kept canonical, and a canonical set re-canonicalises
+to itself.
+
+Exponents stay ``Fraction``s wherever a caller can see them, always reduced
+with a positive denominator, but the engine does its arithmetic on their
+reduced numerators and denominators.  ``_add``, ``_add_int``, ``_neg`` and
+``_mul`` follow ``Fraction``'s own integer gcd steps and build their result
+once with ``_fraction``, which fills the two slots without normalising
+again; ``_reduced`` reduces an integer ratio by one ``math.gcd``.  So a
+result equals, hashes and prints as ``Fraction``'s own arithmetic would
+make it.  The sums, shifts and scales below, the kernel exponents and the
+surgery pipelines' results are built this way.
 
 Index families stay sparse: a family holds only its nonempty sets, in face
 order, with its face -> set lookup built at construction.  Pull-back stops a
@@ -39,8 +52,9 @@ The hot paths stay on C-level keys: a :class:`Face` is a named tuple of its
 label, and an :class:`IndexTerm` of its ``(z, k)``, so each equals, hashes
 and sorts as that tuple; an index set sorts its generators on exact integer
 keys over their common denominator; and whether two exponents differ by an
-integer is read off their reduced numerators and denominators, with no
-``Fraction`` arithmetic.  They also do only the work their inputs need:
+integer has one owner, ``_unit_class``, the class mod 1 read off the
+reduced numerator and denominator.  They also do only the work their
+inputs need:
 
 * each :class:`BMap` computes two plans once.  Pull-back walks the pull
   plan, each source face in face order with its row as a tuple, and a row
@@ -52,7 +66,8 @@ integer is read off their reduced numerators and denominators, with no
   over the common denominator of both operands, prunes on the keys, and
   builds a ``Fraction`` only for the terms it keeps; a sum of two
   one-generator sets, and an extended union of two, are worked out by
-  cases;
+  cases, and a larger extended union pairs only the generators in one
+  class mod 1;
 * a :class:`Space` compares equal to itself by identity first, since every
   pipeline compares a space with itself.
 
@@ -86,6 +101,82 @@ def _frac(x: RationalLike) -> Fraction:
     if isinstance(x, (float, bool)):
         raise TypeError(f"an exact rational (int, str or Fraction) is needed, got {x!r}")
     return Fraction(x)
+
+
+# ---------------------------------------------------------------------------
+# Reduced-integer arithmetic on Fractions
+#
+# Each helper reads its operands' ``_numerator`` and ``_denominator`` slots,
+# so the operands must be ``Fraction``s: an empty set's ``math.inf`` is not.
+# ---------------------------------------------------------------------------
+
+_new_object = object.__new__
+
+
+def _fraction(n: int, d: int) -> Fraction:
+    """The Fraction n/d of coprime n and d > 0, taken as it is."""
+    f = _new_object(Fraction)
+    f._numerator = n
+    f._denominator = d
+    return f
+
+
+def _reduced(n: int, d: int) -> Fraction:
+    """The Fraction n/d for any n and d > 0, reduced by their gcd."""
+    g = math.gcd(n, d)
+    return _fraction(n // g, d // g)
+
+
+def _add(a: Fraction, b: Fraction) -> Fraction:
+    """a + b: over lcm(da, db), reduced by the one gcd it can still share."""
+    na, da = a._numerator, a._denominator
+    nb, db = b._numerator, b._denominator
+    g = math.gcd(da, db)
+    if g == 1:
+        return _fraction(na * db + da * nb, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = math.gcd(t, g)
+    if g2 == 1:
+        return _fraction(t, s * db)
+    return _fraction(t // g2, s * (db // g2))
+
+
+def _add_int(a: Fraction, i: int) -> Fraction:
+    """a + i: adding a multiple of the denominator keeps the fraction reduced."""
+    d = a._denominator
+    return _fraction(a._numerator + i * d, d)
+
+
+def _neg(a: Fraction, i: int = 0) -> Fraction:
+    """i - a, so -a by default."""
+    d = a._denominator
+    return _fraction(i * d - a._numerator, d)
+
+
+def _mul(a: Fraction, b: Fraction) -> Fraction:
+    """a * b, each numerator reduced against the other denominator first."""
+    na, da = a._numerator, a._denominator
+    nb, db = b._numerator, b._denominator
+    g1 = math.gcd(na, db)
+    if g1 > 1:
+        na //= g1
+        db //= g1
+    g2 = math.gcd(nb, da)
+    if g2 > 1:
+        nb //= g2
+        da //= g2
+    return _fraction(na * nb, da * db)
+
+
+def _unit_class(z: Fraction) -> tuple[int, int]:
+    """z mod 1, as z's reduced denominator q and its numerator mod q.
+
+    z - w is an integer iff z and w have the same class; two such exponents
+    share their denominator, so the larger numerator is the larger exponent.
+    """
+    q = z._denominator
+    return q, z._numerator % q
 
 
 class SpaceMismatchError(ValueError):
@@ -126,6 +217,19 @@ class Face(NamedTuple):
     label: str
 
 
+def _refuse_non_faces(*values: object) -> None:
+    """Refuse the first value that is not a :class:`Face`, such as a bare label.
+
+    A label string never equals its face, so a lookup by label would miss,
+    and a message that formats ``face.label`` would fail on it.  Lookups
+    call this on their miss path only, so a hit costs nothing.
+    """
+    for v in values:
+        if not isinstance(v, Face):
+            raise TypeError(f"a face must be a Face, got {v!r} "
+                            "(Space.face(label) gives the face of a label)")
+
+
 @dataclass(frozen=True)
 class Space:
     """The combinatorial shadow of a manifold with corners: its named faces."""
@@ -135,6 +239,7 @@ class Space:
     def __post_init__(self) -> None:
         if not self.faces:
             raise ValueError("a space needs at least one face")
+        _refuse_non_faces(*self.faces)
         index = {f: i for i, f in enumerate(self.faces)}
         if len(index) != len(self.faces):
             raise ValueError(f"duplicate face labels in {[f.label for f in self.faces]}")
@@ -269,11 +374,11 @@ def _canonical(gens: tuple[IndexTerm, ...]) -> tuple[IndexTerm, ...]:
     """
     if len(gens) < 2:  # already canonical
         return gens
-    d = math.lcm(*(z.denominator for z, _ in gens))
+    d = math.lcm(*(z._denominator for z, _ in gens))
     best: dict[int, int] = {}
     kept = []
     for n, negk, i in sorted(
-        (z.numerator * (d // z.denominator), -k, i) for i, (z, k) in enumerate(gens)
+        (z._numerator * (d // z._denominator), -k, i) for i, (z, k) in enumerate(gens)
     ):
         cls = n % d
         if -negk > best.get(cls, -1):
@@ -289,11 +394,11 @@ _NATURALS = IndexSet((IndexTerm(0, 0),))
 def _is_naturals(E: IndexSet) -> bool:
     """Whether E is the smooth set 0 + N, however it was built (``shifted(0)`` too).
 
-    Its canonical form has the one generator (0, 0); comparing the fields
-    with the int 0 skips ``Fraction``'s general equality.
+    Its canonical form has the one generator (0, 0); reading the reduced
+    numerator skips ``Fraction``'s general equality.
     """
     gens = E.generators
-    return len(gens) == 1 and gens[0].k == 0 and gens[0].z == 0
+    return len(gens) == 1 and gens[0].k == 0 and gens[0].z._numerator == 0
 
 
 def member(E: IndexSet, z: RationalLike, k: int) -> bool:
@@ -303,13 +408,13 @@ def member(E: IndexSet, z: RationalLike, k: int) -> bool:
         raise TypeError(f"log power must be an int, got {k!r}")
     if k < 0:
         return False
-    # z - z0 is a natural number iff the reduced fractions share their
-    # denominator q and the numerators differ by a natural multiple of q
-    n, q = zq.numerator, zq.denominator
+    # z - z0 is a natural number iff z and z0 are in one class mod 1 and z's
+    # numerator, over their shared denominator, is not the smaller
+    n, cls = zq._numerator, _unit_class(zq)
     for g in E.generators:  # read k first, and z only where k passes
         if k <= g.k:
             z0 = g.z
-            if z0.denominator == q and n >= z0.numerator and (n - z0.numerator) % q == 0:
+            if n >= z0._numerator and _unit_class(z0) == cls:
                 return True
     return False
 
@@ -329,7 +434,7 @@ def sum_sets(E: IndexSet, F: IndexSet) -> IndexSet:
     candidate (z + w, k + l) as ``_canonical`` does, by the exact integers
     ((z + w)*d, -(k + l)) over the common denominator d of both operands,
     prunes on those keys by ``_canonical``'s rule, and forms z + w as the
-    ``Fraction`` n/d only for the keys n it keeps.
+    reduced ``Fraction`` n/d only for the keys n it keeps.
     """
     eg, fg = E.generators, F.generators
     if not eg or not fg:
@@ -340,29 +445,29 @@ def sum_sets(E: IndexSet, F: IndexSet) -> IndexSet:
         return E
     if len(eg) == 1 and len(fg) == 1:
         a, b = eg[0], fg[0]
-        return IndexSet._from_canonical((_new_term(IndexTerm, (a.z + b.z, a.k + b.k)),))
-    d = math.lcm(*(t.z.denominator for t in eg), *(t.z.denominator for t in fg))
-    ekeys = [(t.z.numerator * (d // t.z.denominator), -t.k) for t in eg]
-    fkeys = [(t.z.numerator * (d // t.z.denominator), -t.k) for t in fg]
+        return IndexSet._from_canonical((_new_term(IndexTerm, (_add(a.z, b.z), a.k + b.k)),))
+    d = math.lcm(*(z._denominator for z, _ in eg), *(z._denominator for z, _ in fg))
+    ekeys = [(z._numerator * (d // z._denominator), -k) for z, k in eg]
+    fkeys = [(z._numerator * (d // z._denominator), -k) for z, k in fg]
     best: dict[int, int] = {}  # per class z*d mod d, the least -k kept so far
     kept = []
     for n, negk in sorted([(a + b, p + q) for a, p in ekeys for b, q in fkeys]):
         cls = n % d
         if negk < best.get(cls, 1):
             best[cls] = negk
-            kept.append(_new_term(IndexTerm, (Fraction(n, d), -negk)))
+            kept.append(_new_term(IndexTerm, (_reduced(n, d), -negk)))
     return IndexSet._from_canonical(tuple(kept))
 
 
 def scale_set(q: RationalLike, E: IndexSet) -> IndexSet:
     """Multiply exponents by q > 0, keeping log powers and the +1 shift closure."""
     qf = _frac(q)
-    if qf <= 0:
+    if qf._numerator <= 0:
         raise ValueError(f"scale factor must be positive, got {qf}")
-    if qf == 1:
+    if qf._numerator == qf._denominator:  # q == 1
         return E
     return IndexSet._from_canonical(_canonical(tuple(
-        _new_term(IndexTerm, (qf * z, k)) for z, k in E.generators
+        _new_term(IndexTerm, (_mul(qf, z), k)) for z, k in E.generators
     )))
 
 
@@ -372,12 +477,17 @@ def shift_set(E: IndexSet, d: RationalLike) -> IndexSet:
     A shift keeps the order of the exponents and every difference between
     them, so the shifted canonical generators are canonical as they stand.
     """
-    if type(d) is not int:  # an int adds to a Fraction exactly as it is
+    if type(d) is int:
+        if d == 0:
+            return E
+        add = _add_int
+    else:
         d = _frac(d)
-    if d == 0:
-        return E
+        if d._numerator == 0:
+            return E
+        add = _add
     return IndexSet._from_canonical(tuple(
-        _new_term(IndexTerm, (z + d, k)) for z, k in E.generators
+        _new_term(IndexTerm, (add(z, d), k)) for z, k in E.generators
     ))
 
 
@@ -395,16 +505,15 @@ def extended_union(E: IndexSet, F: IndexSet) -> IndexSet:
         return E
     if len(eg) == 1 and len(fg) == 1:
         return IndexSet._from_canonical(_union_of_two(eg[0], fg[0]))
-    # z - w is an integer iff the reduced fractions share their denominator
-    # q and their numerators agree mod q, so no Fraction is formed
-    others = [(w.numerator, w.denominator, w, l) for w, l in F.generators]
-    extra = []
-    for z, k in E.generators:
-        n, q = z.numerator, z.denominator
-        for m, r, w, l in others:
-            if r == q and (n - m) % q == 0:
-                extra.append(_new_term(IndexTerm, (z if n >= m else w, k + l + 1)))
-    return IndexSet._from_canonical(_canonical(eg + fg + tuple(extra)))
+    # z - w is an integer iff z and w are in one class mod 1
+    by_class: dict[tuple[int, int], list[IndexTerm]] = {}
+    for t in fg:
+        by_class.setdefault(_unit_class(t.z), []).append(t)
+    extra = tuple(
+        _new_term(IndexTerm, (z if z._numerator >= w._numerator else w, k + l + 1))
+        for z, k in eg for w, l in by_class.get(_unit_class(z), ())
+    )
+    return IndexSet._from_canonical(_canonical(eg + fg + extra))
 
 
 def _union_of_two(a: IndexTerm, b: IndexTerm) -> tuple[IndexTerm, ...]:
@@ -416,8 +525,8 @@ def _union_of_two(a: IndexTerm, b: IndexTerm) -> tuple[IndexTerm, ...]:
     on reduced numerators and denominators, with no ``Fraction`` arithmetic.
     """
     z, w = a.z, b.z
-    n, q, m, r = z.numerator, z.denominator, w.numerator, w.denominator
-    if q == r and (n - m) % q == 0:
+    n, q, m, r = z._numerator, z._denominator, w._numerator, w._denominator
+    if _unit_class(z) == _unit_class(w):
         bumped = a.k + b.k + 1
         if n == m:
             return (_new_term(IndexTerm, (z, bumped)),)
@@ -449,6 +558,7 @@ class IndexFamily:
         seen: dict[Face, IndexSet] = {}
         for face, E in self.entries:
             if face not in index:
+                _refuse_non_faces(face)
                 raise SpaceMismatchError(f"face {face.label!r} not in the family's space")
             if face in seen:
                 raise ValueError(f"duplicate entry for face {face.label!r}")
@@ -475,6 +585,7 @@ class IndexFamily:
         if E is not None:
             return E
         if face not in self.space._index:
+            _refuse_non_faces(face)
             raise SpaceMismatchError(f"face {face.label!r} not in the family's space")
         return _EMPTY
 
@@ -527,6 +638,7 @@ class BMap:
     def __post_init__(self) -> None:
         for (G, H), val in self.e:
             if G not in self.source or H not in self.target:
+                _refuse_non_faces(G, H)
                 raise SpaceMismatchError(f"entry ({G.label},{H.label}) off the spaces")
             if not isinstance(val, int) or isinstance(val, bool) or val < 0:
                 raise ValueError("exponents must be natural numbers")
@@ -613,13 +725,27 @@ class BMap:
         return all(len(row) <= 1 for row in self._rows.values())
 
     def exponent(self, G: Face, H: Face) -> int:
-        return self._rows.get(G, {}).get(H, 0)
+        row = self._rows.get(G)
+        if row is not None:
+            v = row.get(H)
+            if v is not None:
+                return v
+        _refuse_non_faces(G, H)
+        return 0
 
     def row(self, G: Face) -> dict[Face, int]:
-        return dict(self._rows.get(G, {}))
+        row = self._rows.get(G)
+        if row is None:
+            _refuse_non_faces(G)
+            return {}
+        return dict(row)
 
     def column(self, H: Face) -> dict[Face, int]:
-        return dict(self._columns.get(H, {}))
+        col = self._columns.get(H)
+        if col is None:
+            _refuse_non_faces(H)
+            return {}
+        return dict(col)
 
 
 def is_b_normal(f: BMap) -> bool:
@@ -700,7 +826,7 @@ def pushforward_family(f: BMap, fam: IndexFamily) -> IndexFamily:
         E = by_face.get(G)
         if E is not None:
             inf_g = inf_order(E)
-            if not inf_g > 0:
+            if inf_g._numerator <= 0:  # inf > 0 fails
                 raise IntegrabilityViolatedError(G, inf_g)
     out = []
     for H, column in columns:
@@ -740,6 +866,7 @@ class BlowupStep:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise TypeError(f"{name} must be an int, got {value!r}")
+        _refuse_non_faces(self.new_face, *self.inherits_from)
         if not 0 <= self.k <= self.n:
             raise ValueError("need 0 <= k <= n in the local model")
 

@@ -24,6 +24,7 @@ The projection ``pi2_i`` to factor i sends ``Br_i`` to ``tf`` and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -39,8 +40,12 @@ from cusplab.corners import (
     IndexTerm,
     RationalLike,
     Space,
+    _add,
+    _add_int,
     _frac,
+    _neg,
     _new_term,
+    _unit_class,
     chained_density_exponents,
     inf_order,
     is_b_fibration,
@@ -183,7 +188,18 @@ def kernel_index_family(o: OpOrders) -> IndexFamily:
     the density convention), ``-beta + N`` at the temporal boundary, and the
     empty set at every other face.
     """
-    return _pair_family(build_fixture().X2, "ff_c", -o.alpha - 2, "tb", -o.beta)
+    return _pair_family(build_fixture().X2, "ff_c", _neg(o.alpha, -2), "tb", _neg(o.beta))
+
+
+def _lead(E: IndexSet, sign: int, shift: int) -> Fraction | float:
+    """sign * inf_order(E) + shift, for sign +1 or -1, built reduced.
+
+    An empty E's +inf passes through the same arithmetic as a float.
+    """
+    z = inf_order(E)
+    if z is math.inf:
+        return sign * z + shift
+    return _add_int(z, shift) if sign > 0 else _neg(z, shift)
 
 
 @dataclass(frozen=True)
@@ -213,7 +229,7 @@ def mapping_stages(o: OpOrders, section: tuple[RationalLike, RationalLike]) -> M
     product = product_family(pulled, kernel)
     with_density = product.shifted(fx.density_X2)
     pushed = pushforward_family(fx.pi2_1, with_density)
-    lead_ff = inf_order(pushed.get(fx.X1.face("ff"))) - fx.omega_ff_exponent
+    lead_ff = _lead(pushed.get(fx.X1.face("ff")), 1, -fx.omega_ff_exponent)
     lead_tf = inf_order(pushed.get(fx.X1.face("tf")))
     return MappingStages(fam_section, pulled, product, with_density, pushed,
                          (lead_ff, lead_tf))
@@ -277,9 +293,9 @@ def composition_stages(o1: OpOrders, o2: OpOrders) -> CompositionStages:
     pushed = pushforward_family(fx.pi3_13, with_density)
     normalized = pushed.shifted(_composition_constants()[1])
 
-    lead_ffc = inf_order(normalized.get(fx.X2.face("ff_c")))
-    lead_tb = inf_order(normalized.get(fx.X2.face("tb")))
-    result = OpOrders._from_fractions(o1.m + o2.m, -lead_ffc - 2, -lead_tb)
+    result = OpOrders._from_fractions(_add(o1.m, o2.m),
+                                      _lead(normalized.get(fx.X2.face("ff_c")), -1, -2),
+                                      _lead(normalized.get(fx.X2.face("tb")), -1, 0))
     return CompositionStages(pulled_12, pulled_23, product, with_density,
                              pushed, normalized, result)
 
@@ -310,7 +326,7 @@ def trace_index_set(alpha: RationalLike, beta: RationalLike) -> IndexSet:
     a, b = _frac(alpha), _frac(beta)
     _check_trace_class(a, b)
     _, pi = _time_axis()
-    pushed = pushforward_family(pi, _pair_family(pi.source, "ff", -a, "tf", -b))
+    pushed = pushforward_family(pi, _pair_family(pi.source, "ff", _neg(a), "tf", _neg(b)))
     return pushed.get(pi.target.face("zero"))
 
 
@@ -324,7 +340,7 @@ def trace_expansion_terms(
     """
     a, b = _frac(alpha), _frac(beta)
     _check_trace_class(a, b)
-    if (a - b).denominator == 1:
+    if _unit_class(a) == _unit_class(b):
         return [(min(-a, -b), 0), (max(-a, -b), 1)]
     return sorted([(-a, 0), (-b, 0)])
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cusplab import corners
 from cusplab.corners import (
     BlowupStep,
     BMap,
@@ -21,7 +22,13 @@ from cusplab.corners import (
     NotBFibrationError,
     Space,
     SpaceMismatchError,
+    _add,
+    _add_int,
     _canonical,
+    _mul,
+    _neg,
+    _reduced,
+    _unit_class,
     chained_density_exponents,
     compose_bmaps,
     density_lift_exponent,
@@ -994,3 +1001,75 @@ def test_space_validation():
         BMap(Space((a,)), Space((b,)), (((a, b), 1), ((a, b), 2)))
     with pytest.raises(SpaceMismatchError, match=re.escape("entry (b,a) off the spaces")):
         BMap(Space((a,)), Space((b,)), (((b, a), 1),))
+
+
+def test_faces_given_as_labels_are_refused(monkeypatch):
+    S = Space.of("a", "b")
+    a, b = S.faces
+    E = IndexSet.naturals()
+    bm = BMap.build(S, S, {"a": {"b": 1}})
+    fam = IndexFamily(S, ((a, E),))
+    for make, label in ((lambda: IndexFamily(S, (("a", E),)), "a"),
+                        (lambda: BMap(S, S, ((("a", "b"), 1),)), "a"),
+                        (lambda: BMap(S, S, (((a, "b"), 1),)), "b"),
+                        (lambda: fam.get("b"), "b"),
+                        # a label misses even where its face carries a set
+                        (lambda: fam.get("a"), "a"),
+                        (lambda: bm.exponent("a", "x"), "a"),
+                        (lambda: bm.exponent(a, "b"), "b"),
+                        (lambda: bm.row("a"), "a"),
+                        (lambda: bm.column("b"), "b"),
+                        (lambda: Space(("a", "b")), "a"),
+                        (lambda: BlowupStep(2, 1, "a"), "a"),
+                        (lambda: BlowupStep(2, 1, a, frozenset({"b"})), "b")):
+        with pytest.raises(TypeError, match=f"a face must be a Face, got '{label}'"):
+            make()
+    # faces that miss keep their answers: the empty set, a zero exponent, an
+    # empty row, and a face off the space is a mismatch
+    assert fam.get(b) == IndexSet.empty()
+    assert bm.exponent(b, a) == 0 and bm.exponent(a, a) == 0
+    assert bm.row(b) == {} and bm.column(a) == {}
+    with pytest.raises(SpaceMismatchError, match="face 'z'"):
+        fam.get(Face("z"))
+    # a lookup that hits never runs the check
+    monkeypatch.setattr(corners, "_refuse_non_faces", None)
+    assert fam.get(a) is E and bm.exponent(a, b) == 1
+    assert bm.row(a) == {b: 1} and bm.column(b) == {a: 1}
+
+
+# -- reduced-integer arithmetic ------------------------------------------------
+
+BIG = 10 ** 50
+NUMERATORS = st.one_of(st.integers(-50, 50), st.integers(-BIG, BIG),
+                       st.sampled_from([0, -BIG, BIG]))
+DENOMINATORS = st.one_of(st.integers(1, 50), st.integers(1, BIG), st.just(BIG))
+FRACTIONS = st.builds(Fraction, NUMERATORS, DENOMINATORS)
+
+
+def assert_same_fraction(got, want):
+    assert type(got) is type(want) is Fraction
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert hash(got) == hash(want) and repr(got) == repr(want) and got == want
+
+
+@settings(max_examples=400, deadline=None)
+@given(FRACTIONS, FRACTIONS, NUMERATORS, DENOMINATORS)
+@example(Fraction(0), Fraction(0), 0, 1)
+@example(Fraction(-1, 2), Fraction(1, 2), -BIG, BIG)  # a sum of 0, and n/d = -1
+@example(Fraction(5, 6), Fraction(-1, 6), 2 * BIG, 6 * BIG)  # the gcd steps reduce
+@example(Fraction(-1), Fraction(1, 3), 3, 1)  # -1 hashes apart from every other int
+def test_reduced_helpers_equal_fraction_arithmetic(a, b, n, d):
+    # the helpers fill these slots without Fraction's constructor
+    assert {"_numerator", "_denominator"} <= set(getattr(Fraction, "__slots__", ())), (
+        "fractions.Fraction no longer has the _numerator/_denominator slots that "
+        "corners._fraction fills; the reduced-integer helpers must be rewritten")
+    i = n % 1000 - 500
+    assert_same_fraction(_add(a, b), a + b)
+    assert_same_fraction(_add_int(a, i), a + i)
+    assert_same_fraction(_add_int(a, n), a + n)
+    assert_same_fraction(_neg(a), -a)
+    assert_same_fraction(_neg(a, i), i - a)
+    assert_same_fraction(_mul(a, b), a * b)
+    assert_same_fraction(_reduced(n, d), Fraction(n, d))
+    assert (_unit_class(a) == _unit_class(b)) == ((a - b).denominator == 1)
+    assert _unit_class(a) == _unit_class(a + i)

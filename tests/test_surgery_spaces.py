@@ -1,6 +1,7 @@
 """Tests for the surgery-space fixture and the order pipelines."""
 
 import dataclasses
+import math
 import os
 import random
 import subprocess
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import cusplab
+from cusplab import surgery_spaces
 from cusplab.corners import (
     BMap,
     Face,
@@ -559,3 +561,89 @@ def test_trace_expansion_symmetric_and_consistent_with_set():
         for z, k in terms:
             assert member(S, z, k)
         assert min(z for z, _ in terms) == inf_order(S)
+
+
+# -- reduced exponents through the pipelines ------------------------------------
+
+def assert_reduced(z):
+    assert type(z) is Fraction, z
+    assert z.denominator > 0 and math.gcd(z.numerator, z.denominator) == 1, \
+        (z.numerator, z.denominator)
+
+
+def assert_reduced_family(fam):
+    for _, E in fam.entries:
+        for t in E.generators:
+            assert_reduced(t.z)
+
+
+def trace_draws(rng, count):
+    """Criterion 2's draws: alpha < -1 and beta <= 0, half an integer apart."""
+    while count:
+        den = rng.choice([1, 2, 3, 4, 5])
+        alpha = Fraction(-rng.randint(den + 1, 8 * den), den)
+        if rng.random() < 0.5:
+            beta = alpha + rng.randint(0, 6)
+        else:
+            beta = Fraction(-rng.randint(0, 12), rng.choice([2, 3, 4, 5]))
+        if beta <= 0:
+            count -= 1
+            yield alpha, beta
+
+
+def test_pipeline_exponents_stay_reduced_fractions():
+    # criterion 3's and criterion 4's draws, and criterion 2's
+    rng = random.Random(303)
+    for _ in range(100):
+        o = rand_orders(rng)
+        section = tuple(Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3])) for _ in range(2))
+        stages = mapping_stages(o, section)
+        for fam in (stages.section, stages.pulled, stages.product, stages.with_density,
+                    stages.pushed):
+            assert_reduced_family(fam)
+        for z in stages.result:
+            assert_reduced(z)
+    rng = random.Random(404)
+    for _ in range(100):
+        stages = composition_stages(rand_orders(rng), rand_orders(rng))
+        for fam in (stages.pulled_12, stages.pulled_23, stages.product, stages.with_density,
+                    stages.pushed, stages.normalized):
+            assert_reduced_family(fam)
+        for _, E in stages.ffc_contributors:
+            for t in E.generators:
+                assert_reduced(t.z)
+        r = stages.result
+        for z in (r.m, r.alpha, r.beta):
+            assert_reduced(z)
+    for alpha, beta in trace_draws(random.Random(202), 100):
+        for t in trace_index_set(alpha, beta).generators:
+            assert_reduced(t.z)
+        for z, _ in trace_expansion_terms(alpha, beta):
+            assert_reduced(z)
+
+
+def test_an_empty_pushed_face_gives_infinite_orders(monkeypatch):
+    # inf_order reads +inf off an empty face, and the result arithmetic
+    # carries it as a float: +inf - 1 at the front face, -inf - 2 and -inf
+    # for the composed alpha and beta
+    push = surgery_spaces.pushforward_family
+
+    def dropping(label):
+        def pushed(f, fam):
+            out = push(f, fam)
+            return IndexFamily(out.space, tuple((F, E) for F, E in out.entries
+                                                if F.label != label))
+        return pushed
+
+    o = OpOrders(1, Fraction(-3, 2), Fraction(1, 3))
+    monkeypatch.setattr(surgery_spaces, "pushforward_family", dropping("ff"))
+    assert inf_order(mapping_stages(o, (0, 0)).pushed.get(Face("ff"))) is math.inf
+    lead_ff, lead_tf = mapping_orders(o, (0, 0))
+    assert lead_ff == math.inf and type(lead_ff) is float and lead_tf == Fraction(-1, 3)
+    monkeypatch.setattr(surgery_spaces, "pushforward_family", dropping("ff_c"))
+    got = composition_orders(o, o)
+    assert got.alpha == -math.inf and type(got.alpha) is float
+    assert (got.m, got.beta) == (2, Fraction(2, 3))
+    monkeypatch.setattr(surgery_spaces, "pushforward_family", dropping("tb"))
+    got = composition_orders(o, o)
+    assert got.beta == -math.inf and (got.m, got.alpha) == (2, -3)
