@@ -9,6 +9,7 @@ import math
 import os
 import re
 import sys
+from concurrent.futures import Executor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -225,37 +226,129 @@ def _ptr(a: np.ndarray):
     return a.ctypes.data_as(_INT if a.dtype == np.intc else _DOUBLE)
 
 
-def eigen_lowest(T: Tridiagonal, count: int, vector: bool = False, h: float | None = None):
+# dstebz's constants (LAPACK 3.12): dlamch('P'), dlamch('S'), and its FUDGE and RELFAC
+_ULP, _SAFEMN, _FUDGE, _RELFAC = 2.0**-52, sys.float_info.min, 2.1, 2.0
+
+
+def _pivmin(e2: np.ndarray) -> float:
+    """dstebz's PIVMIN for a matrix that does not split: DBL_MIN * max(1, e_j^2)."""
+    return _SAFEMN * max(1.0, float(e2.max(initial=0.0)))
+
+
+def _stebz(d: np.ndarray, e: np.ndarray, irange: bytes, order: bytes = b"E", count: int = 0,
+           vl: float = 0.0, vu: float = 0.0):
+    """dstebz's (values, IBLOCK, ISPLIT): with ``irange`` b"I" levels 1..count, b"V" (vl, vu]."""
+    n = len(d)
+    m, nsplit, info = ctypes.c_int(), ctypes.c_int(), ctypes.c_int()
+    w, iblock, isplit = np.empty(n), np.empty(n, np.intc), np.empty(n, np.intc)
+    work, iwork = np.empty(4 * n), np.empty(3 * n, np.intc)
+    _dstebz(irange, order, ctypes.c_int(n), ctypes.c_double(vl), ctypes.c_double(vu),
+            ctypes.c_int(1), ctypes.c_int(count), ctypes.c_double(EIGEN_TOL), _ptr(d), _ptr(e),
+            m, nsplit, _ptr(w), _ptr(iblock), _ptr(isplit), _ptr(work), _ptr(iwork), info)
+    if info.value != 0:
+        raise NonConvergenceError(f"LAPACK dstebz failed with info = {info.value}")
+    return w[: max(m.value, 0)], iblock, isplit  # M < 0 only where the counts are not monotone
+
+
+def _first_split(d: np.ndarray, e: np.ndarray, count: int) -> tuple[float, float, float] | None:
+    """(WL, c, WU): dstebz("I")'s bisection root for levels 1..count and its first midpoint.
+
+    This is dstebz's own prelude: PIVMIN, the Gershgorin bounds and the
+    dlaebz IJOB = 3 search for WL and WU, in the same floating-point
+    operations.  dstebz then bisects (WL, WU] with dlaebz, where each
+    interval's arithmetic depends only on its own ends, so dstebz("V") on
+    (WL, c] and on (c, WU] computes exactly the two subtrees below c.  None
+    where that does not hold: n < 2, count = n, a matrix that splits (or
+    comes within a factor 2 of splitting), an intermediate that overflows,
+    a search that does not end on N(WL) = 0 and N(WU) = count, Gershgorin
+    bounds that would clip (WL, WU], or a half of it that dlaebz would
+    already take as converged.
+    """
+    n = len(d)
+    if n < 2 or count == n:
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        e2 = e * e
+        if np.any(np.abs(d[1:] * d[:-1]) * _ULP**2 + _SAFEMN > 0.5 * e2):
+            return None
+        s = np.sqrt(e2)  # = |e|, as no e_j^2 under- or overflows here
+        gl = float(np.min(d - np.append(0.0, s) - np.append(s, 0.0)))
+        gu = float(np.max(d + np.append(0.0, s) + np.append(s, 0.0)))
+    pivmin, tnorm = _pivmin(e2), max(abs(gl), abs(gu))
+    if not (math.isfinite(pivmin) and math.isfinite(tnorm)):
+        return None
+    # dstebz("I") widens the bounds by 2 PIVMIN below, its block loop by PIVMIN
+    gl, gu = gl - _FUDGE * tnorm * _ULP * n, gu + _FUDGE * tnorm * _ULP * n
+    ab = np.array([gl - _FUDGE * 2.0 * pivmin] * 2 + [gu + _FUDGE * pivmin] * 2)  # AB(2, 2)
+    c = ab[1:3].copy()  # dlaebz first counts at GL and GU
+    nab = np.array([-1, -1, n + 1, n + 1], np.intc)
+    nval = np.array([0, count], np.intc)
+    itmax = int((math.log(tnorm + pivmin) - math.log(pivmin)) / math.log(2.0)) + 2
+    two, mout, info = ctypes.c_int(2), ctypes.c_int(), ctypes.c_int()
+    # with NBMIN = 0, dstebz's scalar bisection, WORK and IWORK go unread
+    unread, unread_int = np.zeros(2), np.zeros(2, np.intc)
+    _dlaebz(ctypes.c_int(3), ctypes.c_int(itmax), ctypes.c_int(n), two, two, ctypes.c_int(0),
+            ctypes.c_double(EIGEN_TOL), ctypes.c_double(_ULP * _RELFAC), ctypes.c_double(pivmin),
+            _ptr(d), _ptr(e), _ptr(e2), _ptr(nval), _ptr(ab), _ptr(c), mout, _ptr(nab),
+            _ptr(unread), _ptr(unread_int), info)
+    # dlaebz moves a converged search first, with its NVAL
+    low, high = (0, 3) if nval[1] == count else (1, 2)
+    wl, wu = float(ab[low]), float(ab[high])
+    if not (nab[low] == 0 and nab[high] == count
+            and gl - _FUDGE * pivmin <= wl and wu <= gu + _FUDGE * pivmin):
+        return None
+    mid = 0.5 * (wl + wu)
+    if min(mid - wl, wu - mid) < max(EIGEN_TOL, pivmin, _ULP * _RELFAC * max(abs(wl), abs(wu))):
+        return None
+    return wl, mid, wu
+
+
+def eigen_lowest(T: Tridiagonal, count: int, vector: bool = False, h: float | None = None,
+                 pool: Executor | None = None):
     """Lowest eigenvalues of T by Sturm-sequence bisection, to absolute ``EIGEN_TOL``.
 
     With ``vector``, also the eigenvector of the lowest one (inverse
     iteration), normalized in the discrete L^2(d rho) norm when the spacing h
     is given, else in the plain l^2 norm.  Returns the ascending eigenvalues,
     or (values, vector) with ``vector``.
+
+    The values have the bits of one dstebz("I") call, the one scipy's
+    eigh_tridiagonal(select="i") makes.  Where ``_first_split`` finds its
+    root, the bisection runs as its two halves: the upper one is offered to
+    ``pool`` while this thread runs the lower, then taken back with
+    ``cancel`` and run here unless a worker has already started it.  So a
+    job waits only on a half that is running, whatever the pool's size, and
+    the pool starts no thread beyond its own; without a pool both halves
+    run here.  Elsewhere the one dstebz("I") call runs.
     """
     n = T.dimension
     if not 1 <= count <= n:
         raise ValueError("count must lie between 1 and the dimension")
     d, e = T.diagonal, T.offdiagonal
-    # the calls scipy's eigh_tridiagonal(select="i", tol=EIGEN_TOL) makes: values in
-    # matrix order, or in block order for dstein and sorted afterwards
-    m, nsplit, info = ctypes.c_int(), ctypes.c_int(), ctypes.c_int()
-    w, iblock, isplit = np.empty(n), np.empty(n, np.intc), np.empty(n, np.intc)
-    work, iwork = np.empty(5 * n), np.empty(3 * n, np.intc)  # enough for both routines
-    _dstebz(b"I", b"B" if vector else b"E", ctypes.c_int(n), ctypes.c_double(0.0),
-            ctypes.c_double(0.0), ctypes.c_int(1), ctypes.c_int(count), ctypes.c_double(EIGEN_TOL),
-            _ptr(d), _ptr(e), m, nsplit, _ptr(w), _ptr(iblock), _ptr(isplit),
-            _ptr(work), _ptr(iwork), info)
-    if info.value != 0:
-        raise NonConvergenceError(f"LAPACK dstebz failed with info = {info.value}")
-    w = w[: m.value]
+    root, w = _first_split(d, e, count), None
+    if root is not None:
+        wl, mid, wu = root
+        upper = None if pool is None else pool.submit(_stebz, d, e, b"V", vl=mid, vu=wu)
+        try:
+            w_low = _stebz(d, e, b"V", vl=wl, vu=mid)[0]
+        finally:
+            taken_back = upper is None or upper.cancel()
+        w_high = (_stebz(d, e, b"V", vl=mid, vu=wu) if taken_back else upper.result())[0]
+        if len(w_low) + len(w_high) == count:
+            w, iblock, isplit = (np.concatenate((w_low, w_high)), np.ones(count, np.intc),
+                                 np.array([n], np.intc))  # one block
+    if w is None:
+        # values in matrix order, or in block order for dstein and sorted afterwards
+        w, iblock, isplit = _stebz(d, e, b"I", b"B" if vector else b"E", count=count)
     if not vector:
         return w
     # dstein draws one random start per value in the order given: the values up to the
     # lowest (one unless T splits) give its vector the bits of eigh_tridiagonal's column 0
     order = np.argsort(w)
     first = int(order[0]) + 1
+    info = ctypes.c_int()
     vecs, ifail = np.empty((n, first), order="F"), np.empty(first, np.intc)
+    work, iwork = np.empty(5 * n), np.empty(n, np.intc)
     _dstein(ctypes.c_int(n), _ptr(d), _ptr(e), ctypes.c_int(first), _ptr(w), _ptr(iblock),
             _ptr(isplit), _ptr(vecs), ctypes.c_int(n), _ptr(work), _ptr(iwork), _ptr(ifail),
             info)
@@ -281,7 +374,7 @@ def sturm_counts(T: Tridiagonal, shifts) -> list[int]:
     if not all(map(math.isfinite, shifts)):
         raise ValueError(f"shifts must be finite, got {shifts!r}")
     e2 = T.offdiagonal**2
-    pivmin = sys.float_info.min * max(1.0, float(e2.max(initial=0.0)))
+    pivmin = _pivmin(e2)
     # AB's rows are the shift pairs, an odd last shift filling its row; NAB gets their counts
     ab = np.asfortranarray(np.reshape(shifts + shifts[-1:] * (len(shifts) % 2), (-1, 2)))
     nab, pairs = np.empty_like(ab, dtype=np.intc), ctypes.c_int(len(ab))

@@ -196,14 +196,15 @@ def _queue_modes(pool: ThreadPoolExecutor, geom: NeckGeometry, grid: Grid,
     """Queue ``_modes``'s solves on ``grid``: one list of futures per k, one per chirality.
 
     Each solve gives (eigenvalues, vector): mode 0's lowest vector in a
-    ground-state run (``ground``), else None.
+    ground-state run (``ground``), else None.  Each offers half of its
+    bisection back to ``pool`` (see ``eigen_lowest``).
     """
 
     def solve(mode: ModeSpec):
         H = assemble_hamiltonian(geom, mode, grid)
         if ground and mode.k == 0:
-            return eigen_lowest(H, params.levels, vector=True, h=grid.h)
-        return eigen_lowest(H, params.levels), None
+            return eigen_lowest(H, params.levels, vector=True, h=grid.h, pool=pool)
+        return eigen_lowest(H, params.levels, pool=pool), None
 
     return grid, [[pool.submit(solve, ModeSpec(k, chi)) for chi in _chiralities(geom.t)]
                   for k in range(_modes(geom.t, params, ground))]
@@ -386,7 +387,9 @@ def _solve_grid(t: float | Sequence[float], params: SpectrumParams,
     the t and ``params`` before any solve, and each neck is solved on the
     grid it planned, in a ground-state run (``ground``) or a full one.  The
     pool has one thread per CPU and starts one only when a job finds none
-    idle, so never more threads than jobs.
+    idle; each solve offers it half of its bisection (``eigen_lowest``), so
+    it holds at most one thread per CPU and never more than the solves and
+    their halves.
     """
     plan = check_grids([t] if np.ndim(t) == 0 else t, params)
     with ThreadPoolExecutor(max_workers=_cpu_count()) as pool:
@@ -639,9 +642,12 @@ def relative_resolvent_trace(
                 raise ResolventAboveLevelsError(k, point, float(mu[-1]))
     if lam == lam0:
         return TraceValue(0.0, 0.0, 0.0)
-    for r in table.rows_at(t):
-        if min(abs(r.mu - lam), abs(r.mu - lam0)) < COLLISION_TOL:
-            raise SpectralCollisionError(r.mu, lam if abs(r.mu - lam) < abs(r.mu - lam0) else lam0)
+    mu_t = table.mu[t]
+    near = np.minimum(np.abs(mu_t - lam), np.abs(mu_t - lam0)) < COLLISION_TOL
+    if near.any():  # report the first colliding row in rows_at's (lam, k, j) order
+        k, j = min(zip(*np.nonzero(near)), key=lambda kj: (math.sqrt(max(mu_t[kj], 0.0)), kj))
+        mu = float(mu_t[k, j])
+        raise SpectralCollisionError(mu, lam if abs(mu - lam) < abs(mu - lam0) else lam0)
     bare = tail = 0.0
     for mu in table.mu[t]:
         bare += 2.0 * float(np.sum(1.0 / (mu - lam) - 1.0 / (mu - lam0)))

@@ -22,17 +22,23 @@ class RankDeficientError(ValueError):
 
 @dataclass(frozen=True)
 class BasisSpec:
-    """Monomials (exponent, log power), evaluated as t^z log^k t."""
+    """Monomials (exponent, log power), evaluated as t^z log^k t.
+
+    A log power must be an ``int`` (a float or a bool raises ``TypeError``)
+    and at least 0.
+    """
 
     monomials: tuple[tuple[Fraction, int], ...]
 
     def __post_init__(self) -> None:
+        for _, k in self.monomials:
+            if not isinstance(k, int) or isinstance(k, bool):
+                raise TypeError(f"a log power must be an int, got {k!r}")
+            if k < 0:
+                raise ValueError("log powers must be natural numbers")
         canon = tuple((Fraction(z), int(k)) for z, k in self.monomials)
         if len(set(canon)) != len(canon):
             raise RankDeficientError("duplicate monomials in basis")
-        for _, k in canon:
-            if k < 0:
-                raise ValueError("log powers must be natural numbers")
         object.__setattr__(self, "monomials", canon)
 
     @property

@@ -315,7 +315,8 @@ def _time_axis() -> tuple[Space, BMap]:
 
 
 def _check_trace_class(alpha: Fraction, beta: Fraction) -> None:
-    if not (alpha < -1 and beta <= 0):
+    # alpha < -1 and beta <= 0, read off the reduced numerators
+    if not (alpha._numerator < -alpha._denominator and beta._numerator <= 0):
         raise TraceClassViolatedError(
             f"need alpha < -1 and beta <= 0 for a trace; got ({alpha}, {beta})"
         )
@@ -340,9 +341,10 @@ def trace_expansion_terms(
     """
     a, b = _frac(alpha), _frac(beta)
     _check_trace_class(a, b)
-    if _unit_class(a) == _unit_class(b):
-        return [(min(-a, -b), 0), (max(-a, -b), 1)]
-    return sorted([(-a, 0), (-b, 0)])
+    # -a <= -b iff b <= a, by the cross products of the reduced fractions
+    if b._numerator * a._denominator > a._numerator * b._denominator:
+        a, b = b, a
+    return [(_neg(a), 0), (_neg(b), int(_unit_class(a) == _unit_class(b)))]
 
 
 def verify_fixture() -> list[tuple[str, bool]]:

@@ -217,7 +217,8 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def test_eigen_lowest_is_bitwise_eigh_tridiagonal():
-    # the GIL-free binding makes the calls scipy's eigh_tridiagonal makes
+    # the GIL-free binding makes the calls scipy's eigh_tridiagonal makes, and
+    # splitting the bisection at its first node keeps their bits, on a pool or not
     assert solver.EIGEN_TOL == 1e-10
     rng = np.random.default_rng(5)
     cases = []
@@ -232,6 +233,11 @@ def test_eigen_lowest_is_bitwise_eigh_tridiagonal():
         grid = Grid.for_geometry(geom)
         for mode in (ModeSpec(0), ModeSpec(3, Chirality.MINUS)):
             cases.append((assemble_hamiltonian(geom, mode, grid), 40))
+    necks = []  # criterion 12's top mode at the ends of its t grid
+    for t in (1e-3, 0.5):
+        geom = NeckGeometry.neck(t)
+        necks.append((assemble_hamiltonian(geom, ModeSpec(10), Grid.for_geometry(geom)), 40))
+    cases += necks
     cusp_grid = Grid.for_geometry(cusp, n=3000)
     cases.append((partner_minus_hamiltonian(cusp, ModeSpec(1), cusp_grid), 12))
     # a zero off-diagonal splits dstebz's work into blocks, and the block
@@ -239,18 +245,83 @@ def test_eigen_lowest_is_bitwise_eigh_tridiagonal():
     split = Tridiagonal(np.array([10.0, 11.0, 12.0, 0.0, 1.0, 2.0]),
                         np.array([1.0, 1.0, 0.0, 1.0, 1.0]))
     cases += [(split, 6), (split, 4)]
-    for T, count in cases:
-        kwargs = dict(select="i", select_range=(0, count - 1), tol=1e-10)
-        want = eigh_tridiagonal(T.diagonal, T.offdiagonal, eigvals_only=True, **kwargs)
-        assert _same_bits(eigen_lowest(T, count), want), (T.dimension, count)
-        want_w, want_v = eigh_tridiagonal(T.diagonal, T.offdiagonal, **kwargs)
-        got_w, got_v = eigen_lowest(T, count, vector=True)
-        # the values keep their bits with the vector, and the one vector is column 0
-        assert _same_bits(got_w, want_w) and _same_bits(got_w, want), (T.dimension, count)
-        assert _same_bits(got_v, want_v[:, 0]), (T.dimension, count)
+    # Wilkinson's W21+: its top pairs agree to 1e-14 and closer, so a count
+    # that parts one leaves dstebz's search off N(WU) = count
+    wilkinson = Tridiagonal(np.abs(np.arange(-10.0, 11.0)), np.ones(20))
+    cases += [(wilkinson, count) for count in (1, 17, 18, 20)]
+    assert all(solver._first_split(T.diagonal, T.offdiagonal, count) for T, count in necks)
+    assert [solver._first_split(wilkinson.diagonal, wilkinson.offdiagonal, count) is None
+            for count in (1, 17, 18, 20)] == [False, False, True, True]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        for T, count in cases:
+            kwargs = dict(select="i", select_range=(0, count - 1), tol=1e-10)
+            want = eigh_tridiagonal(T.diagonal, T.offdiagonal, eigvals_only=True, **kwargs)
+            want_w, want_v = eigh_tridiagonal(T.diagonal, T.offdiagonal, **kwargs)
+            for pooled in (None, pool):
+                assert _same_bits(eigen_lowest(T, count, pool=pooled), want), (T.dimension, count)
+                got_w, got_v = eigen_lowest(T, count, vector=True, pool=pooled)
+                # the values keep their bits with the vector, and the one vector is column 0
+                assert _same_bits(got_w, want_w) and _same_bits(got_w, want), (T.dimension, count)
+                assert _same_bits(got_v, want_v[:, 0]), (T.dimension, count)
     w, v = eigen_lowest(split, 6, vector=True)
     assert np.all(np.diff(w) > 0)
     assert not v[:3].any() and v[3:].all()  # in the block of the lower eigenvalues
+
+
+def _neck_hamiltonian(t: float = 0.05, n: int = 300) -> Tridiagonal:
+    geom = NeckGeometry.neck(t)
+    return assemble_hamiltonian(geom, ModeSpec(0), Grid.for_geometry(geom, n=n))
+
+
+def test_a_solve_on_a_one_worker_pool_takes_its_offered_half_back():
+    # the pool's one worker runs the solve, so the upper half it offers stays
+    # queued until the solve cancels it and runs it itself
+    T = _neck_hamiltonian()
+    assert solver._first_split(T.diagonal, T.offdiagonal, 8) is not None
+    pool = ThreadPoolExecutor(max_workers=1)
+    try:
+        got = pool.submit(eigen_lowest, T, 8, pool=pool).result(timeout=60)
+    finally:
+        pool.shutdown(wait=False)
+    assert _same_bits(got, eigen_lowest(T, 8))
+
+
+def test_solves_that_share_a_busy_pool_keep_their_bits():
+    # more workers than cores and a short switch interval: whichever of
+    # cancel and a worker's start wins, each solve gets its own two halves
+    mats = [_neck_hamiltonian(t, n) for t in (0.05, 0.2, 0.5) for n in (200, 317)]
+    want = [eigen_lowest(T, 8) for T in mats]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            jobs = [pool.submit(eigen_lowest, T, 8, pool=pool) for T in mats * 8]
+            got = [job.result(timeout=120) for job in jobs]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(_same_bits(g, w) for g, w in zip(got, want * 8))
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_a_failure_in_the_offered_half_reaches_the_caller(monkeypatch, workers):
+    # run here (no pool) or by a worker (the lower half waits until it starts)
+    T = _neck_hamiltonian()
+    _, mid, _ = solver._first_split(T.diagonal, T.offdiagonal, 8)
+    stebz, upper_started = solver._stebz, threading.Event()
+
+    def stebz_failing_above(d, e, irange, order=b"E", count=0, vl=0.0, vu=0.0):
+        if vl == mid:
+            upper_started.set()
+            raise NonConvergenceError("dstebz failed")
+        if workers:
+            assert upper_started.wait(timeout=60)
+        return stebz(d, e, irange, order, count, vl, vu)
+
+    monkeypatch.setattr(solver, "_stebz", stebz_failing_above)
+    with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
+        with pytest.raises(NonConvergenceError, match="dstebz failed"):
+            eigen_lowest(T, 8, pool=pool if workers else None)
+    assert upper_started.is_set()
 
 
 def test_tridiagonal_stores_finite_contiguous_float_arrays():
@@ -563,6 +634,34 @@ def test_relative_resolvent_trace_contract():
         relative_resolvent_trace(0.5, mu0, -2.0, params, table=table)
 
 
+def _first_collision_by_rows(table, t, lam, lam0):
+    """(mu, point) of the first row in rows_at's (lam, k, j) order within COLLISION_TOL."""
+    for r in table.rows_at(t):
+        if min(abs(r.mu - lam), abs(r.mu - lam0)) < spectra.COLLISION_TOL:
+            return r.mu, lam if abs(r.mu - lam) < abs(r.mu - lam0) else lam0
+    return None
+
+
+@pytest.mark.parametrize("lam, lam0, want", [
+    # mode 1's level below 4 comes first in lam although its k is larger
+    (4.0, 0.5, (4.0 - 4e-10, 4.0)),
+    (0.5, 4.0 - 4e-10, (4.0 - 4e-10, 4.0 - 4e-10)),
+    # a collision with each point: the one at the lower level is reported
+    (9.0 + 2e-10, 4.0, (4.0 - 4e-10, 4.0)),
+    # equal levels in two modes: the lower k is reported, with the nearer point
+    (16.0 - 2e-10, 16.0 + 1e-10, (16.0, 16.0 + 1e-10)),
+    (-3.0, -5.0, (-5.0, -5.0)),  # negative levels sit at lam = 0, ordered by k and then j
+])
+def test_the_first_colliding_row_is_reported(lam, lam0, want):
+    mu = np.array([[-5.0, 1.0, 4.0, 9.0, 16.0, 99.0], [-3.0, 3.0, 4.0 - 4e-10, 16.0, 25.0, 99.0]])
+    table = spectra.SpectrumTable({0.5: mu})
+    params = SpectrumParams(k_max=1, levels=6, n=100)
+    assert _first_collision_by_rows(table, 0.5, lam, lam0) == want
+    with pytest.raises(SpectralCollisionError) as caught:
+        relative_resolvent_trace(0.5, lam, lam0, params, table=table)
+    assert (caught.value.mu, caught.value.lam) == want
+
+
 def test_the_trace_counts_the_levels_of_the_table_it_sums():
     # with a table, the tail model's two-level rule reads the table, not params
     five = SpectrumParams(k_max=1, levels=5, n=200)
@@ -679,22 +778,27 @@ def test_mode_solves_on_threads_match_one_worker(monkeypatch):
 @pytest.mark.parametrize("cpus", [1, 2, 3, 64])
 def test_mode_pool_is_bounded_by_jobs_and_cpus(monkeypatch, cpus):
     # one pool per call, sized by the CPUs; it starts a thread only when a
-    # job finds none idle, so never more threads than jobs.  A later
-    # cusp-depth step reuses it
-    asked, threads = [], set()
-    pool, eigen = spectra.ThreadPoolExecutor, spectra.eigen_lowest
+    # job finds none idle, counting the bisection halves the solves offer
+    # it, so never more threads than CPUs or than solves and halves.  A
+    # later cusp-depth step reuses it
+    asked, threads, peak = [], set(), [threading.active_count()]
+    pool, eigen, stebz = spectra.ThreadPoolExecutor, spectra.eigen_lowest, solver._stebz
 
     def recorded_pool(max_workers):
         asked.append(max_workers)
         return pool(max_workers=max_workers)
 
-    def recorded_eigen(*args, **kwargs):
-        threads.add(threading.get_ident())
-        return eigen(*args, **kwargs)
+    def recorded(run):
+        def call(*args, **kwargs):
+            threads.add(threading.get_ident())
+            peak.append(threading.active_count())
+            return run(*args, **kwargs)
+        return call
 
     monkeypatch.setattr(spectra, "_cpu_count", lambda: cpus)
     monkeypatch.setattr(spectra, "ThreadPoolExecutor", recorded_pool)
-    monkeypatch.setattr(spectra, "eigen_lowest", recorded_eigen)
+    monkeypatch.setattr(spectra, "eigen_lowest", recorded(eigen))
+    monkeypatch.setattr(solver, "_stebz", recorded(stebz))
     params = SpectrumParams(k_max=2, levels=4, n=300)
     for ts, jobs in ((0.3, 3), (0.0, 6), ([0.3, 0.2, 0.0], 3 + 3 + 6)):
         # one chirality per mode at t > 0, both for the cusp search's first step
@@ -702,7 +806,8 @@ def test_mode_pool_is_bounded_by_jobs_and_cpus(monkeypatch, cpus):
         threads.clear()
         dirac_spectrum(ts, params)
         assert asked == [cpus], ts
-        assert 1 <= len(threads) <= min(jobs, cpus), ts
+        assert 1 <= len(threads) <= min(2 * jobs, cpus), ts
+    assert max(peak) - peak[0] <= cpus  # the pool's threads, over every call
 
 
 # k_max <= 1, levels = 20, n = 800: the cusp search deepens at least once

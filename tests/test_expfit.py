@@ -48,6 +48,15 @@ def test_a_ratio_of_exact_fits():
     assert ModelComparison(exact, exact).ratio == 1.0
 
 
+@pytest.mark.parametrize("power", [1.5, 1.0, True, np.int64(1), "1"])
+def test_a_log_power_that_is_not_an_int_is_refused(power):
+    # int() would have fitted t^2 log t for 1.5 and taken True as 1
+    with pytest.raises(TypeError, match="log power must be an int"):
+        BasisSpec(((2, power),))
+    with pytest.raises(TypeError, match="log power must be an int"):
+        BasisSpec(((0, 0), (2, power)))
+
+
 def test_duplicate_monomial_is_rank_deficient():
     with pytest.raises(RankDeficientError):
         BasisSpec(((2, 0), (2, 0)))

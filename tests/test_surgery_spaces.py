@@ -563,6 +563,45 @@ def test_trace_expansion_symmetric_and_consistent_with_set():
         assert min(z for z, _ in terms) == inf_order(S)
 
 
+def _fraction_trace_terms(a: Fraction, b: Fraction):
+    """The trace class and terms by Fraction's own operators, the reference the code follows."""
+    if not (a < -1 and b <= 0):
+        return None
+    if (a - b).denominator == 1:
+        return [(min(-a, -b), 0), (max(-a, -b), 1)]
+    return sorted([(-a, 0), (-b, 0)])
+
+
+def test_trace_terms_by_numerators_match_fraction_operators():
+    # criterion 2's draws (seed 202), its pairs swapped, the class boundaries and alpha = beta
+    rng, pairs = random.Random(202), []
+    while len(pairs) < 400:
+        den = rng.choice([1, 2, 3, 4, 5])
+        alpha = Fraction(-rng.randint(den + 1, 8 * den), den)
+        beta = (alpha + rng.randint(0, 6) if rng.random() < 0.5
+                else Fraction(-rng.randint(0, 12), rng.choice([2, 3, 4, 5])))
+        pairs += [(alpha, beta), (beta, alpha)]
+    pairs += [(Fraction(-1), Fraction(0)), (Fraction(-2), Fraction(0)),
+              (Fraction(-2), Fraction(1, 3)), (Fraction(-1, 2), Fraction(0)),
+              (Fraction(-7, 3), Fraction(-7, 3)), (Fraction(-3), Fraction(-3)),
+              (Fraction(-1), Fraction(-1)), (Fraction(-10**40 - 1, 10**40), Fraction(-10**40))]
+    refused = 0
+    for a, b in pairs:
+        want = _fraction_trace_terms(a, b)
+        if want is None:
+            refused += 1
+            for compute in (trace_expansion_terms, trace_index_set):
+                with pytest.raises(TraceClassViolatedError):
+                    compute(a, b)
+            continue
+        got = trace_expansion_terms(a, b)
+        assert got == want and [type(z) for z, _ in got] == [Fraction] * 2, (a, b)
+        assert [type(k) for _, k in got] == [int] * 2, (a, b)
+    assert 0 < refused < len(pairs) - 300
+    assert trace_expansion_terms(Fraction(-7, 3), Fraction(-7, 3)) == [
+        (Fraction(7, 3), 0), (Fraction(7, 3), 1)]
+
+
 # -- reduced exponents through the pipelines ------------------------------------
 
 def assert_reduced(z):
