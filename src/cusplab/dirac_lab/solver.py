@@ -303,29 +303,133 @@ def _first_split(d: np.ndarray, e: np.ndarray, count: int) -> tuple[float, float
     return wl, mid, wu
 
 
+def _walk(d: np.ndarray, e: np.ndarray, root: tuple[float, float, float], count: int,
+          read: tuple[int, ...]) -> dict[int, tuple[float, int]] | None:
+    """Each level in ``read`` to (value, levels in its node), down dstebz("I")'s bisection tree.
+
+    dstebz counts N(WL) and N(WU) at ``_first_split``'s root (dlaebz
+    IJOB = 1), then bisects (WL, WU] with dlaebz IJOB = 2, which steps every
+    unconverged node once an iteration, each on its own ends and counts.  So
+    one IJOB = 2 call with NITMAX = 1 on a node is that node's step of the
+    tree: LAPACK's midpoint, count clamp and convergence test.  The walk
+    steps only the nodes that hold a level it reads; a node that holds just
+    that level runs to convergence in one call, with the iterations dstebz
+    has left at its depth.  A level's value is the midpoint of its converged
+    node, as dstebz gives it to every level of the node.  None where the
+    root's counts are not (0, ``count``).
+    """
+    n, e2 = len(d), e * e
+    wl, _, wu = root
+    pivmin = _pivmin(e2)
+    # AB(2, 2) and NAB(2, 2) in Fortran order: row 1 the stepped node, row 2 a split's upper part
+    ab, nab, c = np.array([wl, 0.0, wu, 0.0]), np.zeros(4, np.intc), np.empty(2)
+    mout, info = ctypes.c_int(), ctypes.c_int()
+    unread, unread_int = np.zeros(2), np.zeros(2, np.intc)  # NVAL, WORK, IWORK with NBMIN = 0
+    fixed = (ctypes.c_int(n), ctypes.c_int(2), ctypes.c_int(1), ctypes.c_int(0),
+             ctypes.c_double(EIGEN_TOL), ctypes.c_double(_ULP * _RELFAC), ctypes.c_double(pivmin),
+             _ptr(d), _ptr(e), _ptr(e2), _ptr(unread_int), _ptr(ab), _ptr(c), mout, _ptr(nab),
+             _ptr(unread), _ptr(unread_int), info)
+    _dlaebz(ctypes.c_int(1), ctypes.c_int(0), *fixed)
+    if (nab[0], nab[2]) != (0, count):
+        return None
+    itmax = int((math.log(wu - wl + pivmin) - math.log(pivmin)) / math.log(2.0)) + 2
+    values, nodes = {}, [(wl, wu, 0, count, 0)]  # (low, high, N(low), N(high), depth)
+    while nodes:
+        low, high, below, upto, depth = nodes.pop()
+        ab[:] = low, 0.0, high, 0.0
+        nab[:] = below, 0, upto, 0
+        alone = upto - below == 1
+        _dlaebz(ctypes.c_int(2), ctypes.c_int(itmax - depth if alone else 1), *fixed)
+        if alone and info.value != 0:
+            raise NonConvergenceError("LAPACK dlaebz left a level unconverged")
+        for j in range(mout.value):  # dlaebz moves the converged nodes first
+            held = [i for i in read if nab[j] < i <= nab[j + 2]]
+            if held and j < mout.value - info.value:
+                for i in held:
+                    values[i] = (0.5 * (ab[j] + ab[j + 2]), int(nab[j + 2] - nab[j]))
+            elif held:
+                nodes.append((ab[j], ab[j + 2], nab[j], nab[j + 2], depth + 1))
+    return values
+
+
+def _lowest_vector(d: np.ndarray, e: np.ndarray, w: np.ndarray, iblock: np.ndarray,
+                   isplit: np.ndarray, h: float | None) -> np.ndarray:
+    """dstein's vector of the last value of ``w``, normalized as ``eigen_lowest`` says.
+
+    dstein draws one random start per value in the order given: the values
+    up to the lowest (one unless T splits) give its vector the bits of
+    eigh_tridiagonal's column 0.
+    """
+    n, m = len(d), len(w)
+    info = ctypes.c_int()
+    vecs, ifail = np.empty((n, m), order="F"), np.empty(m, np.intc)
+    work, iwork = np.empty(5 * n), np.empty(n, np.intc)
+    _dstein(ctypes.c_int(n), _ptr(d), _ptr(e), ctypes.c_int(m), _ptr(w), _ptr(iblock),
+            _ptr(isplit), _ptr(vecs), ctypes.c_int(n), _ptr(work), _ptr(iwork), _ptr(ifail),
+            info)
+    if info.value != 0:
+        raise NonConvergenceError(f"LAPACK dstein failed with info = {info.value}")
+    v = vecs[:, -1]
+    return v if h is None else v / np.sqrt(h * np.sum(v**2))
+
+
+def _check_int(value, name: str) -> int:
+    """``value`` as an int; TypeError for a bool, a float or anything else not an integer."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    return int(value)
+
+
 def eigen_lowest(T: Tridiagonal, count: int, vector: bool = False, h: float | None = None,
-                 pool: Executor | None = None):
+                 pool: Executor | None = None, read: tuple[int, ...] | None = None):
     """Lowest eigenvalues of T by Sturm-sequence bisection, to absolute ``EIGEN_TOL``.
 
     With ``vector``, also the eigenvector of the lowest one (inverse
     iteration), normalized in the discrete L^2(d rho) norm when the spacing h
     is given, else in the plain l^2 norm.  Returns the ascending eigenvalues,
-    or (values, vector) with ``vector``.
+    or (values, vector) with ``vector``.  ``read``, a tuple of distinct
+    1-based levels up to ``count``, returns only those levels' values, in
+    its order, and computes only them where it can; with ``vector`` it must
+    hold level 1.  Every argument is checked before any LAPACK call: a
+    ``count`` or level that is not an integer raises TypeError, and an ``h``
+    that is not finite and positive ValueError.
 
     The values have the bits of one dstebz("I") call, the one scipy's
     eigh_tridiagonal(select="i") makes.  Where ``_first_split`` finds its
-    root, the bisection runs as its two halves: the upper one is offered to
-    ``pool`` while this thread runs the lower, then taken back with
-    ``cancel`` and run here unless a worker has already started it.  So a
-    job waits only on a half that is running, whatever the pool's size, and
-    the pool starts no thread beyond its own; without a pool both halves
-    run here.  Elsewhere the one dstebz("I") call runs.
+    root, ``read`` walks that call's bisection tree to the levels it reads
+    (``_walk``), and a full solve runs the bisection as its two halves: the
+    upper one is offered to ``pool`` while this thread runs the lower, then
+    taken back with ``cancel`` and run here unless a worker has started it.
+    So a job waits only on a half that is running, whatever the pool's size,
+    and the pool starts no thread beyond its own; without a pool both halves
+    run here.  Elsewhere the one dstebz("I") call runs and ``read`` picks its
+    levels; so does a walk with ``vector`` whose level 1 converges in a node
+    with level 2, where the sort of the tied values picks dstein's vector.
     """
     n = T.dimension
+    count = _check_int(count, "count")
     if not 1 <= count <= n:
         raise ValueError("count must lie between 1 and the dimension")
+    if h is not None and not 0.0 < h < math.inf:  # nan fails this too
+        raise ValueError(f"h must be finite and positive, got {h!r}")
+    if read is not None:
+        if not isinstance(read, tuple):
+            raise TypeError(f"read must be a tuple of levels, got {read!r}")
+        read = tuple(_check_int(i, "a read level") for i in read)
+        if not read or len(set(read)) != len(read) or not all(1 <= i <= count for i in read):
+            raise ValueError(f"read must hold distinct levels in 1..{count}, got {read!r}")
+        if vector and 1 not in read:
+            raise ValueError(f"the vector is level 1's, and read {read!r} does not hold it")
     d, e = T.diagonal, T.offdiagonal
-    root, w = _first_split(d, e, count), None
+    root = _first_split(d, e, count)
+    walked = None if read is None or root is None else _walk(d, e, root, count, read)
+    if walked is not None and not (vector and walked[1][1] > 1):
+        w = np.array([walked[i][0] for i in read])
+        if not vector:
+            return w
+        lowest = np.array([walked[1][0]])  # one value in one block
+        return w, _lowest_vector(d, e, lowest, np.ones(1, np.intc), np.array([n], np.intc), h)
+    w = None
     if root is not None:
         wl, mid, wu = root
         upper = None if pool is None else pool.submit(_stebz, d, e, b"V", vl=mid, vu=wu)
@@ -340,24 +444,14 @@ def eigen_lowest(T: Tridiagonal, count: int, vector: bool = False, h: float | No
     if w is None:
         # values in matrix order, or in block order for dstein and sorted afterwards
         w, iblock, isplit = _stebz(d, e, b"I", b"B" if vector else b"E", count=count)
-    if not vector:
-        return w
-    # dstein draws one random start per value in the order given: the values up to the
-    # lowest (one unless T splits) give its vector the bits of eigh_tridiagonal's column 0
-    order = np.argsort(w)
-    first = int(order[0]) + 1
-    info = ctypes.c_int()
-    vecs, ifail = np.empty((n, first), order="F"), np.empty(first, np.intc)
-    work, iwork = np.empty(5 * n), np.empty(n, np.intc)
-    _dstein(ctypes.c_int(n), _ptr(d), _ptr(e), ctypes.c_int(first), _ptr(w), _ptr(iblock),
-            _ptr(isplit), _ptr(vecs), ctypes.c_int(n), _ptr(work), _ptr(iwork), _ptr(ifail),
-            info)
-    if info.value != 0:
-        raise NonConvergenceError(f"LAPACK dstein failed with info = {info.value}")
-    v = vecs[:, -1]
-    if h is not None:
-        v = v / np.sqrt(h * np.sum(v**2))
-    return w[order], v
+    v = None
+    if vector:
+        order = np.argsort(w)
+        v = _lowest_vector(d, e, w[: int(order[0]) + 1], iblock, isplit, h)
+        w = w[order]
+    if read is not None:
+        w = w[np.array(read) - 1]
+    return w if v is None else (w, v)
 
 
 def sturm_counts(T: Tridiagonal, shifts) -> list[int]:

@@ -195,16 +195,24 @@ def _queue_modes(pool: ThreadPoolExecutor, geom: NeckGeometry, grid: Grid,
                  params: SpectrumParams, ground: bool = False):
     """Queue ``_modes``'s solves on ``grid``: one list of futures per k, one per chirality.
 
-    Each solve gives (eigenvalues, vector): mode 0's lowest vector in a
-    ground-state run (``ground``), else None.  Each offers half of its
-    bisection back to ``pool`` (see ``eigen_lowest``).
+    Each solve gives (eigenvalues, vector).  A full run solves the lowest
+    ``levels`` of each mode, with no vector.  A ground-state run
+    (``ground``) reads only the levels it uses (``eigen_lowest``'s
+    ``read``), with the bits of the full solve: at a neck, mode 0's level 1
+    and its vector; at the cusp, every mode's top level, which the depth
+    search reads, and mode 0's level 1 and vector too.  A full bisection
+    offers half of its work back to ``pool`` (see ``eigen_lowest``).
     """
+    top = params.levels
 
     def solve(mode: ModeSpec):
         H = assemble_hamiltonian(geom, mode, grid)
-        if ground and mode.k == 0:
-            return eigen_lowest(H, params.levels, vector=True, h=grid.h, pool=pool)
-        return eigen_lowest(H, params.levels, pool=pool), None
+        if not ground:
+            return eigen_lowest(H, top, pool=pool), None
+        if mode.k == 0:
+            read = (1,) if geom.t > 0 else tuple(dict.fromkeys((1, top)))
+            return eigen_lowest(H, top, vector=True, h=grid.h, pool=pool, read=read)
+        return eigen_lowest(H, top, pool=pool, read=(top,)), None
 
     return grid, [[pool.submit(solve, ModeSpec(k, chi)) for chi in _chiralities(geom.t)]
                   for k in range(_modes(geom.t, params, ground))]
@@ -213,22 +221,22 @@ def _queue_modes(pool: ThreadPoolExecutor, geom: NeckGeometry, grid: Grid,
 def _collect_modes(params: SpectrumParams, queued):
     """Wait for a geometry's queued solves and merge each mode's chiralities.
 
-    Returns the lowest ``levels`` eigenvalues of each queued mode as a
-    (modes, levels) array, mode 0's ground state (None unless the solves
-    were queued for a ground-state run), and the largest eigenvalue any one
-    solve returned.  The ground state is the vector of the chirality whose
-    first level is lower, plus on a tie.
+    Returns (eigenvalues, ground state, the largest eigenvalue any one solve
+    returned).  A full run gives the lowest ``levels`` of each queued mode
+    as a (modes, levels) array, and no ground state.  A ground-state run's
+    solves read only some levels (``_queue_modes``), so it gives no array,
+    and as ground state the vector of the chirality whose first level is
+    lower, plus on a tie.
     """
     grid, modes = queued
-    mu, mu_max = np.empty((len(modes), params.levels)), 0.0
-    for k, jobs in enumerate(modes):
-        parts = [job.result() for job in jobs]
-        if k == 0:
-            vector = min(parts, key=lambda part: part[0][0])[1]
-            ground = None if vector is None else VectorHandle(grid, vector)
-        mu_k = np.concatenate([w for w, _ in parts])
-        mu[k], mu_max = np.sort(mu_k, kind="stable")[: params.levels], max(mu_max, mu_k.max())
-    return mu, ground, float(mu_max)
+    solves = [[job.result() for job in jobs] for jobs in modes]
+    mu_max = float(max(0.0, *(w.max() for jobs in solves for w, _ in jobs)))
+    vector = min(solves[0], key=lambda solve: solve[0][0])[1]
+    if vector is not None:
+        return None, VectorHandle(grid, vector), mu_max
+    mu = np.array([np.sort(np.concatenate([w for w, _ in jobs]), kind="stable")[: params.levels]
+                   for jobs in solves])
+    return mu, None, mu_max
 
 
 def _cusp_depth(params: SpectrumParams, mu_max: float) -> float:
@@ -341,6 +349,9 @@ def check_windows(t_grid: Sequence[float], params: SpectrumParams,
     the run, with the full ``k_max``, where a width w is not positive, or
     where a window |x| <= w holds no point of a t > 0 grid.  At t = 0 the
     cusp search fixes the grid's depth by solving, so ``neck_mass`` checks.
+    ``check_grids``' work estimate counts every solve's ``levels``, so it
+    stays an upper bound on a ground-state run, whose solves read one or
+    two levels each (``_queue_modes``).
     """
     plan = {t: (_modes(t, params, ground=True) * len(_chiralities(t)), grid)
             for t, (_, grid) in check_grids(t_grid, params).items()}
@@ -364,8 +375,10 @@ def _cusp_geometry(params: SpectrumParams, pool: ThreadPoolExecutor, ground: boo
     are ``_grids``'s, and only a deeper step builds a grid, which
     ``_check_squares`` must admit.  Each depth's solves go to ``pool``; the
     loop runs on the calling thread, so no worker waits on another.  Returns
-    the geometry with the eigenvalues and, for a ground-state run
-    (``ground``), the ground state of its last depth (else None).
+    the geometry and ``_collect_modes``'s eigenvalues and ground state at its
+    last depth.  In a ground-state run (``ground``) each solve reads only
+    its top level, all that mu_max needs, and mode 0's also level 1 and its
+    vector, so no eigenvalue array comes back.
     """
     [(geom, grid)] = _grids([0.0], params).values()
     for _ in range(8):
@@ -426,14 +439,17 @@ def ground_states(t: float | Sequence[float], params: SpectrumParams) -> dict[fl
 
     H_k <= H_{k+1} pointwise (see ``window_counts``), so mode 0's first level
     is the lowest of all, the row ``SpectrumTable.lowest`` returns, and at
-    each t > 0 only mode 0 is solved, to ``params.levels`` as
-    ``dirac_spectrum`` solves it.  At t = 0 the cusp-depth search solves
-    every mode and both chiralities, since its depth reads the top of them
-    all, and the vector is mode 0's at the last depth.  Each depth step
-    computes mode 0's two vectors, one per chirality, and only the last
-    step's are read; every config tried takes one step.  ``check_grids``
-    refuses the t, in descending order, and parameters with the full
-    ``k_max``, an upper bound on this work; every solve runs on one pool.
+    each t > 0 only mode 0 is solved, and only its level 1 and vector are
+    read (``eigen_lowest``'s ``read``), with the bits ``dirac_spectrum``'s
+    solve to ``params.levels`` gives them.  At t = 0 the cusp-depth search
+    solves every mode and both chiralities, since its depth reads the top
+    level of them all; each of those solves reads that level alone, and
+    mode 0's also level 1 and its vector.  The vector is mode 0's at the
+    last depth.  Each depth step computes mode 0's two vectors, one per
+    chirality, and only the last step's are read; every config tried takes
+    one step.  ``check_grids`` refuses the t, in descending order, and
+    parameters with the full ``k_max`` and ``levels``, an upper bound on
+    this work; every solve runs on one pool.
     """
     return {s: ground for s, (_, ground) in _solve_grid(t, params, True).items()}
 

@@ -324,6 +324,96 @@ def test_a_failure_in_the_offered_half_reaches_the_caller(monkeypatch, workers):
     assert upper_started.is_set()
 
 
+def test_read_walks_to_the_bits_of_the_full_solve(monkeypatch):
+    # each level read is bitwise the full solve's, with the same vector; the
+    # walk runs wherever _first_split finds the root, and a full solve
+    # elsewhere, or where the vector's level 1 shares its converged node
+    walks, stebz_calls = [], []
+    walk, stebz = solver._walk, solver._stebz
+
+    def recorded_walk(*args):
+        walks.append(walk(*args))
+        return walks[-1]
+
+    def recorded_stebz(*args, **kwargs):
+        stebz_calls.append(args[2])
+        return stebz(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_walk", recorded_walk)
+    monkeypatch.setattr(solver, "_stebz", recorded_stebz)
+    necks = []
+    for t, k in itertools.product((1e-3, 0.5), (0, 10)):  # criterion 12's
+        geom = NeckGeometry.neck(t)
+        necks.append(assemble_hamiltonian(geom, ModeSpec(k), Grid.for_geometry(geom)))
+    for t in (0.5, 0.2, 0.05, 0.01):  # the sweep-cli config's
+        geom = NeckGeometry.neck(t)
+        necks.append(assemble_hamiltonian(geom, ModeSpec(0), Grid.for_geometry(geom)))
+    for rho_min in (-7.254, -9.19):  # cusps of the t = 0 depth search
+        geom = NeckGeometry.cusp(rho_min)
+        grid = Grid.for_geometry(geom)
+        necks += [assemble_hamiltonian(geom, ModeSpec(k, chi), grid)
+                  for k in (0, 2) for chi in Chirality]
+    rng = np.random.default_rng(12)
+    randoms = [Tridiagonal(rng.normal(size=n), rng.normal(size=n - 1))
+               for n in rng.integers(40, 400, 8)]
+    cases = [(T, count, True) for T in necks + randoms for count in (1, 2, 8, 40)]
+    wilkinson = Tridiagonal(np.abs(np.arange(-10.0, 11.0)), np.ones(20))
+    # W21+ parts its pair at levels 17 and 18, so counts 18 and 20 fall back
+    cases += [(wilkinson, count, count == 17) for count in (17, 18, 20)]
+    # -W21+'s lowest pair agrees to 1e-13: levels 1 and 2 converge in one node
+    lowest_pair = Tridiagonal(-wilkinson.diagonal, wilkinson.offdiagonal)
+    cases += [(lowest_pair, count, True) for count in (2, 8, 20)]
+    for T, count, walked in cases:
+        want_w, want_v = eigen_lowest(T, count, vector=True)
+        assert _same_bits(eigen_lowest(T, count), want_w)
+        for read in dict.fromkeys([(1,), (count,), (1, count), (count, 1)]):
+            if len(set(read)) < len(read):
+                continue
+            for vector in (False, True) if 1 in read else (False,):
+                walks.clear()
+                stebz_calls.clear()
+                got = eigen_lowest(T, count, vector=vector, read=read)
+                got_w = got[0] if vector else got
+                assert _same_bits(got_w, want_w[np.array(read) - 1]), (T.dimension, count, read)
+                if vector:
+                    assert _same_bits(got[1], want_v), (T.dimension, count, read)
+                tied = T is lowest_pair and 1 in read
+                assert (bool(walks) and walks[0] is not None) == walked, (T.dimension, count)
+                if tied:  # the walk gives levels 1 and 2 their node's midpoint
+                    assert walks[0][1] == (want_w[0], 2) and want_w[0] == want_w[1]
+                # the full solve runs only where the walk cannot give what is read
+                assert bool(stebz_calls) == (not walked or (vector and tied)), (count, read)
+
+
+def test_eigen_lowest_checks_its_arguments_before_any_lapack_call(monkeypatch):
+    T = _neck_hamiltonian()
+    for name in ("_dlaebz", "_dstebz", "_dstein"):
+        monkeypatch.setattr(solver, name, lambda *args: pytest.fail("LAPACK called"))
+    for h in (0.0, -1e-3, math.inf, math.nan):
+        with pytest.raises(ValueError, match="h must be finite and positive"):
+            eigen_lowest(T, 3, vector=True, h=h)
+    for count in (1.5, 2.0, True, "2", None):
+        with pytest.raises(TypeError, match="count must be an int"):
+            eigen_lowest(T, count)
+    for count in (0, T.dimension + 1):
+        with pytest.raises(ValueError, match="count must lie"):
+            eigen_lowest(T, count)
+    for read in ((0,), (9,), (-1, 2), (1, 1), (2, 3, 2), ()):
+        with pytest.raises(ValueError, match="distinct levels in 1..8"):
+            eigen_lowest(T, 8, read=read)
+    for read in ((1.0,), (True,), (1, 2.5), ("1",)):
+        with pytest.raises(TypeError, match="a read level must be an int"):
+            eigen_lowest(T, 8, read=read)
+    for read in ([1], 1, range(1, 3)):
+        with pytest.raises(TypeError, match="read must be a tuple"):
+            eigen_lowest(T, 8, read=read)
+    with pytest.raises(ValueError, match="level 1's"):
+        eigen_lowest(T, 8, vector=True, read=(2, 8))
+    monkeypatch.undo()
+    # an integer of numpy's is a count, and a read level
+    assert _same_bits(eigen_lowest(T, np.int64(8), read=(np.intc(8),)), eigen_lowest(T, 8)[7:])
+
+
 def test_tridiagonal_stores_finite_contiguous_float_arrays():
     T = Tridiagonal(np.arange(6.0)[::2], [1, 2])  # a strided view and a list of ints
     for a, want in ((T.diagonal, [0.0, 2.0, 4.0]), (T.offdiagonal, [1.0, 2.0])):
@@ -908,8 +998,9 @@ def test_ground_states_match_the_slow_path_on_any_cpus(monkeypatch, ts, params):
 
 
 def test_ground_states_solve_mode_0_alone_at_each_neck(monkeypatch):
-    # one vector solve of mode 0 per t > 0; at t = 0 the cusp-depth search
-    # solves every (k, chirality) at each depth, with a vector for mode 0
+    # one vector solve of mode 0 per t > 0, reading level 1; at t = 0 the
+    # cusp-depth search solves every (k, chirality) at each depth, reading
+    # the top level, and mode 0's level 1 too, with a vector
     params = _pool_params(1)
     calls, solving = [], threading.local()
     eigen, assemble = spectra.eigen_lowest, spectra.assemble_hamiltonian
@@ -919,21 +1010,34 @@ def test_ground_states_solve_mode_0_alone_at_each_neck(monkeypatch):
         return assemble(geom, mode, *args)
 
     def counted_eigen(T, count, **kwargs):
-        calls.append((*solving.key, count, kwargs.get("vector", False)))
+        calls.append((*solving.key, count, kwargs.get("vector", False), kwargs.get("read")))
         return eigen(T, count, **kwargs)
 
     monkeypatch.setattr(spectra, "assemble_hamiltonian", recorded_assemble)
     monkeypatch.setattr(spectra, "eigen_lowest", counted_eigen)
     ground_states(POOL_GRID, params)
-    necks, plus = sorted(t for t in POOL_GRID if t > 0), Chirality.PLUS.value
+    necks, plus, top = sorted(t for t in POOL_GRID if t > 0), Chirality.PLUS.value, params.levels
     assert sorted(c for c in calls if c[0] > 0) == [
-        (t, NeckGeometry.neck(t).rho_min, 0, plus, params.levels, True) for t in necks]
+        (t, NeckGeometry.neck(t).rho_min, 0, plus, top, True, (1,)) for t in necks]
     search = [c for c in calls if c[0] == 0]
     depths = {rho for _, rho, *_ in search}
     assert len(depths) >= 2  # the search deepened the cusp at least once
     assert sorted(search) == sorted(
-        (0.0, rho, k, chi.value, params.levels, k == 0)
+        (0.0, rho, k, chi.value, top, k == 0, (1, top) if k == 0 else (top,))
         for rho in depths for k in range(params.k_max + 1) for chi in Chirality)
+
+
+@pytest.mark.parametrize("levels", [1, 2])
+def test_ground_states_keep_the_full_solves_vector_and_depth(levels):
+    # at one level, level 1 is the top level mode 0 reads at the cusp
+    params = SpectrumParams(k_max=2, levels=levels, n=500)
+    ground = ground_states([0.3, 0.0], params)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        cusp = spectra._cusp_geometry(params, pool)[0]  # a full run's depth
+    for t, geom in ((0.3, NeckGeometry.neck(0.3)), (0.0, cusp)):
+        grid = Grid.for_geometry(geom, n=params.n)
+        assert ground[t].grid == grid
+        assert _same_bits(ground[t].values, _ground_state(geom, grid, levels)[1]), t
 
 
 def test_a_failed_solve_cancels_the_queued_ones(monkeypatch):
