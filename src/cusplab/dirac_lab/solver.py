@@ -235,14 +235,43 @@ def _pivmin(e2: np.ndarray) -> float:
     return _SAFEMN * max(1.0, float(e2.max(initial=0.0)))
 
 
-def _stebz(d: np.ndarray, e: np.ndarray, irange: bytes, order: bytes = b"E", count: int = 0,
-           vl: float = 0.0, vu: float = 0.0):
-    """dstebz's (values, IBLOCK, ISPLIT): with ``irange`` b"I" levels 1..count, b"V" (vl, vu]."""
+def _itmax(width: float, pivmin: float) -> int:
+    """dstebz's iteration limit for bisecting an interval ``width`` wide."""
+    return int((math.log(width + pivmin) - math.log(pivmin)) / math.log(2.0)) + 2
+
+
+def _laebz(d: np.ndarray, e: np.ndarray, e2: np.ndarray, pivmin: float, ab: np.ndarray,
+           nab: np.ndarray, c=None, nval=None) -> Callable[[int, int, int, int], tuple[int, int]]:
+    """dlaebz on T = (d, e) with dstebz's tolerances: (IJOB, NITMAX, MMAX, MINP) -> (MOUT, INFO).
+
+    AB and NAB hold MMAX rows in Fortran order, row j's ends (counts) at j
+    and MMAX + j; C (IJOB = 3's search points) and NVAL (its wanted counts)
+    have a place for each row AB can hold.  NBMIN = 0, dstebz's scalar
+    bisection, so WORK and IWORK go unread.
+    """
+    c = np.empty(ab.size // 2) if c is None else c
+    nval = np.zeros(ab.size // 2, np.intc) if nval is None else nval
+    n, mout, info = ctypes.c_int(len(d)), ctypes.c_int(), ctypes.c_int()
+    unread, unread_int = np.zeros(1), np.zeros(1, np.intc)
+    bound = (ctypes.c_int(0), ctypes.c_double(EIGEN_TOL), ctypes.c_double(_ULP * _RELFAC),
+             ctypes.c_double(pivmin), _ptr(d), _ptr(e), _ptr(e2), _ptr(nval), _ptr(ab), _ptr(c),
+             mout, _ptr(nab), _ptr(unread), _ptr(unread_int), info)
+
+    def call(ijob: int, nitmax: int, mmax: int, minp: int) -> tuple[int, int]:
+        _dlaebz(ctypes.c_int(ijob), ctypes.c_int(nitmax), n, ctypes.c_int(mmax),
+                ctypes.c_int(minp), *bound)
+        return mout.value, info.value
+
+    return call
+
+
+def _stebz(d: np.ndarray, e: np.ndarray, order: bytes, count: int):
+    """dstebz("I")'s (values, IBLOCK, ISPLIT) for levels 1..count, in ``order`` b"E" or b"B"."""
     n = len(d)
     m, nsplit, info = ctypes.c_int(), ctypes.c_int(), ctypes.c_int()
     w, iblock, isplit = np.empty(n), np.empty(n, np.intc), np.empty(n, np.intc)
     work, iwork = np.empty(4 * n), np.empty(3 * n, np.intc)
-    _dstebz(irange, order, ctypes.c_int(n), ctypes.c_double(vl), ctypes.c_double(vu),
+    _dstebz(b"I", order, ctypes.c_int(n), ctypes.c_double(0.0), ctypes.c_double(0.0),
             ctypes.c_int(1), ctypes.c_int(count), ctypes.c_double(EIGEN_TOL), _ptr(d), _ptr(e),
             m, nsplit, _ptr(w), _ptr(iblock), _ptr(isplit), _ptr(work), _ptr(iwork), info)
     if info.value != 0:
@@ -250,19 +279,17 @@ def _stebz(d: np.ndarray, e: np.ndarray, irange: bytes, order: bytes = b"E", cou
     return w[: max(m.value, 0)], iblock, isplit  # M < 0 only where the counts are not monotone
 
 
-def _first_split(d: np.ndarray, e: np.ndarray, count: int) -> tuple[float, float, float] | None:
-    """(WL, c, WU): dstebz("I")'s bisection root for levels 1..count and its first midpoint.
+def _root(d: np.ndarray, e: np.ndarray, count: int) -> tuple[float, float, float, int] | None:
+    """(WL, WU, PIVMIN, ITMAX): the root of dstebz("I")'s bisection tree for levels 1..count.
 
-    This is dstebz's own prelude: PIVMIN, the Gershgorin bounds and the
-    dlaebz IJOB = 3 search for WL and WU, in the same floating-point
-    operations.  dstebz then bisects (WL, WU] with dlaebz, where each
-    interval's arithmetic depends only on its own ends, so dstebz("V") on
-    (WL, c] and on (c, WU] computes exactly the two subtrees below c.  None
-    where that does not hold: n < 2, count = n, a matrix that splits (or
-    comes within a factor 2 of splitting), an intermediate that overflows,
-    a search that does not end on N(WL) = 0 and N(WU) = count, Gershgorin
-    bounds that would clip (WL, WU], or a half of it that dlaebz would
-    already take as converged.
+    This is dstebz's own set-up, in the same floating-point operations:
+    PIVMIN, the Gershgorin bounds, the dlaebz IJOB = 3 search for WL and WU,
+    and its block loop's IJOB = 1 recount at them, with that loop's ITMAX
+    for bisecting (WL, WU].  None where that does not hold: n < 2, count = n
+    (dstebz then takes every level), a matrix that splits (or comes within a
+    factor 2 of splitting), an intermediate that overflows, a search or
+    recount that does not end on N(WL) = 0 and N(WU) = count, or Gershgorin
+    bounds that would clip (WL, WU].
     """
     n = len(d)
     if n < 2 or count == n:
@@ -280,85 +307,80 @@ def _first_split(d: np.ndarray, e: np.ndarray, count: int) -> tuple[float, float
     # dstebz("I") widens the bounds by 2 PIVMIN below, its block loop by PIVMIN
     gl, gu = gl - _FUDGE * tnorm * _ULP * n, gu + _FUDGE * tnorm * _ULP * n
     ab = np.array([gl - _FUDGE * 2.0 * pivmin] * 2 + [gu + _FUDGE * pivmin] * 2)  # AB(2, 2)
-    c = ab[1:3].copy()  # dlaebz first counts at GL and GU
     nab = np.array([-1, -1, n + 1, n + 1], np.intc)
     nval = np.array([0, count], np.intc)
-    itmax = int((math.log(tnorm + pivmin) - math.log(pivmin)) / math.log(2.0)) + 2
-    two, mout, info = ctypes.c_int(2), ctypes.c_int(), ctypes.c_int()
-    # with NBMIN = 0, dstebz's scalar bisection, WORK and IWORK go unread
-    unread, unread_int = np.zeros(2), np.zeros(2, np.intc)
-    _dlaebz(ctypes.c_int(3), ctypes.c_int(itmax), ctypes.c_int(n), two, two, ctypes.c_int(0),
-            ctypes.c_double(EIGEN_TOL), ctypes.c_double(_ULP * _RELFAC), ctypes.c_double(pivmin),
-            _ptr(d), _ptr(e), _ptr(e2), _ptr(nval), _ptr(ab), _ptr(c), mout, _ptr(nab),
-            _ptr(unread), _ptr(unread_int), info)
+    laebz = _laebz(d, e, e2, pivmin, ab, nab, ab[1:3].copy(), nval)  # first counts at GL, GU
+    laebz(3, _itmax(tnorm, pivmin), 2, 2)
     # dlaebz moves a converged search first, with its NVAL
     low, high = (0, 3) if nval[1] == count else (1, 2)
     wl, wu = float(ab[low]), float(ab[high])
     if not (nab[low] == 0 and nab[high] == count
             and gl - _FUDGE * pivmin <= wl and wu <= gu + _FUDGE * pivmin):
         return None
-    mid = 0.5 * (wl + wu)
-    if min(mid - wl, wu - mid) < max(EIGEN_TOL, pivmin, _ULP * _RELFAC * max(abs(wl), abs(wu))):
-        return None
-    return wl, mid, wu
-
-
-def _walk(d: np.ndarray, e: np.ndarray, root: tuple[float, float, float], count: int,
-          read: tuple[int, ...]) -> dict[int, tuple[float, int]] | None:
-    """Each level in ``read`` to (value, levels in its node), down dstebz("I")'s bisection tree.
-
-    dstebz counts N(WL) and N(WU) at ``_first_split``'s root (dlaebz
-    IJOB = 1), then bisects (WL, WU] with dlaebz IJOB = 2, which steps every
-    unconverged node once an iteration, each on its own ends and counts.  So
-    one IJOB = 2 call with NITMAX = 1 on a node is that node's step of the
-    tree: LAPACK's midpoint, count clamp and convergence test.  The walk
-    steps only the nodes that hold a level it reads; a node that holds just
-    that level runs to convergence in one call, with the iterations dstebz
-    has left at its depth.  A level's value is the midpoint of its converged
-    node, as dstebz gives it to every level of the node.  None where the
-    root's counts are not (0, ``count``).
-    """
-    n, e2 = len(d), e * e
-    wl, _, wu = root
-    pivmin = _pivmin(e2)
-    # AB(2, 2) and NAB(2, 2) in Fortran order: row 1 the stepped node, row 2 a split's upper part
-    ab, nab, c = np.array([wl, 0.0, wu, 0.0]), np.zeros(4, np.intc), np.empty(2)
-    mout, info = ctypes.c_int(), ctypes.c_int()
-    unread, unread_int = np.zeros(2), np.zeros(2, np.intc)  # NVAL, WORK, IWORK with NBMIN = 0
-    fixed = (ctypes.c_int(n), ctypes.c_int(2), ctypes.c_int(1), ctypes.c_int(0),
-             ctypes.c_double(EIGEN_TOL), ctypes.c_double(_ULP * _RELFAC), ctypes.c_double(pivmin),
-             _ptr(d), _ptr(e), _ptr(e2), _ptr(unread_int), _ptr(ab), _ptr(c), mout, _ptr(nab),
-             _ptr(unread), _ptr(unread_int), info)
-    _dlaebz(ctypes.c_int(1), ctypes.c_int(0), *fixed)
+    ab[[0, 2]] = wl, wu
+    laebz(1, 0, 2, 1)
     if (nab[0], nab[2]) != (0, count):
         return None
-    itmax = int((math.log(wu - wl + pivmin) - math.log(pivmin)) / math.log(2.0)) + 2
-    values, nodes = {}, [(wl, wu, 0, count, 0)]  # (low, high, N(low), N(high), depth)
-    while nodes:
-        low, high, below, upto, depth = nodes.pop()
-        ab[:] = low, 0.0, high, 0.0
-        nab[:] = below, 0, upto, 0
-        alone = upto - below == 1
-        _dlaebz(ctypes.c_int(2), ctypes.c_int(itmax - depth if alone else 1), *fixed)
-        if alone and info.value != 0:
-            raise NonConvergenceError("LAPACK dlaebz left a level unconverged")
-        for j in range(mout.value):  # dlaebz moves the converged nodes first
-            held = [i for i in read if nab[j] < i <= nab[j + 2]]
-            if held and j < mout.value - info.value:
-                for i in held:
-                    values[i] = (0.5 * (ab[j] + ab[j + 2]), int(nab[j + 2] - nab[j]))
-            elif held:
-                nodes.append((ab[j], ab[j + 2], nab[j], nab[j + 2], depth + 1))
+    return wl, wu, pivmin, _itmax(wu - wl, pivmin)
+
+
+def _walk(d: np.ndarray, e: np.ndarray, pivmin: float, itmax: int,
+          node: tuple[float, float, int, int, int], read: tuple[int, ...] | range,
+          pool: Executor | None = None) -> dict[int, tuple[float, int]]:
+    """Each level in ``read`` to (value, levels in its node), down dstebz("I")'s bisection tree.
+
+    ``node`` is (low, high, N(low), N(high), depth), the root (WL, WU, 0,
+    count, 0) or a node below it.  dstebz's dlaebz IJOB = 2 steps every
+    unconverged node once an iteration, each on its own ends and counts, so
+    an IJOB = 2 call with NITMAX = 1 is one node's step: LAPACK's midpoint,
+    count clamp and convergence test.  The walk steps the root once.  Below
+    it, a node whose levels are all read runs to convergence in one call,
+    with the ITMAX - depth iterations dstebz leaves it; a node holding a
+    level read is stepped; any other is dropped.  A level's value is its
+    converged node's midpoint, as dstebz gives it.  The root's upper child
+    is offered to ``pool``, then taken back with ``cancel`` and walked here
+    unless a worker has started it.
+    """
+    e2 = e * e  # per walk: an offered walk that waits in the queue holds only d and e
+    rows = max(2, node[3] - node[2])
+    ab, nab = np.empty(2 * rows), np.empty(2 * rows, np.intc)
+    laebz = _laebz(d, e, e2, pivmin, ab, nab)
+    values, nodes, offered = {}, [node], None
+    try:
+        while nodes:
+            low, high, below, upto, depth = nodes.pop()
+            held = [i for i in read if below < i <= upto]
+            whole = depth > 0 and len(held) == upto - below
+            m = upto - below if whole else 2  # MMAX: row 1 the node, row 2 a split's upper part
+            ab[0], ab[m], nab[0], nab[m] = low, high, below, upto
+            mout, info = laebz(2, itmax - depth if whole else 1, m, 1)
+            if whole and info != 0:
+                raise NonConvergenceError("LAPACK dlaebz left a level unconverged")
+            for j in range(mout):  # dlaebz moves the converged nodes first
+                lo, up = int(nab[j]), int(nab[m + j])
+                mine = range(lo + 1, up + 1) if whole else [i for i in held if lo < i <= up]
+                if j < mout - info:
+                    values.update(dict.fromkeys(mine, (0.5 * (ab[j] + ab[m + j]), up - lo)))
+                elif mine:
+                    nodes.append((ab[j], ab[m + j], lo, up, depth + 1))
+            if depth == 0 and pool is not None and len(nodes) == 2:
+                upper = nodes.pop()
+                offered = pool.submit(_walk, d, e, pivmin, itmax, upper, read)
+    finally:
+        taken_back = offered is None or offered.cancel()
+    if offered is not None:
+        values.update(_walk(d, e, pivmin, itmax, upper, read) if taken_back else offered.result())
     return values
 
 
 def _lowest_vector(d: np.ndarray, e: np.ndarray, w: np.ndarray, iblock: np.ndarray,
-                   isplit: np.ndarray, h: float | None) -> np.ndarray:
-    """dstein's vector of the last value of ``w``, normalized as ``eigen_lowest`` says.
+                   isplit: np.ndarray) -> np.ndarray:
+    """dstein's vector of the last value of ``w``, in the plain l^2 norm.
 
     dstein draws one random start per value in the order given: the values
     up to the lowest (one unless T splits) give its vector the bits of
-    eigh_tridiagonal's column 0.
+    eigh_tridiagonal's column 0.  A vector that is not finite raises
+    NonConvergenceError (dstein returns NaN with info = 0 near 2/h^2 = 1e149).
     """
     n, m = len(d), len(w)
     info = ctypes.c_int()
@@ -370,7 +392,9 @@ def _lowest_vector(d: np.ndarray, e: np.ndarray, w: np.ndarray, iblock: np.ndarr
     if info.value != 0:
         raise NonConvergenceError(f"LAPACK dstein failed with info = {info.value}")
     v = vecs[:, -1]
-    return v if h is None else v / np.sqrt(h * np.sum(v**2))
+    if not np.isfinite(v).all():
+        raise NonConvergenceError("LAPACK dstein returned a vector that is not finite")
+    return v
 
 
 def _check_int(value, name: str) -> int:
@@ -380,38 +404,32 @@ def _check_int(value, name: str) -> int:
     return int(value)
 
 
-def eigen_lowest(T: Tridiagonal, count: int, vector: bool = False, h: float | None = None,
+def eigen_lowest(T: Tridiagonal, count: int, vector: bool = False,
                  pool: Executor | None = None, read: tuple[int, ...] | None = None):
     """Lowest eigenvalues of T by Sturm-sequence bisection, to absolute ``EIGEN_TOL``.
 
     With ``vector``, also the eigenvector of the lowest one (inverse
-    iteration), normalized in the discrete L^2(d rho) norm when the spacing h
-    is given, else in the plain l^2 norm.  Returns the ascending eigenvalues,
+    iteration), in the plain l^2 norm.  Returns the ascending eigenvalues,
     or (values, vector) with ``vector``.  ``read``, a tuple of distinct
     1-based levels up to ``count``, returns only those levels' values, in
     its order, and computes only them where it can; with ``vector`` it must
     hold level 1.  Every argument is checked before any LAPACK call: a
-    ``count`` or level that is not an integer raises TypeError, and an ``h``
-    that is not finite and positive ValueError.
+    ``count`` or level that is not an integer raises TypeError.
 
     The values have the bits of one dstebz("I") call, the one scipy's
-    eigh_tridiagonal(select="i") makes.  Where ``_first_split`` finds its
-    root, ``read`` walks that call's bisection tree to the levels it reads
-    (``_walk``), and a full solve runs the bisection as its two halves: the
-    upper one is offered to ``pool`` while this thread runs the lower, then
-    taken back with ``cancel`` and run here unless a worker has started it.
-    So a job waits only on a half that is running, whatever the pool's size,
-    and the pool starts no thread beyond its own; without a pool both halves
-    run here.  Elsewhere the one dstebz("I") call runs and ``read`` picks its
-    levels; so does a walk with ``vector`` whose level 1 converges in a node
-    with level 2, where the sort of the tied values picks dstein's vector.
+    eigh_tridiagonal(select="i") makes.  Where ``_root`` finds that call's
+    root, ``_walk`` walks its bisection tree to the levels read (all of
+    them without ``read``).  Its offer to ``pool`` means a job waits only
+    on a subtree that is running, whatever the pool's size, and the pool
+    starts no thread beyond its own.  Elsewhere the one dstebz("I") call
+    runs and ``read`` picks its levels; so does a solve with ``vector``
+    whose level 1 converges in a node with level 2, where the sort of the
+    tied values picks dstein's vector.
     """
     n = T.dimension
     count = _check_int(count, "count")
     if not 1 <= count <= n:
         raise ValueError("count must lie between 1 and the dimension")
-    if h is not None and not 0.0 < h < math.inf:  # nan fails this too
-        raise ValueError(f"h must be finite and positive, got {h!r}")
     if read is not None:
         if not isinstance(read, tuple):
             raise TypeError(f"read must be a tuple of levels, got {read!r}")
@@ -421,33 +439,23 @@ def eigen_lowest(T: Tridiagonal, count: int, vector: bool = False, h: float | No
         if vector and 1 not in read:
             raise ValueError(f"the vector is level 1's, and read {read!r} does not hold it")
     d, e = T.diagonal, T.offdiagonal
-    root = _first_split(d, e, count)
-    walked = None if read is None or root is None else _walk(d, e, root, count, read)
-    if walked is not None and not (vector and walked[1][1] > 1):
-        w = np.array([walked[i][0] for i in read])
-        if not vector:
-            return w
-        lowest = np.array([walked[1][0]])  # one value in one block
-        return w, _lowest_vector(d, e, lowest, np.ones(1, np.intc), np.array([n], np.intc), h)
-    w = None
+    levels = range(1, count + 1) if read is None else read
+    root = _root(d, e, count)
     if root is not None:
-        wl, mid, wu = root
-        upper = None if pool is None else pool.submit(_stebz, d, e, b"V", vl=mid, vu=wu)
-        try:
-            w_low = _stebz(d, e, b"V", vl=wl, vu=mid)[0]
-        finally:
-            taken_back = upper is None or upper.cancel()
-        w_high = (_stebz(d, e, b"V", vl=mid, vu=wu) if taken_back else upper.result())[0]
-        if len(w_low) + len(w_high) == count:
-            w, iblock, isplit = (np.concatenate((w_low, w_high)), np.ones(count, np.intc),
-                                 np.array([n], np.intc))  # one block
-    if w is None:
-        # values in matrix order, or in block order for dstein and sorted afterwards
-        w, iblock, isplit = _stebz(d, e, b"I", b"B" if vector else b"E", count=count)
+        wl, wu, pivmin, itmax = root
+        walked = _walk(d, e, pivmin, itmax, (wl, wu, 0, count, 0), levels, pool)
+        if not (vector and walked[1][1] > 1):
+            w = np.array([walked[i][0] for i in levels])
+            if not vector:
+                return w
+            lowest = np.array([walked[1][0]])  # one value in one block
+            return w, _lowest_vector(d, e, lowest, np.ones(1, np.intc), np.array([n], np.intc))
+    # values in matrix order, or in block order for dstein and sorted afterwards
+    w, iblock, isplit = _stebz(d, e, b"B" if vector else b"E", count)
     v = None
     if vector:
         order = np.argsort(w)
-        v = _lowest_vector(d, e, w[: int(order[0]) + 1], iblock, isplit, h)
+        v = _lowest_vector(d, e, w[: int(order[0]) + 1], iblock, isplit)
         w = w[order]
     if read is not None:
         w = w[np.array(read) - 1]
@@ -468,19 +476,10 @@ def sturm_counts(T: Tridiagonal, shifts) -> list[int]:
     if not all(map(math.isfinite, shifts)):
         raise ValueError(f"shifts must be finite, got {shifts!r}")
     e2 = T.offdiagonal**2
-    pivmin = _pivmin(e2)
     # AB's rows are the shift pairs, an odd last shift filling its row; NAB gets their counts
     ab = np.asfortranarray(np.reshape(shifts + shifts[-1:] * (len(shifts) % 2), (-1, 2)))
-    nab, pairs = np.empty_like(ab, dtype=np.intc), ctypes.c_int(len(ab))
-    one, mout, info = ctypes.c_int(1), ctypes.c_int(), ctypes.c_int()
-    # IJOB = 1 only counts: NVAL, C, WORK and IWORK go unread
-    unread, unread_int = np.zeros(1), np.zeros(1, np.intc)
-    _dlaebz(one, one, ctypes.c_int(T.dimension), pairs, pairs, one, ctypes.c_double(0.0),
-            ctypes.c_double(0.0), ctypes.c_double(pivmin), _ptr(T.diagonal), _ptr(T.offdiagonal),
-            _ptr(e2), _ptr(unread_int), _ptr(ab), _ptr(unread), mout, _ptr(nab), _ptr(unread),
-            _ptr(unread_int), info)
-    if info.value != 0:
-        raise NonConvergenceError(f"LAPACK dlaebz failed with info = {info.value}")
+    nab = np.empty_like(ab, dtype=np.intc)
+    _laebz(T.diagonal, T.offdiagonal, e2, _pivmin(e2), ab, nab)(1, 0, len(ab), len(ab))
     return nab.ravel()[: len(shifts)].tolist()
 
 

@@ -200,8 +200,8 @@ def _queue_modes(pool: ThreadPoolExecutor, geom: NeckGeometry, grid: Grid,
     (``ground``) reads only the levels it uses (``eigen_lowest``'s
     ``read``), with the bits of the full solve: at a neck, mode 0's level 1
     and its vector; at the cusp, every mode's top level, which the depth
-    search reads, and mode 0's level 1 and vector too.  A full bisection
-    offers half of its work back to ``pool`` (see ``eigen_lowest``).
+    search reads, and mode 0's level 1 and vector too.  Each solve offers
+    the upper subtree of its bisection back to ``pool`` (see ``eigen_lowest``).
     """
     top = params.levels
 
@@ -211,7 +211,8 @@ def _queue_modes(pool: ThreadPoolExecutor, geom: NeckGeometry, grid: Grid,
             return eigen_lowest(H, top, pool=pool), None
         if mode.k == 0:
             read = (1,) if geom.t > 0 else tuple(dict.fromkeys((1, top)))
-            return eigen_lowest(H, top, vector=True, h=grid.h, pool=pool, read=read)
+            w, v = eigen_lowest(H, top, vector=True, pool=pool, read=read)
+            return w, v / np.sqrt(grid.h * np.sum(v**2))  # in the discrete L^2(d rho) norm
         return eigen_lowest(H, top, pool=pool, read=(top,)), None
 
     return grid, [[pool.submit(solve, ModeSpec(k, chi)) for chi in _chiralities(geom.t)]
@@ -400,9 +401,9 @@ def _solve_grid(t: float | Sequence[float], params: SpectrumParams,
     the t and ``params`` before any solve, and each neck is solved on the
     grid it planned, in a ground-state run (``ground``) or a full one.  The
     pool has one thread per CPU and starts one only when a job finds none
-    idle; each solve offers it half of its bisection (``eigen_lowest``), so
-    it holds at most one thread per CPU and never more than the solves and
-    their halves.
+    idle; each solve offers it the upper subtree of its bisection
+    (``eigen_lowest``), so it holds at most one thread per CPU and never
+    more than the solves and their subtrees.
     """
     plan = check_grids([t] if np.ndim(t) == 0 else t, params)
     with ThreadPoolExecutor(max_workers=_cpu_count()) as pool:
@@ -446,8 +447,9 @@ def ground_states(t: float | Sequence[float], params: SpectrumParams) -> dict[fl
     level of them all; each of those solves reads that level alone, and
     mode 0's also level 1 and its vector.  The vector is mode 0's at the
     last depth.  Each depth step computes mode 0's two vectors, one per
-    chirality, and only the last step's are read; every config tried takes
-    one step.  ``check_grids`` refuses the t, in descending order, and
+    chirality, and only the last step's are read; at the default spacing
+    (``k_max``, ``levels``) = (2, 8) takes one step, and (4, 8), (4, 20) and
+    (10, 40) take two.  ``check_grids`` refuses the t, in descending order, and
     parameters with the full ``k_max`` and ``levels``, an upper bound on
     this work; every solve runs on one pool.
     """

@@ -649,6 +649,17 @@ def test_refusals_before_work_and_failures_after_a_solve_split(capsys, tmp_path)
     assert not (tmp_path / "out").exists()
 
 
+def test_mass_exits_1_where_dstein_returns_a_vector_of_nan(capsys, tmp_path):
+    # near 2/h^2 = 1e149 LAPACK's dstein returns NaN in every entry with
+    # info = 0: mass wrote the fraction nan with exit 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"t_grid = 340.0\nk_max = 2\nlevels = 30\nwindows = 0.5:2.5\n"
+                   f"output_dir = {tmp_path / 'out'}\n", encoding="utf-8")
+    code, _, err = run(capsys, "spectrum", "mass", str(cfg))
+    assert code == EXIT_RUNTIME and "dstein returned a vector that is not finite" in err, err
+    assert not (tmp_path / "out").exists()
+
+
 def test_runtime_errors_exit_1_and_programming_errors_raise(monkeypatch, capsys, tmp_path):
     cfg = write_config(tmp_path)
     for exc in (NonConvergenceError("dstebz failed"), RuntimeError("no depth"),

@@ -189,13 +189,13 @@ def test_eigen_lowest_small_matrix_and_residual():
     g = NeckGeometry.neck(0.3)
     grid = Grid.for_geometry(g, n=400)
     T = assemble_hamiltonian(g, ModeSpec(0), grid)
-    w, v = eigen_lowest(T, 3, vector=True, h=grid.h)
+    w, v = eigen_lowest(T, 3, vector=True)
     assert v.shape == (T.dimension,)  # the lowest level's vector only
     Tv = T.diagonal * v
     Tv[:-1] += T.offdiagonal * v[1:]
     Tv[1:] += T.offdiagonal * v[:-1]
     assert np.linalg.norm(Tv - w[0] * v) / np.linalg.norm(v) < 1e-8
-    assert grid.h * np.sum(v**2) == pytest.approx(1.0, rel=1e-12)
+    assert np.sum(v**2) == pytest.approx(1.0, rel=1e-12)
     with pytest.raises(ValueError):
         eigen_lowest(T, 0)
     with pytest.raises(ValueError):
@@ -216,10 +216,18 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def test_eigen_lowest_is_bitwise_eigh_tridiagonal():
+def test_eigen_lowest_is_bitwise_eigh_tridiagonal(monkeypatch):
     # the GIL-free binding makes the calls scipy's eigh_tridiagonal makes, and
-    # splitting the bisection at its first node keeps their bits, on a pool or not
+    # walking the bisection tree from dstebz's root keeps their bits, on a
+    # pool or not
     assert solver.EIGEN_TOL == 1e-10
+    dstebz_calls, dstebz = [], solver._dstebz
+
+    def counted_dstebz(*args):
+        dstebz_calls.append(args[0])
+        return dstebz(*args)
+
+    monkeypatch.setattr(solver, "_dstebz", counted_dstebz)
     rng = np.random.default_rng(5)
     cases = []
     for n in (1, 2, 3, 17, 600, *rng.integers(1, 601, 12)):
@@ -249,20 +257,28 @@ def test_eigen_lowest_is_bitwise_eigh_tridiagonal():
     # that parts one leaves dstebz's search off N(WU) = count
     wilkinson = Tridiagonal(np.abs(np.arange(-10.0, 11.0)), np.ones(20))
     cases += [(wilkinson, count) for count in (1, 17, 18, 20)]
-    assert all(solver._first_split(T.diagonal, T.offdiagonal, count) for T, count in necks)
-    assert [solver._first_split(wilkinson.diagonal, wilkinson.offdiagonal, count) is None
+    assert all(solver._root(T.diagonal, T.offdiagonal, count) for T, count in necks)
+    assert [solver._root(wilkinson.diagonal, wilkinson.offdiagonal, count) is None
             for count in (1, 17, 18, 20)] == [False, False, True, True]
     with ThreadPoolExecutor(max_workers=2) as pool:
         for T, count in cases:
             kwargs = dict(select="i", select_range=(0, count - 1), tol=1e-10)
             want = eigh_tridiagonal(T.diagonal, T.offdiagonal, eigvals_only=True, **kwargs)
             want_w, want_v = eigh_tridiagonal(T.diagonal, T.offdiagonal, **kwargs)
+            dstebz_calls.clear()
             for pooled in (None, pool):
                 assert _same_bits(eigen_lowest(T, count, pool=pooled), want), (T.dimension, count)
                 got_w, got_v = eigen_lowest(T, count, vector=True, pool=pooled)
                 # the values keep their bits with the vector, and the one vector is column 0
                 assert _same_bits(got_w, want_w) and _same_bits(got_w, want), (T.dimension, count)
                 assert _same_bits(got_v, want_v[:, 0]), (T.dimension, count)
+            if any(T is neck for neck, _ in necks):  # criterion 12's solves walk the tree alone
+                assert not dstebz_calls, (T.dimension, count)
+    # and so do the sweep-cli benchmark's, its cusp-depth search and ground states included
+    ts, params = [0.5, 0.3, 0.2, 0.1, 0.05, 0.02, 0.01, 0.0], SpectrumParams(k_max=2, levels=8)
+    dstebz_calls.clear()
+    dirac_spectrum(ts, params), ground_states(ts, params)
+    assert not dstebz_calls
     w, v = eigen_lowest(split, 6, vector=True)
     assert np.all(np.diff(w) > 0)
     assert not v[:3].any() and v[3:].all()  # in the block of the lower eigenvalues
@@ -274,10 +290,10 @@ def _neck_hamiltonian(t: float = 0.05, n: int = 300) -> Tridiagonal:
 
 
 def test_a_solve_on_a_one_worker_pool_takes_its_offered_half_back():
-    # the pool's one worker runs the solve, so the upper half it offers stays
-    # queued until the solve cancels it and runs it itself
+    # the pool's one worker runs the solve, so the root's upper child it
+    # offers stays queued until the solve cancels it and walks it itself
     T = _neck_hamiltonian()
-    assert solver._first_split(T.diagonal, T.offdiagonal, 8) is not None
+    assert solver._root(T.diagonal, T.offdiagonal, 8) is not None
     pool = ThreadPoolExecutor(max_workers=1)
     try:
         got = pool.submit(eigen_lowest, T, 8, pool=pool).result(timeout=60)
@@ -288,7 +304,7 @@ def test_a_solve_on_a_one_worker_pool_takes_its_offered_half_back():
 
 def test_solves_that_share_a_busy_pool_keep_their_bits():
     # more workers than cores and a short switch interval: whichever of
-    # cancel and a worker's start wins, each solve gets its own two halves
+    # cancel and a worker's start wins, each solve gets its own two subtrees
     mats = [_neck_hamiltonian(t, n) for t in (0.05, 0.2, 0.5) for n in (200, 317)]
     want = [eigen_lowest(T, 8) for T in mats]
     interval = sys.getswitchinterval()
@@ -304,43 +320,55 @@ def test_solves_that_share_a_busy_pool_keep_their_bits():
 
 @pytest.mark.parametrize("workers", [0, 2])
 def test_a_failure_in_the_offered_half_reaches_the_caller(monkeypatch, workers):
-    # run here (no pool) or by a worker (the lower half waits until it starts)
+    # the walk of the root's upper child fails, run here (no pool) or by a
+    # worker (the walk of the lower child waits until it starts)
     T = _neck_hamiltonian()
-    _, mid, _ = solver._first_split(T.diagonal, T.offdiagonal, 8)
-    stebz, upper_started = solver._stebz, threading.Event()
+    wl, wu, _, _ = solver._root(T.diagonal, T.offdiagonal, 8)
+    mid, laebz, upper_started = 0.5 * (wl + wu), solver._laebz, threading.Event()
+    assert 0 < solver.sturm_counts(T, [mid])[0] < 8  # the root's step at mid parts its levels
 
-    def stebz_failing_above(d, e, irange, order=b"E", count=0, vl=0.0, vu=0.0):
-        if vl == mid:
-            upper_started.set()
-            raise NonConvergenceError("dstebz failed")
-        if workers:
-            assert upper_started.wait(timeout=60)
-        return stebz(d, e, irange, order, count, vl, vu)
+    def laebz_failing_above(d, e, e2, pivmin, ab, nab, *args):
+        call = laebz(d, e, e2, pivmin, ab, nab, *args)
 
-    monkeypatch.setattr(solver, "_stebz", stebz_failing_above)
+        def failing_above(ijob, nitmax, mmax, minp):
+            if ijob == 2 and ab[0] >= mid:  # a node of the upper child
+                upper_started.set()
+                raise NonConvergenceError("dlaebz failed")
+            if workers and ijob == 2 and ab[mmax] <= mid:  # a node of the lower child
+                assert upper_started.wait(timeout=60)
+            return call(ijob, nitmax, mmax, minp)
+
+        return failing_above
+
+    monkeypatch.setattr(solver, "_laebz", laebz_failing_above)
     with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
-        with pytest.raises(NonConvergenceError, match="dstebz failed"):
+        with pytest.raises(NonConvergenceError, match="dlaebz failed"):
             eigen_lowest(T, 8, pool=pool if workers else None)
     assert upper_started.is_set()
 
 
 def test_read_walks_to_the_bits_of_the_full_solve(monkeypatch):
     # each level read is bitwise the full solve's, with the same vector; the
-    # walk runs wherever _first_split finds the root, and a full solve
-    # elsewhere, or where the vector's level 1 shares its converged node
-    walks, stebz_calls = [], []
-    walk, stebz = solver._walk, solver._stebz
+    # walk runs wherever _root finds the root, and dstebz only elsewhere, or
+    # where the vector's level 1 shares its converged node
+    roots, walks, dstebz_calls = [], [], []
+    root, walk, dstebz = solver._root, solver._walk, solver._dstebz
+
+    def recorded_root(*args):
+        roots.append(root(*args))
+        return roots[-1]
 
     def recorded_walk(*args):
         walks.append(walk(*args))
         return walks[-1]
 
-    def recorded_stebz(*args, **kwargs):
-        stebz_calls.append(args[2])
-        return stebz(*args, **kwargs)
+    def recorded_dstebz(*args):
+        dstebz_calls.append(args[0])
+        return dstebz(*args)
 
+    monkeypatch.setattr(solver, "_root", recorded_root)
     monkeypatch.setattr(solver, "_walk", recorded_walk)
-    monkeypatch.setattr(solver, "_stebz", recorded_stebz)
+    monkeypatch.setattr(solver, "_dstebz", recorded_dstebz)
     necks = []
     for t, k in itertools.product((1e-3, 0.5), (0, 10)):  # criterion 12's
         geom = NeckGeometry.neck(t)
@@ -370,28 +398,26 @@ def test_read_walks_to_the_bits_of_the_full_solve(monkeypatch):
             if len(set(read)) < len(read):
                 continue
             for vector in (False, True) if 1 in read else (False,):
+                roots.clear()
                 walks.clear()
-                stebz_calls.clear()
+                dstebz_calls.clear()
                 got = eigen_lowest(T, count, vector=vector, read=read)
                 got_w = got[0] if vector else got
                 assert _same_bits(got_w, want_w[np.array(read) - 1]), (T.dimension, count, read)
                 if vector:
                     assert _same_bits(got[1], want_v), (T.dimension, count, read)
                 tied = T is lowest_pair and 1 in read
-                assert (bool(walks) and walks[0] is not None) == walked, (T.dimension, count)
+                assert (roots[0] is not None) == bool(walks) == walked, (T.dimension, count)
                 if tied:  # the walk gives levels 1 and 2 their node's midpoint
                     assert walks[0][1] == (want_w[0], 2) and want_w[0] == want_w[1]
-                # the full solve runs only where the walk cannot give what is read
-                assert bool(stebz_calls) == (not walked or (vector and tied)), (count, read)
+                # dstebz runs only where the walk cannot give what is read
+                assert bool(dstebz_calls) == (not walked or (vector and tied)), (count, read)
 
 
 def test_eigen_lowest_checks_its_arguments_before_any_lapack_call(monkeypatch):
     T = _neck_hamiltonian()
     for name in ("_dlaebz", "_dstebz", "_dstein"):
         monkeypatch.setattr(solver, name, lambda *args: pytest.fail("LAPACK called"))
-    for h in (0.0, -1e-3, math.inf, math.nan):
-        with pytest.raises(ValueError, match="h must be finite and positive"):
-            eigen_lowest(T, 3, vector=True, h=h)
     for count in (1.5, 2.0, True, "2", None):
         with pytest.raises(TypeError, match="count must be an int"):
             eigen_lowest(T, count)
@@ -795,9 +821,9 @@ def _ground_state(geom: NeckGeometry, grid: Grid, levels: int) -> tuple[float, n
     """Mode 0's lowest level and its vector, over the chiralities solved at geom.t."""
     chis = (Chirality.PLUS, Chirality.MINUS) if geom.t == 0 else (Chirality.PLUS,)
     solves = [eigen_lowest(assemble_hamiltonian(geom, ModeSpec(0, chi), grid), levels,
-                           vector=True, h=grid.h) for chi in chis]
+                           vector=True) for chi in chis]
     w, v = min(solves, key=lambda solve: solve[0][0])  # plus on a tie
-    return float(w[0]), v
+    return float(w[0]), v / np.sqrt(grid.h * np.sum(v**2))
 
 
 @pytest.mark.parametrize("k_max", [0, 1])
@@ -872,7 +898,7 @@ def test_mode_pool_is_bounded_by_jobs_and_cpus(monkeypatch, cpus):
     # it, so never more threads than CPUs or than solves and halves.  A
     # later cusp-depth step reuses it
     asked, threads, peak = [], set(), [threading.active_count()]
-    pool, eigen, stebz = spectra.ThreadPoolExecutor, spectra.eigen_lowest, solver._stebz
+    pool, eigen, walk = spectra.ThreadPoolExecutor, spectra.eigen_lowest, solver._walk
 
     def recorded_pool(max_workers):
         asked.append(max_workers)
@@ -888,7 +914,7 @@ def test_mode_pool_is_bounded_by_jobs_and_cpus(monkeypatch, cpus):
     monkeypatch.setattr(spectra, "_cpu_count", lambda: cpus)
     monkeypatch.setattr(spectra, "ThreadPoolExecutor", recorded_pool)
     monkeypatch.setattr(spectra, "eigen_lowest", recorded(eigen))
-    monkeypatch.setattr(solver, "_stebz", recorded(stebz))
+    monkeypatch.setattr(solver, "_walk", recorded(walk))
     params = SpectrumParams(k_max=2, levels=4, n=300)
     for ts, jobs in ((0.3, 3), (0.0, 6), ([0.3, 0.2, 0.0], 3 + 3 + 6)):
         # one chirality per mode at t > 0, both for the cusp search's first step
@@ -1038,6 +1064,20 @@ def test_ground_states_keep_the_full_solves_vector_and_depth(levels):
         grid = Grid.for_geometry(geom, n=params.n)
         assert ground[t].grid == grid
         assert _same_bits(ground[t].values, _ground_state(geom, grid, levels)[1]), t
+        # normalized in the discrete L^2(d rho) norm
+        assert grid.h * np.sum(ground[t].values**2) == pytest.approx(1.0, rel=1e-12), t
+
+
+def test_a_vector_that_is_not_finite_reaches_the_caller(monkeypatch):
+    # dstein may return NaN with info = 0 (spectrum mass at t = 340 did):
+    # the solve raises instead of handing it on
+    def nan_dstein(n, d, e, m, w, iblock, isplit, z, *rest):
+        for i in range(n.value * m.value):
+            z[i] = math.nan
+
+    monkeypatch.setattr(solver, "_dstein", nan_dstein)
+    with pytest.raises(NonConvergenceError, match="not finite"):
+        ground_states(0.3, SpectrumParams(k_max=0, levels=2, n=300))
 
 
 def test_a_failed_solve_cancels_the_queued_ones(monkeypatch):
