@@ -186,22 +186,34 @@ def _chiralities(t: float) -> tuple[Chirality, ...]:
     return (Chirality.PLUS, Chirality.MINUS) if t == 0 else (Chirality.PLUS,)
 
 
-def _modes(t: float, params: SpectrumParams, ground: bool = False) -> int:
-    """How many modes t solves: mode 0 alone at a neck in a ground-state run, else k <= k_max."""
-    return 1 if ground and t > 0 else params.k_max + 1
+def _modes(t: float, params: SpectrumParams, ground: bool) -> Sequence[int]:
+    """The modes k a run solves at t, in ascending order, mode 0 first.
+
+    A full run solves every k <= ``k_max``.  A ground-state run (``ground``)
+    reads mode 0's level 1 and vector, and at t = 0 also the top level that
+    sets the cusp's depth.  H_k <= H_{k+1} pointwise in each chirality (see
+    ``window_counts``), so that top level is mode ``k_max``'s: the run
+    solves mode 0 alone at a neck, and modes 0 and ``k_max`` (one mode when
+    ``k_max`` = 0) at the cusp.  ``_queue_modes`` solves these modes and
+    ``_plan`` counts them.
+    """
+    if not ground:
+        return range(params.k_max + 1)
+    return (0,) if t > 0 else tuple(dict.fromkeys((0, params.k_max)))
 
 
 def _queue_modes(pool: ThreadPoolExecutor, geom: NeckGeometry, grid: Grid,
                  params: SpectrumParams, ground: bool = False):
-    """Queue ``_modes``'s solves on ``grid``: one list of futures per k, one per chirality.
+    """Queue ``_modes``'s solves on ``grid``: one list of futures per mode, one per chirality.
 
     Each solve gives (eigenvalues, vector).  A full run solves the lowest
     ``levels`` of each mode, with no vector.  A ground-state run
     (``ground``) reads only the levels it uses (``eigen_lowest``'s
-    ``read``), with the bits of the full solve: at a neck, mode 0's level 1
-    and its vector; at the cusp, every mode's top level, which the depth
-    search reads, and mode 0's level 1 and vector too.  Each solve offers
-    the upper subtree of its bisection back to ``pool`` (see ``eigen_lowest``).
+    ``read``), with the bits of the full solve: mode 0's level 1 and its
+    vector, and at the cusp mode ``k_max``'s top level, which the depth
+    search reads; with ``k_max`` = 0 that is mode 0's own top level, read
+    beside its level 1.  Each solve offers the upper subtree of its
+    bisection back to ``pool`` (see ``eigen_lowest``).
     """
     top = params.levels
 
@@ -210,13 +222,13 @@ def _queue_modes(pool: ThreadPoolExecutor, geom: NeckGeometry, grid: Grid,
         if not ground:
             return eigen_lowest(H, top, pool=pool), None
         if mode.k == 0:
-            read = (1,) if geom.t > 0 else tuple(dict.fromkeys((1, top)))
+            read = (1,) if geom.t > 0 or params.k_max > 0 else tuple(dict.fromkeys((1, top)))
             w, v = eigen_lowest(H, top, vector=True, pool=pool, read=read)
             return w, v / np.sqrt(grid.h * np.sum(v**2))  # in the discrete L^2(d rho) norm
         return eigen_lowest(H, top, pool=pool, read=(top,)), None
 
     return grid, [[pool.submit(solve, ModeSpec(k, chi)) for chi in _chiralities(geom.t)]
-                  for k in range(_modes(geom.t, params, ground))]
+                  for k in _modes(geom.t, params, ground)]
 
 
 def _collect_modes(params: SpectrumParams, queued):
@@ -226,8 +238,10 @@ def _collect_modes(params: SpectrumParams, queued):
     returned).  A full run gives the lowest ``levels`` of each queued mode
     as a (modes, levels) array, and no ground state.  A ground-state run's
     solves read only some levels (``_queue_modes``), so it gives no array,
-    and as ground state the vector of the chirality whose first level is
-    lower, plus on a tie.
+    and as ground state the vector of mode 0's chirality whose first level
+    is lower, plus on a tie.  Its largest eigenvalue is mode 0's level 1 at
+    a neck, and at the cusp mode ``k_max``'s top level, the one a full run's
+    largest eigenvalue is.
     """
     grid, modes = queued
     solves = [[job.result() for job in jobs] for jobs in modes]
@@ -306,28 +320,67 @@ def _grids(t_grid: Sequence[float], params: SpectrumParams,
     return grids
 
 
-def check_grids(t_grid: Sequence[float], params: SpectrumParams) -> dict[float, tuple[int, Grid]]:
+def _plan(t_grid: Sequence[float], params: SpectrumParams,
+          ground: bool) -> dict[float, tuple[int, Grid]]:
     """Each t of ``_grids`` to the solves of its first step and its grid, before any solve.
 
-    Raises RunRefusedError where ``_grids`` refuses the t (a spacing below
-    ``MIN_SPACING`` is every t above 340.3827 at the default spacing), where
-    ``levels`` exceeds a grid's points, and where the work estimate exceeds
-    ``MAX_WORK``.  The cusp-depth search only deepens the cusp, which keeps
-    ``n`` or, at a fixed ``h``, adds points, so its first depth bounds every
-    later one.
+    The solves are ``_modes``'s modes times ``_chiralities``, for a
+    ground-state run (``ground``) or a full one.  Raises RunRefusedError
+    where ``_grids`` refuses the t, where ``levels`` exceeds a grid's
+    points, where a ground-state run's grid lies where ``dstein`` fails
+    (below), and where the work estimate, ``levels`` times the sum over t of
+    solves * grid points, exceeds ``MAX_WORK``.  The estimate counts every
+    level of a solve, so it bounds a ground-state run's solves, which read
+    one or two levels, even where ``eigen_lowest`` bisects them all.  The
+    cusp-depth search only deepens the cusp, which keeps ``n`` or, at a
+    fixed ``h``, adds points, so its first depth bounds every later one's
+    ``levels`` rule; each further step repeats the first step's solves.
+
+    Each t's ground state calls LAPACK's ``dstein``, which returns a vector
+    of NaN with info = 0 once n^(3/2) * 2 / h^2 passes 1.70 * ``SQRT_MAX``
+    (n = 16) to 1.77 * ``SQRT_MAX`` (n = 400 to 16000).  That held for modes
+    0, 2 and 5 in both chiralities on necks, and for the bare difference
+    matrix (2 / h^2, -1 / h^2) those matrices round to at such h.  A
+    ground-state run is refused where the product exceeds ``SQRT_MAX``,
+    which at the default spacing is every t above 327.94.  No cusp
+    reaches it: a cusp's rho_min is at most -7.25 (``_cusp_depth`` with a
+    margin >= 50 and mu_max >= 200), so it is at least 7.9 long and the
+    product is below n^3.5 / 31, under 1e31 for every n ``MAX_WORK`` admits.
     """
     plan = {}
     for t, (_, grid) in _grids(t_grid, params).items():
         if params.levels > grid.n:
             raise RunRefusedError(f"levels = {params.levels} exceeds the {grid.n} grid points "
                                   f"at t = {t!r}")
-        plan[t] = (_modes(t, params) * len(_chiralities(t)), grid)
+        if ground and grid.n**1.5 * (2.0 / grid.h**2) > SQRT_MAX:
+            raise RunRefusedError(f"the grid at t = {t!r} (n = {grid.n}, h = {grid.h!r}) has "
+                                  f"n^(3/2) * 2 / h^2 above {SQRT_MAX!r}: LAPACK's dstein "
+                                  f"returns a ground state of NaN from about 1.7 times that")
+        try:
+            solves = len(_modes(t, params, ground)) * len(_chiralities(t))
+        except OverflowError:  # len() stops at sys.maxsize: a full run's range(k_max + 1)
+            raise RunRefusedError(f"work estimate above {MAX_WORK}: k_max = {params.k_max} "
+                                  f"gives more solves at t = {t!r} than can be counted") from None
+        plan[t] = (solves, grid)
     work = params.levels * sum(solves * grid.n for solves, grid in plan.values())
     if work > MAX_WORK:
-        raise RunRefusedError(f"work estimate {work} (the sum over t_grid of solves * levels * "
-                              f"grid points, with k_max + 1 solves at t > 0 and twice that "
-                              f"at t = 0) exceeds {MAX_WORK}")
+        raise RunRefusedError(f"work estimate {work} (levels times the sum over t_grid of "
+                              f"solves * grid points, with the solves of a "
+                              f"{'ground-state' if ground else 'full'} run at each t) "
+                              f"exceeds {MAX_WORK}")
     return plan
+
+
+def check_grids(t_grid: Sequence[float], params: SpectrumParams) -> dict[float, tuple[int, Grid]]:
+    """Each t of ``_grids`` to the solves of a full run's first step there, and its grid.
+
+    That is ``_plan``'s plan for ``dirac_spectrum``, which solves every mode
+    k <= ``k_max``, in both chiralities at t = 0: it raises RunRefusedError
+    where ``_grids`` refuses the t (a spacing below ``MIN_SPACING`` is every
+    t above 340.3827 at the default spacing), where ``levels`` exceeds a
+    grid's points, and where the work estimate exceeds ``MAX_WORK``.
+    """
+    return _plan(t_grid, params, ground=False)
 
 
 def _window(t: float, rho: np.ndarray, w: float) -> np.ndarray:
@@ -345,17 +398,15 @@ def check_windows(t_grid: Sequence[float], params: SpectrumParams,
                   widths: Sequence[float]) -> dict[float, tuple[int, Grid]]:
     """Each t of ``_grids`` to the solves of ``ground_states``'s first step there, and its grid.
 
-    That is ``_modes``'s for a ground-state run, on ``check_grids``'s grids,
-    before any solve.  Raises RunRefusedError where ``check_grids`` refuses
-    the run, with the full ``k_max``, where a width w is not positive, or
-    where a window |x| <= w holds no point of a t > 0 grid.  At t = 0 the
-    cusp search fixes the grid's depth by solving, so ``neck_mass`` checks.
-    ``check_grids``' work estimate counts every solve's ``levels``, so it
-    stays an upper bound on a ground-state run, whose solves read one or
-    two levels each (``_queue_modes``).
+    That is ``_plan``'s plan for a ground-state run, before any solve: one
+    solve of mode 0 at each t > 0, and at t = 0 modes 0 and ``k_max`` in
+    both chiralities, four solves (two with ``k_max`` = 0).  Raises
+    RunRefusedError where ``_plan`` refuses the run, where a width w is not
+    positive, or where a window |x| <= w holds no point of a t > 0 grid.
+    At t = 0 the cusp search fixes the grid's depth by solving, so
+    ``neck_mass`` checks.
     """
-    plan = {t: (_modes(t, params, ground=True) * len(_chiralities(t)), grid)
-            for t, (_, grid) in check_grids(t_grid, params).items()}
+    plan = _plan(t_grid, params, ground=True)
     for w in widths:
         if not w > 0:
             raise RunRefusedError(f"window |x| <= {w!r} needs a width w > 0")
@@ -370,16 +421,18 @@ def _cusp_geometry(params: SpectrumParams, pool: ThreadPoolExecutor, ground: boo
     """Truncated cusp deep enough that V(rho_min) >= margin * sqrt(mu_max).
 
     V is that of the most permissive mode (k = 0, smallest V) and mu_max is
-    the top of the ``levels`` solved for every mode and chirality; the
-    domain is deepened until the requirement holds, and deepening only
-    lowers eigenvalues, so the loop terminates.  The first depth and grid
-    are ``_grids``'s, and only a deeper step builds a grid, which
-    ``_check_squares`` must admit.  Each depth's solves go to ``pool``; the
-    loop runs on the calling thread, so no worker waits on another.  Returns
-    the geometry and ``_collect_modes``'s eigenvalues and ground state at its
-    last depth.  In a ground-state run (``ground``) each solve reads only
-    its top level, all that mu_max needs, and mode 0's also level 1 and its
-    vector, so no eigenvalue array comes back.
+    the top of the ``levels`` solved for every mode and chirality, which is
+    mode ``k_max``'s (``_modes``); the domain is deepened until the
+    requirement holds, and deepening only lowers eigenvalues, so the loop
+    terminates.  The first depth and grid are ``_grids``'s, and only a
+    deeper step builds a grid, which ``_check_squares`` must admit.  Each
+    depth's solves go to ``pool``; the loop runs on the calling thread, so
+    no worker waits on another.  Returns the geometry and
+    ``_collect_modes``'s eigenvalues and ground state at its last depth.  A
+    ground-state run (``ground``) solves modes 0 and ``k_max`` alone,
+    reading mode 0's level 1 and its vector and mode ``k_max``'s top level,
+    all that mu_max needs, so it reaches the depth a full run reaches and
+    no eigenvalue array comes back.
     """
     [(geom, grid)] = _grids([0.0], params).values()
     for _ in range(8):
@@ -397,15 +450,15 @@ def _solve_grid(t: float | Sequence[float], params: SpectrumParams,
                 ground: bool) -> dict[float, tuple[np.ndarray, VectorHandle | None]]:
     """Each t's (eigenvalues, ground state) from ``_collect_modes``, every solve on one pool.
 
-    ``t`` is one t or many, keyed as ``check_grids`` keys them.  That refuses
-    the t and ``params`` before any solve, and each neck is solved on the
-    grid it planned, in a ground-state run (``ground``) or a full one.  The
-    pool has one thread per CPU and starts one only when a job finds none
-    idle; each solve offers it the upper subtree of its bisection
-    (``eigen_lowest``), so it holds at most one thread per CPU and never
-    more than the solves and their subtrees.
+    ``t`` is one t or many, keyed as ``_plan`` keys them.  That refuses the
+    t and ``params`` before any solve, by the rules of a ground-state run
+    (``ground``) or a full one, and each neck is solved on the grid it
+    planned.  The pool has one thread per CPU and starts one only when a
+    job finds none idle; each solve offers it the upper subtree of its
+    bisection (``eigen_lowest``), so it holds at most one thread per CPU and
+    never more than the solves and their subtrees.
     """
-    plan = check_grids([t] if np.ndim(t) == 0 else t, params)
+    plan = _plan([t] if np.ndim(t) == 0 else t, params, ground)
     with ThreadPoolExecutor(max_workers=_cpu_count()) as pool:
         try:
             queued = {s: _queue_modes(pool, NeckGeometry.neck(s), grid, params, ground)
@@ -443,15 +496,17 @@ def ground_states(t: float | Sequence[float], params: SpectrumParams) -> dict[fl
     each t > 0 only mode 0 is solved, and only its level 1 and vector are
     read (``eigen_lowest``'s ``read``), with the bits ``dirac_spectrum``'s
     solve to ``params.levels`` gives them.  At t = 0 the cusp-depth search
-    solves every mode and both chiralities, since its depth reads the top
-    level of them all; each of those solves reads that level alone, and
-    mode 0's also level 1 and its vector.  The vector is mode 0's at the
+    reads the top level of every mode, which is mode ``k_max``'s, so each
+    depth step solves modes 0 and ``k_max`` alone, in both chiralities:
+    mode ``k_max``'s solves read their top level, and mode 0's read level 1
+    and its vector (and the top level too when ``k_max`` = 0).  So the
+    depth and the vector are a full run's.  The vector is mode 0's at the
     last depth.  Each depth step computes mode 0's two vectors, one per
     chirality, and only the last step's are read; at the default spacing
     (``k_max``, ``levels``) = (2, 8) takes one step, and (4, 8), (4, 20) and
-    (10, 40) take two.  ``check_grids`` refuses the t, in descending order, and
-    parameters with the full ``k_max`` and ``levels``, an upper bound on
-    this work; every solve runs on one pool.
+    (10, 40) take two.  ``_plan`` refuses the t, in descending order, and
+    parameters before any solve, with the work estimate of these solves
+    and the bound on ``dstein``'s grids; every solve runs on one pool.
     """
     return {s: ground for s, (_, ground) in _solve_grid(t, params, True).items()}
 

@@ -31,6 +31,7 @@ from cusplab.dirac_lab import (
     SpectrumParams,
     check_grids,
     check_windows,
+    ground_states,
     solver,
     spectra,
 )
@@ -569,9 +570,10 @@ def test_work_bound_rejects_a_config_before_solving(monkeypatch, capsys, tmp_pat
     out = f"output_dir = {tmp_path / 'out'}\n"
     k_cfg.write_text(f"t_grid = 0.5\nk_max = 100000\n{out}")
     t0_cfg.write_text(f"t_grid = 0.0\nk_max = 1999\nlevels = 100\n{out}")
+    h_cfg = write_config(tmp_path, "h.cfg", k_max=100000, h=0.001)
     for cfg, named in ((k_cfg, "work estimate"), (t0_cfg, "work estimate 1599600000 "),
-                       (write_config(tmp_path, k_max=100000, h=0.001), "work estimate")):
-        for command in (("spectrum", "sweep"), ("spectrum", "mass"), ("trace", "compute")):
+                       (h_cfg, "work estimate")):
+        for command in (("spectrum", "sweep"), ("trace", "compute")):
             code, _, err = run(capsys, *command, str(cfg))
             assert code == EXIT_CONFIG and named in err, (cfg.name, command, err)
     cfg = write_config(tmp_path, h="1e-320")  # length / h overflows to inf
@@ -582,6 +584,17 @@ def test_work_bound_rejects_a_config_before_solving(monkeypatch, capsys, tmp_pat
     code, _, err = run(capsys, "spectrum", "sweep", str(cfg))
     assert code == EXIT_CONFIG and "arclength domain must be finite" in err, err
     assert calls == [] and not (tmp_path / "out").exists()
+    # mass counts the solves it makes, mode 0 at t > 0 and modes 0 and k_max
+    # in both chiralities at t = 0, so it runs all three: t0_cfg's estimate
+    # is 4 solves * 100 levels * 3999 points = 1.6e6
+    monkeypatch.undo()
+    more = ", plus 4 per further cusp-depth step"
+    for cfg, line in ((k_cfg, "1 values of t: 1 mode solves"),
+                      (t0_cfg, f"1 values of t: 4 mode solves{more}"),
+                      (h_cfg, f"3 values of t: 6 mode solves{more}")):
+        code, _, err = run(capsys, "spectrum", "mass", str(cfg))
+        assert (code, err) == (EXIT_OK, f"solving {line}\n"), cfg.name
+        assert (tmp_path / "out" / "mass.csv").exists(), cfg.name
 
 
 def test_count_is_not_refused_for_solve_work_it_does_not_do(monkeypatch, capsys, tmp_path):
@@ -649,15 +662,23 @@ def test_refusals_before_work_and_failures_after_a_solve_split(capsys, tmp_path)
     assert not (tmp_path / "out").exists()
 
 
-def test_mass_exits_1_where_dstein_returns_a_vector_of_nan(capsys, tmp_path):
-    # near 2/h^2 = 1e149 LAPACK's dstein returns NaN in every entry with
-    # info = 0: mass wrote the fraction nan with exit 0
+def test_mass_refuses_where_dstein_returns_a_vector_of_nan(monkeypatch, capsys, tmp_path):
+    # from n^(3/2) * 2 / h^2 = 1.7 * SQRT_MAX LAPACK's dstein returns NaN in
+    # every entry with info = 0: mass wrote the fraction nan with exit 0 at
+    # t = 340.0 (2 / h^2 = 8.6e152), and now refuses it before any solve;
+    # sweep calls no dstein and still solves it
+    calls = refuse_work(monkeypatch)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"t_grid = 340.0\nk_max = 2\nlevels = 30\nwindows = 0.5:2.5\n"
                    f"output_dir = {tmp_path / 'out'}\n", encoding="utf-8")
     code, _, err = run(capsys, "spectrum", "mass", str(cfg))
-    assert code == EXIT_RUNTIME and "dstein returned a vector that is not finite" in err, err
-    assert not (tmp_path / "out").exists()
+    assert code == EXIT_CONFIG and "t = 340.0" in err and "dstein" in err, err
+    assert calls == [] and not (tmp_path / "out").exists()
+    with pytest.raises(RunRefusedError, match="dstein"):
+        ground_states(340.0, SpectrumParams(k_max=2, levels=30))
+    assert calls == []
+    monkeypatch.undo()
+    assert run(capsys, "spectrum", "sweep", str(cfg))[0] == EXIT_OK
 
 
 def test_runtime_errors_exit_1_and_programming_errors_raise(monkeypatch, capsys, tmp_path):

@@ -1025,14 +1025,16 @@ def test_ground_states_match_the_slow_path_on_any_cpus(monkeypatch, ts, params):
 
 def test_ground_states_solve_mode_0_alone_at_each_neck(monkeypatch):
     # one vector solve of mode 0 per t > 0, reading level 1; at t = 0 the
-    # cusp-depth search solves every (k, chirality) at each depth, reading
-    # the top level, and mode 0's level 1 too, with a vector
-    params = _pool_params(1)
-    calls, solving = [], threading.local()
+    # cusp-depth search solves modes 0 and k_max alone, in both chiralities,
+    # at each depth: mode k_max reads its top level, mode 0 level 1 and its
+    # vector.  No other mode is assembled
+    params = _pool_params(3)
+    calls, assembled, solving = [], set(), threading.local()
     eigen, assemble = spectra.eigen_lowest, spectra.assemble_hamiltonian
 
     def recorded_assemble(geom, mode, *args):
         solving.key = (geom.t, geom.rho_min, mode.k, mode.chirality.value)
+        assembled.add((geom.t, mode.k))
         return assemble(geom, mode, *args)
 
     def counted_eigen(T, count, **kwargs):
@@ -1049,23 +1051,55 @@ def test_ground_states_solve_mode_0_alone_at_each_neck(monkeypatch):
     depths = {rho for _, rho, *_ in search}
     assert len(depths) >= 2  # the search deepened the cusp at least once
     assert sorted(search) == sorted(
-        (0.0, rho, k, chi.value, top, k == 0, (1, top) if k == 0 else (top,))
-        for rho in depths for k in range(params.k_max + 1) for chi in Chirality)
+        (0.0, rho, k, chi.value, top, k == 0, (1,) if k == 0 else (top,))
+        for rho in depths for k in (0, params.k_max) for chi in Chirality)
+    assert assembled == {(t, 0) for t in necks} | {(0.0, 0), (0.0, params.k_max)}
 
 
-@pytest.mark.parametrize("levels", [1, 2])
-def test_ground_states_keep_the_full_solves_vector_and_depth(levels):
-    # at one level, level 1 is the top level mode 0 reads at the cusp
-    params = SpectrumParams(k_max=2, levels=levels, n=500)
-    ground = ground_states([0.3, 0.0], params)
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        cusp = spectra._cusp_geometry(params, pool)[0]  # a full run's depth
-    for t, geom in ((0.3, NeckGeometry.neck(0.3)), (0.0, cusp)):
-        grid = Grid.for_geometry(geom, n=params.n)
-        assert ground[t].grid == grid
-        assert _same_bits(ground[t].values, _ground_state(geom, grid, levels)[1]), t
-        # normalized in the discrete L^2(d rho) norm
-        assert grid.h * np.sum(ground[t].values**2) == pytest.approx(1.0, rel=1e-12), t
+@pytest.mark.parametrize("levels", [1, 2, 20])
+def test_ground_states_keep_the_full_solves_vector_and_depth(monkeypatch, levels):
+    # a ground-state run's cusp search solves modes 0 and k_max alone; mode
+    # k_max's top level is every step's highest, so the run walks a full
+    # run's depths to its grid and vector.  At one level, level 1 is the top
+    # level mode 0 reads at the cusp when k_max = 0
+    depths, solving, assemble = {}, threading.local(), spectra.assemble_hamiltonian
+    eigen = spectra.eigen_lowest
+
+    def recorded_assemble(geom, mode, *args):
+        solving.key = (geom.t, geom.rho_min, mode.k)
+        return assemble(geom, mode, *args)
+
+    def recorded_eigen(T, count, **kwargs):
+        out = eigen(T, count, **kwargs)
+        t, rho, k = solving.key
+        if t == 0:
+            w = out[0] if kwargs.get("vector") else out
+            depths.setdefault(rho, []).append((k, float(w.max())))
+        return out
+
+    monkeypatch.setattr(spectra, "assemble_hamiltonian", recorded_assemble)
+    monkeypatch.setattr(spectra, "eigen_lowest", recorded_eigen)
+    steps = []
+    for k_max, spacing in itertools.product((0, 1, 3), (dict(n=500), dict(h=0.01))):
+        params = SpectrumParams(k_max=k_max, levels=levels, **spacing)
+        depths.clear()
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            cusp = spectra._cusp_geometry(params, pool)[0]  # a full run's depth
+        full = dict(depths)
+        for rho, solves in full.items():  # mode k_max holds each step's highest level
+            assert max(w for k, w in solves if k == k_max) == max(w for _, w in solves), rho
+        depths.clear()
+        ground = ground_states([0.3, 0.0], params)
+        assert list(depths) == list(full), (k_max, spacing)  # the same depth steps
+        steps.append(len(full))
+        for t, geom in ((0.3, NeckGeometry.neck(0.3)), (0.0, cusp)):
+            grid = Grid.for_geometry(geom, n=params.n, h=params.h)
+            assert ground[t].grid == grid, (k_max, spacing, t)
+            assert _same_bits(ground[t].values, _ground_state(geom, grid, levels)[1]), (
+                k_max, spacing, t)
+            # normalized in the discrete L^2(d rho) norm
+            assert grid.h * np.sum(ground[t].values**2) == pytest.approx(1.0, rel=1e-12), t
+    assert max(steps) >= 2 or levels < 20, steps  # at 20 levels the search deepens
 
 
 def test_a_vector_that_is_not_finite_reaches_the_caller(monkeypatch):
@@ -1078,6 +1112,36 @@ def test_a_vector_that_is_not_finite_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(solver, "_dstein", nan_dstein)
     with pytest.raises(NonConvergenceError, match="not finite"):
         ground_states(0.3, SpectrumParams(k_max=0, levels=2, n=300))
+
+
+@pytest.mark.parametrize("n", [16, 400, None], ids=["16", "400", "default"])
+def test_ground_runs_are_refused_below_where_dstein_returns_nan(n):
+    # dstein's first NaN vector comes at n^(3/2) * 2 / h^2 = 1.70 to 1.77 times
+    # SQRT_MAX: the ground-state plan refuses a grid above SQRT_MAX, so the
+    # last t it admits solves to a finite vector, and 1.8 times further in the
+    # product, where dstein gives NaN, is refused; a full run calls no dstein
+    def product(t):
+        grid = Grid.for_geometry(NeckGeometry.neck(t), n=n)
+        return grid.n**1.5 * (2.0 / grid.h**2)
+
+    def t_at(target):  # the last t at or below target and the first above: 1 / h^2 grows with t
+        low, high = 300.0, 360.0
+        for _ in range(60):
+            mid = (low + high) / 2
+            low, high = (mid, high) if product(mid) <= target else (low, mid)
+        return low, high
+
+    params = SpectrumParams(k_max=1, levels=2, n=n)
+    (edge, over), (_, beyond) = t_at(spectra.SQRT_MAX), t_at(1.8 * spectra.SQRT_MAX)
+    assert np.isfinite(ground_states(edge, params)[edge].values).all()
+    for t in (over, beyond):
+        with pytest.raises(RunRefusedError, match="dstein"):
+            spectra.check_windows([t], params, [1.0])
+        spectra.check_grids([t], params)
+    geom = NeckGeometry.neck(beyond)
+    H = assemble_hamiltonian(geom, ModeSpec(0), Grid.for_geometry(geom, n=n))
+    with pytest.raises(NonConvergenceError, match="not finite"):
+        eigen_lowest(H, 2, vector=True)
 
 
 def test_a_failed_solve_cancels_the_queued_ones(monkeypatch):
@@ -1119,28 +1183,42 @@ def test_bad_t_values_fail_before_any_solve(monkeypatch, ts):
     # spacing 8.5e-78, below MIN_SPACING: dstebz fails on the overflow of (1 / h^2)^2
     ("0.5,341.1", {}, "341.1"),
     # 2 * 2000 solves * 100 levels * 3999 points at t = 0; 8.0e8 at t = 0.5 passes
-    ("0.0", dict(k_max=1999, levels=100), "work estimate 1599600000 ")],
-    ids=["negative", "nan", "inf", "2000", "repeated", "1000", "341.1", "over-max-work"])
+    ("0.0", dict(k_max=1999, levels=100), "work estimate 1599600000 "),
+    # range(k_max + 1) holds more modes than len() can count
+    ("0.5", dict(k_max=10**20), "than can be counted")],
+    ids=["negative", "nan", "inf", "2000", "repeated", "1000", "341.1", "over-max-work",
+         "uncountable-modes"])
 def test_config_and_library_refuse_the_same_runs_before_solving(monkeypatch, capsys, tmp_path,
                                                                 grid, keys, named):
-    # check_grids is the one owner of the t rules and the work bound: the
-    # commands and the library refuse the same runs, before any solve.  A
-    # count solves nothing, so the solve work bound does not bind it.
+    # _plan is the one owner of the t rules and the work bound: the commands
+    # and the library refuse the same runs, before any solve.  The work bound
+    # counts the solves a run makes: a count solves nothing, and mass solves
+    # mode 0 alone at t > 0 and modes 0 and k_max in both chiralities at
+    # t = 0, so a full run's work bound binds neither.
     calls = []
     monkeypatch.setattr(spectra, "eigen_lowest", lambda *a, **k: calls.append(a))
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"t_grid = {grid}\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
                    + f"output_dir = {tmp_path / 'out'}\n", encoding="utf-8")
+    ts, params = [float(x) for x in grid.split(",")], SpectrumParams(**keys)
+    work = bool(keys)  # the two work refusals, which set k_max
     for command in (("spectrum", "sweep"), ("spectrum", "mass"), ("trace", "compute"),
                     ("spectrum", "count")):
+        if work and command[1] == "mass":
+            continue  # admitted: it would solve
         code, err = main([*command, str(cfg)]), capsys.readouterr().err
-        if command[1] == "count" and named.startswith("work estimate"):
+        if work and command[1] == "count":
             assert code == EXIT_OK, err
         else:
             assert code == EXIT_CONFIG and named in err, (command, err)
-    ts = [float(x) for x in grid.split(",")]
     with pytest.raises(RunRefusedError, match=re.escape(named)):
-        dirac_spectrum(ts[0] if len(ts) == 1 else ts, SpectrumParams(**keys))
+        dirac_spectrum(ts[0] if len(ts) == 1 else ts, params)
+    if work:  # 4 solves * 100 levels * 3999 points at t = 0, 1 solve at t = 0.5
+        [(solves, grid)] = spectra.check_windows(ts, params, [1.0]).values()
+        assert solves * params.levels * grid.n == (1599600 if ts == [0.0] else 8 * 3999)
+    else:
+        with pytest.raises(RunRefusedError, match=re.escape(named)):
+            ground_states(ts[0] if len(ts) == 1 else ts, params)
     assert calls == []
 
 
