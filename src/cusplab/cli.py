@@ -51,7 +51,7 @@ _NUMERICS = {
     "cusplab.dirac_lab": ("Grid", "SpectrumParams", "SpectrumTable", "check_grids",
                           "check_trace", "check_windows", "dirac_spectrum", "ground_states",
                           "neck_mass", "relative_resolvent_trace", "window_counts"),
-    "cusplab.expfit": ("compare_models", "log_even_basis", "smooth_even_basis"),
+    "cusplab.expfit": ("check_fit", "compare_models", "log_even_basis", "smooth_even_basis"),
 }
 
 
@@ -193,11 +193,23 @@ class RunConfig:
 
 
 def _load_config(path: str) -> RunConfig:
+    """The config at ``path``; ConfigError where its ``output_dir`` cannot be a directory.
+
+    That is an ``output_dir`` that is a file or lies below one.  The check
+    creates nothing: the outputs' directory is made only when they are written.
+    """
     try:  # utf-8-sig drops the byte-order mark some editors write first
         text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return RunConfig.from_text(text)
+    config = RunConfig.from_text(text)
+    outdir = Path(config.output_dir)
+    for p in (outdir, *outdir.parents):
+        if p.exists():  # the deepest part of output_dir that exists
+            if not p.is_dir():
+                raise ConfigError(f"output_dir {outdir} cannot be a directory: {p} is a file")
+            break
+    return config
 
 
 def _write(path: Path, text: str) -> None:
@@ -341,7 +353,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     # mass, the one name left: argparse refuses any other.  Its rows read the
     # ground state, level j = 1 of mode 0
     _announce(check_windows(config.t_grid, config.params, [b for _, b in config.windows]))
-    rows = [f"{_fmt(t)},1,{_fmt(b)},{_fmt(neck_mass(t, vector, b))}"
+    rows = [f"{_fmt(t)},1,{_fmt(b)},{_fmt(neck_mass(vector, b))}"
             for t, vector in ground_states(config.t_grid, config.params).items()
             for _, b in config.windows]
     return _write_outputs(config, "mass.csv", _csv("t,j,window,fraction", rows))
@@ -354,10 +366,11 @@ def cmd_trace(args: argparse.Namespace) -> int:
     if args.trace_cmd == "fit":
         if config.lam == config.lam0:
             raise ConfigError("trace fit needs lambda != lambda0")
-        if 0.0 in config.t_grid:
-            raise ConfigError("trace fit requires a t_grid without 0")
-        if len(config.t_grid) < logb.min_samples:
-            raise ConfigError(f"trace fit needs at least {logb.min_samples} values of t")
+        for basis in (smooth, logb):  # the fit reads the t in the table's descending order
+            try:
+                check_fit(sorted(config.t_grid, reverse=True), basis)
+            except ValueError as exc:
+                raise ConfigError(f"trace fit at t_grid: {exc}") from None
     table = _solve(config)
     ts = list(table.mu)
     gs = [relative_resolvent_trace(t, config.lam, config.lam0, config.params, table=table).value

@@ -94,25 +94,33 @@ _dlaebz = _lapack_routine("dlaebz", _INT, _INT, _INT, _INT, _INT, _INT, _DOUBLE,
 
 @dataclass(frozen=True)
 class Grid:
-    """The n interior points rho_min + h * i (i = 1..n) of [rho_min, rho_min + (n + 1) h].
+    """The n interior points rho_min + h * i (i = 1..n) of ``geometry``'s arclength domain.
 
-    Dirichlet problems on the arclength domain use these points; the grid
-    stores the three numbers and computes the points on demand.
+    Dirichlet problems on the domain [rho_min, rho_max] use these points.
+    The grid stores the geometry and n; rho_min is the geometry's and the
+    spacing is h = length / (n + 1), so the points fill the domain and every
+    grid knows the t and the depth it discretises.  The points are computed
+    on demand.
     """
 
-    rho_min: float
-    h: float
+    geometry: NeckGeometry
     n: int
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.rho_min):
-            raise ValueError(f"grid start must be finite, got {self.rho_min!r}")
-        if not 0.0 < self.h < math.inf:  # nan fails this too
-            raise ValueError(f"grid spacing must be finite and positive, got {self.h!r}")
         if not isinstance(self.n, int) or isinstance(self.n, bool):
             raise TypeError(f"the point count must be an int, got {self.n!r}")
         if self.n < MIN_POINTS:
             raise ValueError(f"need at least {MIN_POINTS} interior points, got {self.n!r}")
+        if not 0.0 < self.h < math.inf:  # a length that overflows, or a spacing that underflows
+            raise ValueError(f"grid spacing must be finite and positive, got {self.h!r}")
+
+    @property
+    def rho_min(self) -> float:
+        return self.geometry.rho_min
+
+    @property
+    def h(self) -> float:
+        return self.geometry.length / (self.n + 1)
 
     @property
     def rho_values(self) -> np.ndarray:
@@ -124,17 +132,19 @@ class Grid:
     @classmethod
     def for_geometry(cls, geom: NeckGeometry, n: int | None = None,
                      h: float | None = None) -> "Grid":
-        """The grid filling [rho_min, rho_max]: n points, else spacing near h or length/4000."""
+        """The grid of ``geom``: n points, else a spacing near h or length/4000."""
         if n is not None and h is not None:
             raise ValueError("give n or h, not both")
+        if h is not None and not 0.0 < h < math.inf:  # nan fails this too
+            raise ValueError(f"grid spacing must be finite and positive, got {h!r}")
         if n is None:
             target = h if h is not None else geom.length / DEFAULT_POINTS
             n = max(MIN_POINTS, int(round(geom.length / target)) - 1)
-        return cls(geom.rho_min, geom.length / (n + 1), n)
+        return cls(geom, n)
 
     def halved(self) -> "Grid":
         """The nested refinement at spacing h/2: its points 2, 4, ..., 2n are this grid's bits."""
-        return Grid(self.rho_min, self.h / 2.0, 2 * self.n + 1)
+        return Grid(self.geometry, 2 * self.n + 1)
 
 
 @dataclass(frozen=True)
@@ -172,30 +182,23 @@ def tridiagonal_from_potential(w: np.ndarray, h: float) -> Tridiagonal:
     return Tridiagonal(diag, off)
 
 
-def assemble_hamiltonian(
-    geom: NeckGeometry,
-    mode: ModeSpec,
-    grid: Grid,
-    flat_potential: float | None = None,
-) -> Tridiagonal:
-    """Mode Hamiltonian -d^2/drho^2 + V^2 +- V' on the grid, Dirichlet ends.
+def assemble_hamiltonian(mode: ModeSpec, grid: Grid,
+                         flat_potential: float | None = None) -> Tridiagonal:
+    """Mode Hamiltonian -d^2/drho^2 + V^2 +- V' on the grid's geometry, Dirichlet ends.
 
     The sign is the mode's chirality.  ``flat_potential`` replaces V by that
     constant c, so V' = 0 and the potential is c^2 at every point.
     """
-    if not (geom.contains(grid.rho_min) or math.isclose(
-            grid.rho_min, geom.rho_min, rel_tol=1e-9, abs_tol=1e-12)):
-        raise ValueError("grid does not cover the geometry's domain")
     if flat_potential is not None:
         return tridiagonal_from_potential(np.full(grid.n, flat_potential * flat_potential), grid.h)
     rho = grid.rho_values
-    v = np.asarray(potential(geom, mode, rho), dtype=float)
-    vp = np.asarray(potential_derivative(geom, mode, rho), dtype=float)
+    v = np.asarray(potential(grid.geometry, mode, rho), dtype=float)
+    vp = np.asarray(potential_derivative(grid.geometry, mode, rho), dtype=float)
     sign = float(mode.chirality.value)
     return tridiagonal_from_potential(v * v + sign * vp, grid.h)
 
 
-def partner_minus_hamiltonian(geom: NeckGeometry, mode: ModeSpec, grid: Grid) -> Tridiagonal:
+def partner_minus_hamiltonian(mode: ModeSpec, grid: Grid) -> Tridiagonal:
     """The minus-chirality operator with its supersymmetric wall condition.
 
     Squaring the mode Dirac operator with Dirichlet data on the plus
@@ -206,6 +209,7 @@ def partner_minus_hamiltonian(geom: NeckGeometry, mode: ModeSpec, grid: Grid) ->
     is the shallow end of the cusp, ``rho_max``; the deep end keeps Dirichlet,
     which is invisible under the confining potential.
     """
+    geom = grid.geometry
     if geom.t != 0:
         raise ValueError("the partner realization is used on the split (t = 0) neck")
     h = grid.h
@@ -483,12 +487,7 @@ def sturm_counts(T: Tridiagonal, shifts) -> list[int]:
     return nab.ravel()[: len(shifts)].tolist()
 
 
-def convergence_order(
-    geom: NeckGeometry,
-    mode: ModeSpec,
-    grid: Grid,
-    flat_potential: float | None = None,
-) -> float:
+def convergence_order(mode: ModeSpec, grid: Grid, flat_potential: float | None = None) -> float:
     """Observed discretization order of the lowest eigenvalue on ``grid`` and its halving.
 
     Richardson-style estimate log2(|mu_h - mu_ref| / |mu_h/2 - mu_ref|)
@@ -497,8 +496,7 @@ def convergence_order(
     """
 
     def mu(g: Grid) -> float:
-        T = assemble_hamiltonian(geom, mode, g, flat_potential)
-        return float(eigen_lowest(T, 1)[0])
+        return float(eigen_lowest(assemble_hamiltonian(mode, g, flat_potential), 1)[0])
 
     half = grid.halved()
     mu_ref = mu(half.halved().halved())

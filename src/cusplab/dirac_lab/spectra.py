@@ -121,6 +121,12 @@ class SpectrumRow:
 
 @dataclass(frozen=True)
 class VectorHandle:
+    """An eigenvector's values at the points of ``grid``, L^2(d rho)-normalised there.
+
+    The grid carries its geometry, so the handle knows its t and, at t = 0,
+    the cusp depth the search accepted.
+    """
+
     grid: Grid
     values: np.ndarray
 
@@ -202,8 +208,8 @@ def _modes(t: float, params: SpectrumParams, ground: bool) -> Sequence[int]:
     return (0,) if t > 0 else tuple(dict.fromkeys((0, params.k_max)))
 
 
-def _queue_modes(pool: ThreadPoolExecutor, geom: NeckGeometry, grid: Grid,
-                 params: SpectrumParams, ground: bool = False):
+def _queue_modes(pool: ThreadPoolExecutor, grid: Grid, params: SpectrumParams,
+                 ground: bool = False):
     """Queue ``_modes``'s solves on ``grid``: one list of futures per mode, one per chirality.
 
     Each solve gives (eigenvalues, vector).  A full run solves the lowest
@@ -215,24 +221,24 @@ def _queue_modes(pool: ThreadPoolExecutor, geom: NeckGeometry, grid: Grid,
     beside its level 1.  Each solve offers the upper subtree of its
     bisection back to ``pool`` (see ``eigen_lowest``).
     """
-    top = params.levels
+    top, t = params.levels, grid.geometry.t
 
     def solve(mode: ModeSpec):
-        H = assemble_hamiltonian(geom, mode, grid)
+        H = assemble_hamiltonian(mode, grid)
         if not ground:
             return eigen_lowest(H, top, pool=pool), None
         if mode.k == 0:
-            read = (1,) if geom.t > 0 or params.k_max > 0 else tuple(dict.fromkeys((1, top)))
+            read = (1,) if t > 0 or params.k_max > 0 else tuple(dict.fromkeys((1, top)))
             w, v = eigen_lowest(H, top, vector=True, pool=pool, read=read)
             return w, v / np.sqrt(grid.h * np.sum(v**2))  # in the discrete L^2(d rho) norm
         return eigen_lowest(H, top, pool=pool, read=(top,)), None
 
-    return grid, [[pool.submit(solve, ModeSpec(k, chi)) for chi in _chiralities(geom.t)]
-                  for k in _modes(geom.t, params, ground)]
+    return grid, [[pool.submit(solve, ModeSpec(k, chi)) for chi in _chiralities(t)]
+                  for k in _modes(t, params, ground)]
 
 
 def _collect_modes(params: SpectrumParams, queued):
-    """Wait for a geometry's queued solves and merge each mode's chiralities.
+    """Wait for a grid's queued solves and merge each mode's chiralities.
 
     Returns (eigenvalues, ground state, the largest eigenvalue any one solve
     returned).  A full run gives the lowest ``levels`` of each queued mode
@@ -259,8 +265,8 @@ def _cusp_depth(params: SpectrumParams, mu_max: float) -> float:
     return -math.log(params.rho_margin_factor * math.sqrt(mu_max) / 0.5)
 
 
-def _check_squares(geom: NeckGeometry, grid: Grid, params: SpectrumParams,
-                   top: float | None = None, error: type[Exception] = RunRefusedError) -> None:
+def _check_squares(grid: Grid, params: SpectrumParams, top: float | None = None,
+                   error: type[Exception] = RunRefusedError) -> None:
     """Raise ``error`` where the assembly on ``grid`` would square a number above ``SQRT_MAX``.
 
     For the highest mode k, ``k_max`` for a solve (``top`` None) and the last below
@@ -268,10 +274,10 @@ def _check_squares(geom: NeckGeometry, grid: Grid, params: SpectrumParams,
     below it the mode bound may overflow) and V = (k + 1/2) / t at its waist; the cusp squares
     V = -V' = (k + 1/2) e^-rho at its deepest grid point, rho = rho_min + h.
     """
-    t, q = geom.t, math.inf  # q stays inf past the wall test, which refuses the neck
+    t, q = grid.geometry.t, math.inf  # q stays inf past the wall test, which refuses the neck
     if not (t > 0 and WALL_PHI / t > SQRT_MAX):
         try:
-            q = params.k_max + 0.5 if top is None else _mode_bound(geom, top) - 0.5
+            q = params.k_max + 0.5 if top is None else _mode_bound(grid.geometry, top) - 0.5
         except OverflowError:  # a k_max beyond the float range
             pass
     if t > 0 and q / t > SQRT_MAX:
@@ -279,18 +285,18 @@ def _check_squares(geom: NeckGeometry, grid: Grid, params: SpectrumParams,
                     f"{SQRT_MAX!r} for the highest mode k it assembles, so cosh(rho)^2 or "
                     f"((k + 1/2) / t)^2 overflows")
     if t == 0 and q > SQRT_MAX * math.exp(grid.rho_min + grid.h):
-        raise error(f"the cusp at t = {t!r} with rho_min = {geom.rho_min!r} is too deep for the "
+        raise error(f"the cusp at t = {t!r} with rho_min = {grid.rho_min!r} is too deep for the "
                     f"highest mode k it assembles: (k + 1/2) e^-rho exceeds {SQRT_MAX!r}, so V^2 "
                     f"overflows")
 
 
 def _grids(t_grid: Sequence[float], params: SpectrumParams,
-           top: float | None = None) -> dict[float, tuple[NeckGeometry, Grid]]:
-    """Each t's geometry and grid before any work: a solve's, or a count's up to ``top``.
+           top: float | None = None) -> dict[float, Grid]:
+    """Each t's grid before any work: a solve's, or a count's up to ``top``.
 
     Keyed by t in descending order, -0.0 as 0.0: every check and solve reads
     its t from here, so every entry point refuses a faulty grid at one t.
-    The geometry is the neck at t > 0; at t = 0 the cusp the depth search
+    The grid's geometry is the neck at t > 0; at t = 0 the cusp the depth search
     accepts for a largest eigenvalue max(200, ``top``): a solve's (``top``
     None) first depth, or the one a count's top window end needs.  Raises
     RunRefusedError unless the t are nonempty, finite, >= 0 and distinct,
@@ -305,16 +311,17 @@ def _grids(t_grid: Sequence[float], params: SpectrumParams,
         if not 0.0 <= t < math.inf:  # nan fails this too
             raise RunRefusedError(f"pinching parameter t must be finite and >= 0, got {t!r}")
         try:
-            geom = (NeckGeometry.neck(t) if t > 0
-                    else NeckGeometry.cusp(_cusp_depth(params, max(200.0, top or 0.0))))
-            grid = Grid.for_geometry(geom, n=params.n, h=params.h)
+            grid = Grid.for_geometry(
+                NeckGeometry.neck(t) if t > 0
+                else NeckGeometry.cusp(_cusp_depth(params, max(200.0, top or 0.0))),
+                n=params.n, h=params.h)
         except (ArithmeticError, ValueError) as exc:  # sinh(t / 2) or length / h overflows
             raise RunRefusedError(f"no grid can be counted at t = {t!r}: {exc}") from exc
         if not grid.h >= MIN_SPACING:
             raise RunRefusedError(f"the grid spacing {grid.h!r} at t = {t!r} is below "
                                   f"{MIN_SPACING!r}, where the solver's (2 / h^2)^2 overflows")
-        _check_squares(geom, grid, params, top)
-        grids[t + 0.0] = (geom, grid)  # -0.0 + 0.0 is 0.0: the split neck has one key
+        _check_squares(grid, params, top)
+        grids[t + 0.0] = grid  # -0.0 + 0.0 is 0.0: the split neck has one key
     if len(grids) != len(ts):
         raise RunRefusedError(f"pinching parameters must be distinct, got {ts!r}")
     return grids
@@ -348,7 +355,7 @@ def _plan(t_grid: Sequence[float], params: SpectrumParams,
     product is below n^3.5 / 31, under 1e31 for every n ``MAX_WORK`` admits.
     """
     plan = {}
-    for t, (_, grid) in _grids(t_grid, params).items():
+    for t, grid in _grids(t_grid, params).items():
         if params.levels > grid.n:
             raise RunRefusedError(f"levels = {params.levels} exceeds the {grid.n} grid points "
                                   f"at t = {t!r}")
@@ -404,7 +411,7 @@ def check_windows(t_grid: Sequence[float], params: SpectrumParams,
     RunRefusedError where ``_plan`` refuses the run, where a width w is not
     positive, or where a window |x| <= w holds no point of a t > 0 grid.
     At t = 0 the cusp search fixes the grid's depth by solving, so
-    ``neck_mass`` checks.
+    ``neck_mass`` checks there.
     """
     plan = _plan(t_grid, params, ground=True)
     for w in widths:
@@ -424,25 +431,24 @@ def _cusp_geometry(params: SpectrumParams, pool: ThreadPoolExecutor, ground: boo
     the top of the ``levels`` solved for every mode and chirality, which is
     mode ``k_max``'s (``_modes``); the domain is deepened until the
     requirement holds, and deepening only lowers eigenvalues, so the loop
-    terminates.  The first depth and grid are ``_grids``'s, and only a
-    deeper step builds a grid, which ``_check_squares`` must admit.  Each
-    depth's solves go to ``pool``; the loop runs on the calling thread, so
-    no worker waits on another.  Returns the geometry and
-    ``_collect_modes``'s eigenvalues and ground state at its last depth.  A
+    terminates.  The first grid is ``_grids``'s, and only a deeper step
+    builds a grid, which ``_check_squares`` must admit.  Each depth's solves
+    go to ``pool``; the loop runs on the calling thread, so no worker waits
+    on another.  Returns the accepted grid, whose geometry is the cusp, and
+    ``_collect_modes``'s eigenvalues and ground state on it.  A
     ground-state run (``ground``) solves modes 0 and ``k_max`` alone,
     reading mode 0's level 1 and its vector and mode ``k_max``'s top level,
     all that mu_max needs, so it reaches the depth a full run reaches and
     no eigenvalue array comes back.
     """
-    [(geom, grid)] = _grids([0.0], params).values()
+    [grid] = _grids([0.0], params).values()
     for _ in range(8):
-        mu, state, mu_max = _collect_modes(params, _queue_modes(pool, geom, grid, params, ground))
+        mu, state, mu_max = _collect_modes(params, _queue_modes(pool, grid, params, ground))
         needed = _cusp_depth(params, mu_max)
-        if geom.rho_min <= needed:
-            return geom, mu, state
-        geom = NeckGeometry.cusp(needed - 0.5)
-        grid = Grid.for_geometry(geom, n=params.n, h=params.h)
-        _check_squares(geom, grid, params, error=RuntimeError)
+        if grid.rho_min <= needed:
+            return grid, mu, state
+        grid = Grid.for_geometry(NeckGeometry.cusp(needed - 0.5), n=params.n, h=params.h)
+        _check_squares(grid, params, error=RuntimeError)
     raise RuntimeError("cusp truncation depth did not stabilize")
 
 
@@ -461,7 +467,7 @@ def _solve_grid(t: float | Sequence[float], params: SpectrumParams,
     plan = _plan([t] if np.ndim(t) == 0 else t, params, ground)
     with ThreadPoolExecutor(max_workers=_cpu_count()) as pool:
         try:
-            queued = {s: _queue_modes(pool, NeckGeometry.neck(s), grid, params, ground)
+            queued = {s: _queue_modes(pool, grid, params, ground)
                       for s, (_, grid) in plan.items() if s > 0}
             # the necks are collected first, in the order they were queued,
             # so a failed solve reaches the caller before the rest have run
@@ -580,20 +586,20 @@ def window_counts(t_grid: Sequence[float], params: SpectrumParams,
     shifts = sorted({s for pair in pairs for s in pair if s is not None})
     top = shifts[-1] if shifts else 0.0
     grids = _grids(t_grid, params, top)
-    bounds = {t: _mode_bound(geom, top) if shifts else 0 for t, (geom, _) in grids.items()}
+    bounds = {t: _mode_bound(grid.geometry, top) if shifts else 0 for t, grid in grids.items()}
     work = len(shifts) * sum(bounds[t] * len(_chiralities(t)) * grid.n
-                             for t, (_, grid) in grids.items())
+                             for t, grid in grids.items())
     if work > MAX_WORK:
         raise RunRefusedError(f"work estimate {work} (the sum over t_grid of modes * "
                               f"chiralities * grid points * distinct window ends, with the modes "
                               f"that can reach the window top {math.sqrt(top)!r}) exceeds "
                               f"{MAX_WORK}")
     counts, modes, factorisations = {}, {}, 0
-    for t, (geom, grid) in grids.items():
+    for t, grid in grids.items():
         below = dict.fromkeys(shifts, 0)  # eigenvalues at or below each shift, over modes
         visited = 0
         for k in range(bounds[t]):
-            hams = [assemble_hamiltonian(geom, ModeSpec(k, chi), grid) for chi in _chiralities(t)]
+            hams = [assemble_hamiltonian(ModeSpec(k, chi), grid) for chi in _chiralities(t)]
             before = below[shifts[-1]]
             for H in hams:
                 for s, c in zip(shifts, sturm_counts(H, shifts)):
@@ -608,11 +614,14 @@ def window_counts(t_grid: Sequence[float], params: SpectrumParams,
     return WindowCounts(counts, modes, factorisations)
 
 
-def neck_mass(t: float, vector: "VectorHandle", w: float) -> float:
-    """Fraction of discrete L^2 mass of an eigenvector inside |x| <= w."""
+def neck_mass(vector: VectorHandle, w: float) -> float:
+    """Fraction of an eigenvector's discrete L^2 mass inside |x| <= w.
+
+    The window is read at the t of the vector's grid, whose geometry it is.
+    """
     if not w > 0:  # nan fails this too
         raise ValueError("window width must be positive")
-    inside = _window(t, vector.grid.rho_values, w)
+    inside = _window(vector.grid.geometry.t, vector.grid.rho_values, w)
     if not np.any(inside):
         raise ValueError("window contains no grid points")
     dens = vector.values**2

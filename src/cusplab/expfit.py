@@ -74,15 +74,18 @@ class FitReport:
     condition_estimate: float
 
 
-def fit_basis(ts, ys, basis: BasisSpec) -> FitReport:
-    """Linear least squares of samples at t > 0 against the basis; deterministic."""
+def check_fit(ts, basis: BasisSpec) -> tuple[np.ndarray, float]:
+    """The design matrix of ``basis`` at the samples ``ts`` and its condition estimate.
+
+    Raises ValueError unless there are at least ``basis.min_samples``
+    samples, each finite with t > 0, and RankDeficientError where the
+    condition estimate exceeds ``CONDITION_LIMIT``.  These rules read the t
+    alone, so a caller can check a fit before it computes the values.
+    """
     t = np.asarray(ts, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    if t.shape != y.shape or t.ndim != 1:
-        raise ValueError("ts and ys must be 1-d arrays of equal length")
     if len(t) < basis.min_samples:
-        raise ValueError(f"need at least {basis.min_samples} samples")
-    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
+        raise ValueError(f"need at least {basis.min_samples} samples, got {len(t)}")
+    if not np.all(np.isfinite(t)):
         raise ValueError("samples must be finite")
     if np.any(t <= 0):
         raise ValueError("samples must have t > 0")
@@ -91,6 +94,21 @@ def fit_basis(ts, ys, basis: BasisSpec) -> FitReport:
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
     if cond > CONDITION_LIMIT:
         raise RankDeficientError(f"condition estimate {cond:.3g} exceeds {CONDITION_LIMIT:g}")
+    return M, cond
+
+
+def fit_basis(ts, ys, basis: BasisSpec) -> FitReport:
+    """Linear least squares of samples at t > 0 against the basis; deterministic.
+
+    ``check_fit`` refuses the t; the values must be finite.
+    """
+    t = np.asarray(ts, dtype=float)
+    y = np.asarray(ys, dtype=float)
+    if t.shape != y.shape or t.ndim != 1:
+        raise ValueError("ts and ys must be 1-d arrays of equal length")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("samples must be finite")
+    M, cond = check_fit(t, basis)
     coef, _, _, _ = np.linalg.lstsq(M, y, rcond=None)
     resid = y - M @ coef
     return FitReport(tuple(coef), float(np.sqrt(np.mean(resid**2))), cond)

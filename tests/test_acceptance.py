@@ -278,13 +278,13 @@ def test_criterion_08_discretization_validity():
     L = geom.length
     c = 0.7
     grid = Grid.for_geometry(geom)  # default spacing: length / 4000
-    T = assemble_hamiltonian(geom, ModeSpec(0), grid, flat_potential=c)
+    T = assemble_hamiltonian(ModeSpec(0), grid, flat_potential=c)
     mu = eigen_lowest(T, 3)
     analytic = [c * c + (math.pi * m / L) ** 2 for m in (1, 2, 3)]
     err1 = abs(mu[0] - analytic[0])
     assert err1 < 1e-6
     coarse = Grid.for_geometry(geom, n=400)
-    order = convergence_order(geom, ModeSpec(0), coarse, flat_potential=c)
+    order = convergence_order(ModeSpec(0), coarse, flat_potential=c)
     assert 1.7 <= order <= 2.3
     elapsed = time.perf_counter() - start
     report(8, elapsed < 30.0,
@@ -295,12 +295,11 @@ def test_criterion_08_discretization_validity():
 def test_criterion_09_susy_pairing_at_t0():
     params = SpectrumParams(k_max=2, levels=10, n=12000)
     with ThreadPoolExecutor(max_workers=2) as pool:
-        geom = _cusp_geometry(params, pool)[0]
-    grid = Grid.for_geometry(geom, n=12000)
+        grid = _cusp_geometry(params, pool)[0]  # the accepted cusp, at n = 12000
     worst = 0.0
     for k in (0, 1, 2):
-        plus = assemble_hamiltonian(geom, ModeSpec(k), grid)
-        minus = partner_minus_hamiltonian(geom, ModeSpec(k), grid)
+        plus = assemble_hamiltonian(ModeSpec(k), grid)
+        minus = partner_minus_hamiltonian(ModeSpec(k), grid)
         wp = eigen_lowest(plus, 10)
         wm = eigen_lowest(minus, 10)
         assert np.all(wp > 0)
@@ -339,7 +338,7 @@ def test_criterion_11_projector_mass_decay():
     ground = ground_states(tail, SpectrumParams(k_max=2, levels=8))  # sweep_table's params
     masses = []
     for t in tail:
-        masses.append(neck_mass(t, ground[t], 0.1))
+        masses.append(neck_mass(ground[t], 0.1))
     assert all(a > b for a, b in zip(masses, masses[1:]))
     report(11, masses[-1] < 1e-3,
            f"neck mass strictly decreasing {masses[0]:.1e} -> {masses[-1]:.1e} < 1e-3")

@@ -324,6 +324,34 @@ def test_empty_output_dir_is_a_config_error(monkeypatch, capsys, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.cfg"]
 
 
+def test_an_output_dir_that_cannot_be_a_directory_is_refused_before_any_work(monkeypatch, capsys,
+                                                                           tmp_path):
+    # a file, or a path below one, used to run every solve and then exit 1
+    # ("File exists", "Not a directory"); the check creates nothing
+    calls = refuse_work(monkeypatch)
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n", encoding="utf-8")
+    for outdir in (blocker, blocker / "out", blocker / "a" / "b"):
+        cfg = write_config(tmp_path, t_grid="0.5,0.3,0.2,0.1,0.05,0.02", output_dir=outdir)
+        for command in NUMERICAL_COMMANDS:
+            code, _, err = run(capsys, *command, str(cfg))
+            assert code == EXIT_CONFIG and f"{blocker} is a file" in err, (command, outdir, err)
+    assert calls == [] and blocker.read_text(encoding="utf-8") == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "run.cfg"]
+
+
+def test_trace_fit_refuses_an_ill_conditioned_t_grid_before_any_solve(monkeypatch, capsys,
+                                                                     tmp_path):
+    # the fit's condition estimate depends on the t and the bases alone: six t
+    # within 5e-8 of each other made 12 solves, then failed with exit 1
+    calls = refuse_work(monkeypatch)
+    ts = "0.3,0.30000001,0.30000002,0.30000003,0.30000004,0.30000005"
+    cfg = write_config(tmp_path, t_grid=ts, k_max=1, levels=4)
+    code, _, err = run(capsys, "trace", "fit", str(cfg))
+    assert code == EXIT_CONFIG and "condition estimate" in err and "exceeds 1e+12" in err, err
+    assert calls == [] and not (tmp_path / "out").exists()
+
+
 # -- spectrum / trace runs ------------------------------------------------------
 
 

@@ -2,9 +2,12 @@
 
 import ctypes
 import dataclasses
+import importlib
+import inspect
 import itertools
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -21,6 +24,7 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from cusplab.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
+from cusplab import dirac_lab
 from cusplab.dirac_lab import solver, spectra
 from cusplab.dirac_lab import (
     Chirality,
@@ -157,8 +161,8 @@ def test_indicial_scan_and_min():
 def test_assemble_symmetry_and_chirality_difference():
     g = NeckGeometry.neck(0.25)
     grid = Grid.for_geometry(g, n=200)
-    plus = assemble_hamiltonian(g, ModeSpec(1, Chirality.PLUS), grid)
-    minus = assemble_hamiltonian(g, ModeSpec(1, Chirality.MINUS), grid)
+    plus = assemble_hamiltonian(ModeSpec(1, Chirality.PLUS), grid)
+    minus = assemble_hamiltonian(ModeSpec(1, Chirality.MINUS), grid)
     assert np.array_equal(plus.offdiagonal, minus.offdiagonal)
     vp = potential_derivative(g, ModeSpec(1), grid.rho_values)
     assert np.allclose(plus.diagonal - minus.diagonal, 2 * vp, rtol=1e-13)
@@ -169,7 +173,7 @@ def test_flat_override_matches_separable_eigenvalues():
     L = g.length
     grid = Grid.for_geometry(g, n=2000)
     c = 0.7
-    T = assemble_hamiltonian(g, ModeSpec(0), grid, flat_potential=c)
+    T = assemble_hamiltonian(ModeSpec(0), grid, flat_potential=c)
     got = eigen_lowest(T, 5)
     for m, mu in enumerate(got, start=1):
         analytic = c * c + (math.pi * m / L) ** 2
@@ -188,7 +192,7 @@ def test_eigen_lowest_small_matrix_and_residual():
 
     g = NeckGeometry.neck(0.3)
     grid = Grid.for_geometry(g, n=400)
-    T = assemble_hamiltonian(g, ModeSpec(0), grid)
+    T = assemble_hamiltonian(ModeSpec(0), grid)
     w, v = eigen_lowest(T, 3, vector=True)
     assert v.shape == (T.dimension,)  # the lowest level's vector only
     Tv = T.diagonal * v
@@ -240,14 +244,14 @@ def test_eigen_lowest_is_bitwise_eigh_tridiagonal(monkeypatch):
     for geom in (neck, cusp):
         grid = Grid.for_geometry(geom)
         for mode in (ModeSpec(0), ModeSpec(3, Chirality.MINUS)):
-            cases.append((assemble_hamiltonian(geom, mode, grid), 40))
+            cases.append((assemble_hamiltonian(mode, grid), 40))
     necks = []  # criterion 12's top mode at the ends of its t grid
     for t in (1e-3, 0.5):
         geom = NeckGeometry.neck(t)
-        necks.append((assemble_hamiltonian(geom, ModeSpec(10), Grid.for_geometry(geom)), 40))
+        necks.append((assemble_hamiltonian(ModeSpec(10), Grid.for_geometry(geom)), 40))
     cases += necks
     cusp_grid = Grid.for_geometry(cusp, n=3000)
-    cases.append((partner_minus_hamiltonian(cusp, ModeSpec(1), cusp_grid), 12))
+    cases.append((partner_minus_hamiltonian(ModeSpec(1), cusp_grid), 12))
     # a zero off-diagonal splits dstebz's work into blocks, and the block
     # holding the larger eigenvalues comes first: block order is not sorted
     split = Tridiagonal(np.array([10.0, 11.0, 12.0, 0.0, 1.0, 2.0]),
@@ -286,7 +290,7 @@ def test_eigen_lowest_is_bitwise_eigh_tridiagonal(monkeypatch):
 
 def _neck_hamiltonian(t: float = 0.05, n: int = 300) -> Tridiagonal:
     geom = NeckGeometry.neck(t)
-    return assemble_hamiltonian(geom, ModeSpec(0), Grid.for_geometry(geom, n=n))
+    return assemble_hamiltonian(ModeSpec(0), Grid.for_geometry(geom, n=n))
 
 
 def test_a_solve_on_a_one_worker_pool_takes_its_offered_half_back():
@@ -372,14 +376,14 @@ def test_read_walks_to_the_bits_of_the_full_solve(monkeypatch):
     necks = []
     for t, k in itertools.product((1e-3, 0.5), (0, 10)):  # criterion 12's
         geom = NeckGeometry.neck(t)
-        necks.append(assemble_hamiltonian(geom, ModeSpec(k), Grid.for_geometry(geom)))
+        necks.append(assemble_hamiltonian(ModeSpec(k), Grid.for_geometry(geom)))
     for t in (0.5, 0.2, 0.05, 0.01):  # the sweep-cli config's
         geom = NeckGeometry.neck(t)
-        necks.append(assemble_hamiltonian(geom, ModeSpec(0), Grid.for_geometry(geom)))
+        necks.append(assemble_hamiltonian(ModeSpec(0), Grid.for_geometry(geom)))
     for rho_min in (-7.254, -9.19):  # cusps of the t = 0 depth search
         geom = NeckGeometry.cusp(rho_min)
         grid = Grid.for_geometry(geom)
-        necks += [assemble_hamiltonian(geom, ModeSpec(k, chi), grid)
+        necks += [assemble_hamiltonian(ModeSpec(k, chi), grid)
                   for k in (0, 2) for chi in Chirality]
     rng = np.random.default_rng(12)
     randoms = [Tridiagonal(rng.normal(size=n), rng.normal(size=n - 1))
@@ -501,9 +505,9 @@ def test_lapack_binding_refuses_a_foreign_prototype(monkeypatch):
 def test_convergence_order_flat_and_neck():
     g = NeckGeometry.neck(0.3)
     grid = Grid.for_geometry(g, n=250)
-    order_flat = convergence_order(g, ModeSpec(0), grid, flat_potential=0.4)
+    order_flat = convergence_order(ModeSpec(0), grid, flat_potential=0.4)
     assert 1.8 <= order_flat <= 2.2
-    order_neck = convergence_order(g, ModeSpec(0), grid)
+    order_neck = convergence_order(ModeSpec(0), grid)
     assert 1.7 <= order_neck <= 2.3
 
 
@@ -512,8 +516,16 @@ def test_convergence_order_flat_and_neck():
     (-1.0, math.nan, 100), (-1.0, math.inf, 100), (-1.0, 0.0, 100), (-1.0, -0.1, 100),
     (-1.0, 0.1, 15), (-1.0, 0.1, 0)])
 def test_grid_refuses_bad_numbers(rho_min, h, n):
+    # a grid is its geometry and n: a bad start is the geometry's refusal, a
+    # bad spacing asked of for_geometry is refused there, and a bad n by Grid
     with pytest.raises(ValueError):
-        Grid(rho_min, h, n)
+        geom = NeckGeometry.cusp(rho_min)
+        Grid.for_geometry(geom, h=h)
+        Grid(geom, n)
+    # a spacing length / (n + 1) that overflows or underflows is refused too
+    for geom in (NeckGeometry(0.0, -1e308, 1e308), NeckGeometry(0.0, 0.0, 5e-324)):
+        with pytest.raises(ValueError, match="spacing"):
+            Grid(geom, 16)
 
 
 @pytest.mark.parametrize("ts, params", [
@@ -522,25 +534,56 @@ def test_grid_refuses_bad_numbers(rho_min, h, n):
     ([0.4, 0.2, 0.1, 0.0], SpectrumParams(k_max=1, levels=4, h=0.005))],
     ids=["sweep-cli", "criterion-13"])
 def test_grid_points_are_three_numbers(ts, params):
-    # each t's grid, the first cusp depth's at t = 0, has the points it
-    # stored as an array before, and its halving nests them bit for bit
-    for t, (geom, g) in spectra._grids(ts, params).items():
-        assert [f.name for f in dataclasses.fields(g)] == ["rho_min", "h", "n"]
+    # each t's grid, the first cusp depth's at t = 0, stores its geometry and
+    # n; its points come from rho_min, h = length / (n + 1) and n, as the
+    # array they were stored as before, and its halving nests them bit for bit
+    for t, g in spectra._grids(ts, params).items():
+        assert [f.name for f in dataclasses.fields(g)] == ["geometry", "n"]
+        geom = g.geometry
+        assert (geom.t, g.rho_min, g.h) == (t, geom.rho_min, geom.length / (g.n + 1))
         want = geom.rho_min + (geom.length / (g.n + 1)) * np.arange(1, g.n + 1)
         assert _same_bits(g.rho_values, want) and not g.rho_values.flags.writeable, t
         half = g.halved()
-        assert (half.rho_min, half.n) == (g.rho_min, 2 * g.n + 1)
+        assert (half.geometry, half.n) == (geom, 2 * g.n + 1)
         assert _same_bits(half.rho_values[1::2], g.rho_values), t
 
 
 def test_halving_nests_the_points_bit_for_bit():
-    # (0.1 + 0.3) - 0.3 != 0.1: a halving started there would shift every point
-    rng = np.random.default_rng(8)
-    grids = [Grid(0.1, 0.3, 16)] + [Grid(float(a), float(h), int(n)) for a, h, n in zip(
-        rng.uniform(-10, 10, 20), 10.0 ** rng.uniform(-4, 0, 20), rng.integers(16, 5000, 20))]
+    # the derived spacing length / (n + 1) has the bits of the one for_geometry
+    # stored, by n and by h, and of the h / 2 each halving stored; three nested
+    # halvings keep every point's bits.  (0.1 + 0.3) - 0.3 != 0.1: a halving
+    # that restarted from a point would shift every point
     assert (0.1 + 0.3) - 0.3 != 0.1
-    for g in grids:
-        assert _same_bits(g.halved().rho_values[1::2], g.rho_values), g
+    rng = np.random.default_rng(8)
+    geoms = ([NeckGeometry.neck(float(t)) for t in 10.0 ** rng.uniform(-4, 2, 60)]
+             + [NeckGeometry.cusp(float(r)) for r in rng.uniform(-40.0, 0.6, 60)])
+    for geom in geoms:
+        n, h = int(rng.integers(16, 3000)), float(10.0 ** rng.uniform(-2.5, 0.5))
+        for g in (Grid.for_geometry(geom, n=n), Grid.for_geometry(geom, h=h)):
+            stored = geom.length / (g.n + 1)  # what for_geometry stored as h
+            assert (g.rho_min, g.h) == (geom.rho_min, stored), (geom, g.n)
+            for _ in range(3):
+                half, stored = g.halved(), stored / 2.0  # what halved() stored
+                assert (half.rho_min, half.h, half.n) == (geom.rho_min, stored, 2 * g.n + 1)
+                assert _same_bits(half.rho_values[1::2], g.rho_values), (geom, g.n)
+                g = half
+
+
+def test_no_function_takes_a_geometry_beside_its_grid():
+    # a grid carries its geometry, so a function given both could be given
+    # two that disagree, as neck_mass's t once could
+    seen = 0
+    for info in pkgutil.iter_modules(dirac_lab.__path__):
+        module = importlib.import_module(f"{dirac_lab.__name__}.{info.name}")
+        functions = [f for f in vars(module).values() if inspect.isfunction(f)]
+        functions += [f for c in vars(module).values() if inspect.isclass(c)
+                      for f in vars(c).values() if inspect.isfunction(f)]
+        for f in functions:
+            words = {w for p in inspect.signature(f).parameters.values()
+                     for w in re.findall(r"\w+", str(p.annotation))}
+            assert not {"NeckGeometry", "Grid"} <= words, f.__qualname__
+            seen += "Grid" in words
+    assert seen >= 5  # assemble_hamiltonian, convergence_order, _queue_modes, ...
 
 
 # -- spectra, masses, traces ----------------------------------------------------
@@ -551,8 +594,8 @@ def test_mode_pair_degeneracy_via_parity():
     g = NeckGeometry.neck(0.2)
     grid = Grid.for_geometry(g, n=1500)
     for k in (0, 1):
-        plus = assemble_hamiltonian(g, ModeSpec(k, Chirality.PLUS), grid)
-        minus = assemble_hamiltonian(g, ModeSpec(k, Chirality.MINUS), grid)
+        plus = assemble_hamiltonian(ModeSpec(k, Chirality.PLUS), grid)
+        minus = assemble_hamiltonian(ModeSpec(k, Chirality.MINUS), grid)
         wp = eigen_lowest(plus, 5)
         wm = eigen_lowest(minus, 5)
         assert np.allclose(wp, wm, atol=1e-10)
@@ -564,7 +607,7 @@ def test_dirichlet_domain_monotonicity():
     for depth in (-6.0, -7.5, -9.0):
         geom = NeckGeometry.cusp(depth)
         grid = Grid.for_geometry(geom, h=0.002)
-        T = assemble_hamiltonian(geom, ModeSpec(0), grid)
+        T = assemble_hamiltonian(ModeSpec(0), grid)
         mus.append(eigen_lowest(T, 6))
     for shallow, deep in zip(mus, mus[1:]):
         assert np.all(deep <= shallow + 1e-9)
@@ -581,14 +624,15 @@ def test_dirac_spectrum_table_structure():
     low = table.lowest(0.3)
     assert (low.k, low.j) == (0, 1)
     handle = ground_states(0.3, params)[0.3]
-    assert neck_mass(0.3, handle, 100.0) == pytest.approx(1.0, abs=1e-12)
-    assert neck_mass(0.3, handle, 0.05) >= 0.0
+    assert handle.grid == Grid.for_geometry(NeckGeometry.neck(0.3), n=800)  # neck_mass's t
+    assert neck_mass(handle, 100.0) == pytest.approx(1.0, abs=1e-12)
+    assert neck_mass(handle, 0.05) >= 0.0
     with pytest.raises(ValueError) as failure:  # a failure after the solve, not a refusal
-        neck_mass(0.3, handle, 1e-9)
+        neck_mass(handle, 1e-9)
     assert not isinstance(failure.value, RunRefusedError)
     for w in (0.0, math.nan):
         with pytest.raises(ValueError, match="window width must be positive"):
-            neck_mass(0.3, handle, w)
+            neck_mass(handle, w)
 
 
 def test_spectral_sweep_counts_and_inputs():
@@ -646,15 +690,15 @@ def test_the_count_stops_below_every_mode_it_skips(count_slow_path):
     # above the window top, as has every mode from the closed-form bound on
     _, got = count_slow_path
     top = max(b for _, b in COUNT_WINDOWS) ** 2
-    for t, (geom, grid) in spectra._grids(COUNT_TS, SpectrumParams(), top).items():
-        bound = spectra._mode_bound(geom, top)
+    for t, grid in spectra._grids(COUNT_TS, SpectrumParams(), top).items():
+        bound = spectra._mode_bound(grid.geometry, top)
         chis = (Chirality.PLUS, Chirality.MINUS) if t == 0 else (Chirality.PLUS,)
-        assert grid == Grid.for_geometry(geom) and got.modes[t] <= bound
+        assert grid == Grid.for_geometry(grid.geometry) and got.modes[t] <= bound
         for k in (got.modes[t] - 1, got.modes[t]):
             for chi in chis:
-                assert eigen_lowest(assemble_hamiltonian(geom, ModeSpec(k, chi), grid), 1)[0] > top
+                assert eigen_lowest(assemble_hamiltonian(ModeSpec(k, chi), grid), 1)[0] > top
         for chi in chis:  # the Gershgorin floor min w of the bound's mode
-            H = assemble_hamiltonian(geom, ModeSpec(bound, chi), grid)
+            H = assemble_hamiltonian(ModeSpec(bound, chi), grid)
             assert H.diagonal.min() - 2 / grid.h**2 >= top, (t, chi)
 
 
@@ -703,8 +747,8 @@ def test_window_counts_refuse_unbounded_work_before_any_factorisation(monkeypatc
     # the closed-form bound: the first k with k + 1/2 >= 1 + sqrt(1 + 9 phi_wall^2),
     # phi_wall = 2.04 at t = 0.5 and 2 on the cusp
     grids = spectra._grids([0.5, 0.0], SpectrumParams(), 9.0).values()
-    assert [(grid.n, spectra._mode_bound(geom, 9.0)) for geom, grid in grids] == [(3999, 7),
-                                                                                (3999, 7)]
+    assert [(grid.n, spectra._mode_bound(grid.geometry, 9.0)) for grid in grids] == [(3999, 7),
+                                                                                   (3999, 7)]
 
 
 @pytest.mark.parametrize("bad", [
@@ -731,7 +775,7 @@ def test_spectrum_params_refuse_a_count_that_is_not_an_int(bad):
 @pytest.mark.parametrize("n", [100.5, 100.0, True])
 def test_grid_refuses_a_point_count_that_is_not_an_int(n):
     with pytest.raises(TypeError, match="must be an int"):
-        Grid(-1.0, 0.1, n)
+        Grid(NeckGeometry.cusp(-1.0), n)
 
 
 def test_relative_resolvent_trace_contract():
@@ -817,10 +861,10 @@ def test_trace_rejects_points_above_the_computed_levels(capsys, tmp_path):
     assert not (out / "trace.csv").exists()
 
 
-def _ground_state(geom: NeckGeometry, grid: Grid, levels: int) -> tuple[float, np.ndarray]:
-    """Mode 0's lowest level and its vector, over the chiralities solved at geom.t."""
-    chis = (Chirality.PLUS, Chirality.MINUS) if geom.t == 0 else (Chirality.PLUS,)
-    solves = [eigen_lowest(assemble_hamiltonian(geom, ModeSpec(0, chi), grid), levels,
+def _ground_state(grid: Grid, levels: int) -> tuple[float, np.ndarray]:
+    """Mode 0's lowest level and its vector, over the chiralities solved at the grid's t."""
+    chis = (Chirality.PLUS, Chirality.MINUS) if grid.geometry.t == 0 else (Chirality.PLUS,)
+    solves = [eigen_lowest(assemble_hamiltonian(ModeSpec(0, chi), grid), levels,
                            vector=True) for chi in chis]
     w, v = min(solves, key=lambda solve: solve[0][0])  # plus on a tie
     return float(w[0]), v / np.sqrt(grid.h * np.sum(v**2))
@@ -841,10 +885,10 @@ def test_t0_spectrum_reuses_the_cusp_depth_search(monkeypatch, k_max):
         calls.append((solving.k, kwargs.get("vector", False)))
         return eigen(*args, **kwargs)
 
-    def recorded_assemble(geom, mode, *args):
-        depths.add(geom.rho_min)
+    def recorded_assemble(mode, grid, *args):
+        depths.add(grid.rho_min)
         solving.k = mode.k
-        return assemble(geom, mode, *args)
+        return assemble(mode, grid, *args)
 
     def recorded_search(*args):
         out = search(*args)
@@ -862,20 +906,19 @@ def test_t0_spectrum_reuses_the_cusp_depth_search(monkeypatch, k_max):
     monkeypatch.undo()
 
     with ThreadPoolExecutor(max_workers=2) as pool:
-        geom = spectra._cusp_geometry(params, pool)[0]
-    grid = Grid.for_geometry(geom, n=params.n)
+        grid = spectra._cusp_geometry(params, pool)[0]
     for k in range(params.k_max + 1):
         both = np.concatenate([
-            eigen_lowest(assemble_hamiltonian(geom, ModeSpec(k, chi), grid), params.levels)
+            eigen_lowest(assemble_hamiltonian(ModeSpec(k, chi), grid), params.levels)
             for chi in (Chirality.PLUS, Chirality.MINUS)])
         want = np.sort(both)[: params.levels]
         assert np.array_equal(table.mu[0.0][k], want)
         assert [r.mu for r in table.rows_at(0.0) if r.k == k] == want.tolist()
-    mu, v = _ground_state(geom, grid, params.levels)
+    mu, v = _ground_state(grid, params.levels)
     ground = ground_states(0.0, params)
     assert list(ground) == [0.0] and table.lowest(0.0).mu == mu
     assert _same_bits(ground[0.0].values, v)
-    assert _same_bits(ground[0.0].grid.rho_values, grid.rho_values)
+    assert ground[0.0].grid == grid and _same_bits(ground[0.0].grid.rho_values, grid.rho_values)
 
 
 def test_mode_solves_on_threads_match_one_worker(monkeypatch):
@@ -942,9 +985,9 @@ def test_pooled_grid_matches_one_t_per_call(monkeypatch, k_max):
     ground_per_t = {t: ground_states(t, params)[t] for t in POOL_GRID}
     depths, assemble = set(), spectra.assemble_hamiltonian
 
-    def recorded_assemble(geom, *args):
-        depths.add((geom.t, geom.rho_min))
-        return assemble(geom, *args)
+    def recorded_assemble(mode, grid, *args):
+        depths.add((grid.geometry.t, grid.rho_min))
+        return assemble(mode, grid, *args)
 
     monkeypatch.setattr(spectra, "assemble_hamiltonian", recorded_assemble)
     for cpus in (1, 2, 6):
@@ -965,9 +1008,9 @@ def test_necks_are_queued_ahead_of_the_cusp_search_and_one_cpu_finishes(monkeypa
     params = _pool_params(1)
     order, assemble = [], spectra.assemble_hamiltonian
 
-    def recorded_assemble(geom, *args):
-        order.append(geom.t)
-        return assemble(geom, *args)
+    def recorded_assemble(mode, grid, *args):
+        order.append(grid.geometry.t)
+        return assemble(mode, grid, *args)
 
     monkeypatch.setattr(spectra, "_cpu_count", lambda: 1)
     monkeypatch.setattr(spectra, "assemble_hamiltonian", recorded_assemble)
@@ -1000,9 +1043,9 @@ def test_the_ground_state_is_the_lowest_row(ts, params):
     for t in ts:
         low = table.lowest(t)
         assert (low.k, low.j) == (0, 1) and low.mu < table.mu[t][1:, 0].min(initial=np.inf), t
-        geom = NeckGeometry.neck(t) if t > 0 else cusp
-        mu, v = _ground_state(geom, ground[t].grid, params.levels)
-        assert low.mu == mu and _same_bits(ground[t].values, v), t
+        grid = Grid.for_geometry(NeckGeometry.neck(t), n=params.n, h=params.h) if t > 0 else cusp
+        mu, v = _ground_state(grid, params.levels)
+        assert ground[t].grid == grid and low.mu == mu and _same_bits(ground[t].values, v), t
 
 
 @GROUND_CONFIGS
@@ -1016,11 +1059,10 @@ def test_ground_states_match_the_slow_path_on_any_cpus(monkeypatch, ts, params):
         ground = ground_states(list(reversed(ts)), params)  # any order in, descending t out
         assert list(ground) == ts, cpus
         for t in ts:
-            geom = NeckGeometry.neck(t) if t > 0 else cusp
-            grid = Grid.for_geometry(geom, n=params.n, h=params.h)
+            grid = (Grid.for_geometry(NeckGeometry.neck(t), n=params.n, h=params.h) if t > 0
+                    else cusp)
             assert ground[t].grid == grid, (cpus, t)
-            assert _same_bits(ground[t].values, _ground_state(geom, grid, params.levels)[1]), (
-                cpus, t)
+            assert _same_bits(ground[t].values, _ground_state(grid, params.levels)[1]), (cpus, t)
 
 
 def test_ground_states_solve_mode_0_alone_at_each_neck(monkeypatch):
@@ -1032,10 +1074,10 @@ def test_ground_states_solve_mode_0_alone_at_each_neck(monkeypatch):
     calls, assembled, solving = [], set(), threading.local()
     eigen, assemble = spectra.eigen_lowest, spectra.assemble_hamiltonian
 
-    def recorded_assemble(geom, mode, *args):
-        solving.key = (geom.t, geom.rho_min, mode.k, mode.chirality.value)
-        assembled.add((geom.t, mode.k))
-        return assemble(geom, mode, *args)
+    def recorded_assemble(mode, grid, *args):
+        solving.key = (grid.geometry.t, grid.rho_min, mode.k, mode.chirality.value)
+        assembled.add((grid.geometry.t, mode.k))
+        return assemble(mode, grid, *args)
 
     def counted_eigen(T, count, **kwargs):
         calls.append((*solving.key, count, kwargs.get("vector", False), kwargs.get("read")))
@@ -1065,9 +1107,9 @@ def test_ground_states_keep_the_full_solves_vector_and_depth(monkeypatch, levels
     depths, solving, assemble = {}, threading.local(), spectra.assemble_hamiltonian
     eigen = spectra.eigen_lowest
 
-    def recorded_assemble(geom, mode, *args):
-        solving.key = (geom.t, geom.rho_min, mode.k)
-        return assemble(geom, mode, *args)
+    def recorded_assemble(mode, grid, *args):
+        solving.key = (grid.geometry.t, grid.rho_min, mode.k)
+        return assemble(mode, grid, *args)
 
     def recorded_eigen(T, count, **kwargs):
         out = eigen(T, count, **kwargs)
@@ -1092,10 +1134,10 @@ def test_ground_states_keep_the_full_solves_vector_and_depth(monkeypatch, levels
         ground = ground_states([0.3, 0.0], params)
         assert list(depths) == list(full), (k_max, spacing)  # the same depth steps
         steps.append(len(full))
-        for t, geom in ((0.3, NeckGeometry.neck(0.3)), (0.0, cusp)):
-            grid = Grid.for_geometry(geom, n=params.n, h=params.h)
+        neck = Grid.for_geometry(NeckGeometry.neck(0.3), n=params.n, h=params.h)
+        for t, grid in ((0.3, neck), (0.0, cusp)):
             assert ground[t].grid == grid, (k_max, spacing, t)
-            assert _same_bits(ground[t].values, _ground_state(geom, grid, levels)[1]), (
+            assert _same_bits(ground[t].values, _ground_state(grid, levels)[1]), (
                 k_max, spacing, t)
             # normalized in the discrete L^2(d rho) norm
             assert grid.h * np.sum(ground[t].values**2) == pytest.approx(1.0, rel=1e-12), t
@@ -1139,7 +1181,7 @@ def test_ground_runs_are_refused_below_where_dstein_returns_nan(n):
             spectra.check_windows([t], params, [1.0])
         spectra.check_grids([t], params)
     geom = NeckGeometry.neck(beyond)
-    H = assemble_hamiltonian(geom, ModeSpec(0), Grid.for_geometry(geom, n=n))
+    H = assemble_hamiltonian(ModeSpec(0), Grid.for_geometry(geom, n=n))
     with pytest.raises(NonConvergenceError, match="not finite"):
         eigen_lowest(H, 2, vector=True)
 
@@ -1230,7 +1272,7 @@ def test_the_spacing_rule_admits_what_the_solver_resolves(capsys, tmp_path):
 
     def lowest_two(t):
         geom = NeckGeometry.neck(t)
-        return eigen_lowest(assemble_hamiltonian(geom, ModeSpec(0), Grid.for_geometry(geom)), 2)
+        return eigen_lowest(assemble_hamiltonian(ModeSpec(0), Grid.for_geometry(geom)), 2)
 
     for t, params in ((340.0, SpectrumParams(k_max=0, levels=2)),
                       (341.1, SpectrumParams(k_max=0, levels=2, n=100))):
@@ -1267,7 +1309,7 @@ def test_the_thin_neck_rule_admits_what_the_assembly_represents(monkeypatch, cap
     # below the rule the assembly is wrong with no error: V' reads -0 near the walls
     with np.errstate(over="ignore"):
         geom = NeckGeometry.neck(1e-154)
-        H = assemble_hamiltonian(geom, ModeSpec(0), Grid.for_geometry(geom))
+        H = assemble_hamiltonian(ModeSpec(0), Grid.for_geometry(geom))
     assert eigen_lowest(H, 1)[0] == pytest.approx(1.5526656, rel=1e-7)
     assert tanh_form(1e-154, 0, 1)[0] == pytest.approx(1.5400011, rel=1e-7)
     # the thinnest neck is max(2, k + 1/2) / SQRT_MAX for the highest mode k: k_max
@@ -1354,14 +1396,14 @@ def test_the_cusp_rule_admits_what_the_assembly_represents(monkeypatch, capsys, 
     bound = _first_cusp_bound(k_max)
     assert 1e152 < bound < 1.1e153
     params = SpectrumParams(k_max=k_max, levels=2, rho_margin_factor=bound)
-    [(geom, grid)] = spectra._grids([0.0], params).values()
+    [grid] = spectra._grids([0.0], params).values()
     for mode in (ModeSpec(k_max), ModeSpec(k_max, Chirality.MINUS)):
         with np.errstate(over="raise"):
-            assemble_hamiltonian(geom, mode, grid)
+            assemble_hamiltonian(mode, grid)
     assert np.isfinite(dirac_spectrum(0.0, params).mu[0.0]).all()
-    past = NeckGeometry.cusp(geom.rho_min * (1 + 1e-12))  # 1e-12 deeper overflows
+    past = NeckGeometry.cusp(grid.rho_min * (1 + 1e-12))  # 1e-12 deeper overflows
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-        assemble_hamiltonian(past, ModeSpec(k_max), Grid.for_geometry(past))
+        assemble_hamiltonian(ModeSpec(k_max), Grid.for_geometry(past))
 
     calls = []
     for name in ("eigen_lowest", "sturm_counts", "assemble_hamiltonian"):
@@ -1386,11 +1428,11 @@ def test_rho_margin_factor_1e150_solves_the_first_cusp():
     # far below the bound the rule changes nothing: one depth step, whose
     # rows are the serial solves of both chiralities on _grids's grid
     params = SpectrumParams(k_max=2, levels=2, rho_margin_factor=1e150)
-    [(geom, grid)] = spectra._grids([0.0], params).values()
+    [grid] = spectra._grids([0.0], params).values()
     mu = dirac_spectrum(0.0, params).mu[0.0]
     for k in range(params.k_max + 1):
         both = np.concatenate([
-            eigen_lowest(assemble_hamiltonian(geom, ModeSpec(k, chi), grid), params.levels)
+            eigen_lowest(assemble_hamiltonian(ModeSpec(k, chi), grid), params.levels)
             for chi in Chirality])
         assert _same_bits(mu[k], np.sort(both)[: params.levels]), k
     # the count assembles modes up to k = 4 on its own cusp, also below the bound
@@ -1403,12 +1445,12 @@ def test_a_deeper_cusp_step_that_would_overflow_fails_before_assembling(monkeypa
     # 200, so the search deepens, and there V^2 would overflow: a RuntimeError
     # names the depth before any assembly on it
     params = SpectrumParams(k_max=0, levels=20, h=0.05, rho_margin_factor=8e152)
-    [(first, _)] = spectra._grids([0.0], params).values()
+    [first] = spectra._grids([0.0], params).values()
     depths, assemble = [], spectra.assemble_hamiltonian
 
-    def recorded(geom, *args):
-        depths.append(geom.rho_min)
-        return assemble(geom, *args)
+    def recorded(mode, grid, *args):
+        depths.append(grid.rho_min)
+        return assemble(mode, grid, *args)
 
     monkeypatch.setattr(spectra, "assemble_hamiltonian", recorded)
     for run in (dirac_spectrum, ground_states):

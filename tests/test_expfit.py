@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from cusplab.expfit import (
     FitReport,
     ModelComparison,
     RankDeficientError,
+    check_fit,
     compare_models,
     fit_basis,
     log_even_basis,
@@ -148,3 +150,20 @@ def test_compare_models_detects_injected_log_term():
     smooth_only = 1.0 + 0.8 * ts**2
     cmp2 = compare_models(ts, smooth_only, smooth_even_basis(), log_even_basis())
     assert cmp2.ratio == pytest.approx(1.0, abs=0.5) or cmp2.smooth.rms_residual < 1e-12
+
+
+def test_fit_basis_checks_its_t_by_check_fit():
+    # the rules a caller can check before it computes the values: the sample
+    # count, finite t > 0 and the condition limit, with fit_basis's messages
+    ts = np.geomspace(0.01, 0.5, 12)
+    ys = 2.0 - 0.3 * ts**2
+    for basis in (smooth_even_basis(), log_even_basis()):
+        M, cond = check_fit(ts, basis)
+        fit = fit_basis(ts, ys, basis)
+        assert np.array_equal(M, basis.design_matrix(ts)) and cond == fit.condition_estimate
+        for bad in (ts[: basis.min_samples - 1], np.append(ts, np.nan), np.append(ts, 0.0),
+                    np.append(ts, -0.1), np.full(8, 0.3) + np.arange(8) * 1e-8):
+            with pytest.raises(ValueError) as refused:
+                check_fit(bad, basis)
+            with pytest.raises(type(refused.value), match=re.escape(str(refused.value))):
+                fit_basis(bad, np.ones_like(bad), basis)
