@@ -23,7 +23,7 @@ from cusplab.dirac_lab.geometry import (
     potential_derivative,
 )
 
-DEFAULT_POINTS = 4000  # default resolution: h = length / DEFAULT_POINTS
+DEFAULT_POINTS = 4000  # default spacing length / 4000: exactly 3999 points
 MIN_POINTS = 16  # fewest interior points a Grid accepts
 EIGEN_TOL = 1e-10  # absolute tolerance of eigen_lowest's bisection
 
@@ -130,17 +130,16 @@ class Grid:
         return rho
 
     @classmethod
-    def for_geometry(cls, geom: NeckGeometry, n: int | None = None,
-                     h: float | None = None) -> "Grid":
-        """The grid of ``geom``: n points, else a spacing near h or length/4000."""
-        if n is not None and h is not None:
-            raise ValueError("give n or h, not both")
+    def for_geometry(cls, geom: NeckGeometry, h: float | None = None) -> "Grid":
+        """The grid of ``geom`` at a spacing near h, else at length/4000.
+
+        A grid of exactly n points is ``Grid(geom, n)``; the spacing
+        h = length / (n + 1) rebuilds it bit for bit.
+        """
         if h is not None and not 0.0 < h < math.inf:  # nan fails this too
             raise ValueError(f"grid spacing must be finite and positive, got {h!r}")
-        if n is None:
-            target = h if h is not None else geom.length / DEFAULT_POINTS
-            n = max(MIN_POINTS, int(round(geom.length / target)) - 1)
-        return cls(geom, n)
+        target = h if h is not None else geom.length / DEFAULT_POINTS
+        return cls(geom, max(MIN_POINTS, int(round(geom.length / target)) - 1))
 
     def halved(self) -> "Grid":
         """The nested refinement at spacing h/2: its points 2, 4, ..., 2n are this grid's bits."""
@@ -330,8 +329,8 @@ def _root(d: np.ndarray, e: np.ndarray, count: int) -> tuple[float, float, float
 
 def _walk(d: np.ndarray, e: np.ndarray, pivmin: float, itmax: int,
           node: tuple[float, float, int, int, int], read: tuple[int, ...] | range,
-          pool: Executor | None = None) -> dict[int, tuple[float, int]]:
-    """Each level in ``read`` to (value, levels in its node), down dstebz("I")'s bisection tree.
+          pool: Executor | None = None) -> dict[int, float]:
+    """Each level in ``read`` to its value, down dstebz("I")'s bisection tree.
 
     ``node`` is (low, high, N(low), N(high), depth), the root (WL, WU, 0,
     count, 0) or a node below it.  dstebz's dlaebz IJOB = 2 steps every
@@ -341,9 +340,10 @@ def _walk(d: np.ndarray, e: np.ndarray, pivmin: float, itmax: int,
     it, a node whose levels are all read runs to convergence in one call,
     with the ITMAX - depth iterations dstebz leaves it; a node holding a
     level read is stepped; any other is dropped.  A level's value is its
-    converged node's midpoint, as dstebz gives it.  The root's upper child
-    is offered to ``pool``, then taken back with ``cancel`` and walked here
-    unless a worker has started it.
+    converged node's midpoint, as dstebz gives it, and levels that converge
+    in one node share it.  The root's upper child is offered to ``pool``,
+    then taken back with ``cancel`` and walked here unless a worker has
+    started it.
     """
     e2 = e * e  # per walk: an offered walk that waits in the queue holds only d and e
     rows = max(2, node[3] - node[2])
@@ -364,7 +364,7 @@ def _walk(d: np.ndarray, e: np.ndarray, pivmin: float, itmax: int,
                 lo, up = int(nab[j]), int(nab[m + j])
                 mine = range(lo + 1, up + 1) if whole else [i for i in held if lo < i <= up]
                 if j < mout - info:
-                    values.update(dict.fromkeys(mine, (0.5 * (ab[j] + ab[m + j]), up - lo)))
+                    values.update(dict.fromkeys(mine, 0.5 * (ab[j] + ab[m + j])))
                 elif mine:
                     nodes.append((ab[j], ab[m + j], lo, up, depth + 1))
             if depth == 0 and pool is not None and len(nodes) == 2:
@@ -425,10 +425,12 @@ def eigen_lowest(T: Tridiagonal, count: int, vector: bool = False,
     root, ``_walk`` walks its bisection tree to the levels read (all of
     them without ``read``).  Its offer to ``pool`` means a job waits only
     on a subtree that is running, whatever the pool's size, and the pool
-    starts no thread beyond its own.  Elsewhere the one dstebz("I") call
-    runs and ``read`` picks its levels; so does a solve with ``vector``
-    whose level 1 converges in a node with level 2, where the sort of the
-    tied values picks dstein's vector.
+    starts no thread beyond its own.  With ``vector``, dstein runs on level
+    1's walked value alone: a level 1 that converges in one node with level
+    2 shares that node's midpoint, the value dstebz gives both, and the
+    vector keeps the bits of the full call's (Wilkinson's -W21+ is such a
+    tie).  Elsewhere the one dstebz("I") call runs and ``read`` picks its
+    levels.
     """
     n = T.dimension
     count = _check_int(count, "count")
@@ -448,12 +450,11 @@ def eigen_lowest(T: Tridiagonal, count: int, vector: bool = False,
     if root is not None:
         wl, wu, pivmin, itmax = root
         walked = _walk(d, e, pivmin, itmax, (wl, wu, 0, count, 0), levels, pool)
-        if not (vector and walked[1][1] > 1):
-            w = np.array([walked[i][0] for i in levels])
-            if not vector:
-                return w
-            lowest = np.array([walked[1][0]])  # one value in one block
-            return w, _lowest_vector(d, e, lowest, np.ones(1, np.intc), np.array([n], np.intc))
+        w = np.array([walked[i] for i in levels])
+        if not vector:
+            return w
+        lowest = np.array([walked[1]])  # one value in one block
+        return w, _lowest_vector(d, e, lowest, np.ones(1, np.intc), np.array([n], np.intc))
     # values in matrix order, or in block order for dstein and sorted afterwards
     w, iblock, isplit = _stebz(d, e, b"B" if vector else b"E", count)
     v = None

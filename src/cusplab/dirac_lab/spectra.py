@@ -12,13 +12,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from cusplab.dirac_lab.geometry import WALL_PHI, Chirality, ModeSpec, NeckGeometry, phi
-from cusplab.dirac_lab.solver import (
-    MIN_POINTS,
-    Grid,
-    assemble_hamiltonian,
-    eigen_lowest,
-    sturm_counts,
-)
+from cusplab.dirac_lab.solver import Grid, assemble_hamiltonian, eigen_lowest, sturm_counts
 from cusplab.refusal import RunRefusedError
 
 COLLISION_TOL = 1e-9  # an eigenvalue this close to a resolvent point is a collision
@@ -75,34 +69,29 @@ class SpectrumParams:
 
     ``k_max`` bounds the mode index (modes k and -k-1 form a degenerate
     pair, so only k = 0..k_max are solved), ``levels`` is the eigenvalue
-    count per mode, ``h``/``n`` fix the grid (default spacing length/4000),
-    and ``rho_margin_factor`` controls the t = 0 cusp truncation depth.
-    ``k_max``, ``levels`` and ``n`` must be ``int``s: a float or a bool
-    raises ``TypeError``.
+    count per mode, ``h`` is the grid spacing, the one spacing option
+    (default length/4000, which is 3999 points at every t), and
+    ``rho_margin_factor`` controls the t = 0 cusp truncation depth.
+    ``k_max`` and ``levels`` must be ``int``s: a float or a bool raises
+    ``TypeError``.  A run with exactly n points at one t passes
+    h = length / (n + 1), which ``Grid.for_geometry`` turns back into n.
     Callers rely on the checks here and repeat none of them.
     """
 
     k_max: int = 2
     levels: int = 8
     h: float | None = None
-    n: int | None = None
     rho_margin_factor: float = 50.0
 
     def __post_init__(self) -> None:
-        for name in ("k_max", "levels", "n"):
+        for name in ("k_max", "levels"):
             value = getattr(self, name)
-            if value is None and name == "n":
-                continue
             if not isinstance(value, int) or isinstance(value, bool):
                 raise TypeError(f"{name} must be an int, got {value!r}")
         if self.k_max < 0 or self.levels < 1:
             raise ValueError("need k_max >= 0 and levels >= 1")
         if self.h is not None and not 0.0 < self.h < math.inf:  # nan fails too
             raise ValueError(f"h must be finite and positive, got {self.h!r}")
-        if self.n is not None and self.n < MIN_POINTS:
-            raise ValueError(f"n must be at least {MIN_POINTS}, got {self.n!r}")
-        if self.n is not None and self.h is not None:
-            raise ValueError("give n or h, not both")
         if not 50.0 <= self.rho_margin_factor < math.inf:
             raise ValueError(f"rho_margin_factor must be finite and at least 50, "
                              f"got {self.rho_margin_factor!r}")
@@ -313,8 +302,7 @@ def _grids(t_grid: Sequence[float], params: SpectrumParams,
         try:
             grid = Grid.for_geometry(
                 NeckGeometry.neck(t) if t > 0
-                else NeckGeometry.cusp(_cusp_depth(params, max(200.0, top or 0.0))),
-                n=params.n, h=params.h)
+                else NeckGeometry.cusp(_cusp_depth(params, max(200.0, top or 0.0))), params.h)
         except (ArithmeticError, ValueError) as exc:  # sinh(t / 2) or length / h overflows
             raise RunRefusedError(f"no grid can be counted at t = {t!r}: {exc}") from exc
         if not grid.h >= MIN_SPACING:
@@ -339,9 +327,10 @@ def _plan(t_grid: Sequence[float], params: SpectrumParams,
     solves * grid points, exceeds ``MAX_WORK``.  The estimate counts every
     level of a solve, so it bounds a ground-state run's solves, which read
     one or two levels, even where ``eigen_lowest`` bisects them all.  The
-    cusp-depth search only deepens the cusp, which keeps ``n`` or, at a
-    fixed ``h``, adds points, so its first depth bounds every later one's
-    ``levels`` rule; each further step repeats the first step's solves.
+    cusp-depth search only deepens the cusp, which keeps the 3999 points of
+    the default spacing or, at a fixed ``h``, adds points, so its first
+    depth bounds every later one's ``levels`` rule; each further step
+    repeats the first step's solves.
 
     Each t's ground state calls LAPACK's ``dstein``, which returns a vector
     of NaN with info = 0 once n^(3/2) * 2 / h^2 passes 1.70 * ``SQRT_MAX``
@@ -447,7 +436,7 @@ def _cusp_geometry(params: SpectrumParams, pool: ThreadPoolExecutor, ground: boo
         needed = _cusp_depth(params, mu_max)
         if grid.rho_min <= needed:
             return grid, mu, state
-        grid = Grid.for_geometry(NeckGeometry.cusp(needed - 0.5), n=params.n, h=params.h)
+        grid = Grid.for_geometry(NeckGeometry.cusp(needed - 0.5), params.h)
         _check_squares(grid, params, error=RuntimeError)
     raise RuntimeError("cusp truncation depth did not stabilize")
 

@@ -78,9 +78,11 @@ def check_fit(ts, basis: BasisSpec) -> tuple[np.ndarray, float]:
     """The design matrix of ``basis`` at the samples ``ts`` and its condition estimate.
 
     Raises ValueError unless there are at least ``basis.min_samples``
-    samples, each finite with t > 0, and RankDeficientError where the
-    condition estimate exceeds ``CONDITION_LIMIT``.  These rules read the t
-    alone, so a caller can check a fit before it computes the values.
+    samples, each finite with t > 0, and each monomial finite at each t
+    (t^4 overflows above DBL_MAX^(1/4), about 1.34e77); and
+    RankDeficientError where the condition estimate exceeds
+    ``CONDITION_LIMIT``.  These rules read the t alone, so a caller can
+    check a fit before it computes the values.
     """
     t = np.asarray(ts, dtype=float)
     if len(t) < basis.min_samples:
@@ -89,7 +91,14 @@ def check_fit(ts, basis: BasisSpec) -> tuple[np.ndarray, float]:
         raise ValueError("samples must be finite")
     if np.any(t <= 0):
         raise ValueError("samples must have t > 0")
-    M = basis.design_matrix(t)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by name below
+        M = basis.design_matrix(t)
+    bad = np.argwhere(~np.isfinite(M))
+    if len(bad):
+        i, j = bad[0]
+        z, k = basis.monomials[j]
+        name = f"t^{z}" + (f" log^{k} t" if k else "")
+        raise ValueError(f"the monomial {name} is not finite at t = {float(t[i])!r}")
     sv = np.linalg.svd(M, compute_uv=False)
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
     if cond > CONDITION_LIMIT:

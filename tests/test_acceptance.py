@@ -12,7 +12,6 @@ control passes.
 import math
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -53,7 +52,6 @@ from cusplab.dirac_lab import (
     partner_minus_hamiltonian,
     relative_resolvent_trace,
 )
-from cusplab.dirac_lab.spectra import _cusp_geometry
 from cusplab.expfit import compare_models, fit_basis, log_even_basis, smooth_even_basis
 from cusplab.surgery_spaces import (
     OpOrders,
@@ -283,7 +281,7 @@ def test_criterion_08_discretization_validity():
     analytic = [c * c + (math.pi * m / L) ** 2 for m in (1, 2, 3)]
     err1 = abs(mu[0] - analytic[0])
     assert err1 < 1e-6
-    coarse = Grid.for_geometry(geom, n=400)
+    coarse = Grid(geom, 400)
     order = convergence_order(ModeSpec(0), coarse, flat_potential=c)
     assert 1.7 <= order <= 2.3
     elapsed = time.perf_counter() - start
@@ -293,9 +291,9 @@ def test_criterion_08_discretization_validity():
 
 
 def test_criterion_09_susy_pairing_at_t0():
-    params = SpectrumParams(k_max=2, levels=10, n=12000)
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        grid = _cusp_geometry(params, pool)[0]  # the accepted cusp, at n = 12000
+    # the cusp the t = 0 depth search accepts, at 12000 points
+    cusp = ground_states(0.0, SpectrumParams(k_max=2, levels=10))[0.0].grid.geometry
+    grid = Grid(cusp, 12000)
     worst = 0.0
     for k in (0, 1, 2):
         plus = assemble_hamiltonian(ModeSpec(k), grid)

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -349,6 +350,21 @@ def test_trace_fit_refuses_an_ill_conditioned_t_grid_before_any_solve(monkeypatc
     cfg = write_config(tmp_path, t_grid=ts, k_max=1, levels=4)
     code, _, err = run(capsys, "trace", "fit", str(cfg))
     assert code == EXIT_CONFIG and "condition estimate" in err and "exceeds 1e+12" in err, err
+    assert calls == [] and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("action", ["error", "always"])
+def test_trace_fit_refuses_a_monomial_that_overflows_before_any_solve(monkeypatch, capsys,
+                                                                     tmp_path, action):
+    # t^4 overflows at t = 1e100: numpy warned, then the run exited 78 on an
+    # infinite condition estimate, or 1 with a traceback under -W error
+    calls = refuse_work(monkeypatch)
+    cfg = write_config(tmp_path, t_grid="0.5,0.4,0.3,0.2,0.1,1e100", k_max=1, levels=4)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(action)
+        code, _, err = run(capsys, "trace", "fit", str(cfg))
+    assert code == EXIT_CONFIG and "t^4 is not finite at t = 1e+100" in err, err
+    assert caught == [] and "RuntimeWarning" not in err
     assert calls == [] and not (tmp_path / "out").exists()
 
 

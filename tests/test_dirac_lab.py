@@ -160,7 +160,7 @@ def test_indicial_scan_and_min():
 
 def test_assemble_symmetry_and_chirality_difference():
     g = NeckGeometry.neck(0.25)
-    grid = Grid.for_geometry(g, n=200)
+    grid = Grid(g, 200)
     plus = assemble_hamiltonian(ModeSpec(1, Chirality.PLUS), grid)
     minus = assemble_hamiltonian(ModeSpec(1, Chirality.MINUS), grid)
     assert np.array_equal(plus.offdiagonal, minus.offdiagonal)
@@ -171,7 +171,7 @@ def test_assemble_symmetry_and_chirality_difference():
 def test_flat_override_matches_separable_eigenvalues():
     g = NeckGeometry.neck(1.0)
     L = g.length
-    grid = Grid.for_geometry(g, n=2000)
+    grid = Grid(g, 2000)
     c = 0.7
     T = assemble_hamiltonian(ModeSpec(0), grid, flat_potential=c)
     got = eigen_lowest(T, 5)
@@ -191,7 +191,7 @@ def test_eigen_lowest_small_matrix_and_residual():
     assert np.allclose(w, [1.0, 3.0])
 
     g = NeckGeometry.neck(0.3)
-    grid = Grid.for_geometry(g, n=400)
+    grid = Grid(g, 400)
     T = assemble_hamiltonian(ModeSpec(0), grid)
     w, v = eigen_lowest(T, 3, vector=True)
     assert v.shape == (T.dimension,)  # the lowest level's vector only
@@ -250,7 +250,7 @@ def test_eigen_lowest_is_bitwise_eigh_tridiagonal(monkeypatch):
         geom = NeckGeometry.neck(t)
         necks.append((assemble_hamiltonian(ModeSpec(10), Grid.for_geometry(geom)), 40))
     cases += necks
-    cusp_grid = Grid.for_geometry(cusp, n=3000)
+    cusp_grid = Grid(cusp, 3000)
     cases.append((partner_minus_hamiltonian(ModeSpec(1), cusp_grid), 12))
     # a zero off-diagonal splits dstebz's work into blocks, and the block
     # holding the larger eigenvalues comes first: block order is not sorted
@@ -261,9 +261,15 @@ def test_eigen_lowest_is_bitwise_eigh_tridiagonal(monkeypatch):
     # that parts one leaves dstebz's search off N(WU) = count
     wilkinson = Tridiagonal(np.abs(np.arange(-10.0, 11.0)), np.ones(20))
     cases += [(wilkinson, count) for count in (1, 17, 18, 20)]
+    # -W21+'s lowest pair agrees to 1e-13: levels 1 and 2 converge in one node,
+    # and the vector is dstein's on that node's midpoint alone
+    lowest_pair = Tridiagonal(-wilkinson.diagonal, wilkinson.offdiagonal)
+    cases += [(lowest_pair, count) for count in (2, 8, 20)]
     assert all(solver._root(T.diagonal, T.offdiagonal, count) for T, count in necks)
     assert [solver._root(wilkinson.diagonal, wilkinson.offdiagonal, count) is None
             for count in (1, 17, 18, 20)] == [False, False, True, True]
+    assert all(solver._root(lowest_pair.diagonal, lowest_pair.offdiagonal, count)
+               for count in (2, 8, 20))
     with ThreadPoolExecutor(max_workers=2) as pool:
         for T, count in cases:
             kwargs = dict(select="i", select_range=(0, count - 1), tol=1e-10)
@@ -276,7 +282,7 @@ def test_eigen_lowest_is_bitwise_eigh_tridiagonal(monkeypatch):
                 # the values keep their bits with the vector, and the one vector is column 0
                 assert _same_bits(got_w, want_w) and _same_bits(got_w, want), (T.dimension, count)
                 assert _same_bits(got_v, want_v[:, 0]), (T.dimension, count)
-            if any(T is neck for neck, _ in necks):  # criterion 12's solves walk the tree alone
+            if T is lowest_pair or any(T is neck for neck, _ in necks):  # the walk alone
                 assert not dstebz_calls, (T.dimension, count)
     # and so do the sweep-cli benchmark's, its cusp-depth search and ground states included
     ts, params = [0.5, 0.3, 0.2, 0.1, 0.05, 0.02, 0.01, 0.0], SpectrumParams(k_max=2, levels=8)
@@ -290,7 +296,7 @@ def test_eigen_lowest_is_bitwise_eigh_tridiagonal(monkeypatch):
 
 def _neck_hamiltonian(t: float = 0.05, n: int = 300) -> Tridiagonal:
     geom = NeckGeometry.neck(t)
-    return assemble_hamiltonian(ModeSpec(0), Grid.for_geometry(geom, n=n))
+    return assemble_hamiltonian(ModeSpec(0), Grid(geom, n))
 
 
 def test_a_solve_on_a_one_worker_pool_takes_its_offered_half_back():
@@ -353,8 +359,7 @@ def test_a_failure_in_the_offered_half_reaches_the_caller(monkeypatch, workers):
 
 def test_read_walks_to_the_bits_of_the_full_solve(monkeypatch):
     # each level read is bitwise the full solve's, with the same vector; the
-    # walk runs wherever _root finds the root, and dstebz only elsewhere, or
-    # where the vector's level 1 shares its converged node
+    # walk runs wherever _root finds the root, and dstebz exactly elsewhere
     roots, walks, dstebz_calls = [], [], []
     root, walk, dstebz = solver._root, solver._walk, solver._dstebz
 
@@ -410,12 +415,10 @@ def test_read_walks_to_the_bits_of_the_full_solve(monkeypatch):
                 assert _same_bits(got_w, want_w[np.array(read) - 1]), (T.dimension, count, read)
                 if vector:
                     assert _same_bits(got[1], want_v), (T.dimension, count, read)
-                tied = T is lowest_pair and 1 in read
                 assert (roots[0] is not None) == bool(walks) == walked, (T.dimension, count)
-                if tied:  # the walk gives levels 1 and 2 their node's midpoint
-                    assert walks[0][1] == (want_w[0], 2) and want_w[0] == want_w[1]
-                # dstebz runs only where the walk cannot give what is read
-                assert bool(dstebz_calls) == (not walked or (vector and tied)), (count, read)
+                if T is lowest_pair and 1 in read:  # levels 1 and 2 share their node's midpoint
+                    assert walks[0][1] == want_w[0] == want_w[1]
+                assert bool(dstebz_calls) == (roots[0] is None), (count, read)
 
 
 def test_eigen_lowest_checks_its_arguments_before_any_lapack_call(monkeypatch):
@@ -504,7 +507,7 @@ def test_lapack_binding_refuses_a_foreign_prototype(monkeypatch):
 
 def test_convergence_order_flat_and_neck():
     g = NeckGeometry.neck(0.3)
-    grid = Grid.for_geometry(g, n=250)
+    grid = Grid(g, 250)
     order_flat = convergence_order(ModeSpec(0), grid, flat_potential=0.4)
     assert 1.8 <= order_flat <= 2.2
     order_neck = convergence_order(ModeSpec(0), grid)
@@ -549,8 +552,8 @@ def test_grid_points_are_three_numbers(ts, params):
 
 
 def test_halving_nests_the_points_bit_for_bit():
-    # the derived spacing length / (n + 1) has the bits of the one for_geometry
-    # stored, by n and by h, and of the h / 2 each halving stored; three nested
+    # the derived spacing length / (n + 1) has the bits for_geometry once stored,
+    # by n and by h, and of the h / 2 each halving stored; three nested
     # halvings keep every point's bits.  (0.1 + 0.3) - 0.3 != 0.1: a halving
     # that restarted from a point would shift every point
     assert (0.1 + 0.3) - 0.3 != 0.1
@@ -559,7 +562,9 @@ def test_halving_nests_the_points_bit_for_bit():
              + [NeckGeometry.cusp(float(r)) for r in rng.uniform(-40.0, 0.6, 60)])
     for geom in geoms:
         n, h = int(rng.integers(16, 3000)), float(10.0 ** rng.uniform(-2.5, 0.5))
-        for g in (Grid.for_geometry(geom, n=n), Grid.for_geometry(geom, h=h)):
+        # the spacing of n points gives those points: a run at one t passes it as h
+        assert Grid.for_geometry(geom, h=geom.length / (n + 1)) == Grid(geom, n), (geom, n)
+        for g in (Grid(geom, n), Grid.for_geometry(geom, h=h)):
             stored = geom.length / (g.n + 1)  # what for_geometry stored as h
             assert (g.rho_min, g.h) == (geom.rho_min, stored), (geom, g.n)
             for _ in range(3):
@@ -592,7 +597,7 @@ def test_no_function_takes_a_geometry_beside_its_grid():
 def test_mode_pair_degeneracy_via_parity():
     # H+(k) and H+(-k-1) = H-(k) are parity conjugate for t > 0
     g = NeckGeometry.neck(0.2)
-    grid = Grid.for_geometry(g, n=1500)
+    grid = Grid(g, 1500)
     for k in (0, 1):
         plus = assemble_hamiltonian(ModeSpec(k, Chirality.PLUS), grid)
         minus = assemble_hamiltonian(ModeSpec(k, Chirality.MINUS), grid)
@@ -614,7 +619,7 @@ def test_dirichlet_domain_monotonicity():
 
 
 def test_dirac_spectrum_table_structure():
-    params = SpectrumParams(k_max=1, levels=3, n=800)
+    params = SpectrumParams(k_max=1, levels=3, h=NeckGeometry.neck(0.3).length / 801)
     table = dirac_spectrum(0.3, params)
     assert len(table.rows) == 2 * 3
     assert all(r.mu >= -1e-10 for r in table.rows)
@@ -624,7 +629,7 @@ def test_dirac_spectrum_table_structure():
     low = table.lowest(0.3)
     assert (low.k, low.j) == (0, 1)
     handle = ground_states(0.3, params)[0.3]
-    assert handle.grid == Grid.for_geometry(NeckGeometry.neck(0.3), n=800)  # neck_mass's t
+    assert handle.grid == Grid(NeckGeometry.neck(0.3), 800)  # neck_mass's t
     assert neck_mass(handle, 100.0) == pytest.approx(1.0, abs=1e-12)
     assert neck_mass(handle, 0.05) >= 0.0
     with pytest.raises(ValueError) as failure:  # a failure after the solve, not a refusal
@@ -636,7 +641,7 @@ def test_dirac_spectrum_table_structure():
 
 
 def test_spectral_sweep_counts_and_inputs():
-    params = SpectrumParams(k_max=1, levels=4, n=600)
+    params = SpectrumParams(k_max=1, levels=4, h=0.01)
     grid_t = [0.4, 0.2, 0.1, 0.0]
     table = dirac_spectrum(grid_t, params)
     assert list(table.mu) == grid_t
@@ -753,7 +758,7 @@ def test_window_counts_refuse_unbounded_work_before_any_factorisation(monkeypatc
 
 @pytest.mark.parametrize("bad", [
     dict(k_max=-1), dict(levels=0), dict(h=0.0), dict(h=-0.5), dict(h=math.nan),
-    dict(h=math.inf), dict(n=15), dict(n=600, h=0.01), dict(rho_margin_factor=49.0),
+    dict(h=math.inf), dict(rho_margin_factor=49.0),
     dict(rho_margin_factor=math.nan), dict(rho_margin_factor=math.inf)],
     ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()))
 def test_spectrum_params_rejects_bad_values(bad):
@@ -762,24 +767,34 @@ def test_spectrum_params_rejects_bad_values(bad):
 
 
 @pytest.mark.parametrize("bad", [
-    dict(k_max=1.5), dict(k_max=2.0), dict(k_max=True), dict(levels=2.5), dict(levels=True),
-    dict(n=100.5), dict(n=100.0), dict(n=False), dict(k_max=0, levels=2, n=100.5)],
+    dict(k_max=1.5), dict(k_max=2.0), dict(k_max=True), dict(levels=2.5), dict(levels=True)],
     ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()))
 def test_spectrum_params_refuse_a_count_that_is_not_an_int(bad):
-    # refused before any work: n = 100.5 would give 101 points at h = L/101.5,
-    # with the Dirichlet end past rho_max, and levels = 2.5 would fail in a pool thread
+    # refused before any work: levels = 2.5 would fail in a pool thread
     with pytest.raises(TypeError, match="must be an int"):
         SpectrumParams(**bad)
 
 
 @pytest.mark.parametrize("n", [100.5, 100.0, True])
 def test_grid_refuses_a_point_count_that_is_not_an_int(n):
+    # n = 100.5 would give 101 points at h = L/101.5, with the Dirichlet end past rho_max
     with pytest.raises(TypeError, match="must be an int"):
         Grid(NeckGeometry.cusp(-1.0), n)
 
 
+def test_the_spacing_has_one_option():
+    # a run's grid is the default spacing or h; a grid of n points is Grid(geometry, n)
+    assert [f.name for f in dataclasses.fields(SpectrumParams)] == [
+        "k_max", "levels", "h", "rho_margin_factor"]
+    with pytest.raises(TypeError, match="'n'"):
+        SpectrumParams(n=800)
+    assert list(inspect.signature(Grid.for_geometry).parameters) == ["geom", "h"]
+    with pytest.raises(TypeError, match="'n'"):
+        Grid.for_geometry(NeckGeometry.neck(0.3), n=800)
+
+
 def test_relative_resolvent_trace_contract():
-    params = SpectrumParams(k_max=1, levels=6, n=700)
+    params = SpectrumParams(k_max=1, levels=6, h=NeckGeometry.neck(0.5).length / 701)
     zero = relative_resolvent_trace(0.5, -1.0, -1.0, params)
     assert zero.value == 0.0
     fwd = relative_resolvent_trace(0.5, -1.0, -2.0, params)
@@ -815,7 +830,7 @@ def _first_collision_by_rows(table, t, lam, lam0):
 def test_the_first_colliding_row_is_reported(lam, lam0, want):
     mu = np.array([[-5.0, 1.0, 4.0, 9.0, 16.0, 99.0], [-3.0, 3.0, 4.0 - 4e-10, 16.0, 25.0, 99.0]])
     table = spectra.SpectrumTable({0.5: mu})
-    params = SpectrumParams(k_max=1, levels=6, n=100)
+    params = SpectrumParams(k_max=1, levels=6)
     assert _first_collision_by_rows(table, 0.5, lam, lam0) == want
     with pytest.raises(SpectralCollisionError) as caught:
         relative_resolvent_trace(0.5, lam, lam0, params, table=table)
@@ -824,7 +839,7 @@ def test_the_first_colliding_row_is_reported(lam, lam0, want):
 
 def test_the_trace_counts_the_levels_of_the_table_it_sums():
     # with a table, the tail model's two-level rule reads the table, not params
-    five = SpectrumParams(k_max=1, levels=5, n=200)
+    five = SpectrumParams(k_max=1, levels=5, h=NeckGeometry.neck(0.3).length / 201)
     table = dirac_spectrum(0.3, five)
     want = relative_resolvent_trace(0.3, -1.0, -2.0, five).value
     got = relative_resolvent_trace(0.3, -1.0, -2.0, dataclasses.replace(five, levels=1),
@@ -875,7 +890,7 @@ def test_t0_spectrum_reuses_the_cusp_depth_search(monkeypatch, k_max):
     # each (k, chirality) is solved once per search iteration and the t = 0
     # table is the accepted iteration's solves, not a second solve; no solve
     # computes a vector
-    params = SpectrumParams(k_max=k_max, levels=20, n=800)
+    params = SpectrumParams(k_max=k_max, levels=20, h=0.01)
     calls, depths, calls_at_search_exit = [], set(), []
     solving = threading.local()  # a worker assembles its mode, then solves it
     eigen, assemble, search = (spectra.eigen_lowest, spectra.assemble_hamiltonian,
@@ -923,7 +938,7 @@ def test_t0_spectrum_reuses_the_cusp_depth_search(monkeypatch, k_max):
 
 def test_mode_solves_on_threads_match_one_worker(monkeypatch):
     # the pool changes when each (k, chirality) is solved, never what comes out
-    params = SpectrumParams(k_max=2, levels=6, n=900)
+    params = SpectrumParams(k_max=2, levels=6, h=0.006)
     default = {t: (dirac_spectrum(t, params), ground_states(t, params)) for t in (0.3, 0.0)}
     for cpus in (1, 6):  # one worker, and one per job whatever this host has
         monkeypatch.setattr(spectra, "_cpu_count", lambda: cpus)
@@ -958,7 +973,7 @@ def test_mode_pool_is_bounded_by_jobs_and_cpus(monkeypatch, cpus):
     monkeypatch.setattr(spectra, "ThreadPoolExecutor", recorded_pool)
     monkeypatch.setattr(spectra, "eigen_lowest", recorded(eigen))
     monkeypatch.setattr(solver, "_walk", recorded(walk))
-    params = SpectrumParams(k_max=2, levels=4, n=300)
+    params = SpectrumParams(k_max=2, levels=4, h=0.02)
     for ts, jobs in ((0.3, 3), (0.0, 6), ([0.3, 0.2, 0.0], 3 + 3 + 6)):
         # one chirality per mode at t > 0, both for the cusp search's first step
         asked.clear()
@@ -969,12 +984,12 @@ def test_mode_pool_is_bounded_by_jobs_and_cpus(monkeypatch, cpus):
     assert max(peak) - peak[0] <= cpus  # the pool's threads, over every call
 
 
-# k_max <= 1, levels = 20, n = 800: the cusp search deepens at least once
+# k_max <= 1, levels = 20, h = 0.01: the cusp search deepens at least once
 POOL_GRID = [0.4, 0.2, 0.0]
 
 
 def _pool_params(k_max: int) -> SpectrumParams:
-    return SpectrumParams(k_max=k_max, levels=20, n=800)
+    return SpectrumParams(k_max=k_max, levels=20, h=0.01)
 
 
 @pytest.mark.parametrize("k_max", [0, 1])
@@ -1030,7 +1045,7 @@ GROUND_CONFIGS = pytest.mark.parametrize("ts, params", [
     ([0.5, 0.3, 0.2, 0.1, 0.05, 0.02, 0.01, 0.0], SpectrumParams(k_max=2, levels=8)),
     ([0.4, 0.2, 0.1, 0.0], SpectrumParams(k_max=1, levels=4, h=0.005)),
     (sorted(np.random.default_rng(3).uniform(1e-3, 2.0, 6).tolist(), reverse=True),
-     SpectrumParams(k_max=3, levels=5, n=1000))], ids=["sweep-cli", "criterion-13", "random"])
+     SpectrumParams(k_max=3, levels=5, h=0.006))], ids=["sweep-cli", "criterion-13", "random"])
 
 
 @GROUND_CONFIGS
@@ -1043,7 +1058,7 @@ def test_the_ground_state_is_the_lowest_row(ts, params):
     for t in ts:
         low = table.lowest(t)
         assert (low.k, low.j) == (0, 1) and low.mu < table.mu[t][1:, 0].min(initial=np.inf), t
-        grid = Grid.for_geometry(NeckGeometry.neck(t), n=params.n, h=params.h) if t > 0 else cusp
+        grid = Grid.for_geometry(NeckGeometry.neck(t), params.h) if t > 0 else cusp
         mu, v = _ground_state(grid, params.levels)
         assert ground[t].grid == grid and low.mu == mu and _same_bits(ground[t].values, v), t
 
@@ -1059,8 +1074,7 @@ def test_ground_states_match_the_slow_path_on_any_cpus(monkeypatch, ts, params):
         ground = ground_states(list(reversed(ts)), params)  # any order in, descending t out
         assert list(ground) == ts, cpus
         for t in ts:
-            grid = (Grid.for_geometry(NeckGeometry.neck(t), n=params.n, h=params.h) if t > 0
-                    else cusp)
+            grid = Grid.for_geometry(NeckGeometry.neck(t), params.h) if t > 0 else cusp
             assert ground[t].grid == grid, (cpus, t)
             assert _same_bits(ground[t].values, _ground_state(grid, params.levels)[1]), (cpus, t)
 
@@ -1122,7 +1136,8 @@ def test_ground_states_keep_the_full_solves_vector_and_depth(monkeypatch, levels
     monkeypatch.setattr(spectra, "assemble_hamiltonian", recorded_assemble)
     monkeypatch.setattr(spectra, "eigen_lowest", recorded_eigen)
     steps = []
-    for k_max, spacing in itertools.product((0, 1, 3), (dict(n=500), dict(h=0.01))):
+    # the default spacing keeps its 3999 points at every depth, h = 0.01 adds points
+    for k_max, spacing in itertools.product((0, 1, 3), (dict(), dict(h=0.01))):
         params = SpectrumParams(k_max=k_max, levels=levels, **spacing)
         depths.clear()
         with ThreadPoolExecutor(max_workers=2) as pool:
@@ -1134,7 +1149,7 @@ def test_ground_states_keep_the_full_solves_vector_and_depth(monkeypatch, levels
         ground = ground_states([0.3, 0.0], params)
         assert list(depths) == list(full), (k_max, spacing)  # the same depth steps
         steps.append(len(full))
-        neck = Grid.for_geometry(NeckGeometry.neck(0.3), n=params.n, h=params.h)
+        neck = Grid.for_geometry(NeckGeometry.neck(0.3), params.h)
         for t, grid in ((0.3, neck), (0.0, cusp)):
             assert ground[t].grid == grid, (k_max, spacing, t)
             assert _same_bits(ground[t].values, _ground_state(grid, levels)[1]), (
@@ -1153,7 +1168,7 @@ def test_a_vector_that_is_not_finite_reaches_the_caller(monkeypatch):
 
     monkeypatch.setattr(solver, "_dstein", nan_dstein)
     with pytest.raises(NonConvergenceError, match="not finite"):
-        ground_states(0.3, SpectrumParams(k_max=0, levels=2, n=300))
+        ground_states(0.3, SpectrumParams(k_max=0, levels=2, h=0.02))
 
 
 @pytest.mark.parametrize("n", [16, 400, None], ids=["16", "400", "default"])
@@ -1161,9 +1176,17 @@ def test_ground_runs_are_refused_below_where_dstein_returns_nan(n):
     # dstein's first NaN vector comes at n^(3/2) * 2 / h^2 = 1.70 to 1.77 times
     # SQRT_MAX: the ground-state plan refuses a grid above SQRT_MAX, so the
     # last t it admits solves to a finite vector, and 1.8 times further in the
-    # product, where dstein gives NaN, is refused; a full run calls no dstein
+    # product, where dstein gives NaN, is refused; a full run calls no dstein.
+    # n points at a t are the spacing length / (n + 1) there
+    def params_at(t):
+        h = None if n is None else NeckGeometry.neck(t).length / (n + 1)
+        return SpectrumParams(k_max=1, levels=2, h=h)
+
+    def grid_at(t):
+        return Grid.for_geometry(NeckGeometry.neck(t), params_at(t).h)
+
     def product(t):
-        grid = Grid.for_geometry(NeckGeometry.neck(t), n=n)
+        grid = grid_at(t)
         return grid.n**1.5 * (2.0 / grid.h**2)
 
     def t_at(target):  # the last t at or below target and the first above: 1 / h^2 grows with t
@@ -1173,15 +1196,14 @@ def test_ground_runs_are_refused_below_where_dstein_returns_nan(n):
             low, high = (mid, high) if product(mid) <= target else (low, mid)
         return low, high
 
-    params = SpectrumParams(k_max=1, levels=2, n=n)
     (edge, over), (_, beyond) = t_at(spectra.SQRT_MAX), t_at(1.8 * spectra.SQRT_MAX)
-    assert np.isfinite(ground_states(edge, params)[edge].values).all()
+    assert grid_at(edge).n == (3999 if n is None else n)
+    assert np.isfinite(ground_states(edge, params_at(edge))[edge].values).all()
     for t in (over, beyond):
         with pytest.raises(RunRefusedError, match="dstein"):
-            spectra.check_windows([t], params, [1.0])
-        spectra.check_grids([t], params)
-    geom = NeckGeometry.neck(beyond)
-    H = assemble_hamiltonian(ModeSpec(0), Grid.for_geometry(geom, n=n))
+            spectra.check_windows([t], params_at(t), [1.0])
+        spectra.check_grids([t], params_at(t))
+    H = assemble_hamiltonian(ModeSpec(0), grid_at(beyond))
     with pytest.raises(NonConvergenceError, match="not finite"):
         eigen_lowest(H, 2, vector=True)
 
@@ -1199,7 +1221,7 @@ def test_a_failed_solve_cancels_the_queued_ones(monkeypatch):
 
     monkeypatch.setattr(spectra, "_cpu_count", lambda: 2)
     monkeypatch.setattr(spectra, "eigen_lowest", failing_first)
-    params = SpectrumParams(k_max=2, levels=4, n=300)
+    params = SpectrumParams(k_max=2, levels=4, h=0.02)
     with pytest.raises(NonConvergenceError):
         dirac_spectrum([0.5, 0.3, 0.2, 0.1, 0.05, 0.02, 0.01, 0.0], params)
     assert 1 <= len(calls) < 27 // 2, len(calls)
@@ -1213,7 +1235,7 @@ def test_bad_t_values_fail_before_any_solve(monkeypatch, ts):
     calls = []
     monkeypatch.setattr(spectra, "eigen_lowest", lambda *a, **k: calls.append(a))
     with pytest.raises(RunRefusedError):
-        dirac_spectrum(ts, SpectrumParams(k_max=0, levels=2, n=100))
+        dirac_spectrum(ts, SpectrumParams(k_max=0, levels=2, h=0.05))
     assert calls == []
 
 
@@ -1267,7 +1289,7 @@ def test_config_and_library_refuse_the_same_runs_before_solving(monkeypatch, cap
 def test_the_spacing_rule_admits_what_the_solver_resolves(capsys, tmp_path):
     # at the default spacing dstebz resolves t = 340.0 (h = 1.3e-77), returns
     # the diagonal 2 / h^2 at t = 341.0 (h = 9.0e-78) and fails at t = 341.1
-    # (h = 8.5e-78); with n = 100, t = 341.1 solves: the rule is on h, not t
+    # (h = 8.5e-78); with 100 points, h = L / 101, t = 341.1 solves: the rule is on h, not t
     assert spectra.MIN_SPACING == pytest.approx(1.2213e-77, rel=1e-4)
 
     def lowest_two(t):
@@ -1275,7 +1297,8 @@ def test_the_spacing_rule_admits_what_the_solver_resolves(capsys, tmp_path):
         return eigen_lowest(assemble_hamiltonian(ModeSpec(0), Grid.for_geometry(geom)), 2)
 
     for t, params in ((340.0, SpectrumParams(k_max=0, levels=2)),
-                      (341.1, SpectrumParams(k_max=0, levels=2, n=100))):
+                      (341.1, SpectrumParams(k_max=0, levels=2,
+                                             h=NeckGeometry.neck(341.1).length / 101))):
         pi_over_length = math.pi / NeckGeometry.neck(t).length
         assert dirac_spectrum(t, params).mu[t][0, 0] == pytest.approx(pi_over_length**2, rel=1e-3)
     h = NeckGeometry.neck(341.0).length / 4000
@@ -1492,7 +1515,7 @@ def test_every_command_checks_its_t_grid_in_descending_order(capsys, tmp_path):
 def test_the_order_of_a_t_grid_does_not_matter():
     # _grids orders every t grid, so each permutation gives the sorted call's
     # plans, bits and counts, keyed by descending t
-    want, params, windows = [0.5, 0.2, 0.0], SpectrumParams(k_max=1, levels=3, n=200), [(0.0, 2.0)]
+    want, params, windows = [0.5, 0.2, 0.0], SpectrumParams(k_max=1, levels=3, h=0.03), [(0.0, 2.0)]
     plans = spectra.check_grids(want, params), spectra.check_windows(want, params, [1.0])
     table, ground = dirac_spectrum(want, params), ground_states(want, params)
     counts = spectra.window_counts(want, params, windows)
@@ -1513,7 +1536,7 @@ def test_the_order_of_a_t_grid_does_not_matter():
 def test_the_solves_run_on_the_planned_grids(monkeypatch):
     # _grids plans each t's grid once, and each neck is solved on it: k values
     # of t > 0 build k grids, not one for the checks and one for the solves
-    ts, params = [0.5, 0.2, 0.05], SpectrumParams(k_max=1, levels=3, n=200)
+    ts, params = [0.5, 0.2, 0.05], SpectrumParams(k_max=1, levels=3, h=0.03)
     built, for_geometry = [], Grid.for_geometry.__func__
 
     def recorded(cls, geom, *args, **kwargs):
@@ -1531,9 +1554,9 @@ def test_levels_above_the_grid_fail_before_any_solve(monkeypatch, capsys, tmp_pa
     calls = []
     monkeypatch.setattr(spectra, "eigen_lowest", lambda *a, **k: calls.append(a))
     with pytest.raises(RunRefusedError, match="grid points"):
-        dirac_spectrum(0.3, SpectrumParams(levels=101, n=100))
+        dirac_spectrum(0.3, SpectrumParams(levels=101, h=0.08))  # 64 points
     with pytest.raises(RunRefusedError, match="grid points"):
-        dirac_spectrum(0.0, SpectrumParams(levels=101, n=100))
+        dirac_spectrum(0.0, SpectrumParams(levels=101, h=0.08))  # 98 at the first cusp depth
     # h = 0.05: t = 0.01 has 239 interior points, the first cusp depth 158,
     # so the sweep must refuse before it solves t = 0.01
     # (k_max = 2: three solves at t > 0, six for a cusp-depth step)

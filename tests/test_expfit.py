@@ -167,3 +167,17 @@ def test_fit_basis_checks_its_t_by_check_fit():
                 check_fit(bad, basis)
             with pytest.raises(type(refused.value), match=re.escape(str(refused.value))):
                 fit_basis(bad, np.ones_like(bad), basis)
+
+
+def test_check_fit_names_a_monomial_that_overflows():
+    # t^4 overflows above DBL_MAX^(1/4) ~ 1.34e77 and t^-4 below its inverse;
+    # numpy warned, then the SVD reported an infinite condition estimate
+    ts = np.geomspace(0.01, 0.5, 8)
+    for basis, t, name in ((smooth_even_basis(), 1e100, "t^4 is"),
+                           (log_even_basis(), 1e78, "t^4 is"),
+                           (BasisSpec(((0, 0), (-4, 0))), 1e-78, "t^-4 is")):
+        bad = np.append(ts, t)
+        for call in (lambda: check_fit(bad, basis), lambda: fit_basis(bad, np.ones(9), basis)):
+            with pytest.raises(ValueError, match=f"monomial {re.escape(name)} not finite at "
+                                                 f"t = {re.escape(repr(t))}"):
+                call()
