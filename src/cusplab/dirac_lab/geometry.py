@@ -12,6 +12,13 @@ import numpy as np
 WALL_PHI = 2.0  # profile value at the Dirichlet walls closing off the neck
 
 
+def read_only_copy(a) -> np.ndarray:
+    """A read-only C-contiguous float64 copy of ``a``: the caller's array stays its own."""
+    a = np.array(a, dtype=float, order="C")
+    a.setflags(write=False)
+    return a
+
+
 class Chirality(enum.Enum):
     PLUS = 1
     MINUS = -1
@@ -135,14 +142,14 @@ def circle_spectrum(spin: SpinStructure, K: int) -> list[Fraction]:
 
 @dataclass(frozen=True)
 class IndicialScan:
-    """Grid evaluation of 1/4 + xi^2 (1 + sin^2 theta)^2 / 8."""
+    """Grid evaluation of 1/4 + xi^2 (1 + sin^2 theta)^2 / 8, values a read-only copy."""
 
     xi_grid: tuple[float, ...]
     theta_grid: tuple[float, ...]
     values: np.ndarray  # shape (len(xi_grid), len(theta_grid))
 
     def __post_init__(self) -> None:
-        self.values.setflags(write=False)
+        object.__setattr__(self, "values", read_only_copy(self.values))
 
 
 def indicial_scan(xi_grid, theta_grid) -> IndicialScan:

@@ -21,6 +21,7 @@ from cusplab.dirac_lab.geometry import (
     NeckGeometry,
     potential,
     potential_derivative,
+    read_only_copy,
 )
 
 DEFAULT_POINTS = 4000  # default spacing length / 4000: exactly 3999 points
@@ -150,7 +151,8 @@ class Grid:
 class Tridiagonal:
     """A real symmetric tridiagonal matrix (diagonal + off-diagonal).
 
-    Both are finite, contiguous, read-only float64 1-d arrays, the off-diagonal one shorter.
+    Both are finite, contiguous, read-only float64 1-d arrays, the off-diagonal one shorter,
+    copied from the caller's.
     """
 
     diagonal: np.ndarray
@@ -158,12 +160,11 @@ class Tridiagonal:
 
     def __post_init__(self) -> None:
         for name in ("diagonal", "offdiagonal"):
-            a = np.ascontiguousarray(getattr(self, name), dtype=float)
+            a = read_only_copy(getattr(self, name))
             if a.ndim != 1:
                 raise ValueError("diagonal and off-diagonal must be 1-d")
             if not np.isfinite(a).all():  # as eigh_tridiagonal's finiteness check
                 raise ValueError("array must not contain infs or NaNs")
-            a.setflags(write=False)
             object.__setattr__(self, name, a)
         if len(self.offdiagonal) != len(self.diagonal) - 1:
             raise ValueError("off-diagonal must be one shorter than the diagonal")
@@ -343,13 +344,16 @@ def _walk(d: np.ndarray, e: np.ndarray, pivmin: float, itmax: int,
     converged node's midpoint, as dstebz gives it, and levels that converge
     in one node share it.  The root's upper child is offered to ``pool``,
     then taken back with ``cancel`` and walked here unless a worker has
-    started it.
+    started it.  The pool's queue keeps a cancelled offer until a worker
+    reaches it, so taking the offer back also drops its arguments: queued
+    behind every solve of a grid, the offers would otherwise hold each
+    solve's d and e until the grid's last solve starts.
     """
     e2 = e * e  # per walk: an offered walk that waits in the queue holds only d and e
     rows = max(2, node[3] - node[2])
     ab, nab = np.empty(2 * rows), np.empty(2 * rows, np.intc)
     laebz = _laebz(d, e, e2, pivmin, ab, nab)
-    values, nodes, offered = {}, [node], None
+    values, nodes, offered, job = {}, [node], None, []
     try:
         while nodes:
             low, high, below, upto, depth = nodes.pop()
@@ -369,9 +373,12 @@ def _walk(d: np.ndarray, e: np.ndarray, pivmin: float, itmax: int,
                     nodes.append((ab[j], ab[m + j], lo, up, depth + 1))
             if depth == 0 and pool is not None and len(nodes) == 2:
                 upper = nodes.pop()
-                offered = pool.submit(_walk, d, e, pivmin, itmax, upper, read)
+                job = [d, e, pivmin, itmax, upper, read]
+                offered = pool.submit(lambda: _walk(*job))
     finally:
         taken_back = offered is None or offered.cancel()
+        if taken_back:
+            job.clear()
     if offered is not None:
         values.update(_walk(d, e, pivmin, itmax, upper, read) if taken_back else offered.result())
     return values

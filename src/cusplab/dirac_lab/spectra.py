@@ -11,11 +11,16 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from cusplab.dirac_lab.geometry import WALL_PHI, Chirality, ModeSpec, NeckGeometry, phi
+from cusplab.dirac_lab.geometry import (WALL_PHI, Chirality, ModeSpec, NeckGeometry, phi,
+                                        read_only_copy)
 from cusplab.dirac_lab.solver import Grid, assemble_hamiltonian, eigen_lowest, sturm_counts
 from cusplab.refusal import RunRefusedError
 
 COLLISION_TOL = 1e-9  # an eigenvalue this close to a resolvent point is a collision
+
+# Largest share of a trace's bare sum that its rounding bound may reach
+# (``relative_resolvent_trace``); above it the sum has cancelled.
+CANCELLATION_TOL = 1e-8
 
 # Largest work estimate ``check_grids`` accepts: over the t grid, the sum of
 # solves * levels * n for the first step at each t.  The criterion-12
@@ -113,14 +118,15 @@ class VectorHandle:
     """An eigenvector's values at the points of ``grid``, L^2(d rho)-normalised there.
 
     The grid carries its geometry, so the handle knows its t and, at t = 0,
-    the cusp depth the search accepted.
+    the cusp depth the search accepted.  The values are a read-only copy,
+    so the caller's array stays its own.
     """
 
     grid: Grid
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        self.values.setflags(write=False)
+        object.__setattr__(self, "values", read_only_copy(self.values))
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,16 +134,16 @@ class SpectrumTable:
     """Eigenvalues per pinching parameter t.
 
     ``mu`` maps each t, kept in descending order, to a (k_max + 1, levels)
-    array whose row k holds the ascending eigenvalues of mode pair k.  The
-    table holds no eigenvector; ``ground_states`` solves the ground state.
+    array whose row k holds the ascending eigenvalues of mode pair k, a
+    read-only copy of the caller's.  The table holds no eigenvector;
+    ``ground_states`` solves the ground state.
     """
 
     mu: Mapping[float, np.ndarray]
 
     def __post_init__(self) -> None:
-        for m in self.mu.values():
-            m.setflags(write=False)
-        object.__setattr__(self, "mu", dict(sorted(self.mu.items(), key=lambda kv: -kv[0])))
+        object.__setattr__(self, "mu", {t: read_only_copy(m) for t, m in
+                                        sorted(self.mu.items(), key=lambda kv: -kv[0])})
 
     @property
     def rows(self) -> tuple[SpectrumRow, ...]:
@@ -166,10 +172,7 @@ class SpectrumTable:
 
 def _cpu_count() -> int:
     """CPUs this process may run on: its affinity mask where the OS has one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _chiralities(t: float) -> tuple[Chirality, ...]:
@@ -197,8 +200,7 @@ def _modes(t: float, params: SpectrumParams, ground: bool) -> Sequence[int]:
     return (0,) if t > 0 else tuple(dict.fromkeys((0, params.k_max)))
 
 
-def _queue_modes(pool: ThreadPoolExecutor, grid: Grid, params: SpectrumParams,
-                 ground: bool = False):
+def _queue_modes(pool: ThreadPoolExecutor, grid: Grid, params: SpectrumParams, ground: bool):
     """Queue ``_modes``'s solves on ``grid``: one list of futures per mode, one per chirality.
 
     Each solve gives (eigenvalues, vector).  A full run solves the lowest
@@ -285,12 +287,14 @@ def _grids(t_grid: Sequence[float], params: SpectrumParams,
 
     Keyed by t in descending order, -0.0 as 0.0: every check and solve reads
     its t from here, so every entry point refuses a faulty grid at one t.
-    The grid's geometry is the neck at t > 0; at t = 0 the cusp the depth search
-    accepts for a largest eigenvalue max(200, ``top``): a solve's (``top``
-    None) first depth, or the one a count's top window end needs.  Raises
-    RunRefusedError unless the t are nonempty, finite, >= 0 and distinct,
-    where a t or ``h`` gives a grid too large to count or a spacing below
-    ``MIN_SPACING``, and where ``_check_squares`` refuses the geometry.
+    The grid's geometry is the neck at t > 0; at t = 0 the cusp the depth
+    search accepts for a largest eigenvalue max(200, ``top``): a solve's
+    (``top`` None) first depth, on which ``_solve_grid`` queues the first
+    step that ``_cusp_geometry`` deepens, or the one a count's top window
+    end needs.  Raises RunRefusedError unless the t are nonempty, finite,
+    >= 0 and distinct, where a t or ``h`` gives a grid too large to count or
+    a spacing below ``MIN_SPACING``, and where ``_check_squares`` refuses
+    the geometry.
     """
     ts = sorted(t_grid, reverse=True)
     if not ts:
@@ -413,31 +417,32 @@ def check_windows(t_grid: Sequence[float], params: SpectrumParams,
     return plan
 
 
-def _cusp_geometry(params: SpectrumParams, pool: ThreadPoolExecutor, ground: bool = False):
-    """Truncated cusp deep enough that V(rho_min) >= margin * sqrt(mu_max).
+def _cusp_geometry(params: SpectrumParams, pool: ThreadPoolExecutor, ground: bool, queued):
+    """Collect the cusp's ``queued`` first step; deepen until V(rho_min) >= margin * sqrt(mu_max).
 
     V is that of the most permissive mode (k = 0, smallest V) and mu_max is
     the top of the ``levels`` solved for every mode and chirality, which is
     mode ``k_max``'s (``_modes``); the domain is deepened until the
     requirement holds, and deepening only lowers eigenvalues, so the loop
-    terminates.  The first grid is ``_grids``'s, and only a deeper step
-    builds a grid, which ``_check_squares`` must admit.  Each depth's solves
-    go to ``pool``; the loop runs on the calling thread, so no worker waits
-    on another.  Returns the accepted grid, whose geometry is the cusp, and
-    ``_collect_modes``'s eigenvalues and ground state on it.  A
-    ground-state run (``ground``) solves modes 0 and ``k_max`` alone,
-    reading mode 0's level 1 and its vector and mode ``k_max``'s top level,
-    all that mu_max needs, so it reaches the depth a full run reaches and
-    no eigenvalue array comes back.
+    terminates.  ``_solve_grid`` queues the first step on ``_plan``'s grid
+    beside the necks; each deeper step builds its grid, which
+    ``_check_squares`` must admit, and queues its solves (a ground-state
+    run's, ``ground``, or a full one's) on ``pool``.  The loop runs on the
+    calling thread, so no worker waits on another.  Returns
+    ``_collect_modes``'s eigenvalues and ground state on the accepted grid,
+    which a ground state's handle carries.  A ground-state run solves modes
+    0 and ``k_max`` alone, reading mode 0's level 1 and its vector and mode
+    ``k_max``'s top level, all that mu_max needs, so it reaches the depth a
+    full run reaches and no eigenvalue array comes back.
     """
-    [grid] = _grids([0.0], params).values()
     for _ in range(8):
-        mu, state, mu_max = _collect_modes(params, _queue_modes(pool, grid, params, ground))
+        mu, state, mu_max = _collect_modes(params, queued)
         needed = _cusp_depth(params, mu_max)
-        if grid.rho_min <= needed:
-            return grid, mu, state
+        if queued[0].rho_min <= needed:  # the collected step's grid
+            return mu, state
         grid = Grid.for_geometry(NeckGeometry.cusp(needed - 0.5), params.h)
         _check_squares(grid, params, error=RuntimeError)
+        queued = _queue_modes(pool, grid, params, ground)
     raise RuntimeError("cusp truncation depth did not stabilize")
 
 
@@ -447,22 +452,22 @@ def _solve_grid(t: float | Sequence[float], params: SpectrumParams,
 
     ``t`` is one t or many, keyed as ``_plan`` keys them.  That refuses the
     t and ``params`` before any solve, by the rules of a ground-state run
-    (``ground``) or a full one, and each neck is solved on the grid it
-    planned.  The pool has one thread per CPU and starts one only when a
-    job finds none idle; each solve offers it the upper subtree of its
-    bisection (``eigen_lowest``), so it holds at most one thread per CPU and
-    never more than the solves and their subtrees.
+    (``ground``) or a full one.  The first step of every t, necks and cusp
+    alike, is queued at once on the grid ``_plan`` planned, in the plan's
+    descending order, and collected in that order, so a failed solve reaches
+    the caller before the rest have run; the cusp, last, goes to
+    ``_cusp_geometry``, which collects it and queues any deeper step.  The
+    pool has one thread per CPU and starts one only when a job finds none
+    idle; each solve offers it the upper subtree of its bisection
+    (``eigen_lowest``), so it holds at most one thread per CPU and never
+    more than the solves and their subtrees.
     """
     plan = _plan([t] if np.ndim(t) == 0 else t, params, ground)
     with ThreadPoolExecutor(max_workers=_cpu_count()) as pool:
         try:
-            queued = {s: _queue_modes(pool, grid, params, ground)
-                      for s, (_, grid) in plan.items() if s > 0}
-            # the necks are collected first, in the order they were queued,
-            # so a failed solve reaches the caller before the rest have run
-            slabs = {s: _collect_modes(params, q)[:2] for s, q in queued.items()}
-            if 0.0 in plan:  # the last key, so the slabs keep the plan's order
-                slabs[0.0] = _cusp_geometry(params, pool, ground)[1:]
+            queued = {s: _queue_modes(pool, grid, params, ground) for s, (_, grid) in plan.items()}
+            slabs = {s: _collect_modes(params, q)[:2] if s > 0
+                     else _cusp_geometry(params, pool, ground, q) for s, q in queued.items()}
         except BaseException:
             pool.shutdown(cancel_futures=True)  # fail now, not after the rest of the grid
             raise
@@ -501,7 +506,9 @@ def ground_states(t: float | Sequence[float], params: SpectrumParams) -> dict[fl
     (``k_max``, ``levels``) = (2, 8) takes one step, and (4, 8), (4, 20) and
     (10, 40) take two.  ``_plan`` refuses the t, in descending order, and
     parameters before any solve, with the work estimate of these solves
-    and the bound on ``dstein``'s grids; every solve runs on one pool.
+    and the bound on ``dstein``'s grids.  Every solve runs on one pool: the
+    first step of each t, the cusp's included, is queued on its planned
+    grid before any is collected (``_solve_grid``).
     """
     return {s: ground for s, (_, ground) in _solve_grid(t, params, True).items()}
 
@@ -583,23 +590,22 @@ def window_counts(t_grid: Sequence[float], params: SpectrumParams,
                               f"chiralities * grid points * distinct window ends, with the modes "
                               f"that can reach the window top {math.sqrt(top)!r}) exceeds "
                               f"{MAX_WORK}")
-    counts, modes, factorisations = {}, {}, 0
+    counts, modes = {}, {}
     for t, grid in grids.items():
         below = dict.fromkeys(shifts, 0)  # eigenvalues at or below each shift, over modes
-        visited = 0
+        modes[t] = 0
         for k in range(bounds[t]):
-            hams = [assemble_hamiltonian(ModeSpec(k, chi), grid) for chi in _chiralities(t)]
             before = below[shifts[-1]]
-            for H in hams:
+            for chi in _chiralities(t):
+                H = assemble_hamiltonian(ModeSpec(k, chi), grid)
                 for s, c in zip(shifts, sturm_counts(H, shifts)):
                     below[s] += c
-            visited += 1
-            factorisations += len(hams) * len(shifts)
+            modes[t] = k + 1
             if below[shifts[-1]] == before:
                 break  # no eigenvalue of mode k reaches the top, so none of a later mode does
         counts[t] = tuple(2 * (below[high] - (below[low] if low is not None else 0))
                           if high is not None else 0 for low, high in pairs)
-        modes[t] = visited
+    factorisations = len(shifts) * sum(modes[t] * len(_chiralities(t)) for t in modes)
     return WindowCounts(counts, modes, factorisations)
 
 
@@ -699,8 +705,13 @@ def relative_resolvent_trace(
     and the levels, the given ``table``'s at t, else ``params.levels``,
     before the spectrum at t is solved with ``params``.  Both points must
     lie below every mode's highest computed level
-    (``ResolventAboveLevelsError``), and a trace that is not finite raises
-    RuntimeError instead of being returned.
+    (``ResolventAboveLevelsError``).  A trace raises RuntimeError instead of
+    being returned where it is not finite, and where the bare sum has
+    cancelled: where its rounding bound, epsilon times the sum over rows of
+    2 (1/|mu - lam| + 1/|mu - lam0|), exceeds ``CANCELLATION_TOL`` times
+    its size.  With ``k_max`` = 1, 4 levels, the default spacing, lam = -1
+    and lam0 = -2, that share is 8e-12 at t = 10, which passes, and 1.8e-7
+    at t = 20, which is refused; from t = 40 the bare sum is exactly 0.
     """
     if table is not None and t not in table.mu:
         raise ValueError(f"table has no rows at t = {t}")
@@ -720,9 +731,13 @@ def relative_resolvent_trace(
         mu = float(mu_t[k, j])
         raise SpectralCollisionError(mu, lam if abs(mu - lam) < abs(mu - lam0) else lam0)
     bare = tail = 0.0
-    for mu in table.mu[t]:
+    for mu in mu_t:
         bare += 2.0 * float(np.sum(1.0 / (mu - lam) - 1.0 / (mu - lam0)))
         tail += 2.0 * _mode_tail(mu, lam, lam0)
+    sizes = 2.0 * float(np.sum(1.0 / abs(mu_t - lam) + 1.0 / abs(mu_t - lam0)))  # sum of |terms|
+    if sys.float_info.epsilon * sizes > CANCELLATION_TOL * abs(bare):
+        raise RuntimeError(f"the trace at t = {t!r} has cancelled: its bare sum {bare!r} is under "
+                           f"{1 / CANCELLATION_TOL:.0e} times its rounding bound eps * {sizes!r}")
     if not math.isfinite(bare + tail):
         raise RuntimeError(f"the trace at t = {t!r} is not finite: {bare!r} + {tail!r}")
     return TraceValue(bare + tail, bare, tail)

@@ -15,6 +15,7 @@ import textwrap
 import threading
 import time
 import types
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
@@ -29,6 +30,7 @@ from cusplab.dirac_lab import solver, spectra
 from cusplab.dirac_lab import (
     Chirality,
     Grid,
+    IndicialScan,
     ModeSpec,
     NeckGeometry,
     NonConvergenceError,
@@ -36,6 +38,7 @@ from cusplab.dirac_lab import (
     RunRefusedError,
     SpectralCollisionError,
     SpectrumParams,
+    SpectrumTable,
     SpinStructure,
     Tridiagonal,
     assemble_hamiltonian,
@@ -312,6 +315,32 @@ def test_a_solve_on_a_one_worker_pool_takes_its_offered_half_back():
     assert _same_bits(got, eigen_lowest(T, 8))
 
 
+def test_an_offer_taken_back_holds_no_array_while_it_waits_in_the_queue():
+    # the pool's queue keeps a cancelled offer until a worker reaches it;
+    # here its one worker is busy, so the offer waits, and must not keep
+    # the solve's diagonal alive (275 queued criterion-12 solves kept 17 MB)
+    T, busy, release = _neck_hamiltonian(), threading.Event(), threading.Event()
+    want, jobs = eigen_lowest(T, 8), []
+
+    class RecordedPool(ThreadPoolExecutor):
+        def submit(self, *args, **kwargs):
+            jobs.append(super().submit(*args, **kwargs))
+            return jobs[-1]
+
+    pool = RecordedPool(max_workers=1)
+    try:
+        pool.submit(lambda: (busy.set(), release.wait(timeout=60)))
+        assert busy.wait(timeout=60)
+        assert _same_bits(eigen_lowest(T, 8, pool=pool), want)
+        assert len(jobs) == 2 and jobs[1].cancelled()  # offered, taken back, walked here
+        diagonal = weakref.ref(T.diagonal)
+        del T
+        assert diagonal() is None
+    finally:
+        release.set()
+        pool.shutdown(wait=True)
+
+
 def test_solves_that_share_a_busy_pool_keep_their_bits():
     # more workers than cores and a short switch interval: whichever of
     # cancel and a worker's start wins, each solve gets its own two subtrees
@@ -459,6 +488,23 @@ def test_tridiagonal_stores_finite_contiguous_float_arrays():
         Tridiagonal(np.ones(3), np.ones(3))
     with pytest.raises(ValueError, match="1-d"):
         Tridiagonal(np.ones((2, 2)), np.ones(1))
+
+
+def test_constructors_keep_a_read_only_copy_of_the_callers_arrays():
+    # the object's arrays are read-only copies: the caller's stay writable,
+    # and writing to them leaves the object as it was
+    d, e, v = np.arange(4.0), np.ones(3), np.linspace(0.0, 1.0, 16)
+    mu, values = np.arange(6.0).reshape(2, 3), np.full((2, 2), 0.25)
+    T = Tridiagonal(d, e)
+    handle = spectra.VectorHandle(Grid(NeckGeometry.neck(0.3), 16), v)
+    table = SpectrumTable({0.3: mu})
+    scan = IndicialScan((0.0, 1.0), (0.0, 1.0), values)
+    for theirs, ours in ((d, T.diagonal), (e, T.offdiagonal), (v, handle.values),
+                         (mu, table.mu[0.3]), (values, scan.values)):
+        assert theirs.flags.writeable and not ours.flags.writeable
+        kept = ours.copy()
+        theirs[...] = -7.0
+        assert _same_bits(ours, kept)
 
 
 def test_lapack_binding_is_scipy_linalg_cython_lapack():
@@ -876,6 +922,28 @@ def test_trace_rejects_points_above_the_computed_levels(capsys, tmp_path):
     assert not (out / "trace.csv").exists()
 
 
+def test_a_trace_whose_bare_sum_cancelled_is_refused(capsys, tmp_path):
+    # lam = -1 and lam0 = -2 below a wide neck's spectrum: the bare sum's
+    # terms cancel as t grows.  Its rounding bound is 8e-12 of it at t = 10,
+    # 1.8e-7 at t = 20, and from t = 40 the sum is exactly 0
+    params = SpectrumParams(k_max=1, levels=4)
+    table = dirac_spectrum([40.0, 20.0, 10.0, 5.0], params)
+    for t in (40.0, 20.0):
+        with pytest.raises(RuntimeError, match=rf"the trace at t = {t!r} has cancelled"):
+            relative_resolvent_trace(t, -1.0, -2.0, params, table=table)
+    for t in (10.0, 5.0):  # a trace that passes is its bare sum to within the bound
+        got = relative_resolvent_trace(t, -1.0, -2.0, params, table=table)
+        product = 2.0 * float(np.sum(1.0 / ((table.mu[t] + 1.0) * (table.mu[t] + 2.0))))
+        assert got.bare_sum == pytest.approx(product, rel=spectra.CANCELLATION_TOL), t
+    out = tmp_path / "out"
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text(f"t_grid = 340,100,40\nk_max = 1\nlevels = 4\nlambda = -1.0\n"
+                   f"lambda0 = -2.0\noutput_dir = {out}\n", encoding="utf-8")
+    assert main(["trace", "compute", str(cfg)]) == EXIT_RUNTIME
+    assert "the trace at t = 340.0 has cancelled" in capsys.readouterr().err
+    assert not (out / "trace.csv").exists()
+
+
 def _ground_state(grid: Grid, levels: int) -> tuple[float, np.ndarray]:
     """Mode 0's lowest level and its vector, over the chiralities solved at the grid's t."""
     chis = (Chirality.PLUS, Chirality.MINUS) if grid.geometry.t == 0 else (Chirality.PLUS,)
@@ -889,9 +957,10 @@ def _ground_state(grid: Grid, levels: int) -> tuple[float, np.ndarray]:
 def test_t0_spectrum_reuses_the_cusp_depth_search(monkeypatch, k_max):
     # each (k, chirality) is solved once per search iteration and the t = 0
     # table is the accepted iteration's solves, not a second solve; no solve
-    # computes a vector
+    # computes a vector.  The first step is queued before the search opens,
+    # and the search returns once every step's solves have run
     params = SpectrumParams(k_max=k_max, levels=20, h=0.01)
-    calls, depths, calls_at_search_exit = [], set(), []
+    calls, depths, calls_at_search_exit = [], {}, []
     solving = threading.local()  # a worker assembles its mode, then solves it
     eigen, assemble, search = (spectra.eigen_lowest, spectra.assemble_hamiltonian,
                                spectra._cusp_geometry)
@@ -901,7 +970,7 @@ def test_t0_spectrum_reuses_the_cusp_depth_search(monkeypatch, k_max):
         return eigen(*args, **kwargs)
 
     def recorded_assemble(mode, grid, *args):
-        depths.add(grid.rho_min)
+        depths[grid.rho_min] = grid
         solving.k = mode.k
         return assemble(mode, grid, *args)
 
@@ -920,8 +989,7 @@ def test_t0_spectrum_reuses_the_cusp_depth_search(monkeypatch, k_max):
     assert sorted(set(calls)) == [(k, False) for k in range(params.k_max + 1)]
     monkeypatch.undo()
 
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        grid = spectra._cusp_geometry(params, pool)[0]
+    grid = depths[min(depths)]  # the accepted cusp, the deepest step's
     for k in range(params.k_max + 1):
         both = np.concatenate([
             eigen_lowest(assemble_hamiltonian(ModeSpec(k, chi), grid), params.levels)
@@ -1018,8 +1086,9 @@ def test_pooled_grid_matches_one_t_per_call(monkeypatch, k_max):
 
 def test_necks_are_queued_ahead_of_the_cusp_search_and_one_cpu_finishes(monkeypatch):
     # one worker runs the jobs in the order they were queued: each t > 0,
-    # then the search's steps, which it queues from the calling thread, so
-    # no worker waits on another
+    # then the cusp's first step, queued with them, then each deeper step,
+    # which the search queues from the calling thread, so no worker waits on
+    # another
     params = _pool_params(1)
     order, assemble = [], spectra.assemble_hamiltonian
 
@@ -1040,6 +1109,57 @@ def test_necks_are_queued_ahead_of_the_cusp_search_and_one_cpu_finishes(monkeypa
     assert order[2 * modes:] == [0.0] * (len(order) - 2 * modes) and len(order) > 4 * modes
 
 
+def _full_run_and_cusp(monkeypatch, ts, params: SpectrumParams):
+    """``dirac_spectrum(ts, params)`` and the cusp its depth search accepted, the deepest it used.
+
+    The cusp is None where ``ts`` holds no 0.
+    """
+    cusps, assemble = {}, spectra.assemble_hamiltonian
+
+    def recorded_assemble(mode, grid, *args):
+        if grid.geometry.t == 0:
+            cusps[grid.rho_min] = grid
+        return assemble(mode, grid, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(spectra, "assemble_hamiltonian", recorded_assemble)
+        table = dirac_spectrum(ts, params)
+    return table, cusps[min(cusps)] if cusps else None
+
+
+@pytest.mark.parametrize("k_max, levels, steps", [(2, 8, 1), (4, 20, 2)])
+def test_the_cusp_queued_beside_the_necks_keeps_its_bits(monkeypatch, k_max, levels, steps):
+    # every t's first step shares one queue: the t = 0 rows, ground state and
+    # grid beside two necks are those of t = 0 alone, at one depth step and
+    # at two, and each run plans its grids once
+    params = SpectrumParams(k_max=k_max, levels=levels)
+    planned, depths = [], set()
+    grids, assemble = spectra._grids, spectra.assemble_hamiltonian
+
+    def recorded_grids(*args, **kwargs):
+        planned.append(args[0])
+        return grids(*args, **kwargs)
+
+    def recorded_assemble(mode, grid, *args):
+        if grid.geometry.t == 0:
+            depths.add(grid.rho_min)
+        return assemble(mode, grid, *args)
+
+    monkeypatch.setattr(spectra, "_grids", recorded_grids)
+    monkeypatch.setattr(spectra, "assemble_hamiltonian", recorded_assemble)
+    runs = {}
+    for ts in ([0.0], [0.5, 0.1, 0.0]):
+        for run in (dirac_spectrum, ground_states):
+            planned.clear()
+            depths.clear()
+            runs[len(ts), run] = run(ts, params)
+            assert len(planned) == 1 and len(depths) == steps, (ts, run.__name__)
+    assert _same_bits(runs[1, dirac_spectrum].mu[0.0], runs[3, dirac_spectrum].mu[0.0])
+    alone, beside = runs[1, ground_states][0.0], runs[3, ground_states][0.0]
+    assert alone.grid == beside.grid and _same_bits(alone.values, beside.values)
+    assert _same_bits(alone.grid.rho_values, beside.grid.rho_values)
+
+
 GROUND_CONFIGS = pytest.mark.parametrize("ts, params", [
     # the sweep-cli benchmark's grid and the criterion-13 config's
     ([0.5, 0.3, 0.2, 0.1, 0.05, 0.02, 0.01, 0.0], SpectrumParams(k_max=2, levels=8)),
@@ -1049,12 +1169,12 @@ GROUND_CONFIGS = pytest.mark.parametrize("ts, params", [
 
 
 @GROUND_CONFIGS
-def test_the_ground_state_is_the_lowest_row(ts, params):
+def test_the_ground_state_is_the_lowest_row(monkeypatch, ts, params):
     # H_k <= H_{k+1} pointwise puts mode 0's first level lowest at every t,
-    # so the lowest row's vector, the one spectrum mass reads, is mode 0's
-    table, ground = dirac_spectrum(ts, params), ground_states(ts, params)
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        cusp = spectra._cusp_geometry(params, pool)[0]
+    # so the lowest row's vector, the one spectrum mass reads, is mode 0's,
+    # on the cusp the full run accepted
+    table, cusp = _full_run_and_cusp(monkeypatch, ts, params)
+    ground = ground_states(ts, params)
     for t in ts:
         low = table.lowest(t)
         assert (low.k, low.j) == (0, 1) and low.mu < table.mu[t][1:, 0].min(initial=np.inf), t
@@ -1066,9 +1186,8 @@ def test_the_ground_state_is_the_lowest_row(ts, params):
 @GROUND_CONFIGS
 def test_ground_states_match_the_slow_path_on_any_cpus(monkeypatch, ts, params):
     # mode 0 alone at t > 0 and the full cusp-depth search at t = 0 give the
-    # vectors of one serial solve per chirality, at the search's depth
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        cusp = spectra._cusp_geometry(params, pool)[0]
+    # vectors of one serial solve per chirality, at a full run's depth
+    cusp = _full_run_and_cusp(monkeypatch, [0.0], params)[1]
     for cpus in (1, 2, 6):
         monkeypatch.setattr(spectra, "_cpu_count", lambda: cpus)
         ground = ground_states(list(reversed(ts)), params)  # any order in, descending t out
@@ -1119,10 +1238,12 @@ def test_ground_states_keep_the_full_solves_vector_and_depth(monkeypatch, levels
     # run's depths to its grid and vector.  At one level, level 1 is the top
     # level mode 0 reads at the cusp when k_max = 0
     depths, solving, assemble = {}, threading.local(), spectra.assemble_hamiltonian
-    eigen = spectra.eigen_lowest
+    eigen, cusps = spectra.eigen_lowest, {}
 
     def recorded_assemble(mode, grid, *args):
         solving.key = (grid.geometry.t, grid.rho_min, mode.k)
+        if grid.geometry.t == 0:
+            cusps[grid.rho_min] = grid
         return assemble(mode, grid, *args)
 
     def recorded_eigen(T, count, **kwargs):
@@ -1140,9 +1261,8 @@ def test_ground_states_keep_the_full_solves_vector_and_depth(monkeypatch, levels
     for k_max, spacing in itertools.product((0, 1, 3), (dict(), dict(h=0.01))):
         params = SpectrumParams(k_max=k_max, levels=levels, **spacing)
         depths.clear()
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            cusp = spectra._cusp_geometry(params, pool)[0]  # a full run's depth
-        full = dict(depths)
+        dirac_spectrum(0.0, params)
+        full, cusp = dict(depths), cusps[min(depths)]  # a full run's depth steps and cusp
         for rho, solves in full.items():  # mode k_max holds each step's highest level
             assert max(w for k, w in solves if k == k_max) == max(w for _, w in solves), rho
         depths.clear()
