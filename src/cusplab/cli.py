@@ -101,21 +101,33 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _float(text: str) -> float:
+    """``float(text)``; ValueError where nonzero digits underflow to 0.0 or -0.0.
+
+    The digits are read off the mantissa as written, so ``1e-400`` is refused
+    where ``0e-400`` and ``0.0`` are read as zero.
+    """
+    value = float(text)
+    if value == 0.0 and any(c in "123456789" for c in text.lower().partition("e")[0]):
+        raise ValueError(f"{text.strip()!r} underflows to {value!r}")
+    return value
+
+
 def _parse_windows(text: str) -> tuple[tuple[float, float], ...]:
-    return tuple((float(a), float(b)) for a, _, b in (w.partition(":") for w in text.split(",")))
+    return tuple((_float(a), _float(b)) for a, _, b in (w.partition(":") for w in text.split(",")))
 
 
 # Each config key in to_text's order: the field it sets, whether that field
 # is RunConfig.params's, and the key's parser and formatter.
 _KEYS = {
-    "t_grid": ("t_grid", False, lambda v: tuple(float(x) for x in v.split(",")),
+    "t_grid": ("t_grid", False, lambda v: tuple(map(_float, v.split(","))),
                lambda ts: ",".join(map(_fmt, ts))),
     "k_max": ("k_max", True, int, str),
     "levels": ("levels", True, int, str),
-    "h": ("h", True, float, _fmt),
-    "rho_margin_factor": ("rho_margin_factor", True, float, _fmt),
-    "lambda": ("lam", False, float, _fmt),
-    "lambda0": ("lam0", False, float, _fmt),
+    "h": ("h", True, _float, _fmt),
+    "rho_margin_factor": ("rho_margin_factor", True, _float, _fmt),
+    "lambda": ("lam", False, _float, _fmt),
+    "lambda0": ("lam0", False, _float, _fmt),
     "windows": ("windows", False, _parse_windows,
                 lambda ws: ",".join(f"{_fmt(a)}:{_fmt(b)}" for a, b in ws)),
     "output_dir": ("output_dir", False, str, str),
@@ -174,10 +186,13 @@ class RunConfig:
         if "t_grid" not in raw:
             raise ConfigError("missing required key t_grid")
         spectral, kwargs = {}, {}
-        try:
-            for key, value in raw.items():
-                field, in_params, parse, _ = _KEYS[key]
+        for key, value in raw.items():
+            field, in_params, parse, _ = _KEYS[key]
+            try:
                 (spectral if in_params else kwargs)[field] = parse(value)
+            except ValueError as exc:
+                raise ConfigError(f"bad value for {key}: {exc}") from exc
+        try:
             params = SpectrumParams(**spectral)
         except ValueError as exc:
             raise ConfigError(f"bad value: {exc}") from exc

@@ -73,14 +73,10 @@ class NeckGeometry:
     def length(self) -> float:
         return self.rho_max - self.rho_min
 
-    def contains(self, rho) -> np.ndarray:
-        r = np.asarray(rho, dtype=float)
-        return (r >= self.rho_min) & (r <= self.rho_max)
-
 
 def _check_domain(geom: NeckGeometry, rho) -> np.ndarray:
     r = np.asarray(rho, dtype=float)
-    if not np.all(geom.contains(r)):
+    if not np.all((r >= geom.rho_min) & (r <= geom.rho_max)):
         raise ValueError("rho outside the arclength domain")
     return r
 
@@ -108,10 +104,8 @@ class ModeSpec:
 
 
 def potential(geom: NeckGeometry, mode: ModeSpec, rho):
-    """Mode potential V = (k + 1/2) / phi."""
-    r = _check_domain(geom, rho)
-    out = mode.frequency / np.asarray(phi(geom, r), dtype=float)
-    return out if out.ndim else float(out)
+    """Mode potential V = (k + 1/2) / phi; ``phi`` checks the domain."""
+    return mode.frequency / phi(geom, rho)
 
 
 def potential_derivative(geom: NeckGeometry, mode: ModeSpec, rho):

@@ -111,7 +111,9 @@ class Grid:
         if not isinstance(self.n, int) or isinstance(self.n, bool):
             raise TypeError(f"the point count must be an int, got {self.n!r}")
         if self.n < MIN_POINTS:
-            raise ValueError(f"need at least {MIN_POINTS} interior points, got {self.n!r}")
+            raise ValueError(f"need at least {MIN_POINTS} interior points, got {self.n!r}: "
+                             f"h at most length / {MIN_POINTS + 1} = "
+                             f"{self.geometry.length / (MIN_POINTS + 1)!r} gives them")
         if not 0.0 < self.h < math.inf:  # a length that overflows, or a spacing that underflows
             raise ValueError(f"grid spacing must be finite and positive, got {self.h!r}")
 
@@ -132,15 +134,18 @@ class Grid:
 
     @classmethod
     def for_geometry(cls, geom: NeckGeometry, h: float | None = None) -> "Grid":
-        """The grid of ``geom`` at a spacing near h, else at length/4000.
+        """The grid of ``geom`` whose spacing is nearest h, else at length/4000.
 
-        A grid of exactly n points is ``Grid(geom, n)``; the spacing
-        h = length / (n + 1) rebuilds it bit for bit.
+        That is n = round(length / h) - 1 points.  An h that leaves fewer
+        than ``MIN_POINTS`` is refused by ``Grid``, never replaced: every h
+        up to length / (MIN_POINTS + 1) is accepted.  A grid of exactly n
+        points is ``Grid(geom, n)``; the spacing h = length / (n + 1)
+        rebuilds it bit for bit.
         """
         if h is not None and not 0.0 < h < math.inf:  # nan fails this too
             raise ValueError(f"grid spacing must be finite and positive, got {h!r}")
         target = h if h is not None else geom.length / DEFAULT_POINTS
-        return cls(geom, max(MIN_POINTS, int(round(geom.length / target)) - 1))
+        return cls(geom, round(geom.length / target) - 1)
 
     def halved(self) -> "Grid":
         """The nested refinement at spacing h/2: its points 2, 4, ..., 2n are this grid's bits."""
@@ -176,26 +181,21 @@ class Tridiagonal:
 
 def tridiagonal_from_potential(w: np.ndarray, h: float) -> Tridiagonal:
     """Central-difference -d^2/drho^2 + diag(w) with Dirichlet ends."""
-    n = len(w)
     diag = 2.0 / h**2 + np.asarray(w, dtype=float)
-    off = np.full(n - 1, -1.0 / h**2)
+    off = np.full(len(w) - 1, -1.0 / h**2)
     return Tridiagonal(diag, off)
 
 
-def assemble_hamiltonian(mode: ModeSpec, grid: Grid,
-                         flat_potential: float | None = None) -> Tridiagonal:
+def assemble_hamiltonian(mode: ModeSpec, grid: Grid) -> Tridiagonal:
     """Mode Hamiltonian -d^2/drho^2 + V^2 +- V' on the grid's geometry, Dirichlet ends.
 
-    The sign is the mode's chirality.  ``flat_potential`` replaces V by that
-    constant c, so V' = 0 and the potential is c^2 at every point.
+    The sign is the mode's chirality.  Any other potential w, a constant
+    one included, is ``tridiagonal_from_potential(w, grid.h)``.
     """
-    if flat_potential is not None:
-        return tridiagonal_from_potential(np.full(grid.n, flat_potential * flat_potential), grid.h)
     rho = grid.rho_values
-    v = np.asarray(potential(grid.geometry, mode, rho), dtype=float)
-    vp = np.asarray(potential_derivative(grid.geometry, mode, rho), dtype=float)
-    sign = float(mode.chirality.value)
-    return tridiagonal_from_potential(v * v + sign * vp, grid.h)
+    v = potential(grid.geometry, mode, rho)
+    vp = potential_derivative(grid.geometry, mode, rho)
+    return tridiagonal_from_potential(v * v + mode.chirality.value * vp, grid.h)
 
 
 def partner_minus_hamiltonian(mode: ModeSpec, grid: Grid) -> Tridiagonal:
@@ -214,8 +214,8 @@ def partner_minus_hamiltonian(mode: ModeSpec, grid: Grid) -> Tridiagonal:
         raise ValueError("the partner realization is used on the split (t = 0) neck")
     h = grid.h
     rho = np.append(grid.rho_values, geom.rho_max)
-    v = np.asarray(potential(geom, mode, rho), dtype=float)
-    vp = np.asarray(potential_derivative(geom, mode, rho), dtype=float)
+    v = potential(geom, mode, rho)
+    vp = potential_derivative(geom, mode, rho)
     diag = 2.0 / h**2 + v * v - vp
     m = len(rho)
     sub = np.full(m - 1, -1.0 / h**2)
@@ -269,13 +269,13 @@ def _laebz(d: np.ndarray, e: np.ndarray, e2: np.ndarray, pivmin: float, ab: np.n
     return call
 
 
-def _stebz(d: np.ndarray, e: np.ndarray, order: bytes, count: int):
-    """dstebz("I")'s (values, IBLOCK, ISPLIT) for levels 1..count, in ``order`` b"E" or b"B"."""
+def _stebz(d: np.ndarray, e: np.ndarray, count: int):
+    """dstebz("I")'s (values, IBLOCK, ISPLIT) for levels 1..count, in block order (ORDER = "B")."""
     n = len(d)
     m, nsplit, info = ctypes.c_int(), ctypes.c_int(), ctypes.c_int()
     w, iblock, isplit = np.empty(n), np.empty(n, np.intc), np.empty(n, np.intc)
     work, iwork = np.empty(4 * n), np.empty(3 * n, np.intc)
-    _dstebz(b"I", order, ctypes.c_int(n), ctypes.c_double(0.0), ctypes.c_double(0.0),
+    _dstebz(b"I", b"B", ctypes.c_int(n), ctypes.c_double(0.0), ctypes.c_double(0.0),
             ctypes.c_int(1), ctypes.c_int(count), ctypes.c_double(EIGEN_TOL), _ptr(d), _ptr(e),
             m, nsplit, _ptr(w), _ptr(iblock), _ptr(isplit), _ptr(work), _ptr(iwork), info)
     if info.value != 0:
@@ -436,8 +436,9 @@ def eigen_lowest(T: Tridiagonal, count: int, vector: bool = False,
     1's walked value alone: a level 1 that converges in one node with level
     2 shares that node's midpoint, the value dstebz gives both, and the
     vector keeps the bits of the full call's (Wilkinson's -W21+ is such a
-    tie).  Elsewhere the one dstebz("I") call runs and ``read`` picks its
-    levels.
+    tie).  Elsewhere the one dstebz("I") call runs in block order, which
+    dstein takes, and its values sorted have the bits of its ORDER = "E";
+    ``read`` picks its levels.
     """
     n = T.dimension
     count = _check_int(count, "count")
@@ -462,13 +463,11 @@ def eigen_lowest(T: Tridiagonal, count: int, vector: bool = False,
             return w
         lowest = np.array([walked[1]])  # one value in one block
         return w, _lowest_vector(d, e, lowest, np.ones(1, np.intc), np.array([n], np.intc))
-    # values in matrix order, or in block order for dstein and sorted afterwards
-    w, iblock, isplit = _stebz(d, e, b"B" if vector else b"E", count)
-    v = None
-    if vector:
-        order = np.argsort(w)
-        v = _lowest_vector(d, e, w[: int(order[0]) + 1], iblock, isplit)
-        w = w[order]
+    # block order, as dstein takes it; sorted, the values of ORDER = "E" bit for bit
+    w, iblock, isplit = _stebz(d, e, count)
+    order = np.argsort(w)
+    v = _lowest_vector(d, e, w[: int(order[0]) + 1], iblock, isplit) if vector else None
+    w = w[order]
     if read is not None:
         w = w[np.array(read) - 1]
     return w if v is None else (w, v)
@@ -495,16 +494,17 @@ def sturm_counts(T: Tridiagonal, shifts) -> list[int]:
     return nab.ravel()[: len(shifts)].tolist()
 
 
-def convergence_order(mode: ModeSpec, grid: Grid, flat_potential: float | None = None) -> float:
-    """Observed discretization order of the lowest eigenvalue on ``grid`` and its halving.
+def convergence_order(operator: Callable[[Grid], Tridiagonal], grid: Grid) -> float:
+    """Observed discretization order of the lowest eigenvalue of ``operator`` on ``grid``.
 
-    Richardson-style estimate log2(|mu_h - mu_ref| / |mu_h/2 - mu_ref|)
-    against a reference at spacing h/8; the finer grids are nested refinements of ``grid``.
-    ``flat_potential`` is passed on to ``assemble_hamiltonian``.
+    ``operator`` maps a grid to its matrix, as ``lambda g: assemble_hamiltonian(mode, g)``
+    does.  Richardson-style estimate log2(|mu_h - mu_ref| / |mu_h/2 - mu_ref|) on
+    ``grid`` and its halving, against a reference at spacing h/8; the finer grids
+    are nested refinements of ``grid``.
     """
 
     def mu(g: Grid) -> float:
-        return float(eigen_lowest(assemble_hamiltonian(mode, g, flat_potential), 1)[0])
+        return float(eigen_lowest(operator(g), 1)[0])
 
     half = grid.halved()
     mu_ref = mu(half.halved().halved())

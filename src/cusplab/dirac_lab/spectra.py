@@ -292,9 +292,9 @@ def _grids(t_grid: Sequence[float], params: SpectrumParams,
     (``top`` None) first depth, on which ``_solve_grid`` queues the first
     step that ``_cusp_geometry`` deepens, or the one a count's top window
     end needs.  Raises RunRefusedError unless the t are nonempty, finite,
-    >= 0 and distinct, where a t or ``h`` gives a grid too large to count or
-    a spacing below ``MIN_SPACING``, and where ``_check_squares`` refuses
-    the geometry.
+    >= 0 and distinct, where a t or ``h`` gives a grid too large to count,
+    fewer than 16 points (an ``h`` above length / 17 may) or a spacing below
+    ``MIN_SPACING``, and where ``_check_squares`` refuses the geometry.
     """
     ts = sorted(t_grid, reverse=True)
     if not ts:
@@ -307,8 +307,10 @@ def _grids(t_grid: Sequence[float], params: SpectrumParams,
             grid = Grid.for_geometry(
                 NeckGeometry.neck(t) if t > 0
                 else NeckGeometry.cusp(_cusp_depth(params, max(200.0, top or 0.0))), params.h)
-        except (ArithmeticError, ValueError) as exc:  # sinh(t / 2) or length / h overflows
-            raise RunRefusedError(f"no grid can be counted at t = {t!r}: {exc}") from exc
+        except (ArithmeticError, ValueError) as exc:  # sinh(t / 2) or length / h overflows,
+            # or h leaves fewer than MIN_POINTS points, which Grid's message says how to mend
+            spacing = "" if params.h is None else f" with h = {params.h!r}"
+            raise RunRefusedError(f"no grid can be counted at t = {t!r}{spacing}: {exc}") from exc
         if not grid.h >= MIN_SPACING:
             raise RunRefusedError(f"the grid spacing {grid.h!r} at t = {t!r} is below "
                                   f"{MIN_SPACING!r}, where the solver's (2 / h^2)^2 overflows")

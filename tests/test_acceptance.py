@@ -51,6 +51,7 @@ from cusplab.dirac_lab import (
     neck_mass,
     partner_minus_hamiltonian,
     relative_resolvent_trace,
+    tridiagonal_from_potential,
 )
 from cusplab.expfit import compare_models, fit_basis, log_even_basis, smooth_even_basis
 from cusplab.surgery_spaces import (
@@ -275,14 +276,15 @@ def test_criterion_08_discretization_validity():
     geom = NeckGeometry.neck(t)
     L = geom.length
     c = 0.7
-    grid = Grid.for_geometry(geom)  # default spacing: length / 4000
-    T = assemble_hamiltonian(ModeSpec(0), grid, flat_potential=c)
-    mu = eigen_lowest(T, 3)
+
+    def flat(grid: Grid):  # -d^2/drho^2 + c^2, Dirichlet ends
+        return tridiagonal_from_potential(np.full(grid.n, c * c), grid.h)
+
+    mu = eigen_lowest(flat(Grid.for_geometry(geom)), 3)  # default spacing: length / 4000
     analytic = [c * c + (math.pi * m / L) ** 2 for m in (1, 2, 3)]
     err1 = abs(mu[0] - analytic[0])
     assert err1 < 1e-6
-    coarse = Grid(geom, 400)
-    order = convergence_order(ModeSpec(0), coarse, flat_potential=c)
+    order = convergence_order(flat, Grid(geom, 400))
     assert 1.7 <= order <= 2.3
     elapsed = time.perf_counter() - start
     report(8, elapsed < 30.0,

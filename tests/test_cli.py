@@ -275,6 +275,55 @@ def test_config_validation(monkeypatch, capsys, tmp_path):
     assert calls == [] and not (tmp_path / "out").exists()
 
 
+def test_nonzero_digits_that_underflow_to_zero_are_refused(monkeypatch, capsys, tmp_path):
+    # t = 1e-400 parses to 0.0, which would solve the t = 0 cusp and write
+    # t_grid = 0.5,0.0 to the manifest: every float key refuses such a value,
+    # naming the key and the text, while zeros written as zeros still parse
+    calls = refuse_work(monkeypatch)
+    for key, value, text in (("t_grid", "0.5,1e-400", "1e-400"),
+                             ("t_grid", "0.5,-1e-400", "-1e-400"), ("h", "1e-400", "1e-400"),
+                             ("lambda", "-2.5e-999", "-2.5e-999"),
+                             ("windows", "0.0:1.0,1E-400:2.0", "1E-400"),
+                             ("windows", "0.0:0.00001e-320", "0.00001e-320")):
+        named = f"bad value for {key}: {text!r} underflows to"
+        cfg = write_config(tmp_path, **{key: value})
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            RunConfig.from_text(cfg.read_text(encoding="utf-8"))
+        for command in NUMERICAL_COMMANDS:
+            code, _, err = run(capsys, *command, str(cfg))
+            assert code == EXIT_CONFIG and named in err, (key, value, command, err)
+    assert calls == [] and not (tmp_path / "out").exists()
+    zeros = RunConfig.from_text("t_grid = 0.5,0e-400\nlambda = -0.0\nwindows = 0.000e5:1.0\n")
+    assert (zeros.t_grid, zeros.lam, zeros.windows) == ((0.5, 0.0), 0.0, ((0.0, 1.0),))
+    assert RunConfig.from_text("t_grid = 5e-324\n").t_grid == (5e-324,)  # subnormal, not zero
+    # a t that does not underflow but is too thin keeps the library's refusal
+    cfg = write_config(tmp_path, t_grid="0.5,1e-300", h="0.05")
+    code, _, err = run(capsys, "spectrum", "sweep", str(cfg))
+    assert code == EXIT_CONFIG and "the neck at t = 1e-300 is too thin" in err, err
+
+
+def test_an_h_too_coarse_for_16_points_is_refused_not_replaced(monkeypatch, capsys, tmp_path):
+    # h = 5.0 leaves no interior point on the neck at t = 0.5 (length 4.17):
+    # the grid was once clamped to 16 points at h = 0.245 while the manifest
+    # said h = 5.0; now every command refuses it before any work, naming t,
+    # h and the spacing of 16 points
+    calls = refuse_work(monkeypatch)
+    coarsest = spectra.NeckGeometry.neck(0.5).length / 17
+    named = (f"no grid can be counted at t = 0.5 with h = 5.0: need at least 16 interior "
+             f"points, got 0: h at most length / 17 = {coarsest!r} gives them")
+    for t_grid in ("0.5,0.0", "0.5,0.4,0.3,0.2,0.1,0.05"):  # trace fit needs 6 t > 0
+        cfg = write_config(tmp_path, t_grid=t_grid, k_max=0, levels=2, h=5.0)
+        for command in NUMERICAL_COMMANDS[: None if "0.4" in t_grid else -1]:
+            code, out, err = run(capsys, *command, str(cfg))
+            assert (code, out) == (EXIT_CONFIG, "") and named in err, (command, err)
+    assert calls == [] and not (tmp_path / "out").exists()
+    with pytest.raises(RunRefusedError, match=re.escape(named)):
+        check_grids([0.5, 0.0], SpectrumParams(k_max=0, levels=2, h=5.0))
+    # the spacing of 16 points is accepted, and gives them
+    [(_, grid)] = check_grids([0.5], SpectrumParams(k_max=0, levels=2, h=coarsest)).values()
+    assert grid.n == 16
+
+
 def test_bad_config_exit_code(monkeypatch, capsys, tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("nonsense without equals\n", encoding="utf-8")

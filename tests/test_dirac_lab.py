@@ -176,7 +176,7 @@ def test_flat_override_matches_separable_eigenvalues():
     L = g.length
     grid = Grid(g, 2000)
     c = 0.7
-    T = assemble_hamiltonian(ModeSpec(0), grid, flat_potential=c)
+    T = tridiagonal_from_potential(np.full(grid.n, c * c), grid.h)
     got = eigen_lowest(T, 5)
     for m, mu in enumerate(got, start=1):
         analytic = c * c + (math.pi * m / L) ** 2
@@ -450,6 +450,68 @@ def test_read_walks_to_the_bits_of_the_full_solve(monkeypatch):
                 assert bool(dstebz_calls) == (roots[0] is None), (count, read)
 
 
+def _lapack_binding_then(monkeypatch, name: str, after) -> None:
+    """Replace LAPACK binding ``name`` by a call of it followed by ``after(args)``."""
+    binding = getattr(solver, name)
+
+    def patched(*args):
+        binding(*args)
+        after(args)
+
+    monkeypatch.setattr(solver, name, patched)
+
+
+def test_an_unconverged_walk_raises(monkeypatch):
+    # a node the walk runs to convergence (IJOB = 2, NITMAX > 1) that dlaebz
+    # leaves unconverged (INFO, its last argument, > 0) is an error, not a value
+    def unconverged(args):
+        if args[0].value == 2 and args[1].value > 1:
+            args[-1].value = 1
+
+    _lapack_binding_then(monkeypatch, "_dlaebz", unconverged)
+    with pytest.raises(NonConvergenceError, match="dlaebz left a level unconverged"):
+        eigen_lowest(_neck_hamiltonian(), 8)
+
+
+def test_a_failed_inverse_iteration_raises(monkeypatch):
+    # dstein's INFO (its last argument) > 0 names the vectors that did not converge
+    def failed(args):
+        args[-1].value = 1
+
+    _lapack_binding_then(monkeypatch, "_dstein", failed)
+    for T in (_neck_hamiltonian(), Tridiagonal(np.ones(4), np.array([1.0, 0.0, 1.0]))):
+        with pytest.raises(NonConvergenceError, match="dstein failed with info = 1"):
+            eigen_lowest(T, 2, vector=True)  # the walk's dstein call, then dstebz's
+
+
+def test_a_recount_off_its_levels_falls_back_to_dstebz_with_the_same_bits(monkeypatch):
+    # _root's recount at (WL, WU] (IJOB = 1, MMAX = 2, MINP = 1) must give
+    # N(WL) = 0; where it does not, the one dstebz("I") call runs instead, and
+    # its values and vector are the walk's bits
+    dstebz_calls, dstebz = [], solver._dstebz
+
+    def off_by_one(args):
+        if (args[0].value, args[3].value, args[4].value) == (1, 2, 1):
+            args[16][0] += 1  # NAB(1, 1): the count at WL
+
+    def counted_dstebz(*args):
+        dstebz_calls.append(args[0])
+        dstebz(*args)
+
+    cases = [(_neck_hamiltonian(t), count) for t in (0.5, 0.05) for count in (1, 2, 8)]
+    want = [eigen_lowest(T, count, vector=True) for T, count in cases]
+    _lapack_binding_then(monkeypatch, "_dlaebz", off_by_one)
+    monkeypatch.setattr(solver, "_dstebz", counted_dstebz)
+    for (T, count), (want_w, want_v) in zip(cases, want):
+        assert solver._root(T.diagonal, T.offdiagonal, count) is None
+        dstebz_calls.clear()
+        got_w, got_v = eigen_lowest(T, count, vector=True)
+        assert _same_bits(got_w, want_w) and _same_bits(got_v, want_v), count
+        assert _same_bits(eigen_lowest(T, count), want_w)
+        assert _same_bits(eigen_lowest(T, count, read=(count,)), want_w[-1:])
+        assert dstebz_calls == [b"I"] * 3, count
+
+
 def test_eigen_lowest_checks_its_arguments_before_any_lapack_call(monkeypatch):
     T = _neck_hamiltonian()
     for name in ("_dlaebz", "_dstebz", "_dstein"):
@@ -552,11 +614,12 @@ def test_lapack_binding_refuses_a_foreign_prototype(monkeypatch):
 
 
 def test_convergence_order_flat_and_neck():
-    g = NeckGeometry.neck(0.3)
-    grid = Grid(g, 250)
-    order_flat = convergence_order(ModeSpec(0), grid, flat_potential=0.4)
+    grid = Grid(NeckGeometry.neck(0.3), 250)
+    c = 0.4
+    order_flat = convergence_order(lambda g: tridiagonal_from_potential(np.full(g.n, c * c), g.h),
+                                   grid)
     assert 1.8 <= order_flat <= 2.2
-    order_neck = convergence_order(ModeSpec(0), grid)
+    order_neck = convergence_order(lambda g: assemble_hamiltonian(ModeSpec(0), g), grid)
     assert 1.7 <= order_neck <= 2.3
 
 
@@ -606,11 +669,19 @@ def test_halving_nests_the_points_bit_for_bit():
     rng = np.random.default_rng(8)
     geoms = ([NeckGeometry.neck(float(t)) for t in 10.0 ** rng.uniform(-4, 2, 60)]
              + [NeckGeometry.cusp(float(r)) for r in rng.uniform(-40.0, 0.6, 60)])
+    refused = 0
     for geom in geoms:
         n, h = int(rng.integers(16, 3000)), float(10.0 ** rng.uniform(-2.5, 0.5))
         # the spacing of n points gives those points: a run at one t passes it as h
         assert Grid.for_geometry(geom, h=geom.length / (n + 1)) == Grid(geom, n), (geom, n)
-        for g in (Grid(geom, n), Grid.for_geometry(geom, h=h)):
+        grids = [Grid(geom, n)]
+        if round(geom.length / h) - 1 < 16:  # too coarse: refused, never clamped to 16 points
+            refused += 1
+            with pytest.raises(ValueError, match=re.escape(f"{geom.length / 17!r} gives them")):
+                Grid.for_geometry(geom, h=h)
+        else:
+            grids.append(Grid.for_geometry(geom, h=h))
+        for g in grids:
             stored = geom.length / (g.n + 1)  # what for_geometry stored as h
             assert (g.rho_min, g.h) == (geom.rho_min, stored), (geom, g.n)
             for _ in range(3):
@@ -618,6 +689,7 @@ def test_halving_nests_the_points_bit_for_bit():
                 assert (half.rho_min, half.h, half.n) == (geom.rho_min, stored, 2 * g.n + 1)
                 assert _same_bits(half.rho_values[1::2], g.rho_values), (geom, g.n)
                 g = half
+    assert 0 < refused < len(geoms) // 2, refused
 
 
 def test_no_function_takes_a_geometry_beside_its_grid():
@@ -1610,6 +1682,31 @@ def test_a_deeper_cusp_step_that_would_overflow_fails_before_assembling(monkeypa
     for command in (("spectrum", "sweep"), ("spectrum", "mass"), ("trace", "compute")):
         code, err = main([*command, str(cfg)]), capsys.readouterr().err
         assert code == EXIT_RUNTIME and f"rho_min = {deeper!r}" in err, (command, err)
+
+
+def test_a_cusp_depth_that_never_settles_is_a_runtime_error(monkeypatch, capsys, tmp_path):
+    # each depth the search asks for lies 1 below the last, so the grid just
+    # solved is never deep enough: after 8 steps the library raises, and the
+    # sweep exits 1 and writes no file
+    asked = []
+
+    def ever_deeper(params, mu_max):
+        asked.append(-7.0 - len(asked))
+        return asked[-1]
+
+    monkeypatch.setattr(spectra, "_cusp_depth", ever_deeper)
+    params = SpectrumParams(k_max=0, levels=2, h=0.05)
+    for run in (dirac_spectrum, ground_states):
+        asked.clear()
+        with pytest.raises(RuntimeError, match="cusp truncation depth did not stabilize"):
+            run([0.5, 0.0], params)
+        assert asked == [-7.0 - i for i in range(9)], run  # the plan's, then one per step
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"t_grid = 0.5,0.0\nk_max = 0\nlevels = 2\nh = 0.05\n"
+                   f"output_dir = {tmp_path / 'out'}\n", encoding="utf-8")
+    code, err = main(["spectrum", "sweep", str(cfg)]), capsys.readouterr().err
+    assert code == EXIT_RUNTIME and "did not stabilize" in err, err
+    assert not (tmp_path / "out").exists()
 
 
 def test_every_command_checks_its_t_grid_in_descending_order(capsys, tmp_path):
