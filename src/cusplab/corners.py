@@ -45,8 +45,8 @@ a result built from parts already checked skips them:
 * ``IndexSet.shifted`` takes its one generator as a canonical set;
 * pull-back, push-forward, ``product_family`` and ``IndexFamily.shifted``
   build their families with ``IndexFamily._from_canonical``;
-* ``compose_bmaps`` sorts its entries and builds the composite with
-  ``BMap._from_canonical``.
+* ``compose_bmaps`` reads each row out in label order, so its entries
+  come out sorted, and builds the composite with ``BMap._from_canonical``.
 
 The hot paths stay on C-level keys: a :class:`Face` is a named tuple of its
 label, and an :class:`IndexTerm` of its ``(z, k)``, so each equals, hashes
@@ -68,6 +68,10 @@ inputs need:
   one-generator sets, and an extended union of two, are worked out by
   cases, and a larger extended union pairs only the generators in one
   class mod 1;
+* ``compose_bmaps`` accumulates each row of the composite into one dense
+  list of integers indexed by the target faces' positions, with g's rows
+  read as (position, exponent) pairs, and reads it out in label order: no
+  dict keyed on faces and no sort of the entries;
 * a :class:`Space` compares equal to itself by identity first, since every
   pipeline compares a space with itself.
 
@@ -546,7 +550,8 @@ class IndexFamily:
 
     ``entries`` holds the nonempty sets only, in the space's face order, and
     every family carries its face -> set lookup from construction on.  The
-    constructor checks and sorts what it is given; the operations below whose
+    constructor checks and sorts what it is given (each face must be on the
+    space, once, with an :class:`IndexSet` value); the operations below whose
     result is canonical by construction build it with ``_from_canonical``.
     """
 
@@ -562,6 +567,9 @@ class IndexFamily:
                 raise SpaceMismatchError(f"face {face.label!r} not in the family's space")
             if face in seen:
                 raise ValueError(f"duplicate entry for face {face.label!r}")
+            if not isinstance(E, IndexSet):
+                raise TypeError(f"the value for face {face.label!r} must be an IndexSet, "
+                                f"got {E!r}")
             seen[face] = E
         canon = tuple(sorted(((f, E) for f, E in seen.items() if E.generators),
                              key=lambda entry: index[entry[0]]))
@@ -760,21 +768,27 @@ def is_b_fibration(f: BMap) -> bool:
 def compose_bmaps(f: BMap, g: BMap) -> BMap:
     """The b-map of g after f; exponent matrices multiply.
 
-    Every entry is a sum of products of positive integers, on faces of
-    f's source and g's target, one per pair, so the sorted entries are
-    the composite's canonical ones and skip the ``BMap`` checks.
+    Each row of f accumulates into one dense integer row over the positions
+    of g's target faces, reading g's rows as (position, exponent) pairs,
+    and is read out in label order.  Every entry is a sum of products of
+    positive integers, and f's rows ascend in their source face, so the
+    entries come out as the composite's canonical ones and skip the
+    ``BMap`` checks.
     """
     if f.target != g.source:
         raise SpaceMismatchError("intermediate spaces do not match")
+    faces = g.target.faces
+    position = g.target._index
+    g_rows = {H: tuple((position[K], w) for K, w in row.items())
+              for H, row in g._rows.items()}
+    label_order = sorted(range(len(faces)), key=faces.__getitem__)
     entries = []
-    g_rows = g._rows
     for G, frow in f._rows.items():
-        acc: dict[Face, int] = {}
+        acc = [0] * len(faces)
         for H, v in frow.items():
-            for K, w in g_rows.get(H, {}).items():
-                acc[K] = acc.get(K, 0) + v * w
-        entries.extend(((G, K), val) for K, val in acc.items())
-    entries.sort()
+            for k, w in g_rows.get(H, ()):
+                acc[k] += v * w
+        entries += [((G, faces[k]), acc[k]) for k in label_order if acc[k]]
     return BMap._from_canonical(f.source, g.target, tuple(entries),
                                 f.submersion_witness and g.submersion_witness)
 

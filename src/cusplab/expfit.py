@@ -24,14 +24,21 @@ class RankDeficientError(ValueError):
 class BasisSpec:
     """Monomials (exponent, log power), evaluated as t^z log^k t.
 
-    A log power must be an ``int`` (a float or a bool raises ``TypeError``)
-    and at least 0.
+    A basis needs at least one monomial (``ValueError``).  An exponent must
+    be exact, an ``int``, ``str`` or ``Fraction``: a float such as ``0.1``
+    is not the rational it is written as, so a float or a bool raises
+    ``TypeError``.  A log power must be an ``int`` (a float or a bool raises
+    ``TypeError``) and at least 0.
     """
 
     monomials: tuple[tuple[Fraction, int], ...]
 
     def __post_init__(self) -> None:
-        for _, k in self.monomials:
+        if not self.monomials:
+            raise ValueError("a basis needs at least one monomial")
+        for z, k in self.monomials:
+            if isinstance(z, (float, bool)):
+                raise TypeError(f"an exponent must be an int, str or Fraction, got {z!r}")
             if not isinstance(k, int) or isinstance(k, bool):
                 raise TypeError(f"a log power must be an int, got {k!r}")
             if k < 0:

@@ -464,12 +464,51 @@ def test_bmap_queries_match_linear_scan_and_dense_product():
         for H in Y.faces:
             assert list(f.column(H).items()) == [(gg, v) for (gg, h), v in f.e if h == H]
         assert is_b_normal(f) == all(sum(v > 0 for v in row) <= 1 for row in dense(f))
-        F, Gm = dense(f), dense(g)
-        product = [[sum(F[i][j] * Gm[j][k] for j in range(ny)) for k in range(nz)]
-                   for i in range(nx)]
-        want = sorted(((G, K), v) for G, row in zip(X.faces, product)
-                      for K, v in zip(Z.faces, row) if v)
-        assert compose_bmaps(f, g).e == tuple(want)
+        check_composite(f, g)
+
+    # label order and face order differ at every position of each space; g
+    # sends some faces of Y to the interior, and some rows of f meet only those
+    def deranged_space(p, n):
+        labels = [f"{p}{i}" for i in range(n)]
+        faces = labels[:]
+        while any(a == b for a, b in zip(faces, sorted(labels))):
+            rng.shuffle(faces)
+        return Space.of(*faces)
+
+    unreached = 0
+    for _ in range(60):
+        X, Y, Z = (deranged_space(p, rng.randint(2, 12)) for p in "xyz")
+        dead = rng.sample(Y.faces, rng.randint(1, len(Y.faces) - 1))
+        g = BMap.build(Y, Z, {H.label: {K.label: rng.randint(1, 4) for K in Z.faces
+                                        if rng.random() < 0.4}
+                              for H in Y.faces if H not in dead})
+        f_rows = {}
+        for G in X.faces:
+            reach = dead if rng.random() < 0.3 else Y.faces
+            f_rows[G.label] = {H.label: rng.randint(1, 4) for H in reach if rng.random() < 0.5}
+        f = BMap.build(X, Y, f_rows)
+        h = check_composite(f, g)
+        for G in X.faces:
+            if f.row(G) and all(H in dead for H in f.row(G)):
+                assert h.row(G) == {}
+                unreached += 1
+    assert unreached > 20
+
+
+def check_composite(f, g):
+    """compose_bmaps(f, g) against the dense product and its checked rebuild."""
+    def dense(m):
+        return [[m.exponent(G, H) for H in m.target.faces] for G in m.source.faces]
+
+    F, Gm = dense(f), dense(g)
+    product = [[sum(F[i][j] * Gm[j][k] for j in range(len(f.target.faces)))
+                for k in range(len(g.target.faces))] for i in range(len(f.source.faces))]
+    want = sorted(((G, K), v) for G, row in zip(f.source.faces, product)
+                  for K, v in zip(g.target.faces, row) if v)
+    h = compose_bmaps(f, g)
+    assert h.e == tuple(want)
+    assert h.e == BMap(f.source, g.target, tuple(reversed(h.e))).e
+    return h
 
 
 def random_b_normal_bmap(rng, src, tgt, density=0.8, max_entry=3):
@@ -1035,6 +1074,16 @@ def test_faces_given_as_labels_are_refused(monkeypatch):
     monkeypatch.setattr(corners, "_refuse_non_faces", None)
     assert fam.get(a) is E and bm.exponent(a, b) == 1
     assert bm.row(a) == {b: 1} and bm.column(b) == {a: 1}
+
+
+@pytest.mark.parametrize("value", [(IndexTerm(0, 0),), IndexTerm(0, 0), None, "0"])
+def test_a_family_value_that_is_not_an_index_set_is_refused(value):
+    # it failed with "'tuple' object has no attribute 'generators'"
+    S = Space.of("a", "b")
+    with pytest.raises(TypeError, match="value for face 'b' must be an IndexSet"):
+        IndexFamily(S, ((S.face("a"), IndexSet.naturals()), (S.face("b"), value)))
+    with pytest.raises(TypeError, match="value for face 'a' must be an IndexSet"):
+        IndexFamily.on(S, {"a": value})
 
 
 # -- reduced-integer arithmetic ------------------------------------------------

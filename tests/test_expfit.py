@@ -59,6 +59,27 @@ def test_a_log_power_that_is_not_an_int_is_refused(power):
         BasisSpec(((0, 0), (2, power)))
 
 
+@pytest.mark.parametrize("z", [0.1, 2.0, np.float64(2.0), True, False],
+                         ids=["0.1", "2.0", "float64", "True", "False"])
+def test_an_exponent_that_is_not_exact_is_refused(z):
+    # Fraction(0.1) is 3602879701896397/36028797018963968, and True would be read as 1
+    with pytest.raises(TypeError, match="exponent must be an int, str or Fraction"):
+        BasisSpec(((z, 0),))
+    with pytest.raises(TypeError, match="exponent must be an int, str or Fraction"):
+        BasisSpec(((0, 0), (z, 1)))
+
+
+def test_an_exact_exponent_is_kept_as_written():
+    basis = BasisSpec(((0, 0), ("1/10", 0), (Fraction(5, 2), 1)))
+    assert basis.monomials == ((0, 0), (Fraction(1, 10), 0), (Fraction(5, 2), 1))
+
+
+def test_an_empty_basis_is_refused():
+    # it would fail in check_fit with numpy's "need at least one array to concatenate"
+    with pytest.raises(ValueError, match="at least one monomial"):
+        BasisSpec(())
+
+
 def test_duplicate_monomial_is_rank_deficient():
     with pytest.raises(RankDeficientError):
         BasisSpec(((2, 0), (2, 0)))
